@@ -22,6 +22,13 @@ from . import weitzenboeck as wz
 _USAGE_ERROR = 2
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="doubleforms",
@@ -35,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--seeds", type=int, default=10, help="random tensors per (n, p) cell")
     v.add_argument("--trials", type=int, default=100, help="random pairs per sampled check")
     v.add_argument("--tol", type=float, default=1e-9, help="main relative tolerance")
-    v.add_argument("--extended", action="store_true", help="include n = 7, 8 sweeps (minutes)")
+    v.add_argument("--extended", action="store_true", help="include n = 7, 8 sweeps")
     v.add_argument("--seed", type=int, default=42, help="base seed for all randomness")
     v.add_argument("--json", action="store_true", help="emit the canonical JSON report")
     v.add_argument("--identity", action="append", dest="identities", metavar="NAME",
@@ -59,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("spectrum", help="eigenvalues and sampled sectional minima of the order-p operator")
     add_io(s)
-    s.add_argument("--samples", type=int, default=100)
+    s.add_argument("--samples", type=_positive_int, default=100)
     s.add_argument("--seed", type=int, default=0)
 
     d = sub.add_parser("decompose", help="scalar / traceless-Ricci / Weyl split")
@@ -67,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sec = sub.add_parser("sectional", help="sampled sectional curvatures of the order-p operator")
     add_io(sec)
-    sec.add_argument("--samples", type=int, default=100)
+    sec.add_argument("--samples", type=_positive_int, default=100)
     sec.add_argument("--seed", type=int, default=0)
 
     pc = sub.add_parser("pcurvature", help="the p-curvature form *(g^(n-p-2) w / (n-p-2)!)")
@@ -83,7 +90,7 @@ def _load(args):
 
 def _emit(doc: dict, as_json: bool, lines) -> None:
     if as_json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False))
     else:
         for line in lines:
             print(line)

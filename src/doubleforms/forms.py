@@ -35,6 +35,7 @@ from .exterior import (
 __all__ = [
     "DoubleForm",
     "CurvatureTensor",
+    "BianchiViolation",
     "zero_form",
     "metric",
     "metric_power",
@@ -43,6 +44,7 @@ __all__ = [
     "contract_iter",
     "inner",
     "star",
+    "bianchi_map",
     "bianchi_residual",
     "sectional",
     "orthonormalize",
@@ -297,33 +299,46 @@ def star(w: DoubleForm) -> DoubleForm:
 # -- first Bianchi identity ----------------------------------------------
 
 
-def bianchi_residual(w: DoubleForm) -> float:
-    """Largest absolute value of the alternating first-Bianchi sum.
+@lru_cache(maxsize=None)
+def _removal_table(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each k-subset X and position j: rank of X without x_j, and x_j - 1."""
+    subs = subsets(n, k)
+    small = _ranks(n, k - 1)
+    idx = np.array([[small[X[:j] + X[j + 1:]] for j in range(k)] for X in subs], dtype=np.int64)
+    idx = idx.reshape(len(subs), k)
+    removed = np.array(subs, dtype=np.int64).reshape(len(subs), k) - 1
+    idx.setflags(write=False)
+    removed.setflags(write=False)
+    return idx, removed
 
-    The sum runs over basis tuples (x_1..x_{p+1}; y_1..y_{q-1}); it is
-    alternating in each group, so increasing tuples suffice.  Zero exactly
-    on the Bianchi subalgebra.
+
+def bianchi_map(w: DoubleForm) -> DoubleForm:
+    """First Bianchi map b: (p,q) -> (p+1, q-1),
+
+        b(w)(x_1..x_{p+1}; Y) = sum_j (-1)^j w(x_1..^x_j..x_{p+1}; x_j ^ Y),
+
+    on increasing basis tuples; zero exactly on the Bianchi subalgebra.
     """
     if w.q < 1:
-        raise ValueError(f"Bianchi residual needs q >= 1, got degree {w.degree}")
+        raise ValueError(f"Bianchi map needs q >= 1, got degree {w.degree}")
     ctx = w.ctx
     n = ctx.n
-    ranks_p = _ranks(n, w.p)
-    ranks_q = _ranks(n, w.q)
-    worst = 0.0
-    for X in subsets(n, w.p + 1):
-        for Y in subsets(n, w.q - 1):
-            total = 0.0
-            for j, xj in enumerate(X, start=1):
-                s = insertion_sign(xj, Y)
-                if s is None:
-                    continue
-                left = tuple(i for i in X if i != xj)
-                right = tuple(sorted(Y + (xj,)))
-                sign = -s if j % 2 else s
-                total += sign * w.coeffs[ranks_p[left], ranks_q[right]]
-            worst = max(worst, abs(total))
-    return worst
+    out = np.zeros((ctx.dim(w.p + 1), ctx.dim(w.q - 1)))
+    rows, removed = _removal_table(n, w.p + 1)
+    lift, lift_sign = _lift_table(n, w.q - 1)
+    # one removal position at a time keeps each temporary C(n,p+1) x C(n,q-1)
+    for j in range(w.p + 1):
+        m = removed[:, j]
+        sign = lift_sign[:, m].T  # zero where x_j lies in Y, cancelling the -1 rank's gather
+        if j % 2 == 0:
+            sign = -sign
+        out += sign * w.coeffs[rows[:, j, None], lift[:, m].T]
+    return DoubleForm(w.p + 1, w.q - 1, out, ctx)
+
+
+def bianchi_residual(w: DoubleForm) -> float:
+    """Largest absolute entry of the first Bianchi map of w."""
+    return float(np.max(np.abs(bianchi_map(w).coeffs), initial=0.0))
 
 
 # -- sectional curvature ---------------------------------------------------
@@ -386,14 +401,19 @@ def sectional(w: DoubleForm, span) -> float:
 BIANCHI_TOL = 1e-12
 
 
+class BianchiViolation(ValueError):
+    """A (2,2) form fails the first Bianchi identity at the requested tolerance."""
+
+
 @dataclass(frozen=True, eq=False)
 class CurvatureTensor:
     """A symmetric (2,2) double form satisfying the first Bianchi identity.
 
-    The wrapped form must be exactly symmetric (symmetrize first if
-    necessary); the Bianchi residual is checked against bianchi_tol times
-    the norm.  Pass bianchi_tol=float("inf") to skip that check, e.g. for
-    raw file input that will only be inspected.
+    The wrapped form must be finite and exactly symmetric (symmetrize
+    first if necessary); the Bianchi residual must not exceed bianchi_tol
+    times the norm, else BianchiViolation is raised.  Pass
+    bianchi_tol=float("inf") to skip that check, e.g. for raw file input
+    that will only be inspected.
     """
 
     form: DoubleForm
@@ -402,13 +422,15 @@ class CurvatureTensor:
     def __post_init__(self) -> None:
         if self.form.degree != (2, 2):
             raise ValueError(f"curvature tensor must be a (2,2) form, got {self.form.degree}")
+        if not np.all(np.isfinite(self.form.coeffs)):
+            raise ValueError("curvature tensor has non-finite entries")
         if not self.form.is_symmetric():
             raise ValueError("curvature tensor matrix must be exactly symmetric")
         if np.isfinite(self.bianchi_tol):
             residual = bianchi_residual(self.form)
             limit = self.bianchi_tol * self.form.norm()
-            if residual > limit:
-                raise ValueError(
+            if not residual <= limit:
+                raise BianchiViolation(
                     f"first Bianchi identity violated: residual {residual:.3e} "
                     f"exceeds {limit:.3e}"
                 )

@@ -10,23 +10,25 @@ and the (ij) <-> (kl) symmetry is enforced on load.  General (p,q) forms
 written by save_form carry explicit "p" and "q" fields and index lists of
 the matching lengths.
 
-Loading checks the first Bianchi identity.  The default policy is to warn
-on stderr and continue; "strict" rejects the file and "project" applies
-the orthogonal projection onto the symmetric Bianchi subspace (the
-projector is assembled once per dimension from the identity's linear
-constraints).
+Loading rejects non-finite values and checks the first Bianchi identity
+with the CurvatureTensor rule.  The default policy is to warn on stderr
+and continue; "strict" rejects the file and "project" applies the
+orthogonal projection onto the symmetric Bianchi subspace, which has a
+closed form: symmetric (2,2) forms split as curvature tensors plus
+4-forms, and the 4-form part is read off the Bianchi map.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import sys
 from functools import lru_cache
 
 import numpy as np
 
-from .exterior import AlgebraContext, insertion_sign, subsets, _ranks
-from .forms import BIANCHI_TOL, CurvatureTensor, DoubleForm, bianchi_residual
+from .exterior import AlgebraContext, subsets, _ranks
+from .forms import BIANCHI_TOL, BianchiViolation, CurvatureTensor, DoubleForm, bianchi_map
 
 __all__ = ["load_tensor", "save_form", "bianchi_projector", "project_bianchi"]
 
@@ -92,6 +94,8 @@ def load_tensor(path, *, on_bianchi: str = "warn", bianchi_tol: float = BIANCHI_
             value = float(entry["value"])
         except (TypeError, ValueError):
             raise ValueError(f"{where}.value: expected a number, got {entry['value']!r}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"{where}.value: non-finite value {value!r}")
         a, b = ranks[ij], ranks[kl]
         key = (min(a, b), max(a, b))
         if key in seen and seen[key] != value:
@@ -103,24 +107,15 @@ def load_tensor(path, *, on_bianchi: str = "warn", bianchi_tol: float = BIANCHI_
         mat[a, b] = value
         mat[b, a] = value
     form = DoubleForm(2, 2, mat, ctx)
-    residual = bianchi_residual(form)
-    limit = bianchi_tol * max(form.norm(), 1.0)
-    if residual > limit:
+    try:
+        return CurvatureTensor(form, bianchi_tol=bianchi_tol)
+    except BianchiViolation as exc:
         if on_bianchi == "strict":
-            raise ValueError(
-                f"{path}: first Bianchi identity violated "
-                f"(residual {residual:.3e} > {limit:.3e})"
-            )
+            raise ValueError(f"{path}: {exc}") from None
         if on_bianchi == "project":
-            form = project_bianchi(form)
-            return CurvatureTensor(form.symmetrized(), bianchi_tol=1e-9)
-        print(
-            f"warning: {path}: first Bianchi identity violated "
-            f"(residual {residual:.3e}); continuing",
-            file=sys.stderr,
-        )
+            return CurvatureTensor(project_bianchi(form), bianchi_tol=1e-9)
+        print(f"warning: {path}: {exc}; continuing", file=sys.stderr)
         return CurvatureTensor(form, bianchi_tol=float("inf"))
-    return CurvatureTensor(form)
 
 
 def save_form(form, path) -> None:
@@ -140,7 +135,7 @@ def save_form(form, path) -> None:
                 entries.append({"ij": list(I), "kl": list(J), "value": float(v)})
     doc = {"n": n, "p": form.p, "q": form.q, "entries": entries}
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
+        json.dump(doc, fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 
@@ -148,47 +143,46 @@ def save_form(form, path) -> None:
 
 
 @lru_cache(maxsize=None)
-def bianchi_projector(n: int) -> np.ndarray:
-    """Orthogonal projector (on vectorized (2,2) matrices) onto the
-    symmetric first-Bianchi subspace, built from the identity's linear
-    constraints plus the symmetry constraints."""
-    dim = AlgebraContext(n).dim(2)
-    ranks = _ranks(n, 2)
-    rows = []
-    # symmetry: A[a,b] - A[b,a] = 0
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            row = np.zeros(dim * dim)
-            row[a * dim + b] = 1.0
-            row[b * dim + a] = -1.0
-            rows.append(row)
-    # Bianchi: alternating sum over x-triples against every y
-    for X in subsets(n, 3):
-        for y in range(1, n + 1):
-            row = np.zeros(dim * dim)
-            nonzero = False
-            for j, xj in enumerate(X, start=1):
-                s = insertion_sign(xj, (y,))
-                if s is None:
-                    continue
-                left = tuple(i for i in X if i != xj)
-                right = tuple(sorted((xj, y)))
-                sign = -s if j % 2 else s
-                row[ranks[left] * dim + ranks[right]] += sign
-                nonzero = True
-            if nonzero:
-                rows.append(row)
-    C = np.vstack(rows)
-    P = np.eye(dim * dim) - np.linalg.pinv(C) @ C
-    P.setflags(write=False)
-    return P
+def _four_form_table(n: int) -> np.ndarray:
+    """Per 4-subset abcd, as rows: rank of abc, d - 1, ranks of ab, cd, ac, bd, ad, bc."""
+    r2, r3 = _ranks(n, 2), _ranks(n, 3)
+    rows = [
+        (r3[(a, b, c)], d - 1, r2[(a, b)], r2[(c, d)], r2[(a, c)], r2[(b, d)], r2[(a, d)], r2[(b, c)])
+        for a, b, c, d in subsets(n, 4)
+    ]
+    table = np.array(rows, dtype=np.int64).reshape(-1, 8).T
+    table.setflags(write=False)
+    return table
 
 
 def project_bianchi(form: DoubleForm) -> DoubleForm:
-    """Orthogonal projection of a (2,2) form onto the Bianchi subspace."""
+    """Orthogonal projection of a (2,2) form onto the symmetric Bianchi subspace.
+
+    Symmetric (2,2) forms split orthogonally into curvature tensors and
+    the image of 4-forms under lambda(alpha)(xy, zw) = alpha_xyzw.  The
+    Bianchi map kills the first part and has b(lambda(alpha))(abc; d) =
+    -3 alpha_abcd, so the projection of the symmetric part s is
+    s - lambda(alpha) with alpha_abcd = -b(s)(abc; d)/3.
+    """
     if form.degree != (2, 2):
         raise ValueError(f"expected a (2,2) form, got {form.degree}")
-    n = form.ctx.n
-    P = bianchi_projector(n)
-    vec = P @ form.coeffs.reshape(-1)
-    return DoubleForm(2, 2, vec.reshape(form.coeffs.shape), form.ctx)
+    ctx = form.ctx
+    sym = form.symmetrized()
+    abc, d, ab, cd, ac, bd, ad, bc = _four_form_table(ctx.n)
+    alpha = -bianchi_map(sym).coeffs[abc, d] / 3.0
+    out = sym.coeffs.copy()
+    for ij, kl, value in ((ab, cd, alpha), (ac, bd, -alpha), (ad, bc, alpha)):
+        out[ij, kl] -= value
+        out[kl, ij] -= value
+    return DoubleForm(2, 2, out, ctx)
+
+
+@lru_cache(maxsize=None)
+def bianchi_projector(n: int) -> np.ndarray:
+    """Matrix of project_bianchi on vectorized (2,2) coefficient matrices."""
+    ctx = AlgebraContext(n)
+    dim = ctx.dim(2)
+    units = np.eye(dim * dim).reshape(-1, dim, dim)
+    P = np.array([project_bianchi(DoubleForm(2, 2, e, ctx)).coeffs.reshape(-1) for e in units]).T
+    P.setflags(write=False)
+    return P

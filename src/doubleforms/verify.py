@@ -133,7 +133,7 @@ class VerificationReport:
             "records": [asdict(r) for r in self.records],
             "summary": self.summary(),
         }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
     def human_lines(self) -> list[str]:
         lines = []
@@ -157,16 +157,14 @@ class VerificationReport:
         return lines
 
 
-def _rng(cfg: SuiteConfig, identity: str, *key: int) -> np.random.Generator:
-    entropy = [cfg.base_seed & 0xFFFFFFFF, zlib.crc32(identity.encode())]
-    entropy.extend(int(k) & 0xFFFFFFFF for k in key)
-    return np.random.default_rng(np.random.SeedSequence(entropy))
-
-
 def _seedseq(cfg: SuiteConfig, identity: str, *key: int) -> np.random.SeedSequence:
     entropy = [cfg.base_seed & 0xFFFFFFFF, zlib.crc32(identity.encode())]
     entropy.extend(int(k) & 0xFFFFFFFF for k in key)
     return np.random.SeedSequence(entropy)
+
+
+def _rng(cfg: SuiteConfig, identity: str, *key: int) -> np.random.Generator:
+    return np.random.default_rng(_seedseq(cfg, identity, *key))
 
 
 def _rel(actual: DoubleForm, expected: DoubleForm, floor: float = 1.0) -> float:

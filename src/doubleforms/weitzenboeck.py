@@ -329,41 +329,13 @@ def operator_matrix(w_pp: DoubleForm) -> OperatorMatrix:
     return OperatorMatrix(p=w_pp.p, matrix=w_pp.coeffs, ctx=w_pp.ctx)
 
 
-def jacobi_eigenvalues(matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
+def jacobi_eigenvalues(matrix: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a symmetric matrix.
 
-    Sweeps until the off-diagonal Frobenius norm drops below tol times the
-    matrix norm.  Matrices here are at most C(8,4) = 70 square, where this
-    converges in a handful of sweeps.
+    Calls LAPACK through numpy.linalg.eigvalsh, which reads the lower
+    triangle only; the name stays because it is public API.
     """
-    A = np.array(matrix, dtype=float)
-    m = A.shape[0]
-    if m <= 1:
-        return np.sort(np.diag(A))
-    scale = max(float(np.linalg.norm(A)), 1.0)
-    for _ in range(max_sweeps):
-        off = np.linalg.norm(A - np.diag(np.diag(A)))
-        if off <= tol * scale:
-            break
-        for i in range(m - 1):
-            for j in range(i + 1, m):
-                if abs(A[i, j]) <= 1e-300:
-                    continue
-                theta = (A[j, j] - A[i, i]) / (2.0 * A[i, j])
-                t = np.sign(theta) / (abs(theta) + np.hypot(theta, 1.0)) if theta != 0 else 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                col_i = A[:, i].copy()
-                col_j = A[:, j].copy()
-                A[:, i] = c * col_i - s * col_j
-                A[:, j] = s * col_i + c * col_j
-                row_i = A[i, :].copy()
-                row_j = A[j, :].copy()
-                A[i, :] = c * row_i - s * row_j
-                A[j, :] = s * row_i + c * row_j
-                A[i, j] = 0.0
-                A[j, i] = 0.0
-    return np.sort(np.diag(A))
+    return np.linalg.eigvalsh(np.asarray(matrix, dtype=float))
 
 
 @dataclass(frozen=True, eq=False)
@@ -390,7 +362,7 @@ def sample_plane(rng: np.random.Generator, n: int, p: int, *, max_tries: int = 3
 
 
 def spectrum(M: OperatorMatrix, sample_planes: int = 100, seed: int = 0) -> SpectrumReport:
-    """Full spectrum (cyclic Jacobi) and sampled sectional values.
+    """Full spectrum (LAPACK, via jacobi_eigenvalues) and sampled sectional values.
 
     Sectional values are Rayleigh quotients of the operator matrix, so the
     smallest eigenvalue never exceeds the sampled sectional minimum.

@@ -84,6 +84,23 @@ def literal_kn_product(w1: DoubleForm, w2: DoubleForm) -> np.ndarray:
     return out
 
 
+def literal_bianchi_map(w: DoubleForm) -> np.ndarray:
+    """The alternating first-Bianchi sum, coefficient matrix only:
+
+    b(w)(x_1..x_{p+1}; Y) = sum_j (-1)^j w(x_1..^x_j..x_{p+1}; x_j, Y).
+    """
+    n = w.ctx.n
+    rows = subsets(n, w.p + 1)
+    cols = subsets(n, w.q - 1)
+    out = np.zeros((len(rows), len(cols)))
+    for a, X in enumerate(rows):
+        for b, Y in enumerate(cols):
+            for j in range(1, len(X) + 1):
+                rest = X[:j - 1] + X[j:]
+                out[a, b] += (-1) ** j * eval_on_basis_vectors(w, rest, (X[j - 1],) + Y)
+    return out
+
+
 def enumeration_rank(I, n: int) -> int:
     """Rank of a subset by explicit enumeration of all combinations."""
     every = list(itertools.combinations(range(1, n + 1), len(I)))

@@ -7,6 +7,7 @@ from doubleforms.exterior import AlgebraContext, subsets
 from doubleforms.forms import (
     CurvatureTensor,
     DoubleForm,
+    bianchi_map,
     bianchi_residual,
     contract,
     contract_iter,
@@ -19,7 +20,7 @@ from doubleforms.forms import (
     star,
     zero_form,
 )
-from oracles import literal_kn_product
+from oracles import literal_bianchi_map, literal_kn_product
 
 from math import comb, factorial
 
@@ -312,6 +313,18 @@ def test_bianchi_witness_residual_is_one():
     assert bianchi_residual(w) == 1.0
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_bianchi_map_matches_literal_sum(n):
+    # every degree with q >= 1, including the empty image when p + 1 > n
+    for p in range(0, n + 1):
+        for q in range(1, n + 1):
+            w = rand_form(10 * p + q, p, q, n)
+            got = bianchi_map(w)
+            assert got.degree == (p + 1, q - 1)
+            assert np.array_equal(got.coeffs, literal_bianchi_map(w))
+            assert bianchi_residual(w) == np.max(np.abs(got.coeffs), initial=0.0)
+
+
 def test_bianchi_requires_second_degree():
     with pytest.raises(ValueError):
         bianchi_residual(rand_form(0, 2, 0, 4))
@@ -447,6 +460,10 @@ def test_curvature_tensor_validation():
     CurvatureTensor(DoubleForm(2, 2, mat, ctx), bianchi_tol=float("inf"))
     with pytest.raises(ValueError):
         CurvatureTensor(metric(ctx))
+    nan = metric_power(2, ctx).coeffs.copy()
+    nan[0, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        CurvatureTensor(DoubleForm(2, 2, nan, ctx))
 
 
 def test_zero_form_and_scalar():

@@ -8,6 +8,7 @@ import pytest
 from doubleforms.exterior import AlgebraContext
 from doubleforms.forms import (
     CurvatureTensor,
+    DoubleForm,
     bianchi_residual,
     contract,
     contract_iter,
@@ -26,7 +27,7 @@ from doubleforms.random_tensors import (
     random_symmetric_11,
     weyl_part_tensor,
 )
-from doubleforms.tensorio import load_tensor, project_bianchi, save_form
+from doubleforms.tensorio import bianchi_projector, load_tensor, project_bianchi, save_form
 from doubleforms.weitzenboeck import decompose_22, jacobi_eigenvalues
 
 
@@ -244,6 +245,30 @@ def test_projection_fixes_bianchi_forms():
     # idempotent
     again = project_bianchi(projected)
     assert (again - projected).norm() <= 1e-10 * max(projected.norm(), 1.0)
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_bianchi_projector_is_the_orthogonal_projector(n):
+    # symmetric, idempotent, onto Bianchi forms, with the rank of the
+    # curvature tensors: this pins down the orthogonal projector
+    ctx = AlgebraContext(n)
+    dim = ctx.dim(2)
+    P = bianchi_projector(n)
+    assert np.max(np.abs(P - P.T)) <= 1e-14
+    assert np.max(np.abs(P @ P - P)) <= 1e-14
+    image = (DoubleForm(2, 2, col.reshape(dim, dim), ctx) for col in P.T)
+    assert max(bianchi_residual(w) for w in image) <= 1e-14
+    assert np.trace(P) == pytest.approx(n * n * (n * n - 1) / 12, abs=1e-9)
+
+
+@pytest.mark.parametrize("n", (11, 12))  # the matrix test above covers n <= 10
+def test_project_bianchi_is_idempotent_at_large_n(n):
+    ctx = AlgebraContext(n)
+    raw = np.random.default_rng(n).standard_normal((ctx.dim(2), ctx.dim(2)))
+    once = project_bianchi(DoubleForm(2, 2, raw, ctx))
+    assert np.array_equal(once.coeffs, once.coeffs.T)
+    assert bianchi_residual(once) <= 1e-14 * once.norm()
+    assert (project_bianchi(once) - once).norm() <= 1e-14 * once.norm()
 
 
 def test_unknown_policy(tmp_path):

@@ -142,6 +142,10 @@ def test_cli_usage_errors(capsys):
     assert main(["frobnicate"]) == 2
     assert main(["weitzenboeck", "--p", "2"]) == 2  # missing --input
     assert main(["verify", "--n-min", "9"]) == 2
+    capsys.readouterr()
+    for command, samples in (("spectrum", "0"), ("spectrum", "-1"), ("sectional", "0")):
+        assert main([command, "--input", "t.json", "--p", "2", "--samples", samples]) == 2
+        assert "--samples: must be a positive integer" in capsys.readouterr().err
 
 
 @pytest.fixture()
@@ -209,6 +213,40 @@ def test_cli_strict_flag(tmp_path, capsys):
     }))
     assert main(["decompose", "--input", str(path), "--strict"]) == 2
     assert main(["decompose", "--input", str(path), "--project", "--json"]) == 0
+
+
+@pytest.mark.parametrize("value", ["Infinity", "NaN"])
+def test_cli_rejects_non_finite_values(tmp_path, capsys, value):
+    path = tmp_path / "bad.json"
+    path.write_text('{"n": 4, "entries": [{"ij": [1, 2], "kl": [1, 2], "value": %s}]}' % value)
+    assert main(["spectrum", "--input", str(path), "--p", "2", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "entries[0].value: non-finite" in captured.err
+
+
+def test_cli_overflow_is_an_error_not_invalid_json(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": 4, "entries": [{"ij": [1, 2], "kl": [1, 2], "value": 1e308},
+                                                    {"ij": [1, 3], "kl": [1, 3], "value": 1e308}]}))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["decompose", "--input", str(path), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not JSON compliant" in captured.err
+
+
+def test_cli_small_tensor_uses_one_bianchi_rule(tmp_path, capsys):
+    # norm 1e-3 and residual 1.5e-15: above 1e-12 times the norm, so the
+    # load check and CurvatureTensor must both see a violation
+    entries = [{"ij": [i, j], "kl": [i, j], "value": 4e-4} for i in range(1, 5) for j in range(i + 1, 5)]
+    entries.append({"ij": [1, 2], "kl": [3, 4], "value": 1.5e-15})
+    path = tmp_path / "small.json"
+    path.write_text(json.dumps({"n": 4, "entries": entries}))
+    assert main(["decompose", "--input", str(path)]) == 0
+    assert "warning" in capsys.readouterr().err
+    assert main(["decompose", "--input", str(path), "--strict"]) == 2
+    assert "first Bianchi identity violated" in capsys.readouterr().err
 
 
 def test_cli_missing_file():
