@@ -226,21 +226,36 @@ def _lift_table(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return idx, sgn
 
 
+@lru_cache(maxsize=None)
+def _contract_scatter(n: int, p: int, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat source index, flat target index and sign of every term of the
+    contraction of a (p,q) form, ordered by the slot index m so that
+    summing in array order adds the m terms of each entry in turn."""
+    idxI, sgnI = _lift_table(n, p - 1)
+    idxJ, sgnJ = _lift_table(n, q - 1)
+    cols_in, cols_out = comb(n, q), comb(n, q - 1)
+    src, dst, sign = [], [], []
+    for m in range(n):
+        rows = np.nonzero(idxI[:, m] >= 0)[0]
+        cols = np.nonzero(idxJ[:, m] >= 0)[0]
+        src.append((idxI[rows, m][:, None] * cols_in + idxJ[cols, m]).ravel())
+        dst.append((rows[:, None] * cols_out + cols).ravel())
+        sign.append(np.outer(sgnI[rows, m], sgnJ[cols, m]).ravel())
+    table = tuple(np.concatenate(parts) for parts in (src, dst, sign))
+    for a in table:
+        a.setflags(write=False)
+    return table
+
+
 def contract(w: DoubleForm) -> DoubleForm:
     """Trace over a prepended slot: (cw)(x, y) = sum_m w(e_m ^ x, e_m ^ y)."""
     if w.p < 1 or w.q < 1:
         raise ValueError(f"cannot contract a {w.degree} form")
     ctx = w.ctx
-    n = ctx.n
-    idxI, sgnI = _lift_table(n, w.p - 1)
-    idxJ, sgnJ = _lift_table(n, w.q - 1)
-    out = np.zeros((ctx.dim(w.p - 1), ctx.dim(w.q - 1)))
-    for m in range(n):
-        vi = idxI[:, m] >= 0
-        vj = idxJ[:, m] >= 0
-        block = w.coeffs[np.ix_(idxI[vi, m], idxJ[vj, m])]
-        out[np.ix_(vi, vj)] += np.outer(sgnI[vi, m], sgnJ[vj, m]) * block
-    return DoubleForm(w.p - 1, w.q - 1, out, ctx)
+    src, dst, sign = _contract_scatter(ctx.n, w.p, w.q)
+    shape = (ctx.dim(w.p - 1), ctx.dim(w.q - 1))
+    out = np.bincount(dst, weights=sign * w.coeffs.ravel()[src], minlength=shape[0] * shape[1])
+    return DoubleForm(w.p - 1, w.q - 1, out.reshape(shape), ctx)
 
 
 def contract_iter(w: DoubleForm, k: int) -> DoubleForm:
@@ -300,16 +315,23 @@ def star(w: DoubleForm) -> DoubleForm:
 
 
 @lru_cache(maxsize=None)
+def _member_table(n: int, k: int) -> np.ndarray:
+    """The members of every k-subset, zero-based, one row per subset."""
+    subs = subsets(n, k)
+    members = np.array(subs, dtype=np.int64).reshape(len(subs), k) - 1
+    members.setflags(write=False)
+    return members
+
+
+@lru_cache(maxsize=None)
 def _removal_table(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """For each k-subset X and position j: rank of X without x_j, and x_j - 1."""
     subs = subsets(n, k)
     small = _ranks(n, k - 1)
     idx = np.array([[small[X[:j] + X[j + 1:]] for j in range(k)] for X in subs], dtype=np.int64)
     idx = idx.reshape(len(subs), k)
-    removed = np.array(subs, dtype=np.int64).reshape(len(subs), k) - 1
     idx.setflags(write=False)
-    removed.setflags(write=False)
-    return idx, removed
+    return idx, _member_table(n, k)
 
 
 def bianchi_map(w: DoubleForm) -> DoubleForm:
@@ -369,12 +391,7 @@ def orthonormalize(vectors, *, pivot_tol: float = 1e-8) -> np.ndarray:
 def decomposable_coefficients(F: np.ndarray, ctx: AlgebraContext) -> np.ndarray:
     """Coordinates of f_1 ^ ... ^ f_p over the standard basis (p x p minors)."""
     F = np.asarray(F, dtype=float)
-    p = F.shape[1]
-    coords = np.empty(ctx.dim(p))
-    for r, I in enumerate(subsets(ctx.n, p)):
-        rows = [i - 1 for i in I]
-        coords[r] = np.linalg.det(F[rows, :])
-    return coords
+    return np.linalg.det(F[_member_table(ctx.n, F.shape[1])])
 
 
 def sectional(w: DoubleForm, span) -> float:

@@ -2,17 +2,20 @@
 
 Everything here deliberately avoids the package's production code paths:
 products are evaluated by the literal permutation sum with factorial
-prefactors, ranks by plain enumeration, and eigenvalues come from numpy's
-LAPACK wrappers.
+prefactors, ranks by plain enumeration, the commutator sum through dense
+Clifford vectors, contraction by one pass per slot index, and eigenvalues
+come from numpy's LAPACK wrappers.
 """
 
 import itertools
-from math import factorial
+from functools import lru_cache
+from math import comb, factorial
 
 import numpy as np
 
-from doubleforms.exterior import subsets
-from doubleforms.forms import DoubleForm
+from doubleforms import clifford as cl
+from doubleforms.exterior import AlgebraContext, subsets
+from doubleforms.forms import DoubleForm, _lift_table
 
 
 def perm_sign(perm) -> int:
@@ -109,3 +112,50 @@ def enumeration_rank(I, n: int) -> int:
 
 def eigh_eigenvalues(matrix) -> np.ndarray:
     return np.linalg.eigvalsh(np.asarray(matrix, dtype=float))
+
+
+@lru_cache(maxsize=None)
+def dense_ad_table(n: int, p: int) -> np.ndarray:
+    """ad_{e_i.e_j} applied to every basis p-vector, as Clifford vectors.
+
+    Shape (C(n,p), C(n,2), 2**n), built by clifford_mul; the pair axis
+    follows the lexicographic order of 2-subsets.  Memory grows as 2**n,
+    so keep n <= 9.
+    """
+    ctx = AlgebraContext(n)
+    pairs = subsets(n, 2)
+    phis = [
+        cl.clifford_mul(cl.basis_vector(ctx, i), cl.basis_vector(ctx, j))
+        for (i, j) in pairs
+    ]
+    table = np.zeros((comb(n, p), len(pairs), 2 ** n))
+    for r, I in enumerate(subsets(n, p)):
+        psi = cl.basis_element(ctx, I)
+        for a, phi in enumerate(phis):
+            table[r, a] = cl.ad(phi, psi).coeffs
+    table.setflags(write=False)
+    return table
+
+
+def dense_definition(w: DoubleForm, p: int) -> np.ndarray:
+    """The commutator sum (1/4) sum w[a,b] <ad_a e_I, ad_b e_J> over dense
+    Clifford vectors, coefficient matrix only."""
+    T = dense_ad_table(w.ctx.n, p)
+    t = np.tensordot(w.coeffs, T, axes=([1], [1]))   # [a, J, x]
+    N = np.tensordot(T, t, axes=([1, 2], [0, 2]))    # [I, J]
+    N *= 0.25
+    return (N + N.T) / 2.0
+
+
+def loop_contract(w: DoubleForm) -> np.ndarray:
+    """(cw)(x, y) = sum_m w(e_m ^ x, e_m ^ y), one np.ix_ pass per m."""
+    n = w.ctx.n
+    idxI, sgnI = _lift_table(n, w.p - 1)
+    idxJ, sgnJ = _lift_table(n, w.q - 1)
+    out = np.zeros((comb(n, w.p - 1), comb(n, w.q - 1)))
+    for m in range(n):
+        vi = idxI[:, m] >= 0
+        vj = idxJ[:, m] >= 0
+        block = w.coeffs[np.ix_(idxI[vi, m], idxJ[vj, m])]
+        out[np.ix_(vi, vj)] += np.outer(sgnI[vi, m], sgnJ[vj, m]) * block
+    return out

@@ -20,7 +20,7 @@ from doubleforms.forms import (
     star,
     zero_form,
 )
-from oracles import literal_bianchi_map, literal_kn_product
+from oracles import literal_bianchi_map, literal_kn_product, loop_contract
 
 from math import comb, factorial
 
@@ -186,6 +186,14 @@ def test_inner_adjointness_smallest_case():
     w1 = DoubleForm(1, 1, [[1.0, 0.0], [0.0, 0.0]], ctx)
     w2 = DoubleForm(2, 2, [[2.5]], ctx)
     assert inner(kn_product(metric(ctx), w1), w2) == inner(w1, contract(w2))
+
+
+def test_contract_matches_slot_loop_bitwise():
+    for n in range(1, 7):
+        for p in range(1, n + 1):
+            for q in range(1, n + 1):
+                w = rand_form(1000 * n + 10 * p + q, p, q, n)
+                assert np.array_equal(contract(w).coeffs, loop_contract(w))
 
 
 def test_adjointness_random_sweep():

@@ -1,5 +1,10 @@
 """The order-p operators: definition, closed forms, and derived identities."""
 
+import ast
+import os
+import pathlib
+import subprocess
+import sys
 from math import comb, factorial
 
 import numpy as np
@@ -28,6 +33,8 @@ from doubleforms.random_tensors import (
     random_bianchi_22,
     weyl_part_tensor,
 )
+from doubleforms import weitzenboeck as wz
+from doubleforms.tensorio import save_form
 from doubleforms.weitzenboeck import (
     FormulaRangeError,
     decompose_22,
@@ -44,7 +51,7 @@ from doubleforms.weitzenboeck import (
     p_curvature_form,
     spectrum,
 )
-from oracles import eigh_eigenvalues
+from oracles import dense_definition, eigh_eigenvalues
 
 
 def rel(a, b):
@@ -126,6 +133,74 @@ def test_definition_is_frame_independent():
                 got[r, s] = 0.25 * total
         want = np_definition(w, p)
         assert np.max(np.abs(got - want.coeffs)) <= 1e-10 * max(want.norm(), 1.0)
+
+
+def test_definition_matches_dense_clifford_reference():
+    # the gather tables against full 2**n Clifford vectors built by clifford_mul
+    for n in range(1, 9):
+        ctx = AlgebraContext(n)
+        rng = np.random.default_rng(40 + n)
+        raw = rng.standard_normal((ctx.dim(2), ctx.dim(2)))
+        inputs = [DoubleForm(2, 2, raw + raw.T, ctx)]
+        if n >= 2:
+            inputs.append(random_bianchi_22(40 + n, ctx).form)
+        for w in inputs:
+            for p in range(n + 1):
+                got = np_definition(w, p).coeffs
+                if p in (0, n):  # includes n = 1, which has no pairs
+                    assert np.array_equal(got, np.zeros_like(got))
+                    continue
+                want = dense_definition(w, p)
+                assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
+def test_dense_reference_stays_out_of_the_package():
+    package = pathlib.Path(wz.__file__).parent
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [alias.name for alias in node.names]
+            else:
+                continue
+            assert not any("oracles" in name or name.startswith("dense_") for name in names), path.name
+
+
+def test_ad_table_rows_are_gather_lists():
+    assert hasattr(wz._ad_table, "cache_info")
+    for n, p in ((5, 2), (6, 3), (7, 0), (7, 7)):
+        src, pair, coef = wz._ad_table(n, p)
+        shape = (comb(n, p), p * (n - p))
+        assert src.shape == pair.shape == coef.shape == shape
+        assert set(np.unique(np.abs(coef))) <= {2.0}
+        # the p(n-p) terms landing on one target come from distinct (source, pair)
+        assert all(len(set(zip(s, a))) == shape[1] for s, a in zip(src, pair))
+
+
+def test_definition_at_dimension_twelve():
+    ctx = AlgebraContext(12)
+    w = random_bianchi_22(12, ctx)
+    N6 = np_definition(w, 6)
+    assert rel(star(N6), N6) <= 1e-12
+    # full contraction: p! tr N_p = p (n-2)!/(n-p-1)! c^2 w
+    lhs = factorial(6) * np.trace(N6.coeffs)
+    rhs = 6 * factorial(10) / factorial(5) * contract_iter(w.form, 2).scalar()
+    assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
+    assert rel(np_definition(w, 4), np_formula(w, 4)) <= 1e-12
+
+
+def test_spectrum_command_at_dimension_twelve(tmp_path):
+    path = tmp_path / "n12.json"
+    save_form(random_bianchi_22(12, AlgebraContext(12)), path)
+    cmd = [sys.executable, "-m", "doubleforms.cli", "spectrum", "--input", str(path),
+           "--p", "6", "--samples", "5", "--json"]
+    with open(tmp_path / "out.json", "w") as out:
+        proc = subprocess.Popen(cmd, stdout=out, stderr=subprocess.DEVNULL)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0
+    assert usage.ru_maxrss < 500 * 1024  # kilobytes on Linux
 
 
 # -- closed form ----------------------------------------------------------------
