@@ -88,9 +88,30 @@ def _load(args):
     return load_tensor(args.input, on_bianchi=mode)
 
 
+_NUMBER_TYPES = frozenset((int, float, bool, type(None)))
+
+
+def _dumps(value, indent: str = "\n") -> str:
+    """json.dumps(value, indent=2, sort_keys=True, allow_nan=False) byte for
+    byte on string-keyed documents, with each flat list of numbers encoded
+    by the C encoder in one call; indent=2 alone sends the whole document
+    through the pure-Python encoder, which dominates large matrices."""
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        items = (f"{json.dumps(key)}: {_dumps(value[key], inner)}" for key in sorted(value))
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(value, (list, tuple)) and value:
+        if set(map(type, value)) <= _NUMBER_TYPES:
+            body = json.dumps(value, allow_nan=False)[1:-1].replace(", ", "," + inner)
+        else:
+            body = ("," + inner).join(_dumps(x, inner) for x in value)
+        return "[" + inner + body + indent + "]"
+    return json.dumps(value, allow_nan=False)
+
+
 def _emit(doc: dict, as_json: bool, lines) -> None:
     if as_json:
-        print(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False))
+        print(_dumps(doc))
     else:
         for line in lines:
             print(line)

@@ -11,7 +11,11 @@ The exterior product of forms (Kulkarni-Nomizu product) is evaluated by
 summing over shuffle splits of the row and column indices; with the
 factorial prefactors of the permutation-sum definition this is an exact
 rewriting, and the equality is unit-tested against the literal
-permutation sum at low dimension.
+permutation sum at low dimension.  Products by a metric power g^k, which
+carry every closed form of the Weitzenboeck operators, go through
+metric_product instead: g^k is k! times the identity, so the shuffle sum
+collapses to one gather over the k-subsets K and one scatter onto
+K u I, K u J.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ __all__ = [
     "metric",
     "metric_power",
     "kn_product",
+    "metric_product",
     "contract",
     "contract_iter",
     "inner",
@@ -202,6 +207,53 @@ def kn_product(w1: DoubleForm, w2: DoubleForm) -> DoubleForm:
     t = np.tensordot(t, w2.coeffs, axes=([1], [0]))   # [A, J1, J2]
     out = np.tensordot(t, Sy, axes=([1, 2], [1, 2]))  # [A, B]
     return DoubleForm(P, Q, out, ctx)
+
+
+@lru_cache(maxsize=None)
+def _power_table(n: int, p: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each k-subset K (rows) and each p-subset I disjoint from K
+    (columns, in lexicographic order of I): the rank of I, the rank of
+    K u I and the sign of e_K ^ e_I."""
+    small, big = _ranks(n, p), _ranks(n, p + k)
+    shape = (comb(n, k), comb(n - k, p))
+    src = np.empty(shape, dtype=np.int64)
+    dst = np.empty(shape, dtype=np.int64)
+    sign = np.empty(shape)
+    for r, K in enumerate(subsets(n, k)):
+        chosen = set(K)
+        rest = [i for i in range(1, n + 1) if i not in chosen]
+        for c, I in enumerate(itertools.combinations(rest, p)):
+            src[r, c] = small[I]
+            dst[r, c] = big[tuple(sorted(K + I))]
+            sign[r, c] = merge_sign(K, I)
+    for a in (src, dst, sign):
+        a.setflags(write=False)
+    return src, dst, sign
+
+
+def metric_product(k: int, w: DoubleForm) -> DoubleForm:
+    """g^k . w, equal to kn_product(metric_power(k, ctx), w).
+
+    With g^k = k! I the product reads (g^k w)[K u I, K u J] summed over
+    k-subsets K disjoint from I and J of k! sgn(K,I) sgn(K,J) w[I, J]:
+    one gather of w and one scatter.  Degrees beyond n give the (empty)
+    zero form.
+    """
+    ctx = w.ctx
+    n = ctx.n
+    if not 0 <= k <= n:
+        raise ValueError(f"metric power degree must be in [0, {n}], got {k}")
+    P, Q = w.p + k, w.q + k
+    if P > n or Q > n:
+        return zero_form(P, Q, ctx)
+    srcI, dstI, sgnI = _power_table(n, w.p, k)
+    srcJ, dstJ, sgnJ = _power_table(n, w.q, k)
+    sign = (float(factorial(k)) * sgnI)[:, :, None] * sgnJ[:, None, :]
+    terms = w.coeffs[srcI[:, :, None], srcJ[:, None, :]] * sign
+    shape = (ctx.dim(P), ctx.dim(Q))
+    cells = dstI[:, :, None] * shape[1] + dstJ[:, None, :]
+    out = np.bincount(cells.ravel(), weights=terms.ravel(), minlength=shape[0] * shape[1])
+    return DoubleForm(P, Q, out.reshape(shape), ctx)
 
 
 # -- contraction --------------------------------------------------------

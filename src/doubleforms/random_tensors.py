@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .exterior import AlgebraContext
-from .forms import CurvatureTensor, DoubleForm, kn_product, metric, metric_power
+from .forms import CurvatureTensor, DoubleForm, kn_product, metric_power, metric_product
 
 __all__ = [
     "random_symmetric_11",
@@ -88,7 +88,7 @@ def conformally_flat(seed, ctx: AlgebraContext) -> CurvatureTensor:
     raw = rng.standard_normal((ctx.n, ctx.n))
     h = DoubleForm(1, 1, (raw + raw.T) / 2.0, ctx)
     w0 = float(rng.standard_normal())
-    form = kn_product(metric(ctx), h) + w0 * metric_power(2, ctx)
+    form = metric_product(1, h) + w0 * metric_power(2, ctx)
     return CurvatureTensor(form.symmetrized())
 
 

@@ -32,8 +32,8 @@ from .forms import (
     decomposable_coefficients,
     inner,
     kn_product,
-    metric,
     metric_power,
+    metric_product,
     orthonormalize,
     sectional,
     star,
@@ -218,14 +218,13 @@ def _run_contraction_adjoint(cfg: SuiteConfig) -> list[IdentityRecord]:
     out = []
     for n in cfg.dimensions():
         ctx = AlgebraContext(n)
-        g = metric(ctx)
         for p in range(0, n):
             rng = _rng(cfg, "contraction_adjoint", n, p)
             worst = 0.0
             for _ in range(cfg.trials):
                 w1 = DoubleForm(p, p, rng.standard_normal((ctx.dim(p), ctx.dim(p))), ctx)
                 w2 = DoubleForm(p + 1, p + 1, rng.standard_normal((ctx.dim(p + 1), ctx.dim(p + 1))), ctx)
-                lhs = inner(kn_product(g, w1), w2)
+                lhs = inner(metric_product(1, w1), w2)
                 rhs = inner(w1, contract(w2))
                 worst = max(worst, abs(lhs - rhs) / max(w1.norm() * w2.norm(), 1.0))
             out.append(IdentityRecord("contraction_adjoint", n, p, 0, worst, _TOL_ADJOINT,
@@ -237,13 +236,12 @@ def _run_star_contraction(cfg: SuiteConfig) -> list[IdentityRecord]:
     out = []
     for n in cfg.dimensions():
         ctx = AlgebraContext(n)
-        g = metric(ctx)
         for p in range(0, n):
             rng = _rng(cfg, "star_contraction", n, p)
             worst = 0.0
             for _ in range(cfg.trials):
                 w = DoubleForm(p, p, rng.standard_normal((ctx.dim(p), ctx.dim(p))), ctx)
-                lhs = kn_product(g, w)
+                lhs = metric_product(1, w)
                 rhs = star(contract(star(w)))
                 worst = max(worst, (lhs - rhs).norm() / max(w.norm(), 1.0))
             out.append(IdentityRecord("star_contraction", n, p, 0, worst, _TOL_ADJOINT,
@@ -266,13 +264,12 @@ def _run_metric_injectivity(cfg: SuiteConfig) -> list[IdentityRecord]:
         for p in range(0, n // 2 + 1):
             dim = ctx.dim(p)
             for k in range(0, n - 2 * p + 1):
-                gk = metric_power(k, ctx)
                 cols = []
                 for a in range(dim):
                     for b in range(dim):
                         e = np.zeros((dim, dim))
                         e[a, b] = 1.0
-                        cols.append(kn_product(gk, DoubleForm(p, p, e, ctx)).coeffs.reshape(-1))
+                        cols.append(metric_product(k, DoubleForm(p, p, e, ctx)).coeffs.reshape(-1))
                 out.append(_ratio_record("metric_injectivity", n, p, k, np.array(cols).T,
                                          f"multiplication by g^{k}"))
     return out
@@ -369,11 +366,10 @@ def _run_decomposition(cfg: SuiteConfig) -> list[IdentityRecord]:
     out = []
     for n in cfg.dimensions():
         ctx = AlgebraContext(n)
-        g = metric(ctx)
         for t in range(cfg.seeds):
             w = random_bianchi_22(_seedseq(cfg, "decomposition", n, 0, t), ctx)
             comps = wz.decompose_22(w)
-            rebuilt = comps.omega2 + kn_product(g, comps.omega1) + comps.omega0 * metric_power(2, ctx)
+            rebuilt = comps.omega2 + metric_product(1, comps.omega1) + comps.omega0 * metric_power(2, ctx)
             scale = max(w.form.norm(), 1.0)
             r1 = (w.form - rebuilt).norm() / scale
             out.append(IdentityRecord("decomposition", n, None, t, r1, cfg.tolerance,
@@ -674,14 +670,13 @@ def _run_contracted_positivity(cfg: SuiteConfig) -> list[IdentityRecord]:
     # case 2: n <= 2p + 2 with positive Einstein tensor
     for n in dims:
         ctx = AlgebraContext(n)
-        g = metric(ctx)
         for p in range(2, n - 1):
             if n > 2 * p + 2:
                 continue
             rng = _rng(cfg, "contracted_positivity", n, p, 1000)
             raw = rng.standard_normal((n, n))
             h = _scaled_identity_shift(DoubleForm(1, 1, (raw + raw.T) / 2.0, ctx), 0.15)
-            w = CurvatureTensor(kn_product(h, g).symmetrized())
+            w = CurvatureTensor(metric_product(1, h).symmetrized())
             emin = float(wz.jacobi_eigenvalues(wz.einstein_tensor(w).coeffs)[0])
             if emin <= 0:
                 continue  # hypothesis not met for this draw; nothing to assert
@@ -692,14 +687,13 @@ def _run_contracted_positivity(cfg: SuiteConfig) -> list[IdentityRecord]:
     # case 3: n >= 2p + 2 with positive Ricci tensor
     for n in dims:
         ctx = AlgebraContext(n)
-        g = metric(ctx)
         for p in range(2, n - 1):
             if n < 2 * p + 2:
                 continue
             rng = _rng(cfg, "contracted_positivity", n, p, 2000)
             raw = rng.standard_normal((n, n))
             h = _scaled_identity_shift(DoubleForm(1, 1, (raw + raw.T) / 2.0, ctx), 0.15)
-            w = CurvatureTensor(kn_product(h, g).symmetrized())
+            w = CurvatureTensor(metric_product(1, h).symmetrized())
             ricci_min = float(wz.jacobi_eigenvalues(contract(w.form).coeffs)[0])
             if ricci_min <= 0:
                 continue

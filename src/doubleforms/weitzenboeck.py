@@ -38,9 +38,10 @@ from .forms import (
     contract,
     contract_iter,
     decomposable_coefficients,
-    kn_product,
+    kn_product,  # noqa: F401  not called here; bench/tracing.py counts it in this module
     metric,
     metric_power,
+    metric_product,
     orthonormalize,
     star,
     zero_form,
@@ -160,9 +161,8 @@ def np_formula(omega, p: int) -> DoubleForm:
     w = as_form22(omega)
     ctx = w.ctx
     _check_formula_range(ctx.n, p)
-    g = metric(ctx)
-    inner_part = kn_product(g, contract(w)) / (p - 1) - 2.0 * w
-    return kn_product(inner_part, metric_power(p - 2, ctx)) / factorial(p - 2)
+    inner_part = metric_product(1, contract(w)) / (p - 1) - 2.0 * w
+    return metric_product(p - 2, inner_part) / factorial(p - 2)
 
 
 def np_adjoint(w_pp: DoubleForm, p: int) -> DoubleForm:
@@ -171,8 +171,7 @@ def np_adjoint(w_pp: DoubleForm, p: int) -> DoubleForm:
         raise ValueError(f"expected a ({p},{p}) form, got {w_pp.degree}")
     ctx = w_pp.ctx
     _check_formula_range(ctx.n, p)
-    g = metric(ctx)
-    term1 = kn_product(g, contract_iter(w_pp, p - 1)) / factorial(p - 1)
+    term1 = metric_product(1, contract_iter(w_pp, p - 1)) / factorial(p - 1)
     term2 = 2.0 * contract_iter(w_pp, p - 2) / factorial(p - 2)
     return term1 - term2
 
@@ -210,7 +209,7 @@ def decompose_22(omega) -> KulkarniComponents:
     s = contract(ricci).scalar()
     omega0 = s / (2.0 * n * (n - 1))
     omega1 = (ricci - (s / n) * g) / (n - 2)
-    omega2 = w - kn_product(g, omega1) - omega0 * metric_power(2, ctx)
+    omega2 = w - metric_product(1, omega1) - omega0 * metric_power(2, ctx)
     return KulkarniComponents(omega2=omega2, omega1=omega1, omega0=omega0)
 
 
@@ -223,8 +222,8 @@ def np_split(components: KulkarniComponents, p: int) -> DoubleForm:
     ctx = components.ctx
     n = ctx.n
     _check_formula_range(n, p)
-    t2 = kn_product(metric_power(p - 2, ctx), components.omega2) * (-2.0 / factorial(p - 2))
-    t1 = kn_product(metric_power(p - 1, ctx), components.omega1) * ((n - 2 * p) / factorial(p - 1))
+    t2 = metric_product(p - 2, components.omega2) * (-2.0 / factorial(p - 2))
+    t1 = metric_product(p - 1, components.omega1) * ((n - 2 * p) / factorial(p - 1))
     t0 = metric_power(p, ctx) * (2.0 * (n - p) * components.omega0 / factorial(p - 1))
     return t2 + t1 + t0
 
@@ -245,7 +244,6 @@ def np_contraction_rhs(omega, p: int, k: int) -> DoubleForm:
     _check_formula_range(n, p)
     if not 0 <= k <= p:
         raise ValueError(f"contraction order must be in [0, {p}], got {k}")
-    g = metric(ctx)
     ricci = contract(w)
     s = contract(ricci).scalar()
     if k == p:
@@ -253,12 +251,12 @@ def np_contraction_rhs(omega, p: int, k: int) -> DoubleForm:
         return DoubleForm(0, 0, [[value]], ctx)
     if k == p - 1:
         coef = factorial(n - 3) / factorial(n - p - 1)
-        return coef * ((n - 2 * p) * ricci + (p - 1) * s * g)
+        return coef * ((n - 2 * p) * ricci + (p - 1) * s * metric(ctx))
     coef = factorial(n - p + k - 2) / (factorial(n - p - 2) * factorial(p - k - 2))
     a = (n - k - p - 1) / ((n - p - 1) * (p - k - 1))
     b = k / ((n - p - 1) * (p - k - 1) * (p - k))
-    brace = -2.0 * w + a * kn_product(g, ricci) + (b * s) * metric_power(2, ctx)
-    return coef * kn_product(metric_power(p - k - 2, ctx), brace)
+    brace = -2.0 * w + a * metric_product(1, ricci) + (b * s) * metric_power(2, ctx)
+    return coef * metric_product(p - k - 2, brace)
 
 
 def einstein_tensor(omega) -> DoubleForm:
@@ -293,7 +291,7 @@ def p_curvature_form(omega, p: int) -> DoubleForm:
     n = w.ctx.n
     if not 0 <= p <= n - 2:
         raise ValueError(f"p-curvature needs 0 <= p <= n-2 (n={n}), got p={p}")
-    lifted = kn_product(metric_power(n - p - 2, w.ctx), w) / factorial(n - p - 2)
+    lifted = metric_product(n - p - 2, w) / factorial(n - p - 2)
     return star(lifted)
 
 
@@ -317,14 +315,10 @@ def np_midpoint_formula(omega, p: int) -> tuple[DoubleForm, DoubleForm]:
             f"mid-degree expression needs 2 <= p and (n+p)/2 <= n-2, got n={n}, p={p}"
         )
     weyl = decompose_22(w).omega2
-    star_term = (p * (p - 1) / factorial(n - p - 2)) * star(
-        kn_product(metric_power(n - p - 2, ctx), w)
-    )
-    weyl_term = ((n - 1) * (n - 2) / factorial(p - 2)) * kn_product(
-        metric_power(p - 2, ctx), weyl
-    )
+    star_term = (p * (p - 1) / factorial(n - p - 2)) * star(metric_product(n - p - 2, w))
+    weyl_term = ((n - 1) * (n - 2) / factorial(p - 2)) * metric_product(p - 2, weyl)
     C = 2.0 * factorial(p - 2) / (factorial((n + p - 4) // 2) * (n + p - 2) * (n - p - 1))
-    rhs = C * kn_product(metric_power((n - p) // 2, ctx), star_term - weyl_term)
+    rhs = C * metric_product((n - p) // 2, star_term - weyl_term)
     lhs = np_definition(w, order)
     return lhs, rhs
 

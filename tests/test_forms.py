@@ -1,5 +1,8 @@
 """Double-form algebra: products, contraction, star, Bianchi, sectional."""
 
+import ast
+import inspect
+
 import numpy as np
 import pytest
 
@@ -15,11 +18,13 @@ from doubleforms.forms import (
     kn_product,
     metric,
     metric_power,
+    metric_product,
     orthonormalize,
     sectional,
     star,
     zero_form,
 )
+from doubleforms import forms
 from oracles import literal_bianchi_map, literal_kn_product, loop_contract
 
 from math import comb, factorial
@@ -134,6 +139,61 @@ def test_product_commutative_associative_on_symmetric_forms():
             lhs = kn_product(kn_product(w1, w2), w3)
             rhs = kn_product(w1, kn_product(w2, w3))
             assert (lhs - rhs).norm() <= 1e-12 * w1.norm() * w2.norm() * w3.norm()
+
+
+# -- products by metric powers ------------------------------------------------
+
+
+def test_metric_product_matches_dense_product():
+    # general (non-symmetric, p != q) forms against the shuffle-tensor product
+    for n in range(1, 9):
+        ctx = AlgebraContext(n)
+        for p in range(n + 1):
+            for q in range(n + 1):
+                w = rand_form(100 * n + 10 * p + q, p, q, n)
+                for k in range(n + 1):
+                    got = metric_product(k, w)
+                    want = kn_product(metric_power(k, ctx), w)
+                    assert got.degree == want.degree
+                    assert got.coeffs.shape == want.coeffs.shape
+                    err = np.linalg.norm(got.coeffs - want.coeffs)
+                    assert err <= 1e-14 * np.linalg.norm(want.coeffs), (n, p, q, k)
+
+
+def test_metric_product_beyond_top_degree_is_empty():
+    for n, p, q, k in ((3, 2, 2, 2), (4, 1, 3, 2), (5, 4, 0, 3), (6, 6, 6, 1)):
+        out = metric_product(k, rand_form(n, p, q, n))
+        assert out.degree == (p + k, q + k)
+        assert out.coeffs.shape == (comb(n, p + k), comb(n, q + k))
+        assert out.coeffs.size == 0
+
+
+def test_metric_product_order_zero_is_identity():
+    for n, p, q in ((1, 0, 1), (4, 2, 1), (6, 3, 3), (7, 5, 2)):
+        w = rand_form(n + p, p, q, n)
+        assert np.array_equal(metric_product(0, w).coeffs, w.coeffs)
+
+
+def test_metric_product_degree_range():
+    w = rand_form(0, 1, 1, 4)
+    for k in (-1, 5):
+        with pytest.raises(ValueError):
+            metric_product(k, w)
+
+
+def _referenced_names(func):
+    tree = ast.parse(inspect.getsource(inspect.unwrap(func)))
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return names | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+def test_metric_product_shares_no_code_with_contraction():
+    # contraction_adjoint and star_contraction compare g.w with contract;
+    # the metric-power tables must be built without the contraction's tables
+    forbidden = {"_lift_table", "_contract_scatter", "insertion_sign"}
+    for func in (forms.metric_product, forms._power_table):
+        assert not _referenced_names(func) & forbidden, func.__name__
+    assert "merge_sign" in _referenced_names(forms._power_table)
 
 
 # -- contraction -------------------------------------------------------------

@@ -1,11 +1,16 @@
 """The verification suite and the command-line interface."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 from math import factorial
 
 import numpy as np
 import pytest
 
+from doubleforms import cli
 from doubleforms.cli import main
 from doubleforms.forms import contract, kn_product, metric, metric_power
 from doubleforms.random_tensors import random_bianchi_22
@@ -146,6 +151,24 @@ def test_cli_verify_json(capsys):
     assert doc["config"]["n_min"] == 5
 
 
+def _verify_json_bytes(blas_threads):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads),
+               PYTHONPATH=str(pathlib.Path(wz.__file__).parents[1]))
+    cmd = [sys.executable, "-m", "doubleforms.cli", "verify", "--json",
+           "--n-min", "7", "--n-max", "8", "--seeds", "2",
+           "--identity", "mid_degree", "--identity", "closed_form",
+           "--identity", "splitting", "--identity", "contraction_adjoint"]
+    proc = subprocess.run(cmd, env=env, capture_output=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_cli_verify_json_independent_of_blas_threads():
+    # the n = 7, 8 cells are where dense BLAS products used to change the
+    # last bits of residuals with the thread count
+    assert _verify_json_bytes(1) == _verify_json_bytes(2)
+
+
 def test_cli_verify_identity_failure_exit_code(capsys):
     # the n = 4 sweep includes the genuine half-dimension kernel cell
     code = main(["verify", "--n-min", "4", "--n-max", "4", "--seeds", "1",
@@ -219,6 +242,45 @@ def test_cli_pcurvature(tensor_file, capsys):
     assert main(["pcurvature", "--input", tensor_file, "--p", "2", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert len(doc["eigenvalues"]) == 10
+
+
+def _stdlib_dumps(doc):
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+
+
+@pytest.mark.parametrize("argv", [
+    ["weitzenboeck", "--p", "2"],
+    ["weitzenboeck", "--p", "3", "--method", "definition"],
+    ["spectrum", "--p", "2", "--samples", "5"],
+    ["decompose"],
+    ["sectional", "--p", "2", "--samples", "5"],
+    ["pcurvature", "--p", "1"],
+])
+def test_cli_json_is_the_stdlib_encoding(tensor_file, monkeypatch, capsys, argv):
+    docs = []
+    emit = cli._emit
+
+    def capture(doc, as_json, lines):
+        docs.append(doc)
+        emit(doc, as_json, lines)
+
+    monkeypatch.setattr(cli, "_emit", capture)
+    assert main([*argv, "--input", tensor_file, "--json"]) == 0
+    assert capsys.readouterr().out == _stdlib_dumps(docs[0]) + "\n"
+
+
+def test_dumps_matches_stdlib_on_edge_cases():
+    docs = [
+        {}, [], None, True, False, 0, -7, -0.0, 1e300, -1e-300, 1.7976931348623157e308, 5e-324,
+        {"empty_list": [], "empty_dict": {}, "nested": [[], {}, [[]]]},
+        {"b": [1.0, -0.0, 2.5e-300, 3, True, None], "a": {"z": [0.1], "y": "x, y"}},
+        [[1.0, 2.0], [3.0, -4.5e299]], ["a, b", [1, [2, 3]], {"k": (1.0, 2.0)}],
+    ]
+    for doc in docs:
+        assert cli._dumps(doc) == _stdlib_dumps(doc), doc
+    for doc in (float("nan"), {"a": [1.0, float("inf")]}, [[-float("inf")]]):
+        with pytest.raises(ValueError):
+            cli._dumps(doc)
 
 
 def test_cli_strict_flag(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """The order-p operators: definition, closed forms, and derived identities."""
 
 import ast
+import json
 import os
 import pathlib
 import subprocess
@@ -190,17 +191,39 @@ def test_definition_at_dimension_twelve():
     assert rel(np_definition(w, 4), np_formula(w, 4)) <= 1e-12
 
 
+def _run_cli_measured(args, out_path):
+    """Run the CLI in a child process; return (exit code, peak RSS in MB)."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(wz.__file__).parents[1]))
+    cmd = [sys.executable, "-m", "doubleforms.cli", *args]
+    with open(out_path, "w") as out:
+        proc = subprocess.Popen(cmd, stdout=out, stderr=subprocess.DEVNULL, env=env)
+        _, status, usage = os.wait4(proc.pid, 0)
+    return os.waitstatus_to_exitcode(status), usage.ru_maxrss / 1024  # kilobytes on Linux
+
+
 def test_spectrum_command_at_dimension_twelve(tmp_path):
     path = tmp_path / "n12.json"
     save_form(random_bianchi_22(12, AlgebraContext(12)), path)
-    cmd = [sys.executable, "-m", "doubleforms.cli", "spectrum", "--input", str(path),
-           "--p", "6", "--samples", "5", "--json"]
-    with open(tmp_path / "out.json", "w") as out:
-        proc = subprocess.Popen(cmd, stdout=out, stderr=subprocess.DEVNULL)
-        _, status, usage = os.wait4(proc.pid, 0)
-        proc.returncode = os.waitstatus_to_exitcode(status)
-    assert proc.returncode == 0
-    assert usage.ru_maxrss < 500 * 1024  # kilobytes on Linux
+    code, rss_mb = _run_cli_measured(["spectrum", "--input", str(path), "--p", "6",
+                                      "--samples", "5", "--json"], tmp_path / "out.json")
+    assert code == 0
+    assert rss_mb < 500
+
+
+def test_closed_forms_at_dimension_twelve_within_budget(tmp_path):
+    # products by g^k are gathers, so nothing of size C(12,6) x C(12,2) x C(12,4)
+    # is built: weitzenboeck and pcurvature at p = 6 stay far below 1 GB
+    ctx = AlgebraContext(12)
+    w = random_bianchi_22(12, ctx)
+    assert rel(np_formula(w, 6), np_definition(w, 6)) <= 1e-12
+    path = tmp_path / "n12.json"
+    save_form(w, path)
+    for command in ("weitzenboeck", "pcurvature"):
+        out = tmp_path / f"{command}.json"
+        code, rss_mb = _run_cli_measured([command, "--input", str(path), "--p", "6", "--json"], out)
+        assert code == 0, command
+        assert rss_mb < 250, (command, rss_mb)
+        assert len(json.loads(out.read_text())["matrix"]) == comb(12, 6)
 
 
 # -- closed form ----------------------------------------------------------------
