@@ -5,6 +5,11 @@ symmetric (1,1) forms; each square satisfies the first Bianchi identity
 (the identity is preserved by products, and symmetric (1,1) forms satisfy
 it trivially), hence so does the sum.  With enough terms the samples are
 generic: they carry a nonzero Weyl part for n >= 4.
+
+A square is a matrix of 2x2 minors, (h.h)[ij,kl] = 2(h_ik h_jl - h_il h_jk)
+for i < j and k < l (the Kulkarni-Nomizu square), so a whole sum of
+squares is read off one Gram matrix of the factors instead of being built
+from dense products.
 """
 
 from __future__ import annotations
@@ -12,7 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 from .exterior import AlgebraContext
-from .forms import CurvatureTensor, DoubleForm, kn_product, metric_power, metric_product
+from .forms import CurvatureTensor, DoubleForm, _member_table, metric_power, metric_product
+from .forms import kn_product  # noqa: F401  not called here; bench/tracing.py counts it in this module
 
 __all__ = [
     "random_symmetric_11",
@@ -45,36 +51,51 @@ def random_form(seed, p: int, q: int, ctx: AlgebraContext, *, symmetric: bool = 
     return DoubleForm(p, q, raw, ctx)
 
 
+def _sum_of_squares(H: np.ndarray, ctx: AlgebraContext) -> CurvatureTensor:
+    """Sum of the squares h_t.h_t for a stack H of symmetric n x n matrices,
+
+        out[ij,kl] = 2 (G[i,k,j,l] - G[i,l,j,k]),  G[i,k,j,l] = sum_t h_t[i,k] h_t[j,l],
+
+    with G one (n^2, terms) x (terms, n^2) product.
+    """
+    n = ctx.n
+    flat = H.reshape(len(H), n * n)
+    G = (flat.T @ flat).reshape(n, n, n, n)
+    pairs = _member_table(n, 2)
+    i, j = pairs[:, 0], pairs[:, 1]
+    ri, rj, ck, cl = i[:, None], j[:, None], i[None, :], j[None, :]
+    out = 2.0 * (G[ri, ck, rj, cl] - G[ri, cl, rj, ck])
+    return CurvatureTensor(DoubleForm(2, 2, (out + out.T) / 2.0, ctx))
+
+
 def bianchi_from_squares(forms) -> CurvatureTensor:
     """Sum of exterior squares h.h of symmetric (1,1) forms."""
     forms = list(forms)
     if not forms:
         raise ValueError("need at least one (1,1) form")
-    total = None
+    ctx = forms[0].ctx
     for h in forms:
         if h.degree != (1, 1) or not h.is_symmetric():
             raise ValueError("each factor must be a symmetric (1,1) form")
-        sq = kn_product(h, h)
-        total = sq if total is None else total + sq
-    return CurvatureTensor(total.symmetrized())
+        if h.ctx != ctx:
+            raise ValueError(f"context mismatch: n={ctx.n} vs n={h.ctx.n}")
+    return _sum_of_squares(np.stack([h.coeffs for h in forms]), ctx)
 
 
 def random_bianchi_22(seed, ctx: AlgebraContext, terms: int | None = None) -> CurvatureTensor:
     """Random algebraic curvature tensor as a sum of squares of (1,1) forms.
 
     The default term count n(n+1)/2 + 2 makes generic samples carry a full
-    Weyl part.
+    Weyl part.  The factors take terms * n^2 normals from the stream, in
+    the order of terms separate n x n draws.
     """
     if terms is None:
         terms = ctx.n * (ctx.n + 1) // 2 + 2
     if terms < 1:
         raise ValueError(f"term count must be >= 1, got {terms}")
     rng = np.random.default_rng(seed)
-    factors = []
-    for _ in range(terms):
-        raw = rng.standard_normal((ctx.n, ctx.n))
-        factors.append(DoubleForm(1, 1, (raw + raw.T) / 2.0, ctx))
-    return bianchi_from_squares(factors)
+    raw = rng.standard_normal((terms, ctx.n, ctx.n))
+    return _sum_of_squares((raw + raw.transpose(0, 2, 1)) / 2.0, ctx)
 
 
 def constant_curvature(kappa: float, ctx: AlgebraContext) -> CurvatureTensor:

@@ -15,7 +15,7 @@ import numpy as np
 
 from doubleforms import clifford as cl
 from doubleforms.exterior import AlgebraContext, subsets
-from doubleforms.forms import DoubleForm, _lift_table
+from doubleforms.forms import DoubleForm, _lift_table, kn_product
 
 
 def perm_sign(perm) -> int:
@@ -159,3 +159,21 @@ def loop_contract(w: DoubleForm) -> np.ndarray:
         block = w.coeffs[np.ix_(idxI[vi, m], idxJ[vj, m])]
         out[np.ix_(vi, vj)] += np.outer(sgnI[vi, m], sgnJ[vj, m]) * block
     return out
+
+
+def drawn_factors(seed, ctx, terms):
+    """The symmetric factors random_bianchi_22 draws, one n x n draw each."""
+    rng = np.random.default_rng(seed)
+    factors = []
+    for _ in range(terms):
+        raw = rng.standard_normal((ctx.n, ctx.n))
+        factors.append(DoubleForm(1, 1, (raw + raw.T) / 2.0, ctx))
+    return factors
+
+
+def dense_square_sum(factors):
+    """The sum of the squares h.h by dense kn_product, symmetrized."""
+    total = kn_product(factors[0], factors[0])
+    for h in factors[1:]:
+        total = total + kn_product(h, h)
+    return total.symmetrized().coeffs

@@ -29,6 +29,7 @@ from doubleforms.random_tensors import (
 )
 from doubleforms.tensorio import bianchi_projector, load_tensor, project_bianchi, save_form
 from doubleforms.weitzenboeck import decompose_22, jacobi_eigenvalues
+from oracles import dense_square_sum, drawn_factors
 
 
 def test_random_symmetric_determinism_and_symmetry():
@@ -83,6 +84,52 @@ def test_random_bianchi_is_weyl_generic():
 def test_random_bianchi_term_count_validation():
     with pytest.raises(ValueError):
         random_bianchi_22(0, AlgebraContext(4), terms=0)
+
+
+def assert_matches_dense(got, want):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_sum_of_minors_matches_dense_squares(n):
+    ctx = AlgebraContext(n)
+    for terms in (1, 2, 5, n * (n + 1) // 2 + 2):
+        for seed in range(3):
+            factors = drawn_factors(seed, ctx, terms)
+            want = dense_square_sum(factors)
+            assert_matches_dense(random_bianchi_22(seed, ctx, terms).form.coeffs, want)
+            assert_matches_dense(bianchi_from_squares(factors).form.coeffs, want)
+
+
+def test_sum_of_minors_matches_dense_squares_at_n12():
+    ctx = AlgebraContext(12)
+    want = dense_square_sum(drawn_factors(5, ctx, 80))  # the default term count at n = 12
+    assert_matches_dense(random_bianchi_22(5, ctx).form.coeffs, want)
+
+
+@pytest.mark.parametrize("n, terms", [(4, None), (5, 3), (7, 1)])
+def test_random_bianchi_consumes_terms_square_normals(n, terms):
+    # callers that pass a Generator keep drawing from it afterwards
+    ctx = AlgebraContext(n)
+    count = n * (n + 1) // 2 + 2 if terms is None else terms
+    rng = np.random.default_rng(11)
+    random_bianchi_22(rng, ctx, terms)
+    ref = np.random.default_rng(11)
+    ref.standard_normal(count * n * n)
+    assert np.array_equal(rng.standard_normal(8), ref.standard_normal(8))
+
+
+def test_bianchi_from_squares_rejects_bad_factors():
+    ctx = AlgebraContext(4)
+    h = random_symmetric_11(0, ctx)
+    skew = DoubleForm(1, 1, np.triu(np.ones((4, 4))), ctx)
+    for factors, message in (([], "at least one"),
+                             ([h, random_symmetric_11(0, AlgebraContext(5))], "context mismatch"),
+                             ([h, skew], r"symmetric \(1,1\)"),
+                             ([h, random_form(0, 2, 2, ctx, symmetric=True)], r"symmetric \(1,1\)")):
+        with pytest.raises(ValueError, match=message):
+            bianchi_from_squares(factors)
 
 
 def test_constant_curvature_properties():

@@ -191,14 +191,28 @@ def test_definition_at_dimension_twelve():
     assert rel(np_definition(w, 4), np_formula(w, 4)) <= 1e-12
 
 
+# The child writes the high-water mark of its own address space at exit.  The
+# ru_maxrss of wait4 would also count this test process: Linux carries the
+# parent's peak RSS into the child's across fork and exec.
+_CLI_WITH_PEAK = """
+import atexit, runpy, sys
+peak_path = sys.argv.pop(1)
+def report():
+    with open("/proc/self/status") as status, open(peak_path, "w") as out:
+        out.write(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+atexit.register(report)
+runpy.run_module("doubleforms.cli", run_name="__main__", alter_sys=True)
+"""
+
+
 def _run_cli_measured(args, out_path):
-    """Run the CLI in a child process; return (exit code, peak RSS in MB)."""
+    """Run the CLI in a child process; return (exit code, its peak RSS in MB)."""
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(wz.__file__).parents[1]))
-    cmd = [sys.executable, "-m", "doubleforms.cli", *args]
+    peak_path = pathlib.Path(out_path).with_suffix(".peak")
+    cmd = [sys.executable, "-c", _CLI_WITH_PEAK, str(peak_path), *args]
     with open(out_path, "w") as out:
-        proc = subprocess.Popen(cmd, stdout=out, stderr=subprocess.DEVNULL, env=env)
-        _, status, usage = os.wait4(proc.pid, 0)
-    return os.waitstatus_to_exitcode(status), usage.ru_maxrss / 1024  # kilobytes on Linux
+        code = subprocess.run(cmd, stdout=out, stderr=subprocess.DEVNULL, env=env).returncode
+    return code, int(peak_path.read_text()) / 1024  # VmHWM is in kilobytes
 
 
 def test_spectrum_command_at_dimension_twelve(tmp_path):
