@@ -15,7 +15,7 @@ from doubleforms.cli import main
 from doubleforms.forms import contract, kn_product, metric, metric_power
 from doubleforms.random_tensors import random_bianchi_22
 from doubleforms.tensorio import save_form
-from doubleforms.verify import IDENTITIES, SuiteConfig, run_suite
+from doubleforms.verify import IDENTITIES, IdentityRecord, SuiteConfig, run_suite, worst_text
 from doubleforms import weitzenboeck as wz
 from doubleforms.exterior import AlgebraContext
 
@@ -62,6 +62,34 @@ def test_human_lines_worst_follows_comparison_direction():
     assert f"worst={largest:.3e}  [" in lines["closed_form"]
     spread, witness = (r.residual for r in by_id["tachibana"])
     assert f"worst={spread:.3e}, {witness:.3e} (lower bound)" in lines["tachibana"]
+
+
+def test_worst_text_follows_the_record_flag_not_its_note():
+    # the comparison direction is data on the record; a note that happens to
+    # say "(pass when >" does not make an at-or-below record a lower bound
+    recs = [IdentityRecord("x", 4, 2, 0, 3e-11, 1e-10, True, "ratio (pass when > tolerance)"),
+            IdentityRecord("x", 4, 2, 1, 5e-12, 1e-10, True, "plain")]
+    assert worst_text(recs) == "worst=3.000e-11"
+    recs.append(IdentityRecord("x", 4, 2, 2, 0.5, 0.0, True, "", lower_bound=True))
+    assert worst_text(recs) == "worst=3.000e-11, 5.000e-01 (lower bound)"
+
+
+@pytest.fixture(scope="module")
+def default_report():
+    return run_suite(SuiteConfig())
+
+
+def test_lower_bound_flag_matches_the_note(default_report):
+    # a record is a lower bound exactly when its note says it passes above its tolerance
+    flagged = [r.lower_bound for r in default_report.records]
+    assert flagged == ["(pass when >" in r.note for r in default_report.records]
+    assert any(flagged) and not all(flagged)
+
+
+def test_serialized_records_keep_their_eight_keys(default_report):
+    keys = {"identity", "n", "p", "seed", "residual", "tolerance", "passed", "note"}
+    records = json.loads(default_report.to_json())["records"]
+    assert records and all(set(rec) == keys for rec in records)
 
 
 def test_suite_determinism():
