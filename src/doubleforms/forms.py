@@ -16,6 +16,13 @@ carry every closed form of the Weitzenboeck operators, go through
 metric_product instead: g^k is k! times the identity, so the shuffle sum
 collapses to one gather over the k-subsets K and one scatter onto
 K u I, K u J.
+
+metric_product, contract and star each run one private array kernel
+(_metric_stack, _contract_stack, _star_stack) that takes a stack of
+coefficient matrices, shape (..., C(n,p), C(n,q)): the gathers index the
+last two axes and one bincount scatters the whole stack.  The DoubleForm
+functions pass a stack of one; a stacked call gives every member the same
+terms, summed in the same order, so its bits equal a single call's.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import numpy as np
 
@@ -231,29 +238,58 @@ def _power_table(n: int, p: int, k: int) -> tuple[np.ndarray, np.ndarray, np.nda
     return src, dst, sign
 
 
-def metric_product(k: int, w: DoubleForm) -> DoubleForm:
-    """g^k . w, equal to kn_product(metric_power(k, ctx), w).
+def _offset(index: np.ndarray, members: int, size: int) -> np.ndarray:
+    """Flat indices into every block of a stack of members blocks of size
+    entries: index addresses one block and is shifted by each member's
+    offset.  A stack of one gets the table's own array back, not a copy."""
+    if members == 1:
+        return index
+    return (np.arange(members) * size).reshape((-1,) + (1,) * index.ndim) + index
+
+
+def _scatter(cells: np.ndarray, terms: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Sum terms into the C-order cells of a shape-sized output, one output
+    per member of the stack that the leading axes of terms (those beyond
+    the axes of cells) index.  Each member's cells are offset by its
+    position, so one bincount fills the whole stack and adds every
+    member's terms in the order a stack of one would."""
+    stack = terms.shape[:terms.ndim - cells.ndim]
+    size = shape[0] * shape[1]
+    cells = _offset(cells, prod(stack), size)
+    out = np.bincount(cells.ravel(), weights=terms.ravel(), minlength=prod(stack) * size)
+    return out.reshape(stack + shape)
+
+
+def _metric_stack(k: int, coeffs: np.ndarray, n: int, p: int, q: int) -> np.ndarray:
+    """g^k times each (p,q) coefficient matrix of a stack (..., C(n,p), C(n,q)).
 
     With g^k = k! I the product reads (g^k w)[K u I, K u J] summed over
     k-subsets K disjoint from I and J of k! sgn(K,I) sgn(K,J) w[I, J]:
-    one gather of w and one scatter.  Degrees beyond n give the (empty)
-    zero form.
+    one gather over the last two axes and one scatter.  Degrees beyond n
+    give empty matrices.
     """
-    ctx = w.ctx
-    n = ctx.n
+    P, Q = p + k, q + k
+    shape = (comb(n, P), comb(n, Q))
+    if P > n or Q > n:
+        return np.zeros(coeffs.shape[:-2] + shape)
+    srcI, dstI, sgnI = _power_table(n, p, k)
+    srcJ, dstJ, sgnJ = _power_table(n, q, k)
+    sign = (float(factorial(k)) * sgnI)[:, :, None] * sgnJ[:, None, :]
+    terms = coeffs[..., srcI[:, :, None], srcJ[:, None, :]] * sign
+    cells = dstI[:, :, None] * shape[1] + dstJ[:, None, :]
+    return _scatter(cells, terms, shape)
+
+
+def metric_product(k: int, w: DoubleForm) -> DoubleForm:
+    """g^k . w, equal to kn_product(metric_power(k, ctx), w).
+
+    One gather of w and one scatter (see _metric_stack).  Degrees beyond n
+    give the (empty) zero form.
+    """
+    n = w.ctx.n
     if not 0 <= k <= n:
         raise ValueError(f"metric power degree must be in [0, {n}], got {k}")
-    P, Q = w.p + k, w.q + k
-    if P > n or Q > n:
-        return zero_form(P, Q, ctx)
-    srcI, dstI, sgnI = _power_table(n, w.p, k)
-    srcJ, dstJ, sgnJ = _power_table(n, w.q, k)
-    sign = (float(factorial(k)) * sgnI)[:, :, None] * sgnJ[:, None, :]
-    terms = w.coeffs[srcI[:, :, None], srcJ[:, None, :]] * sign
-    shape = (ctx.dim(P), ctx.dim(Q))
-    cells = dstI[:, :, None] * shape[1] + dstJ[:, None, :]
-    out = np.bincount(cells.ravel(), weights=terms.ravel(), minlength=shape[0] * shape[1])
-    return DoubleForm(P, Q, out.reshape(shape), ctx)
+    return DoubleForm(w.p + k, w.q + k, _metric_stack(k, w.coeffs, n, w.p, w.q), w.ctx)
 
 
 # -- contraction --------------------------------------------------------
@@ -299,15 +335,22 @@ def _contract_scatter(n: int, p: int, q: int) -> tuple[np.ndarray, np.ndarray, n
     return table
 
 
+def _contract_stack(coeffs: np.ndarray, n: int, p: int, q: int) -> np.ndarray:
+    """Contraction of each (p,q) coefficient matrix of a stack
+    (..., C(n,p), C(n,q)): one gather and one scatter."""
+    src, dst, sign = _contract_scatter(n, p, q)
+    stack = coeffs.shape[:-2]
+    # one gather from the flattened stack: numpy's fast path for a 1-d source
+    src = _offset(src, prod(stack), coeffs.shape[-2] * coeffs.shape[-1])
+    terms = coeffs.reshape(-1)[src] * sign
+    return _scatter(dst, terms.reshape(stack + dst.shape), (comb(n, p - 1), comb(n, q - 1)))
+
+
 def contract(w: DoubleForm) -> DoubleForm:
     """Trace over a prepended slot: (cw)(x, y) = sum_m w(e_m ^ x, e_m ^ y)."""
     if w.p < 1 or w.q < 1:
         raise ValueError(f"cannot contract a {w.degree} form")
-    ctx = w.ctx
-    src, dst, sign = _contract_scatter(ctx.n, w.p, w.q)
-    shape = (ctx.dim(w.p - 1), ctx.dim(w.q - 1))
-    out = np.bincount(dst, weights=sign * w.coeffs.ravel()[src], minlength=shape[0] * shape[1])
-    return DoubleForm(w.p - 1, w.q - 1, out.reshape(shape), ctx)
+    return DoubleForm(w.p - 1, w.q - 1, _contract_stack(w.coeffs, w.ctx.n, w.p, w.q), w.ctx)
 
 
 def contract_iter(w: DoubleForm, k: int) -> DoubleForm:
@@ -353,14 +396,18 @@ def _complement_table(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     return perm, sgn
 
 
+def _star_stack(coeffs: np.ndarray, n: int, p: int, q: int) -> np.ndarray:
+    """Hodge star of each (p,q) coefficient matrix of a stack
+    (..., C(n,p), C(n,q)): one signed gather over the last two axes."""
+    permI, sgnI = _complement_table(n, n - p)
+    permJ, sgnJ = _complement_table(n, n - q)
+    return np.outer(sgnI, sgnJ) * coeffs[..., permI[:, None], permJ[None, :]]
+
+
 def star(w: DoubleForm) -> DoubleForm:
     """Generalized Hodge star: (*w)(a, b) = w(*a, *b), degree (n-p, n-q)."""
-    ctx = w.ctx
-    n = ctx.n
-    permI, sgnI = _complement_table(n, n - w.p)
-    permJ, sgnJ = _complement_table(n, n - w.q)
-    out = np.outer(sgnI, sgnJ) * w.coeffs[np.ix_(permI, permJ)]
-    return DoubleForm(n - w.p, n - w.q, out, ctx)
+    n = w.ctx.n
+    return DoubleForm(n - w.p, n - w.q, _star_stack(w.coeffs, n, w.p, w.q), w.ctx)
 
 
 # -- first Bianchi identity ----------------------------------------------

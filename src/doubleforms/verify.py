@@ -20,7 +20,7 @@ import operator
 import time
 import zlib
 from dataclasses import asdict, dataclass, field
-from math import factorial
+from math import comb, factorial
 from itertools import permutations
 from typing import Callable, Iterator
 
@@ -31,6 +31,9 @@ from . import clifford as cl
 from .forms import (
     CurvatureTensor,
     DoubleForm,
+    _contract_stack,
+    _metric_stack,
+    _star_stack,
     contract,
     contract_iter,
     decomposable_coefficients,
@@ -227,10 +230,6 @@ def _sweep(cfg: SuiteConfig, identity: str, seeds: int) -> Iterator[tuple[int, i
             yield n, p, t, random_bianchi_22(_seedseq(cfg, identity, n, p, t), ctx)
 
 
-def _square(rng: np.random.Generator, ctx: AlgebraContext, p: int) -> DoubleForm:
-    return DoubleForm(p, p, rng.standard_normal((ctx.dim(p), ctx.dim(p))), ctx)
-
-
 def _sym(rng: np.random.Generator, ctx: AlgebraContext, p: int) -> DoubleForm:
     raw = rng.standard_normal((ctx.dim(p), ctx.dim(p)))
     return DoubleForm(p, p, (raw + raw.T) / 2.0, ctx)
@@ -247,13 +246,32 @@ def _ratio(matrix: np.ndarray, note: str) -> tuple[float, str, Check]:
     return ratio, note + "; singular value ratio (pass when >= tolerance)", RATIO
 
 
-def _trials(cfg: SuiteConfig, identity: str, draw) -> Iterator[tuple[int, int, float]]:
-    """(n, p, largest of cfg.trials residuals draw(rng, ctx, p)) for 0 <= p < n."""
+#: Drawn coefficients one block of sampled trials holds at most, so that
+#: the stacked kernels' temporaries stay small whatever the trial count.
+_TRIAL_BLOCK_ENTRIES = 2 ** 12
+
+
+def _trials(cfg: SuiteConfig, identity: str, degrees, residuals) -> Iterator[tuple[int, int, float]]:
+    """(n, p, largest of cfg.trials residuals) for 0 <= p < n.
+
+    A trial draws one square coefficient matrix per degree of degrees(p),
+    in turn.  A block of trials draws its numbers in one call and splits
+    them by columns, which gives each trial the numbers of its own draws;
+    residuals(n, p, *stacks) yields the block's residuals in trial order.
+    """
     for n in cfg.dimensions():
-        ctx = AlgebraContext(n)
         for p in range(0, n):
             rng = _rng(cfg, identity, n, p)
-            yield n, p, max([0.0, *(draw(rng, ctx, p) for _ in range(cfg.trials))])
+            dims = [comb(n, d) for d in degrees(p)]
+            ends = np.cumsum([d * d for d in dims])
+            width = int(ends[-1])
+            block = max(1, _TRIAL_BLOCK_ENTRIES // width)
+            worst = 0.0
+            for start in range(0, cfg.trials, block):
+                raw = rng.standard_normal((min(block, cfg.trials - start), width))
+                stacks = [x.reshape(-1, d, d) for x, d in zip(np.split(raw, ends[:-1], axis=1), dims)]
+                worst = max(worst, *residuals(n, p, *stacks))
+            yield n, p, worst
 
 
 def _positive_scalar(w: CurvatureTensor) -> tuple[CurvatureTensor, float]:
@@ -282,21 +300,26 @@ def _run_hodge_duality(cfg: SuiteConfig) -> Iterator[Measurement]:
 
 
 def _run_contraction_adjoint(cfg: SuiteConfig) -> Iterator[Measurement]:
-    def draw(rng, ctx, p):
-        w1, w2 = _square(rng, ctx, p), _square(rng, ctx, p + 1)
-        gap = abs(inner(metric_product(1, w1), w2) - inner(w1, contract(w2)))
-        return gap / max(w1.norm() * w2.norm(), 1.0)
+    # <g.w1, w2> by the metric-power gather against <w1, c w2> by the contraction scatter
+    def residuals(n, p, W1, W2):
+        lifted, lowered = _metric_stack(1, W1, n, p, p), _contract_stack(W2, n, p + 1, p + 1)
+        for w1, w2, up, down in zip(W1, W2, lifted, lowered):
+            gap = abs(float(np.sum(up * w2)) - float(np.sum(w1 * down)))
+            yield gap / max(float(np.linalg.norm(w1)) * float(np.linalg.norm(w2)), 1.0)
 
-    for n, p, worst in _trials(cfg, "contraction_adjoint", draw):
+    for n, p, worst in _trials(cfg, "contraction_adjoint", lambda p: (p, p + 1), residuals):
         yield n, p, 0, worst, f"max over {cfg.trials} pairs", ADJOINT
 
 
 def _run_star_contraction(cfg: SuiteConfig) -> Iterator[Measurement]:
-    def draw(rng, ctx, p):
-        w = _square(rng, ctx, p)
-        return (metric_product(1, w) - star(contract(star(w)))).norm() / max(w.norm(), 1.0)
+    # g.w against *c*w
+    def residuals(n, p, W):
+        q = n - p
+        back = _star_stack(_contract_stack(_star_stack(W, n, p, p), n, q, q), n, q - 1, q - 1)
+        for w, gap in zip(W, _metric_stack(1, W, n, p, p) - back):
+            yield float(np.linalg.norm(gap)) / max(float(np.linalg.norm(w)), 1.0)
 
-    for n, p, worst in _trials(cfg, "star_contraction", draw):
+    for n, p, worst in _trials(cfg, "star_contraction", lambda p: (p,), residuals):
         yield n, p, 0, worst, f"max over {cfg.trials} forms", ADJOINT
 
 

@@ -380,7 +380,10 @@ class SpectrumReport:
 
 
 def sample_plane(rng: np.random.Generator, n: int, p: int, *, max_tries: int = 32) -> np.ndarray:
-    """Orthonormal basis of a random p-plane from Gaussian vectors."""
+    """Orthonormal basis of a random p-plane from Gaussian vectors; the
+    0-plane is the empty (n, 0) frame and draws nothing."""
+    if p == 0:
+        return np.zeros((n, 0))
     for _ in range(max_tries):
         raw = rng.standard_normal((p, n))
         try:
@@ -400,9 +403,6 @@ def spectrum(M: OperatorMatrix, sample_planes: int = 100, seed: int = 0) -> Spec
     rng = np.random.default_rng(seed)
     values = []
     for _ in range(sample_planes):
-        if M.p == 0:
-            values.append(float(M.matrix[0, 0]))
-            continue
         F = sample_plane(rng, M.ctx.n, M.p)
         v = decomposable_coefficients(F, M.ctx)
         values.append(float(v @ M.matrix @ v))

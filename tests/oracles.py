@@ -177,3 +177,19 @@ def dense_square_sum(factors):
     for h in factors[1:]:
         total = total + kn_product(h, h)
     return total.symmetrized().coeffs
+
+
+def loop_clifford_mul(a: cl.CliffordElement, b: cl.CliffordElement) -> np.ndarray:
+    """The Clifford product by iterated left multiplication with single
+    generators, e_S . b = e_{s_1} . (... (e_{s_k} . b)), one gather of
+    clifford._generator_table per generator; coefficient vector only."""
+    n = a.ctx.n
+    out = np.zeros(2 ** n)
+    for mask in np.nonzero(a.coeffs)[0]:
+        vec = b.coeffs
+        for i in range(n, 0, -1):
+            if int(mask) & (1 << (i - 1)):
+                idx, sign_src = cl._generator_table(n, i)
+                vec = sign_src[idx] * vec[idx]
+        out += a.coeffs[mask] * vec
+    return out

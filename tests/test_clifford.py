@@ -19,7 +19,8 @@ from doubleforms.clifford import (
     wedge_generator,
     zero_element,
 )
-from oracles import perm_sign
+from doubleforms import clifford
+from oracles import loop_clifford_mul, perm_sign
 
 
 def rand_element(seed, n):
@@ -79,6 +80,26 @@ def test_associativity_random():
             lhs = clifford_mul(clifford_mul(a, b), c)
             rhs = clifford_mul(a, clifford_mul(b, c))
             assert (lhs - rhs).norm() <= 1e-12 * a.norm() * b.norm() * c.norm()
+
+
+def test_product_matches_the_generator_loop_bitwise():
+    # the sign rule of clifford_mul against iterated generator gathers
+    for n in range(1, 8):
+        rng = np.random.default_rng(n)
+        for density in (0.1, 0.5, 1.0):
+            for t in range(3):
+                a, b = (rand_element(100 * n + 10 * t + s, n) for s in (0, 1))
+                sparse = CliffordElement(a.coeffs * (rng.random(2 ** n) < density), a.ctx)
+                for left in (a, sparse):
+                    assert np.array_equal(clifford_mul(left, b).coeffs, loop_clifford_mul(left, b))
+
+
+def test_product_in_several_blocks_matches_the_generator_loop():
+    n = 10
+    assert 2 ** n > clifford._PRODUCT_BLOCK // 2 ** n  # the rows of a dense left factor need blocks
+    a, b = rand_element(1, n), rand_element(2, n)
+    want = loop_clifford_mul(a, b)
+    assert np.linalg.norm(clifford_mul(a, b).coeffs - want) <= 1e-13 * np.linalg.norm(want)
 
 
 def test_wedge_recovery_exhaustive():

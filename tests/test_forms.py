@@ -27,7 +27,7 @@ from doubleforms.forms import (
 from doubleforms import forms
 from oracles import literal_bianchi_map, literal_kn_product, loop_contract
 
-from math import comb, factorial
+from math import comb, factorial, prod
 
 
 def rand_form(seed, p, q, n, symmetric=False):
@@ -191,9 +191,37 @@ def test_metric_product_shares_no_code_with_contraction():
     # contraction_adjoint and star_contraction compare g.w with contract;
     # the metric-power tables must be built without the contraction's tables
     forbidden = {"_lift_table", "_contract_scatter", "insertion_sign"}
-    for func in (forms.metric_product, forms._power_table):
+    for func in (forms.metric_product, forms._metric_stack, forms._power_table):
         assert not _referenced_names(func) & forbidden, func.__name__
     assert "merge_sign" in _referenced_names(forms._power_table)
+
+
+# -- stacked kernels -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("stack", [(3,), (2, 3)])
+def test_stacked_kernels_equal_per_member_calls(stack):
+    # every degree up to n + 1, so the empty forms beyond degree n are included
+    def stacked(forms_out):
+        coeffs = [w.coeffs for w in forms_out]
+        return np.array(coeffs).reshape(stack + coeffs[0].shape)
+
+    for n in range(1, 7):
+        ctx = AlgebraContext(n)
+        rng = np.random.default_rng(n)
+        for p in range(n + 2):
+            for q in range(n + 2):
+                W = rng.standard_normal(stack + (comb(n, p), comb(n, q)))
+                members = [DoubleForm(p, q, w, ctx) for w in W.reshape((prod(stack),) + W.shape[-2:])]
+                for k in range(n + 1):
+                    want = stacked([metric_product(k, w) for w in members])
+                    assert np.array_equal(forms._metric_stack(k, W, n, p, q), want), (n, p, q, k)
+                if p >= 1 and q >= 1:
+                    want = stacked([contract(w) for w in members])
+                    assert np.array_equal(forms._contract_stack(W, n, p, q), want), (n, p, q)
+                if p <= n and q <= n:
+                    want = stacked([star(w) for w in members])
+                    assert np.array_equal(forms._star_stack(W, n, p, q), want), (n, p, q)
 
 
 # -- contraction -------------------------------------------------------------

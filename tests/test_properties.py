@@ -8,7 +8,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from doubleforms.exterior import AlgebraContext
-from doubleforms.forms import DoubleForm, kn_product, metric_power, metric_product, star
+from doubleforms.forms import DoubleForm, contract, inner, kn_product, metric_power, metric_product, star
 from doubleforms.random_tensors import random_bianchi_22
 from oracles import dense_square_sum, drawn_factors
 
@@ -63,3 +63,16 @@ def test_star_star_is_the_graded_identity(data, n, seed):
     twice = star(star(w))
     assert twice.degree == (p, q)
     assert np.array_equal(twice.coeffs, (-1) ** (p * (n - p) + q * (n - q)) * w.coeffs)
+
+
+@fixed
+@given(data=st.data(), n=st.integers(2, 7), seed=seeds)
+def test_contraction_is_adjoint_to_the_metric_product(data, n, seed):
+    # p != q: the suite's contraction_adjoint trials only draw square forms
+    p = data.draw(st.integers(0, n - 1), label="p")
+    q = data.draw(st.integers(0, n - 1).filter(lambda q: q != p), label="q")
+    ctx = AlgebraContext(n)
+    rng = np.random.default_rng(seed)
+    a, b = _form(rng, ctx, p, q), _form(rng, ctx, p + 1, q + 1)
+    gap = inner(metric_product(1, a), b) - inner(a, contract(b))
+    assert abs(gap) <= 1e-12 * a.norm() * b.norm()

@@ -5,19 +5,20 @@ import os
 import pathlib
 import subprocess
 import sys
-from math import factorial
+from math import comb, factorial
 
 import numpy as np
 import pytest
 
-from doubleforms import cli
+from doubleforms import cli, verify
 from doubleforms.cli import main
 from doubleforms.forms import contract, kn_product, metric, metric_power
 from doubleforms.random_tensors import random_bianchi_22
-from doubleforms.tensorio import save_form
+from doubleforms.tensorio import load_tensor, save_form
 from doubleforms.verify import IDENTITIES, IdentityRecord, SuiteConfig, run_suite, worst_text
 from doubleforms import weitzenboeck as wz
 from doubleforms.exterior import AlgebraContext
+from measured import run_cli_measured
 
 
 QUICK = dict(n_min=5, n_max=5, seeds=2, trials=10)
@@ -158,6 +159,51 @@ def test_config_validation():
         run_suite(SuiteConfig(identities=("no_such_identity",)))
 
 
+# -- sampled trials in blocks ------------------------------------------------
+
+
+def test_trial_blocks_split_by_columns_are_the_per_trial_draws(monkeypatch):
+    # the numbers of separate per-trial draws, whatever the block size
+    cfg = SuiteConfig(n_min=4, n_max=5, trials=7)
+    for budget in (1, 3 * (comb(5, 2) ** 2 + comb(5, 3) ** 2), verify._TRIAL_BLOCK_ENTRIES):
+        monkeypatch.setattr(verify, "_TRIAL_BLOCK_ENTRIES", budget)
+        seen = {}
+
+        def residuals(n, p, W1, W2):
+            seen.setdefault((n, p), []).extend(zip(W1, W2))
+            yield from (0.0 for _ in W1)
+
+        cells = list(verify._trials(cfg, "probe", lambda p: (p, p + 1), residuals))
+        assert [(n, p) for n, p, _ in cells] == list(seen)
+        for (n, p), pairs in seen.items():
+            rng = verify._rng(cfg, "probe", n, p)
+            assert len(pairs) == cfg.trials
+            for w1, w2 in pairs:
+                assert np.array_equal(w1, rng.standard_normal((comb(n, p), comb(n, p))))
+                assert np.array_equal(w2, rng.standard_normal((comb(n, p + 1), comb(n, p + 1))))
+
+
+@pytest.mark.parametrize("identity, degrees", [("contraction_adjoint", lambda n, p: (p, p + 1)),
+                                               ("star_contraction", lambda n, p: (p,))])
+def test_trial_block_size_never_shows_in_a_record(monkeypatch, identity, degrees):
+    cfg = SuiteConfig(n_min=5, n_max=5, trials=7, identities=(identity,))
+    default = run_suite(cfg).to_json()
+    for p in range(5):
+        # blocks of 3 at this cell: 3 + 3 + 1 trials
+        budget = 3 * sum(comb(5, d) ** 2 for d in degrees(5, p))
+        monkeypatch.setattr(verify, "_TRIAL_BLOCK_ENTRIES", budget)
+        assert run_suite(cfg).to_json() == default, p
+
+
+def test_trial_count_does_not_raise_peak_memory(tmp_path):
+    peaks = {}
+    for trials in (100, 1000):
+        args = ["verify", "--identity", "star_contraction", "--trials", str(trials), "--json"]
+        code, peaks[trials] = run_cli_measured(args, tmp_path / f"{trials}.json")
+        assert code == 0
+    assert peaks[1000] <= 1.05 * peaks[100], peaks
+
+
 # -- command line -----------------------------------------------------------
 
 
@@ -264,6 +310,16 @@ def test_cli_sectional(tensor_file, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert len(doc["values"]) == 15
     assert doc["min"] <= doc["mean"] <= doc["max"]
+
+
+def test_cli_sectional_order_zero_reports_the_scalar(tensor_file, capsys):
+    # the 0-plane is the empty frame; every sample reads N_0's scalar
+    assert main(["sectional", "--input", tensor_file, "--p", "0", "--samples", "4", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    scalar = wz.np_definition(load_tensor(tensor_file), 0).scalar()
+    assert doc["values"] == [scalar] * 4
+    assert main(["spectrum", "--input", tensor_file, "--p", "0", "--samples", "4", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["min_sampled_sectional"] == scalar
 
 
 def test_cli_pcurvature(tensor_file, capsys):

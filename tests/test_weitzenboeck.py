@@ -2,10 +2,7 @@
 
 import ast
 import json
-import os
 import pathlib
-import subprocess
-import sys
 from math import comb, factorial
 
 import numpy as np
@@ -52,6 +49,7 @@ from doubleforms.weitzenboeck import (
     p_curvature_form,
     spectrum,
 )
+from measured import run_cli_measured
 from oracles import dense_definition, eigh_eigenvalues
 
 
@@ -191,34 +189,10 @@ def test_definition_at_dimension_twelve():
     assert rel(np_definition(w, 4), np_formula(w, 4)) <= 1e-12
 
 
-# The child writes the high-water mark of its own address space at exit.  The
-# ru_maxrss of wait4 would also count this test process: Linux carries the
-# parent's peak RSS into the child's across fork and exec.
-_CLI_WITH_PEAK = """
-import atexit, runpy, sys
-peak_path = sys.argv.pop(1)
-def report():
-    with open("/proc/self/status") as status, open(peak_path, "w") as out:
-        out.write(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
-atexit.register(report)
-runpy.run_module("doubleforms.cli", run_name="__main__", alter_sys=True)
-"""
-
-
-def _run_cli_measured(args, out_path):
-    """Run the CLI in a child process; return (exit code, its peak RSS in MB)."""
-    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(wz.__file__).parents[1]))
-    peak_path = pathlib.Path(out_path).with_suffix(".peak")
-    cmd = [sys.executable, "-c", _CLI_WITH_PEAK, str(peak_path), *args]
-    with open(out_path, "w") as out:
-        code = subprocess.run(cmd, stdout=out, stderr=subprocess.DEVNULL, env=env).returncode
-    return code, int(peak_path.read_text()) / 1024  # VmHWM is in kilobytes
-
-
 def test_spectrum_command_at_dimension_twelve(tmp_path):
     path = tmp_path / "n12.json"
     save_form(random_bianchi_22(12, AlgebraContext(12)), path)
-    code, rss_mb = _run_cli_measured(["spectrum", "--input", str(path), "--p", "6",
+    code, rss_mb = run_cli_measured(["spectrum", "--input", str(path), "--p", "6",
                                       "--samples", "5", "--json"], tmp_path / "out.json")
     assert code == 0
     assert rss_mb < 500
@@ -234,7 +208,7 @@ def test_closed_forms_at_dimension_twelve_within_budget(tmp_path):
     save_form(w, path)
     for command in ("weitzenboeck", "pcurvature"):
         out = tmp_path / f"{command}.json"
-        code, rss_mb = _run_cli_measured([command, "--input", str(path), "--p", "6", "--json"], out)
+        code, rss_mb = run_cli_measured([command, "--input", str(path), "--p", "6", "--json"], out)
         assert code == 0, command
         assert rss_mb < 250, (command, rss_mb)
         assert len(json.loads(out.read_text())["matrix"]) == comb(12, 6)
