@@ -25,7 +25,6 @@ from .exterior import AlgebraContext, validate_index
 __all__ = [
     "CliffordElement",
     "zero_element",
-    "scalar_element",
     "basis_vector",
     "basis_element",
     "from_vector",
@@ -146,12 +145,6 @@ _PRODUCT_BLOCK = 2 ** 16
 
 def zero_element(ctx: AlgebraContext) -> CliffordElement:
     return CliffordElement(np.zeros(2 ** ctx.n), ctx)
-
-
-def scalar_element(value: float, ctx: AlgebraContext) -> CliffordElement:
-    vec = np.zeros(2 ** ctx.n)
-    vec[0] = value
-    return CliffordElement(vec, ctx)
 
 
 def basis_vector(ctx: AlgebraContext, i: int) -> CliffordElement:

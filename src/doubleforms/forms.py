@@ -11,11 +11,14 @@ The exterior product of forms (Kulkarni-Nomizu product) is evaluated by
 summing over shuffle splits of the row and column indices; with the
 factorial prefactors of the permutation-sum definition this is an exact
 rewriting, and the equality is unit-tested against the literal
-permutation sum at low dimension.  Products by a metric power g^k, which
-carry every closed form of the Weitzenboeck operators, go through
-metric_product instead: g^k is k! times the identity, so the shuffle sum
-collapses to one gather over the k-subsets K and one scatter onto
-K u I, K u J.
+permutation sum at low dimension.  One cached shuffle table
+(_split_tensor) lists, for each subset K and each subset I disjoint from
+it, the ranks of I and K u I and the sign of e_K ^ e_I, and one kernel
+(_product_stack) sums over the support of the left factor with one
+gather and one scatter.  kn_product passes the nonzero entries of its
+left factor.  Products by a metric power g^k, which carry every closed
+form of the Weitzenboeck operators, pass the whole diagonal of
+g^k = k! I (metric_product), selected without copying table rows.
 
 metric_product, contract and star each run one private array kernel
 (_metric_stack, _contract_stack, _star_stack) that takes a stack of
@@ -180,56 +183,21 @@ def metric_power(k: int, ctx: AlgebraContext) -> DoubleForm:
 
 
 @lru_cache(maxsize=None)
-def _split_tensor(n: int, p1: int, p2: int) -> np.ndarray:
-    """T[A, I1, I2] = sign of splitting the (p1+p2)-subset A into (I1, I2)."""
-    P = p1 + p2
-    r1 = _ranks(n, p1)
-    r2 = _ranks(n, p2)
-    T = np.zeros((comb(n, P), comb(n, p1), comb(n, p2)))
-    for a, A in enumerate(subsets(n, P)):
-        for I1 in itertools.combinations(A, p1):
-            chosen = set(I1)
-            I2 = tuple(i for i in A if i not in chosen)
-            T[a, r1[I1], r2[I2]] = merge_sign(I1, I2)
-    T.setflags(write=False)
-    return T
+def _split_tensor(n: int, p1: int, p2: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The shuffle signs of the exterior product, in sparse form.
 
-
-def kn_product(w1: DoubleForm, w2: DoubleForm) -> DoubleForm:
-    """Exterior product of double forms; degree ((p1+p2), (q1+q2)).
-
-    Products whose degree exceeds n are identically zero and come back as
-    the (empty) zero form of that degree.
-    """
-    if w1.ctx != w2.ctx:
-        raise ValueError(f"context mismatch: n={w1.ctx.n} vs n={w2.ctx.n}")
-    ctx = w1.ctx
-    n = ctx.n
-    P, Q = w1.p + w2.p, w1.q + w2.q
-    if P > n or Q > n:
-        return zero_form(P, Q, ctx)
-    Sx = _split_tensor(n, w1.p, w2.p)
-    Sy = _split_tensor(n, w1.q, w2.q)
-    t = np.tensordot(Sx, w1.coeffs, axes=([1], [0]))  # [A, I2, J1]
-    t = np.tensordot(t, w2.coeffs, axes=([1], [0]))   # [A, J1, J2]
-    out = np.tensordot(t, Sy, axes=([1, 2], [1, 2]))  # [A, B]
-    return DoubleForm(P, Q, out, ctx)
-
-
-@lru_cache(maxsize=None)
-def _power_table(n: int, p: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For each k-subset K (rows) and each p-subset I disjoint from K
+    For each p1-subset K (rows) and each p2-subset I disjoint from K
     (columns, in lexicographic order of I): the rank of I, the rank of
     K u I and the sign of e_K ^ e_I."""
-    small, big = _ranks(n, p), _ranks(n, p + k)
-    shape = (comb(n, k), comb(n - k, p))
+    small, big = _ranks(n, p2), _ranks(n, p1 + p2)
+    shape = (comb(n, p1), comb(n - p1, p2))
     src = np.empty(shape, dtype=np.int64)
     dst = np.empty(shape, dtype=np.int64)
     sign = np.empty(shape)
-    for r, K in enumerate(subsets(n, k)):
+    for r, K in enumerate(subsets(n, p1)):
         chosen = set(K)
         rest = [i for i in range(1, n + 1) if i not in chosen]
-        for c, I in enumerate(itertools.combinations(rest, p)):
+        for c, I in enumerate(itertools.combinations(rest, p2)):
             src[r, c] = small[I]
             dst[r, c] = big[tuple(sorted(K + I))]
             sign[r, c] = merge_sign(K, I)
@@ -260,24 +228,66 @@ def _scatter(cells: np.ndarray, terms: np.ndarray, shape: tuple[int, int]) -> np
     return out.reshape(stack + shape)
 
 
-def _metric_stack(k: int, coeffs: np.ndarray, n: int, p: int, q: int) -> np.ndarray:
-    """g^k times each (p,q) coefficient matrix of a stack (..., C(n,p), C(n,q)).
+def _product_stack(left, rows, cols, coeffs: np.ndarray, n: int,
+                   p1: int, q1: int, p2: int, q2: int) -> np.ndarray:
+    """A (p1,q1) form times each (p2,q2) coefficient matrix of a stack
+    (..., C(n,p2), C(n,q2)).
 
-    With g^k = k! I the product reads (g^k w)[K u I, K u J] summed over
-    k-subsets K disjoint from I and J of k! sgn(K,I) sgn(K,J) w[I, J]:
+    The left factor is given on its support: values left, a column of
+    shape (m, 1) or one scalar for every entry, at table rows rows x cols,
+    either integer arrays of length m or, for the whole diagonal of a
+    (k,k) form, slice(None) on both sides, which copies no table rows.
+    The product reads (w1 w2)[K u I, L u J] summed over the support (K, L)
+    and over I, J disjoint from K, L of w1[K, L] sgn(K,I) sgn(L,J) w2[I, J]:
     one gather over the last two axes and one scatter.  Degrees beyond n
     give empty matrices.
     """
-    P, Q = p + k, q + k
+    P, Q = p1 + p2, q1 + q2
     shape = (comb(n, P), comb(n, Q))
     if P > n or Q > n:
         return np.zeros(coeffs.shape[:-2] + shape)
-    srcI, dstI, sgnI = _power_table(n, p, k)
-    srcJ, dstJ, sgnJ = _power_table(n, q, k)
-    sign = (float(factorial(k)) * sgnI)[:, :, None] * sgnJ[:, None, :]
-    terms = coeffs[..., srcI[:, :, None], srcJ[:, None, :]] * sign
-    cells = dstI[:, :, None] * shape[1] + dstJ[:, None, :]
+    srcI, dstI, sgnI = _split_tensor(n, p1, p2)
+    srcJ, dstJ, sgnJ = _split_tensor(n, q1, q2)
+    sign = (left * sgnI[rows])[:, :, None] * sgnJ[cols][:, None, :]
+    terms = coeffs[..., srcI[rows][:, :, None], srcJ[cols][:, None, :]] * sign
+    cells = dstI[rows][:, :, None] * shape[1] + dstJ[cols][:, None, :]
     return _scatter(cells, terms, shape)
+
+
+#: Terms one block of left-factor entries holds at most in kn_product.
+_PRODUCT_BLOCK = 2 ** 18
+
+
+def kn_product(w1: DoubleForm, w2: DoubleForm) -> DoubleForm:
+    """Exterior product of double forms; degree ((p1+p2), (q1+q2)).
+
+    Sums over the nonzero entries of w1 (see _product_stack), in blocks of
+    at most _PRODUCT_BLOCK terms.  Products whose degree exceeds n are
+    identically zero and come back as the (empty) zero form of that degree.
+    """
+    if w1.ctx != w2.ctx:
+        raise ValueError(f"context mismatch: n={w1.ctx.n} vs n={w2.ctx.n}")
+    n = w1.ctx.n
+    P, Q = w1.p + w2.p, w1.q + w2.q
+    if P > n or Q > n:
+        return zero_form(P, Q, w1.ctx)
+    rows, cols = np.nonzero(w1.coeffs)
+    step = max(1, _PRODUCT_BLOCK // (comb(n - w1.p, w2.p) * comb(n - w1.q, w2.q)))
+    out = np.zeros((comb(n, P), comb(n, Q)))
+    for start in range(0, len(rows), step):
+        r, c = rows[start:start + step], cols[start:start + step]
+        out += _product_stack(w1.coeffs[r, c, None], r, c, w2.coeffs, n, w1.p, w1.q, w2.p, w2.q)
+    return DoubleForm(P, Q, out, w1.ctx)
+
+
+def _metric_stack(k: int, coeffs: np.ndarray, n: int, p: int, q: int) -> np.ndarray:
+    """g^k times each (p,q) coefficient matrix of a stack (..., C(n,p), C(n,q)).
+
+    g^k = k! I, so the product runs over the whole diagonal of the
+    k-subsets K: (g^k w)[K u I, K u J] = k! sgn(K,I) sgn(K,J) w[I, J].
+    """
+    whole = slice(None)
+    return _product_stack(float(factorial(k)), whole, whole, coeffs, n, k, k, p, q)
 
 
 def metric_product(k: int, w: DoubleForm) -> DoubleForm:

@@ -8,12 +8,12 @@ ad_{e_i.e_j} by
 
 evaluated from gather tables: ad_{e_i.e_j}(e_I) is +-2 e_{I xor {i,j}} when
 exactly one of i, j lies in I and 0 otherwise, with the signs read off the
-Clifford generator tables, so the sum is one gather of w and one scatter
-into the C(n,p) x C(n,p) result, without 2**n-wide Clifford vectors.  At
-n = 12, p = 6 the tables take about 60 ms and one evaluation about 30 ms
-(2-vCPU x86 machine, one BLAS thread).  That definitional sum is the trusted
-oracle in this package and shares no code with the closed forms; the closed
-form
+sign masks of the Clifford product (clifford._sign_masks), so the sum is
+one gather of w and one scatter into the C(n,p) x C(n,p) result, without
+2**n-wide Clifford vectors.  At n = 12, p = 6 the tables take about 15 ms
+and one evaluation about 30 ms (2-vCPU x86 machine, one BLAS thread).
+That definitional sum is the trusted oracle in this package and shares no
+code with the closed forms; the closed form
 
     N_p(w) = { g.c(w)/(p-1) - 2 w } g^{p-2} / (p-2)!      (2 <= p <= n-2)
 
@@ -32,7 +32,6 @@ import numpy as np
 from .exterior import AlgebraContext, subsets
 from . import clifford as cl
 from .forms import (
-    CurvatureTensor,
     DoubleForm,
     as_form22,
     contract,
@@ -44,7 +43,6 @@ from .forms import (
     metric_product,
     orthonormalize,
     star,
-    zero_form,
 )
 
 __all__ = [
@@ -75,18 +73,6 @@ class FormulaRangeError(ValueError):
 # -- definitional operator (the oracle) ---------------------------------
 
 
-def _push(n: int, mask: np.ndarray, sign: np.ndarray, gens: list[np.ndarray]) -> None:
-    """Left-multiply the basis elements sign * e_mask by each generator column
-    in turn, in place, reading both the new subset and the sign off
-    clifford._generator_table."""
-    for g in gens:
-        for i in np.unique(g):
-            sel = g == i
-            idx, sign_src = cl._generator_table(n, int(i))
-            sign[sel] *= sign_src[mask[sel]]
-            mask[sel] = idx[mask[sel]]
-
-
 @lru_cache(maxsize=64)
 def _ad_table(n: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gather lists of the commutators ad_{e_i.e_j} on basis p-vectors.
@@ -95,25 +81,21 @@ def _ad_table(n: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     every target K is hit by exactly p(n-p) pairs (S, (i,j)).  Row K of the
     returned (C(n,p), p(n-p)) arrays lists those terms: the rank of S, the
     lexicographic rank of (i,j) (the row order of (2,2) coefficient
-    matrices) and c.  The coefficients are e_i.e_j.e_S - e_S.e_i.e_j,
-    both products pushed through the Clifford generator tables.
+    matrices) and c.  The coefficients are e_i.e_j.e_S - e_S.e_i.e_j, with
+    both signs read off clifford's sign masks D:
+    e_A.e_B = (-1)^parity(B & D_A) e_{A xor B}.
     """
     sources = np.array(subsets(n, p), dtype=np.int64).reshape(comb(n, p), p)
     pairs = np.array(subsets(n, 2), dtype=np.int64).reshape(comb(n, 2), 2)
     src = np.repeat(np.arange(len(sources)), len(pairs))
     pair = np.tile(np.arange(len(pairs)), len(sources))
     source_masks = (1 << (sources - 1)).sum(axis=1)
-    i, j, S = pairs[pair, 0], pairs[pair, 1], sources[src]
-    # e_i.(e_j.e_S)
-    left, left_sign = source_masks[src], np.ones(len(src))
-    _push(n, left, left_sign, [j, i])
-    # e_{s_1}.(...(e_{s_p}.(e_i.e_j)))
-    right, right_sign = 1 << (j - 1), np.ones(len(src))
-    _push(n, right, right_sign, [i] + [S[:, t] for t in reversed(range(p))])
-    coef = left_sign - right_sign
+    S, E = source_masks[src], (1 << (pairs - 1)).sum(axis=1)[pair]
+    flips, signs = cl._sign_masks(n), cl._lower_parity(n, n + 1)  # (-1)^|X| for every subset X
+    coef = signs[S & flips[E]] - signs[E & flips[S]]
     keep = np.nonzero(coef)[0]
     by_mask = np.argsort(source_masks)
-    target = by_mask[np.searchsorted(source_masks[by_mask], left[keep])]
+    target = by_mask[np.searchsorted(source_masks[by_mask], S[keep] ^ E[keep])]
     order = keep[np.argsort(target, kind="stable")]
     shape = (len(sources), p * (n - p))
     table = (src[order].reshape(shape), pair[order].reshape(shape), coef[order].reshape(shape))

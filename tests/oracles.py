@@ -2,9 +2,10 @@
 
 Everything here deliberately avoids the package's production code paths:
 products are evaluated by the literal permutation sum with factorial
-prefactors, ranks by plain enumeration, the commutator sum through dense
-Clifford vectors, contraction by one pass per slot index, and eigenvalues
-come from numpy's LAPACK wrappers.
+prefactors or by contracting dense shuffle tensors with tensordot, ranks
+by plain enumeration, the commutator sum through dense Clifford vectors,
+contraction by one pass per slot index, and eigenvalues come from numpy's
+LAPACK wrappers.
 """
 
 import itertools
@@ -15,7 +16,7 @@ import numpy as np
 
 from doubleforms import clifford as cl
 from doubleforms.exterior import AlgebraContext, subsets
-from doubleforms.forms import DoubleForm, _lift_table, kn_product
+from doubleforms.forms import DoubleForm, _lift_table
 
 
 def perm_sign(perm) -> int:
@@ -85,6 +86,35 @@ def literal_kn_product(w1: DoubleForm, w2: DoubleForm) -> np.ndarray:
                     total += es * er * v1 * v2
             out[a, b] = pref * total
     return out
+
+
+@lru_cache(maxsize=None)
+def dense_split_tensor(n: int, p1: int, p2: int) -> np.ndarray:
+    """T[A, I1, I2] = sign of splitting the (p1+p2)-subset A into (I1, I2),
+    shape (C(n,p1+p2), C(n,p1), C(n,p2)); signs by sort_with_sign."""
+    r1 = {I: r for r, I in enumerate(subsets(n, p1))}
+    r2 = {I: r for r, I in enumerate(subsets(n, p2))}
+    T = np.zeros((comb(n, p1 + p2), len(r1), len(r2)))
+    for a, A in enumerate(subsets(n, p1 + p2)):
+        for I1 in itertools.combinations(A, p1):
+            I2 = tuple(i for i in A if i not in I1)
+            T[a, r1[I1], r2[I2]] = sort_with_sign(I1 + I2)[0]
+    T.setflags(write=False)
+    return T
+
+
+def dense_kn_product(w1: DoubleForm, w2: DoubleForm) -> np.ndarray:
+    """The exterior product as three tensordots with dense shuffle tensors,
+    coefficient matrix only; degrees beyond n give an empty matrix."""
+    n = w1.ctx.n
+    P, Q = w1.p + w2.p, w1.q + w2.q
+    if P > n or Q > n:
+        return np.zeros((comb(n, P), comb(n, Q)))
+    Sx = dense_split_tensor(n, w1.p, w2.p)
+    Sy = dense_split_tensor(n, w1.q, w2.q)
+    t = np.tensordot(Sx, w1.coeffs, axes=([1], [0]))  # [A, I2, J1]
+    t = np.tensordot(t, w2.coeffs, axes=([1], [0]))   # [A, J1, J2]
+    return np.tensordot(t, Sy, axes=([1, 2], [1, 2]))  # [A, B]
 
 
 def literal_bianchi_map(w: DoubleForm) -> np.ndarray:
@@ -172,11 +202,11 @@ def drawn_factors(seed, ctx, terms):
 
 
 def dense_square_sum(factors):
-    """The sum of the squares h.h by dense kn_product, symmetrized."""
-    total = kn_product(factors[0], factors[0])
+    """The sum of the squares h.h by dense_kn_product, symmetrized."""
+    total = dense_kn_product(factors[0], factors[0])
     for h in factors[1:]:
-        total = total + kn_product(h, h)
-    return total.symmetrized().coeffs
+        total = total + dense_kn_product(h, h)
+    return (total + total.T) / 2.0
 
 
 def loop_clifford_mul(a: cl.CliffordElement, b: cl.CliffordElement) -> np.ndarray:

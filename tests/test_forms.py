@@ -25,7 +25,7 @@ from doubleforms.forms import (
     zero_form,
 )
 from doubleforms import forms
-from oracles import literal_bianchi_map, literal_kn_product, loop_contract
+from oracles import dense_kn_product, literal_bianchi_map, literal_kn_product, loop_contract
 
 from math import comb, factorial, prod
 
@@ -121,6 +121,9 @@ def test_product_beyond_top_degree_is_zero():
     assert out.degree == (4, 4)
     assert out.coeffs.shape == (0, 0)
     assert out.norm() == 0.0
+    # an empty factor of degree beyond n stays a valid operand
+    for a, b in ((out, w), (w, out)):
+        assert kn_product(a, b).coeffs.shape == (0, 0)
 
 
 def test_product_context_mismatch():
@@ -141,11 +144,23 @@ def test_product_commutative_associative_on_symmetric_forms():
             assert (lhs - rhs).norm() <= 1e-12 * w1.norm() * w2.norm() * w3.norm()
 
 
+@pytest.mark.parametrize("block", [1, 50])
+def test_kn_product_in_blocks_matches_dense_product(monkeypatch, block):
+    # block 1 leaves one left-factor entry per block; 50 splits the support unevenly
+    monkeypatch.setattr(forms, "_PRODUCT_BLOCK", block)
+    for n, (p1, q1, p2, q2) in ((4, (1, 2, 2, 1)), (6, (2, 2, 2, 1)), (5, (0, 1, 3, 2))):
+        a, b = rand_form(n, p1, q1, n), rand_form(n + 1, p2, q2, n)
+        want = dense_kn_product(a, b)
+        got = kn_product(a, b).coeffs
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), (n, p1, q1, p2, q2)
+
+
 # -- products by metric powers ------------------------------------------------
 
 
 def test_metric_product_matches_dense_product():
-    # general (non-symmetric, p != q) forms against the shuffle-tensor product
+    # general (non-symmetric, p != q) forms against the dense shuffle-tensor product
     for n in range(1, 9):
         ctx = AlgebraContext(n)
         for p in range(n + 1):
@@ -153,11 +168,11 @@ def test_metric_product_matches_dense_product():
                 w = rand_form(100 * n + 10 * p + q, p, q, n)
                 for k in range(n + 1):
                     got = metric_product(k, w)
-                    want = kn_product(metric_power(k, ctx), w)
-                    assert got.degree == want.degree
-                    assert got.coeffs.shape == want.coeffs.shape
-                    err = np.linalg.norm(got.coeffs - want.coeffs)
-                    assert err <= 1e-14 * np.linalg.norm(want.coeffs), (n, p, q, k)
+                    want = dense_kn_product(metric_power(k, ctx), w)
+                    assert got.degree == (p + k, q + k)
+                    assert got.coeffs.shape == want.shape
+                    err = np.linalg.norm(got.coeffs - want)
+                    assert err <= 1e-14 * np.linalg.norm(want), (n, p, q, k)
 
 
 def test_metric_product_beyond_top_degree_is_empty():
@@ -189,11 +204,11 @@ def _referenced_names(func):
 
 def test_metric_product_shares_no_code_with_contraction():
     # contraction_adjoint and star_contraction compare g.w with contract;
-    # the metric-power tables must be built without the contraction's tables
+    # the product's shuffle table must be built without the contraction's tables
     forbidden = {"_lift_table", "_contract_scatter", "insertion_sign"}
-    for func in (forms.metric_product, forms._metric_stack, forms._power_table):
+    for func in (forms.metric_product, forms._metric_stack, forms._product_stack, forms._split_tensor):
         assert not _referenced_names(func) & forbidden, func.__name__
-    assert "merge_sign" in _referenced_names(forms._power_table)
+    assert "merge_sign" in _referenced_names(forms._split_tensor)
 
 
 # -- stacked kernels -----------------------------------------------------------

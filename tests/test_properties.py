@@ -5,12 +5,12 @@ draws the same cases.
 """
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from doubleforms.exterior import AlgebraContext
 from doubleforms.forms import DoubleForm, contract, inner, kn_product, metric_power, metric_product, star
 from doubleforms.random_tensors import random_bianchi_22
-from oracles import dense_square_sum, drawn_factors
+from oracles import dense_kn_product, dense_square_sum, drawn_factors
 
 fixed = settings(derandomize=True, database=None, deadline=None, max_examples=25)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -25,18 +25,28 @@ def test_sampler_is_the_dense_square_sum(n, terms, seed):
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
+#: (n, p, q, k) with every degree in [0, n]
+cells = st.integers(1, 8).flatmap(
+    lambda n: st.tuples(st.just(n), *(st.integers(0, n) for _ in "pqk")))
+
+
 @fixed
-@given(data=st.data(), n=st.integers(1, 8), seed=seeds)
-def test_metric_product_is_the_product_by_the_metric_power(data, n, seed):
-    p, q, k = (data.draw(st.integers(0, n), label=name) for name in "pqk")
+# k and p + q both odd: swapping the shuffle sign sgn(K, I) for sgn(I, K)
+# multiplies g^k.w by (-1)^(k(p+q)), so only such cells can see it
+@example(cell=(3, 1, 0, 1), seed=0)
+@example(cell=(6, 2, 1, 3), seed=1)
+@example(cell=(8, 3, 2, 1), seed=2)
+@given(cell=cells, seed=seeds)
+def test_metric_product_is_the_product_by_the_metric_power(cell, seed):
+    n, p, q, k = cell
     ctx = AlgebraContext(n)
     raw = np.random.default_rng(seed).standard_normal((ctx.dim(p), ctx.dim(q)))
     w = DoubleForm(p, q, raw, ctx)
     got = metric_product(k, w)
-    want = kn_product(metric_power(k, ctx), w)
-    assert got.degree == want.degree
-    assert got.coeffs.shape == want.coeffs.shape
-    assert np.linalg.norm(got.coeffs - want.coeffs) <= 1e-14 * np.linalg.norm(want.coeffs)
+    want = dense_kn_product(metric_power(k, ctx), w)
+    assert got.degree == (p + k, q + k)
+    assert got.coeffs.shape == want.shape
+    assert np.linalg.norm(got.coeffs - want) <= 1e-14 * np.linalg.norm(want)
 
 
 def _form(rng, ctx, p, q):
@@ -53,6 +63,40 @@ def test_kn_product_is_graded_commutative(data, n, seed):
     sign = (-1) ** (p1 * p2 + q1 * q2)
     gap = kn_product(a, b).coeffs - sign * kn_product(b, a).coeffs
     assert np.linalg.norm(gap) <= 1e-12 * a.norm() * b.norm()
+
+
+def _degrees(data, n, count, label):
+    """count degrees drawn in turn, each within what the earlier ones leave of n."""
+    out = []
+    for i in range(count):
+        out.append(data.draw(st.integers(0, n - sum(out)), label=f"{label}{i + 1}"))
+    return out
+
+
+@fixed
+@given(data=st.data(), n=st.integers(1, 7), seed=seeds)
+def test_kn_product_is_the_dense_product(data, n, seed):
+    (p1, p2), (q1, q2) = _degrees(data, n, 2, "p"), _degrees(data, n, 2, "q")
+    ctx = AlgebraContext(n)
+    rng = np.random.default_rng(seed)
+    a, b = _form(rng, ctx, p1, q1), _form(rng, ctx, p2, q2)
+    # exact zeros in the left factor: the product sums over its support only
+    a = DoubleForm(p1, q1, np.where(rng.random(a.coeffs.shape) < 0.5, 0.0, a.coeffs), ctx)
+    got, want = kn_product(a, b), dense_kn_product(a, b)
+    assert got.degree == (p1 + p2, q1 + q2)
+    assert got.coeffs.shape == want.shape
+    assert np.linalg.norm(got.coeffs - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@fixed
+@given(data=st.data(), n=st.integers(1, 6), seed=seeds)
+def test_kn_product_is_associative(data, n, seed):
+    ps, qs = _degrees(data, n, 3, "p"), _degrees(data, n, 3, "q")
+    ctx = AlgebraContext(n)
+    rng = np.random.default_rng(seed)
+    a, b, c = (_form(rng, ctx, p, q) for p, q in zip(ps, qs))
+    gap = kn_product(kn_product(a, b), c).coeffs - kn_product(a, kn_product(b, c)).coeffs
+    assert np.linalg.norm(gap) <= 1e-12 * a.norm() * b.norm() * c.norm()
 
 
 @fixed
