@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .forms import bianchi_residual, contract_iter, sectional
+from .forms import bianchi_residual, contract_iter, plane_values
 from .tensorio import load_tensor, save_form
 from .verify import SuiteConfig, run_suite
 from . import weitzenboeck as wz
@@ -213,12 +213,8 @@ def _cmd_decompose(args) -> int:
 def _cmd_sectional(args) -> int:
     tensor = _load(args)
     form = wz.np_definition(tensor, args.p)
-    rng = np.random.default_rng(args.seed)
-    values = []
-    for _ in range(args.samples):
-        F = wz.sample_plane(rng, tensor.n, args.p)
-        values.append(sectional(form, [F[:, i] for i in range(args.p)]))
-    arr = np.asarray(values)
+    frames = wz.sample_frames(np.random.default_rng(args.seed), tensor.n, args.p, args.samples)
+    arr = plane_values(form.coeffs, frames, form.ctx)
     doc = {
         "n": tensor.n,
         "p": args.p,

@@ -26,6 +26,11 @@ coefficient matrices, shape (..., C(n,p), C(n,q)): the gathers index the
 last two axes and one bincount scatters the whole stack.  The DoubleForm
 functions pass a stack of one; a stacked call gives every member the same
 terms, summed in the same order, so its bits equal a single call's.
+
+Forms are evaluated on planes by one function, plane_values: the values
+v.W.v on a stack of orthonormal frames, v the frame's p x p minors.
+sectional, weitzenboeck.spectrum, the sectional command and the suite's
+plane checks all call it.
 """
 
 from __future__ import annotations
@@ -62,6 +67,7 @@ __all__ = [
     "bianchi_map",
     "bianchi_residual",
     "sectional",
+    "plane_values",
     "orthonormalize",
     "decomposable_coefficients",
 ]
@@ -110,13 +116,9 @@ class DoubleForm:
     def transpose(self) -> "DoubleForm":
         return DoubleForm(self.q, self.p, self.coeffs.T, self.ctx)
 
-    def is_symmetric(self, tol: float = 0.0) -> bool:
-        if self.p != self.q:
-            return False
-        if tol == 0.0:
-            return bool(np.array_equal(self.coeffs, self.coeffs.T))
-        scale = max(self.norm(), 1.0)
-        return float(np.max(np.abs(self.coeffs - self.coeffs.T), initial=0.0)) <= tol * scale
+    def is_symmetric(self) -> bool:
+        """Whether the form is (p,p) with an exactly symmetric matrix."""
+        return self.p == self.q and bool(np.array_equal(self.coeffs, self.coeffs.T))
 
     def symmetrized(self) -> "DoubleForm":
         if self.p != self.q:
@@ -389,21 +391,10 @@ def inner(w1: DoubleForm, w2: DoubleForm) -> float:
 
 @lru_cache(maxsize=None)
 def _complement_table(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """For each d-subset K: rank of K^c among (n-d)-subsets, and its sign."""
-    ctx = AlgebraContext(n)
-    rc = _ranks(n, n - d)
-    subs = subsets(n, d)
-    perm = np.zeros(len(subs), dtype=np.int64)
-    sgn = np.zeros(len(subs))
-    from .exterior import complement as _complement
-
-    for r, K in enumerate(subs):
-        s, Kc = _complement(K, ctx)
-        perm[r] = rc[Kc]
-        sgn[r] = s
-    perm.setflags(write=False)
-    sgn.setflags(write=False)
-    return perm, sgn
+    """For each d-subset K: rank of K^c among (n-d)-subsets, and the sign
+    of e_K ^ e_{K^c}; the one column of the shuffle table (n, d, n-d)."""
+    src, _, sign = _split_tensor(n, d, n - d)
+    return src[:, 0], sign[:, 0]
 
 
 def _star_stack(coeffs: np.ndarray, n: int, p: int, q: int) -> np.ndarray:
@@ -475,7 +466,11 @@ def bianchi_residual(w: DoubleForm) -> float:
 # -- sectional curvature ---------------------------------------------------
 
 
-def orthonormalize(vectors, *, pivot_tol: float = 1e-8) -> np.ndarray:
+#: Relative size below which a Gram-Schmidt pivot marks a degenerate span.
+_PIVOT_TOL = 1e-8
+
+
+def orthonormalize(vectors) -> np.ndarray:
     """Modified Gram-Schmidt; returns an n x p matrix with orthonormal columns.
 
     Raises ValueError when the input is (numerically) rank deficient.
@@ -491,7 +486,7 @@ def orthonormalize(vectors, *, pivot_tol: float = 1e-8) -> np.ndarray:
         for i in range(j):
             v -= np.dot(out[:, i], v) * out[:, i]
         pivot = np.linalg.norm(v)
-        if pivot < pivot_tol * scale:
+        if pivot < _PIVOT_TOL * scale:
             raise ValueError(f"degenerate plane: vector {j} is dependent on the span")
         out[:, j] = v / pivot
     return out
@@ -501,6 +496,20 @@ def decomposable_coefficients(F: np.ndarray, ctx: AlgebraContext) -> np.ndarray:
     """Coordinates of f_1 ^ ... ^ f_p over the standard basis (p x p minors)."""
     F = np.asarray(F, dtype=float)
     return np.linalg.det(F[_member_table(ctx.n, F.shape[1])])
+
+
+def plane_values(coeffs: np.ndarray, frames: np.ndarray, ctx: AlgebraContext) -> np.ndarray:
+    """Values v.W.v of a (p,p) coefficient matrix W on a stack of orthonormal
+    n x p frames (count, n, p), v the coordinates of each frame's p-vector.
+
+    The minors are taken one frame at a time, so no (count, C(n,p), p, p)
+    stack is built, and the quadratic forms are one matrix product of W,
+    which is not copied.
+    """
+    V = np.empty((len(frames), coeffs.shape[0]))
+    for v, F in zip(V, frames):
+        v[:] = decomposable_coefficients(F, ctx)
+    return ((V @ coeffs) * V).sum(-1)
 
 
 def sectional(w: DoubleForm, span) -> float:
@@ -516,9 +525,7 @@ def sectional(w: DoubleForm, span) -> float:
         raise ValueError(f"expected {w.p} spanning vectors, got {len(span)}")
     if w.p == 0:
         return w.scalar()
-    F = orthonormalize(span)
-    v = decomposable_coefficients(F, w.ctx)
-    return float(v @ w.coeffs @ v)
+    return float(plane_values(w.coeffs, orthonormalize(span)[None], w.ctx)[0])
 
 
 # -- validated curvature tensors -------------------------------------------

@@ -34,9 +34,7 @@ __all__ = [
 
 def random_symmetric_11(seed, ctx: AlgebraContext) -> DoubleForm:
     """Symmetrized Gaussian (1,1) form; identical seeds give identical forms."""
-    rng = np.random.default_rng(seed)
-    raw = rng.standard_normal((ctx.n, ctx.n))
-    return DoubleForm(1, 1, (raw + raw.T) / 2.0, ctx)
+    return random_form(seed, 1, 1, ctx, symmetric=True)
 
 
 def random_form(seed, p: int, q: int, ctx: AlgebraContext, *, symmetric: bool = False) -> DoubleForm:
@@ -106,8 +104,7 @@ def constant_curvature(kappa: float, ctx: AlgebraContext) -> CurvatureTensor:
 def conformally_flat(seed, ctx: AlgebraContext) -> CurvatureTensor:
     """Random curvature tensor with vanishing Weyl part: g.w1 + w0 g^2."""
     rng = np.random.default_rng(seed)
-    raw = rng.standard_normal((ctx.n, ctx.n))
-    h = DoubleForm(1, 1, (raw + raw.T) / 2.0, ctx)
+    h = random_form(rng, 1, 1, ctx, symmetric=True)
     w0 = float(rng.standard_normal())
     form = metric_product(1, h) + w0 * metric_power(2, ctx)
     return CurvatureTensor(form.symmetrized())

@@ -36,12 +36,12 @@ from .forms import (
     as_form22,
     contract,
     contract_iter,
-    decomposable_coefficients,
     kn_product,  # noqa: F401  not called here; bench/tracing.py counts it in this module
     metric,
     metric_power,
     metric_product,
     orthonormalize,
+    plane_values,
     star,
 )
 
@@ -361,12 +361,16 @@ class SpectrumReport:
     sampled_values: np.ndarray = field(repr=False, default=None)
 
 
-def sample_plane(rng: np.random.Generator, n: int, p: int, *, max_tries: int = 32) -> np.ndarray:
+#: Gaussian draws sample_plane makes for one plane before it gives up.
+_PLANE_TRIES = 32
+
+
+def sample_plane(rng: np.random.Generator, n: int, p: int) -> np.ndarray:
     """Orthonormal basis of a random p-plane from Gaussian vectors; the
     0-plane is the empty (n, 0) frame and draws nothing."""
     if p == 0:
         return np.zeros((n, 0))
-    for _ in range(max_tries):
+    for _ in range(_PLANE_TRIES):
         raw = rng.standard_normal((p, n))
         try:
             return orthonormalize(raw)
@@ -375,24 +379,25 @@ def sample_plane(rng: np.random.Generator, n: int, p: int, *, max_tries: int = 3
     raise RuntimeError("failed to sample a nondegenerate plane")
 
 
+def sample_frames(rng: np.random.Generator, n: int, p: int, count: int) -> np.ndarray:
+    """count sample_plane draws from rng in turn, stacked: shape (count, n, p)."""
+    return np.array([sample_plane(rng, n, p) for _ in range(count)]).reshape(count, n, p)
+
+
 def spectrum(M: OperatorMatrix, sample_planes: int = 100, seed: int = 0) -> SpectrumReport:
     """Full spectrum (LAPACK, via jacobi_eigenvalues) and sampled sectional values.
 
-    Sectional values are Rayleigh quotients of the operator matrix, so the
-    smallest eigenvalue never exceeds the sampled sectional minimum.
+    The samples are forms.plane_values on sample_frames(default_rng(seed)),
+    the path of the sectional command.  They are Rayleigh quotients of the
+    operator matrix, so the smallest eigenvalue never exceeds their minimum.
     """
     eigs = jacobi_eigenvalues(M.matrix)
-    rng = np.random.default_rng(seed)
-    values = []
-    for _ in range(sample_planes):
-        F = sample_plane(rng, M.ctx.n, M.p)
-        v = decomposable_coefficients(F, M.ctx)
-        values.append(float(v @ M.matrix @ v))
-    sampled = np.asarray(values)
+    frames = sample_frames(np.random.default_rng(seed), M.ctx.n, M.p, sample_planes)
+    sampled = plane_values(M.matrix, frames, M.ctx)
     return SpectrumReport(
         eigenvalues=eigs,
         min_eigenvalue=float(eigs[0]) if eigs.size else 0.0,
-        min_sampled_sectional=float(sampled.min()) if values else None,
+        min_sampled_sectional=float(sampled.min()) if sampled.size else None,
         sample_count=sample_planes,
         seed=seed,
         sampled_values=sampled,

@@ -14,12 +14,14 @@ from doubleforms.forms import (
     bianchi_residual,
     contract,
     contract_iter,
+    decomposable_coefficients,
     inner,
     kn_product,
     metric,
     metric_power,
     metric_product,
     orthonormalize,
+    plane_values,
     sectional,
     star,
     zero_form,
@@ -520,6 +522,26 @@ def test_sectional_degenerate_span():
         sectional(w, [v, 2 * v])
     with pytest.raises(ValueError):
         sectional(w, [v])  # wrong count for a (2,2) form
+
+
+def test_sectional_of_a_scalar_form_reads_its_scalar():
+    # the 0-plane has the empty span; orthonormalize([]) would raise
+    w = DoubleForm(0, 0, np.array([[2.5]]), AlgebraContext(4))
+    assert sectional(w, []) == 2.5
+
+
+def test_plane_values_match_per_plane_quadratic_forms():
+    rng = np.random.default_rng(8)
+    for n, p in ((4, 0), (5, 1), (5, 2), (6, 3), (7, 4), (8, 4)):
+        ctx = AlgebraContext(n)
+        raw = rng.standard_normal((ctx.dim(p), ctx.dim(p)))
+        W = raw @ raw.T / ctx.dim(p) + np.eye(ctx.dim(p))  # values >= 1: no cancellation
+        frames = np.linalg.qr(rng.standard_normal((7, n, n)))[0][:, :, :p]
+        want = np.array([v @ W @ v for v in (decomposable_coefficients(F, ctx) for F in frames)])
+        got = plane_values(W, frames, ctx)
+        assert got.shape == (7,)
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want)), (n, p)
+        assert plane_values(W, frames[:0], ctx).shape == (0,)
 
 
 def test_orthonormalize_output():

@@ -322,6 +322,17 @@ def test_cli_sectional_order_zero_reports_the_scalar(tensor_file, capsys):
     assert json.loads(capsys.readouterr().out)["min_sampled_sectional"] == scalar
 
 
+def test_cli_sectional_values_are_the_spectrum_samples(tensor_file, capsys):
+    # one plane evaluator: equal seeds and counts give equal bits
+    args = ["--input", tensor_file, "--p", "2", "--samples", "60", "--seed", "4", "--json"]
+    assert main(["sectional", *args]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    op = wz.operator_matrix(wz.np_definition(load_tensor(tensor_file), 2))
+    assert doc["values"] == wz.spectrum(op, sample_planes=60, seed=4).sampled_values.tolist()
+    assert main(["spectrum", *args]) == 0
+    assert json.loads(capsys.readouterr().out)["min_sampled_sectional"] == doc["min"]
+
+
 def test_cli_pcurvature(tensor_file, capsys):
     assert main(["pcurvature", "--input", tensor_file, "--p", "2", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
