@@ -4,6 +4,13 @@ Subcommands: verify (identity suite), weitzenboeck (compute the order-p
 operator of a tensor file two ways), spectrum, decompose, sectional and
 pcurvature.  Exit status is 0 on success, 1 when the verification suite
 finds an identity failure, and 2 on usage or I/O problems.
+
+With --json the computing commands print the bytes of json.dumps(doc,
+indent=2, sort_keys=True, allow_nan=False) and a newline, their float64
+arrays written as nested lists.  The text is streamed to stdout one matrix
+row at a time instead of being built whole; each array's distinct values
+are encoded once, and every number is encoded before the first byte is
+written, so a non-finite result exits 2 with nothing on stdout.
 """
 
 from __future__ import annotations
@@ -11,11 +18,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
 
 import numpy as np
 
 from .forms import bianchi_residual, contract_iter, plane_values
-from .tensorio import load_tensor, save_form
+from .tensorio import _float_texts, load_tensor, save_form
 from .verify import SuiteConfig, run_suite
 from . import weitzenboeck as wz
 
@@ -88,30 +96,74 @@ def _load(args):
     return load_tensor(args.input, on_bianchi=mode)
 
 
-_NUMBER_TYPES = frozenset((int, float, bool, type(None)))
-
-
-def _dumps(value, indent: str = "\n") -> str:
-    """json.dumps(value, indent=2, sort_keys=True, allow_nan=False) byte for
-    byte on string-keyed documents, with each flat list of numbers encoded
-    by the C encoder in one call; indent=2 alone sends the whole document
-    through the pure-Python encoder, which dominates large matrices."""
+def _plan(value, indent: str, out: list) -> None:
+    """Append to out the pieces of json.dumps(value, indent=2, sort_keys=True,
+    allow_nan=False) on a string-keyed document: texts, and one generator of
+    row texts per float64 array.  The distinct values of each array are
+    encoded here, so every number is encoded, or found non-finite, before
+    any piece is written."""
     inner = indent + "  "
-    if isinstance(value, dict) and value:
-        items = (f"{json.dumps(key)}: {_dumps(value[key], inner)}" for key in sorted(value))
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
-    if isinstance(value, (list, tuple)) and value:
-        if set(map(type, value)) <= _NUMBER_TYPES:
-            body = json.dumps(value, allow_nan=False)[1:-1].replace(", ", "," + inner)
-        else:
-            body = ("," + inner).join(_dumps(x, inner) for x in value)
-        return "[" + inner + body + indent + "]"
-    return json.dumps(value, allow_nan=False)
+    if isinstance(value, np.ndarray):
+        out.append(_array_rows(value, _float_texts(value), indent))
+    elif isinstance(value, dict) and value:
+        sep = "{"
+        for key in sorted(value):
+            out.append(f"{sep}{inner}{json.dumps(key)}: ")
+            _plan(value[key], inner, out)
+            sep = ","
+        out.append(indent + "}")
+    elif isinstance(value, (list, tuple)) and value:
+        sep = "["
+        for item in value:
+            out.append(sep + inner)
+            _plan(item, inner, out)
+            sep = ","
+        out.append(indent + "]")
+    else:
+        out.append(json.dumps(value, allow_nan=False))
+
+
+def _array_rows(values: np.ndarray, texts, indent: str):
+    """The JSON text of a float64 array as it would be a nested list, one
+    piece per innermost row, each row's texts looked up in texts."""
+    if not len(values):
+        yield "[]"
+        return
+    inner = indent + "  "
+    if values.ndim == 1:
+        yield "[" + inner + ("," + inner).join(texts(values)) + indent + "]"
+        return
+    sep = "["
+    for row in values:
+        yield sep + inner
+        yield from _array_rows(row, texts, inner)
+        sep = ","
+    yield indent + "]"
+
+
+def _pieces(doc):
+    """An iterator over the JSON text of doc in pieces (see _plan); raises
+    ValueError on a non-finite number before it returns."""
+    plan = []
+    _plan(doc, "\n", plan)
+    return chain.from_iterable((piece,) if isinstance(piece, str) else piece for piece in plan)
+
+
+def _dumps(value) -> str:
+    """json.dumps(value, indent=2, sort_keys=True, allow_nan=False), with
+    float64 arrays encoded as the nested lists of their tolist()."""
+    return "".join(_pieces(value))
 
 
 def _emit(doc: dict, as_json: bool, lines) -> None:
+    """Print doc as JSON or print lines.
+
+    The JSON goes to stdout in the pieces _pieces gives, a matrix row at a
+    time, and a non-finite number raises ValueError before any of them.
+    """
     if as_json:
-        print(_dumps(doc))
+        sys.stdout.writelines(_pieces(doc))
+        sys.stdout.write("\n")
     else:
         for line in lines:
             print(line)
@@ -152,7 +204,7 @@ def _cmd_weitzenboeck(args) -> int:
         "method": args.method,
         "norm": form.norm(),
         "bianchi_residual": bianchi_residual(form) if args.p >= 1 else 0.0,
-        "matrix": form.coeffs.tolist(),
+        "matrix": form.coeffs,
     }
     lines = [
         f"order-{args.p} operator of {args.input} via {args.method}",
@@ -170,7 +222,7 @@ def _cmd_spectrum(args) -> int:
     doc = {
         "n": tensor.n,
         "p": args.p,
-        "eigenvalues": report.eigenvalues.tolist(),
+        "eigenvalues": report.eigenvalues,
         "min_eigenvalue": report.min_eigenvalue,
         "min_sampled_sectional": report.min_sampled_sectional,
         "sample_count": report.sample_count,
@@ -195,10 +247,10 @@ def _cmd_decompose(args) -> int:
         "n": tensor.n,
         "scalar_curvature": scalar,
         "omega0": comps.omega0,
-        "omega1": comps.omega1.coeffs.tolist(),
+        "omega1": comps.omega1.coeffs,
         "omega1_norm": comps.omega1.norm(),
         "omega2_norm": comps.omega2.norm(),
-        "omega2": comps.omega2.coeffs.tolist(),
+        "omega2": comps.omega2.coeffs,
     }
     lines = [
         f"decomposition of {args.input} (n={tensor.n})",
@@ -223,7 +275,7 @@ def _cmd_sectional(args) -> int:
         "min": float(arr.min()),
         "max": float(arr.max()),
         "mean": float(arr.mean()),
-        "values": arr.tolist(),
+        "values": arr,
     }
     lines = [
         f"sectional curvature of the order-{args.p} operator of {args.input}",
@@ -242,8 +294,8 @@ def _cmd_pcurvature(args) -> int:
         "n": tensor.n,
         "p": args.p,
         "norm": form.norm(),
-        "eigenvalues": eigs.tolist(),
-        "matrix": form.coeffs.tolist(),
+        "eigenvalues": eigs,
+        "matrix": form.coeffs,
     }
     lines = [
         f"p-curvature form of {args.input} at p={args.p}",

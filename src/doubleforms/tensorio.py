@@ -118,25 +118,56 @@ def load_tensor(path, *, on_bianchi: str = "warn", bianchi_tol: float = BIANCHI_
         return CurvatureTensor(form, bianchi_tol=float("inf"))
 
 
+def _float_texts(values: np.ndarray):
+    """A lookup from float64 arrays of values' entries to their JSON texts.
+
+    The distinct bit patterns of values, so that -0.0 and 0.0 stay apart,
+    are encoded once in one call of the C encoder, which raises ValueError
+    on a non-finite value.  The lookup finds each entry's text by binary
+    search among those patterns and returns an object array of strings.
+    """
+    if values.dtype != np.float64:
+        raise TypeError(f"expected a float64 array, got {values.dtype}")
+    keys = np.unique(values.view(np.int64))
+    body = json.dumps(keys.view(np.float64).tolist(), allow_nan=False)[1:-1]
+    texts = np.array(body.split(", "), dtype=object)
+    return lambda part: texts[np.searchsorted(keys, part.view(np.int64))]
+
+
 def save_form(form, path) -> None:
-    """Write a double form (or curvature tensor) as a JSON entry list."""
+    """Write a double form (or curvature tensor) as a JSON entry list.
+
+    The file holds the bytes of json.dump(doc, fh, indent=2, allow_nan=False)
+    and a newline, where doc is {"n", "p", "q", "entries"} with one entry
+    {"ij", "kl", "value"} per nonzero coefficient in row-major order.  It is
+    written one matrix row at a time, encoding each distinct value once; a
+    non-finite coefficient raises ValueError before the file is opened.
+    """
     if isinstance(form, CurvatureTensor):
         form = form.form
     if not isinstance(form, DoubleForm):
         raise TypeError(f"expected DoubleForm or CurvatureTensor, got {type(form).__name__}")
-    n = form.ctx.n
-    rows = subsets(n, form.p)
-    cols = subsets(n, form.q)
-    entries = []
-    for a, I in enumerate(rows):
-        for b, J in enumerate(cols):
-            v = form.coeffs[a, b]
-            if v != 0.0:
-                entries.append({"ij": list(I), "kl": list(J), "value": float(v)})
-    doc = {"n": n, "p": form.p, "q": form.q, "entries": entries}
+    n, coeffs = form.ctx.n, form.coeffs
+    value_texts = _float_texts(coeffs)
+
+    def index_texts(d):
+        return np.array([json.dumps(list(I), indent=2).replace("\n", "\n      ")
+                         for I in subsets(n, d)], dtype=object)
+
+    rows, cols = index_texts(form.p), index_texts(form.q)
+    close = "\n    }"
+    written = False
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, allow_nan=False)
-        fh.write("\n")
+        fh.write(f'{{\n  "n": {n},\n  "p": {form.p},\n  "q": {form.q},\n  "entries": [')
+        for a, row in enumerate(coeffs):
+            nonzero = np.flatnonzero(row)
+            if nonzero.size:
+                head = '{\n      "ij": ' + rows[a] + ',\n      "kl": '
+                tails = cols[nonzero] + ',\n      "value": ' + value_texts(row[nonzero])
+                fh.write((",\n    " if written else "\n    ") + head
+                         + (close + ",\n    " + head).join(tails) + close)
+                written = True
+        fh.write("\n  ]\n}\n" if written else "]\n}\n")
 
 
 # -- projection onto the symmetric Bianchi subspace ------------------------

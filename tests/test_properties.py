@@ -4,9 +4,17 @@ Examples are derandomized and no example database is kept, so every run
 draws the same cases.
 """
 
-import numpy as np
-from hypothesis import example, given, settings, strategies as st
+import contextlib
+import io
+import json
+import math
 
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes
+
+from doubleforms import cli
 from doubleforms.exterior import AlgebraContext
 from doubleforms.forms import DoubleForm, contract, inner, kn_product, metric_power, metric_product, star
 from doubleforms.random_tensors import random_bianchi_22
@@ -120,3 +128,51 @@ def test_contraction_is_adjoint_to_the_metric_product(data, n, seed):
     a, b = _form(rng, ctx, p, q), _form(rng, ctx, p + 1, q + 1)
     gap = inner(metric_product(1, a), b) - inner(a, contract(b))
     assert abs(gap) <= 1e-12 * a.norm() * b.norm()
+
+
+#: both zeros, subnormals, integral floats and the largest finite float
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -1e-310, 2.2250738585072014e-308, 1.0, -2.0, 3.0, 1e16, 0.1,
+               1.7976931348623157e308]
+json_floats = st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def float_arrays(draw):
+    """1-D and 2-D float64 arrays, every entry drawn on its own."""
+    shape = draw(array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=6))
+    flat = draw(st.lists(json_floats, min_size=math.prod(shape), max_size=math.prod(shape)))
+    return np.array(flat, dtype=np.float64).reshape(shape)
+
+
+documents = st.recursive(
+    float_arrays() | st.one_of(json_floats, st.integers(), st.booleans(), st.none(), st.text(max_size=3)),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=12)
+
+
+def _stdlib(doc):
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False, default=np.ndarray.tolist)
+
+
+@fixed
+# 0.0 and -0.0 in one array: distinct values are keyed on their bits
+@example(array=np.array([[0.0, -0.0], [-0.0, 5e-324]]), doc=[np.array([2.0, 0.0, 2.0])])
+@example(array=np.zeros((2, 0)), doc=[np.zeros(0), {}, [], {"a": [1, 2.0, None]}])
+@given(array=float_arrays(), doc=documents)
+def test_streamed_json_is_the_stdlib_encoding(array, doc):
+    document = {"matrix": array, "rest": doc}
+    assert cli._dumps(document) == _stdlib(document)
+
+
+@fixed
+@given(doc=documents, bad=st.sampled_from([np.inf, -np.inf, np.nan]), data=st.data())
+def test_streamed_json_rejects_non_finite_numbers_before_writing(doc, bad, data):
+    array = data.draw(float_arrays().filter(lambda a: a.size > 0), label="array")
+    array.flat[data.draw(st.integers(0, array.size - 1), label="at")] = bad
+    spoiled = data.draw(st.sampled_from([bad, [1.0, bad], array, [1.0, array]]), label="spoiled")
+    # "a" sorts first, so a writer that checked numbers as it wrote them
+    # would already have written the finite document when it met the bad one
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(ValueError, match="not JSON compliant"):
+        cli._emit({"a": doc, "b": spoiled}, True, [])
+    assert out.getvalue() == ""

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from doubleforms.exterior import AlgebraContext
+from doubleforms.exterior import AlgebraContext, subsets
 from doubleforms.forms import (
     CurvatureTensor,
     DoubleForm,
@@ -189,6 +189,48 @@ def test_save_general_form_fields(tmp_path):
     assert doc["p"] == 3 and doc["q"] == 3 and doc["n"] == 5
     with pytest.raises(ValueError):
         load_tensor(path)  # not a (2,2) tensor
+
+
+#: -0.0 is zero and never written; 5e-324 and 1e-310 are subnormal
+EDGE_VALUES = np.array([0.0, -0.0, 5e-324, -1e-310, 1.0, 2.0, -3.0, 1e16, 0.1, -1.7976931348623157e308])
+
+
+def _stdlib_save(form, path):
+    """save_form as one dict per nonzero coefficient and one json.dump."""
+    n = form.ctx.n
+    entries = [{"ij": list(I), "kl": list(J), "value": float(form.coeffs[a, b])}
+               for a, I in enumerate(subsets(n, form.p))
+               for b, J in enumerate(subsets(n, form.q))
+               if form.coeffs[a, b] != 0.0]
+    with open(path, "w") as fh:
+        json.dump({"n": n, "p": form.p, "q": form.q, "entries": entries}, fh, indent=2, allow_nan=False)
+        fh.write("\n")
+
+
+@pytest.mark.parametrize("fill", ["zero", "edge", "gaussian"])
+@pytest.mark.parametrize("n, p, q", [(1, 0, 0), (4, 0, 0), (4, 2, 0), (4, 0, 3), (1, 1, 1),
+                                     (5, 2, 2), (5, 3, 1), (6, 3, 3), (4, 4, 4)])
+def test_save_form_is_the_stdlib_encoding(tmp_path, n, p, q, fill):
+    ctx = AlgebraContext(n)
+    shape = (ctx.dim(p), ctx.dim(q))
+    rng = np.random.default_rng(n * 100 + p * 10 + q)
+    coeffs = {"zero": np.zeros(shape),
+              "edge": EDGE_VALUES[rng.integers(0, len(EDGE_VALUES), shape)],
+              "gaussian": rng.standard_normal(shape)}[fill]
+    form = DoubleForm(p, q, coeffs, ctx)
+    save_form(form, tmp_path / "got.json")
+    _stdlib_save(form, tmp_path / "want.json")
+    assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_save_form_rejects_non_finite_before_writing(tmp_path, value):
+    coeffs = np.eye(6)
+    coeffs[4, 1] = value
+    path = tmp_path / "bad.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        save_form(DoubleForm(2, 2, coeffs, AlgebraContext(4)), path)
+    assert not path.exists()
 
 
 def test_single_entry_sets_symmetric_images(tmp_path):

@@ -340,7 +340,7 @@ def test_cli_pcurvature(tensor_file, capsys):
 
 
 def _stdlib_dumps(doc):
-    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False, default=np.ndarray.tolist)
 
 
 @pytest.mark.parametrize("argv", [
@@ -398,12 +398,18 @@ def test_cli_rejects_non_finite_values(tmp_path, capsys, value):
     assert "entries[0].value: non-finite" in captured.err
 
 
-def test_cli_overflow_is_an_error_not_invalid_json(tmp_path, capsys):
+@pytest.mark.parametrize("value", [1e308, 1e200], ids=["1e308", "1e200"])
+@pytest.mark.parametrize("argv", [["decompose"], ["weitzenboeck", "--p", "2"], ["pcurvature", "--p", "1"]],
+                         ids=["decompose", "weitzenboeck", "pcurvature"])
+def test_cli_overflow_is_an_error_not_invalid_json(tmp_path, capsys, argv, value):
+    # at 1e200 the weitzenboeck and pcurvature matrices stay finite (largest
+    # entry 2e+200) and the first non-finite number is the norm, which sorts
+    # after "matrix": a writer that checked numbers as it went would fail late
     path = tmp_path / "huge.json"
-    path.write_text(json.dumps({"n": 4, "entries": [{"ij": [1, 2], "kl": [1, 2], "value": 1e308},
-                                                    {"ij": [1, 3], "kl": [1, 3], "value": 1e308}]}))
+    path.write_text(json.dumps({"n": 4, "entries": [{"ij": [1, 2], "kl": [1, 2], "value": value},
+                                                    {"ij": [1, 3], "kl": [1, 3], "value": value}]}))
     with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["decompose", "--input", str(path), "--json"]) == 2
+        assert main([*argv, "--input", str(path), "--json"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "not JSON compliant" in captured.err

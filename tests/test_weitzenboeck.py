@@ -214,6 +214,17 @@ def test_closed_forms_at_dimension_twelve_within_budget(tmp_path):
         assert len(json.loads(out.read_text())["matrix"]) == comb(12, 6)
 
 
+def test_weitzenboeck_json_at_dimension_twelve_streams_its_matrix(tmp_path):
+    # the 924 x 924 matrix is written a row at a time, so the peak is the
+    # computation's (about 60 MB), not that of the whole text (120 MB)
+    path = tmp_path / "n12.json"
+    save_form(random_bianchi_22(12, AlgebraContext(12)), path)
+    code, rss_mb = run_cli_measured(["weitzenboeck", "--input", str(path), "--p", "6", "--json"],
+                                    tmp_path / "out.json")
+    assert code == 0
+    assert rss_mb <= 80
+
+
 # -- closed form ----------------------------------------------------------------
 
 
