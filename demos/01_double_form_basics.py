@@ -49,7 +49,7 @@ print("*(g^n/n!) =", df.star(df.metric_power(4, ctx) / 24).scalar(), "(volume pa
 print("\n== the first Bianchi identity ==")
 # Squares h.h of symmetric (1,1) forms satisfy the identity; the form
 # supported on the single pair (e1^e2, e3^e4) famously does not.
-h = df.random_symmetric_11(1, ctx)
+h = df.random_form(1, 1, 1, ctx, symmetric=True)
 hh = df.kn_product(h, h)
 print("residual of h.h:", df.bianchi_residual(hh))
 bad = np.zeros((6, 6))

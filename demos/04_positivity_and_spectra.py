@@ -19,8 +19,7 @@ w = df.positive_operator_perturbation(7, ctx, margin=0.5)
 op_eigs = df.jacobi_eigenvalues(w.form.coeffs)
 print(f"curvature operator eigenvalues in [{op_eigs[0]:.3f}, {op_eigs[-1]:.3f}]")
 for p in range(2, n - 1):
-    rep = df.spectrum(df.operator_matrix(df.np_definition(w, p)),
-                      sample_planes=60, seed=0)
+    rep = df.spectrum(df.np_definition(w, p), sample_planes=60, seed=0)
     print(f"  p={p}: min eigenvalue {rep.min_eigenvalue:.4f}, "
           f"min sampled sectional {rep.min_sampled_sectional:.4f}")
 scal = df.contract_iter(w.form, 2).scalar()
@@ -36,7 +35,7 @@ for scale in np.linspace(0.5, 4.0, 36):
     cand = df.CurvatureTensor(
         (df.constant_curvature(1.0, ctx).form
          + scale / weyl.form.norm() * weyl.form).symmetrized())
-    rep = df.spectrum(df.operator_matrix(cand.form), sample_planes=300, seed=1)
+    rep = df.spectrum(cand.form, sample_planes=300, seed=1)
     if rep.min_eigenvalue < 0 < rep.min_sampled_sectional:
         found = (scale, rep)
         break

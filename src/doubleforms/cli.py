@@ -218,7 +218,7 @@ def _cmd_weitzenboeck(args) -> int:
 def _cmd_spectrum(args) -> int:
     tensor = _load(args)
     form = wz.np_definition(tensor, args.p)
-    report = wz.spectrum(wz.operator_matrix(form), sample_planes=args.samples, seed=args.seed)
+    report = wz.spectrum(form, sample_planes=args.samples, seed=args.seed)
     doc = {
         "n": tensor.n,
         "p": args.p,

@@ -30,9 +30,7 @@ __all__ = [
     "from_vector",
     "clifford_mul",
     "interior",
-    "wedge_generator",
     "ad",
-    "dot",
 ]
 
 
@@ -55,16 +53,6 @@ class CliffordElement:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.coeffs))
-
-    def degree_component(self, k: int) -> "CliffordElement":
-        """Restriction to coefficients of size-k subsets."""
-        mask = _popcounts(self.ctx.n) == k
-        return CliffordElement(np.where(mask, self.coeffs, 0.0), self.ctx)
-
-    def degrees(self) -> set[int]:
-        """Subset sizes carrying a nonzero coefficient."""
-        pops = _popcounts(self.ctx.n)
-        return {int(k) for k in np.unique(pops[self.coeffs != 0.0])}
 
     def _check_same(self, other: "CliffordElement") -> None:
         if self.ctx != other.ctx:
@@ -94,13 +82,6 @@ class CliffordElement:
 
 
 @lru_cache(maxsize=None)
-def _popcounts(n: int) -> np.ndarray:
-    out = np.array([bin(s).count("1") for s in range(2 ** n)], dtype=np.int64)
-    out.setflags(write=False)
-    return out
-
-
-@lru_cache(maxsize=None)
 def _lower_parity(n: int, i: int) -> np.ndarray:
     """(-1)**(number of generators below i present in each subset)."""
     lower = (1 << (i - 1)) - 1
@@ -108,21 +89,6 @@ def _lower_parity(n: int, i: int) -> np.ndarray:
     out = np.where(counts % 2 == 0, 1.0, -1.0)
     out.setflags(write=False)
     return out
-
-
-@lru_cache(maxsize=None)
-def _generator_table(n: int, i: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gather index and source sign for left multiplication by e_i."""
-    bit = 1 << (i - 1)
-    size = 2 ** n
-    idx = np.arange(size) ^ bit
-    parity = _lower_parity(n, i)
-    has_bit = (np.arange(size) & bit) != 0
-    # e_i . e_S lands on S xor {i}; an extra -1 appears when i was in S.
-    sign_src = np.where(has_bit, -parity, parity)
-    idx.setflags(write=False)
-    sign_src.setflags(write=False)
-    return idx, sign_src
 
 
 @lru_cache(maxsize=None)
@@ -194,19 +160,6 @@ def clifford_mul(a: CliffordElement, b: CliffordElement) -> CliffordElement:
     return CliffordElement(out, a.ctx)
 
 
-def wedge_generator(i: int, a: CliffordElement) -> CliffordElement:
-    """Exterior multiplication e_i ^ a."""
-    n = a.ctx.n
-    bit = 1 << (i - 1)
-    size = 2 ** n
-    parity = _lower_parity(n, i)
-    has_bit = (np.arange(size) & bit) != 0
-    out = np.zeros(size)
-    src = np.arange(size) ^ bit
-    out[has_bit] = (parity[src] * a.coeffs[src])[has_bit]
-    return CliffordElement(out, a.ctx)
-
-
 def interior(i: int, a: CliffordElement) -> CliffordElement:
     """Interior product i_{e_i}, the adjoint of wedging with e_i."""
     n = a.ctx.n
@@ -223,9 +176,3 @@ def interior(i: int, a: CliffordElement) -> CliffordElement:
 def ad(phi: CliffordElement, psi: CliffordElement) -> CliffordElement:
     """Commutator [phi, psi] = phi.psi - psi.phi."""
     return clifford_mul(phi, psi) - clifford_mul(psi, phi)
-
-
-def dot(a: CliffordElement, b: CliffordElement) -> float:
-    """Frobenius pairing on the subset basis (each basis subset has norm 1)."""
-    a._check_same(b)
-    return float(np.dot(a.coeffs, b.coeffs))

@@ -21,7 +21,6 @@ from .forms import CurvatureTensor, DoubleForm, _member_table, metric_power, met
 from .forms import kn_product  # noqa: F401  not called here; bench/tracing.py counts it in this module
 
 __all__ = [
-    "random_symmetric_11",
     "random_form",
     "bianchi_from_squares",
     "random_bianchi_22",
@@ -30,11 +29,6 @@ __all__ = [
     "weyl_part_tensor",
     "positive_operator_perturbation",
 ]
-
-
-def random_symmetric_11(seed, ctx: AlgebraContext) -> DoubleForm:
-    """Symmetrized Gaussian (1,1) form; identical seeds give identical forms."""
-    return random_form(seed, 1, 1, ctx, symmetric=True)
 
 
 def random_form(seed, p: int, q: int, ctx: AlgebraContext, *, symmetric: bool = False) -> DoubleForm:

@@ -48,7 +48,6 @@ from .forms import (
 __all__ = [
     "FormulaRangeError",
     "KulkarniComponents",
-    "OperatorMatrix",
     "SpectrumReport",
     "np_definition",
     "np_formula",
@@ -60,7 +59,6 @@ __all__ = [
     "einstein_tensor",
     "p_curvature_form",
     "np_midpoint_formula",
-    "operator_matrix",
     "jacobi_eigenvalues",
     "spectrum",
 ]
@@ -308,38 +306,6 @@ def np_midpoint_formula(omega, p: int) -> tuple[DoubleForm, DoubleForm]:
 # -- operators, spectra, sampled sectional curvature -----------------------
 
 
-@dataclass(frozen=True, eq=False)
-class OperatorMatrix:
-    """A symmetric (p,p) form viewed as a self-adjoint operator on p-vectors.
-
-    The standard basis is orthonormal for the natural scalar product, so
-    the operator matrix is just the coefficient matrix.
-    """
-
-    p: int
-    matrix: np.ndarray
-    ctx: AlgebraContext
-
-    def __post_init__(self) -> None:
-        mat = np.asarray(self.matrix, dtype=float)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"operator matrix must be square, got {mat.shape}")
-        scale = max(float(np.linalg.norm(mat)), 1.0)
-        skew = float(np.max(np.abs(mat - mat.T), initial=0.0))
-        if skew > 1e-12 * scale:
-            raise ValueError(f"operator matrix not symmetric: max skew {skew:.3e}")
-        mat = (mat + mat.T) / 2.0
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
-
-
-def operator_matrix(w_pp: DoubleForm) -> OperatorMatrix:
-    """Self-adjoint operator of a symmetric (p,p) form."""
-    if w_pp.p != w_pp.q:
-        raise ValueError(f"expected a (p,p) form, got {w_pp.degree}")
-    return OperatorMatrix(p=w_pp.p, matrix=w_pp.coeffs, ctx=w_pp.ctx)
-
-
 def jacobi_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a symmetric matrix.
 
@@ -384,16 +350,30 @@ def sample_frames(rng: np.random.Generator, n: int, p: int, count: int) -> np.nd
     return np.array([sample_plane(rng, n, p) for _ in range(count)]).reshape(count, n, p)
 
 
-def spectrum(M: OperatorMatrix, sample_planes: int = 100, seed: int = 0) -> SpectrumReport:
-    """Full spectrum (LAPACK, via jacobi_eigenvalues) and sampled sectional values.
+def spectrum(w_pp: DoubleForm, sample_planes: int = 100, seed: int = 0) -> SpectrumReport:
+    """Full spectrum (LAPACK, via jacobi_eigenvalues) and sampled sectional
+    values of a symmetric (p,p) form, as a self-adjoint operator on p-vectors.
 
-    The samples are forms.plane_values on sample_frames(default_rng(seed)),
-    the path of the sectional command.  They are Rayleigh quotients of the
+    The standard basis is orthonormal, so the operator matrix is the
+    coefficient matrix.  It must be symmetric up to 1e-12 of its norm, and
+    finite once symmetrized (entries past 8.9e307 overflow there).  The
+    samples are forms.plane_values on sample_frames(default_rng(seed)), the
+    path of the sectional command.  They are Rayleigh quotients of the
     operator matrix, so the smallest eigenvalue never exceeds their minimum.
     """
-    eigs = jacobi_eigenvalues(M.matrix)
-    frames = sample_frames(np.random.default_rng(seed), M.ctx.n, M.p, sample_planes)
-    sampled = plane_values(M.matrix, frames, M.ctx)
+    if w_pp.p != w_pp.q:
+        raise ValueError(f"expected a (p,p) form, got {w_pp.degree}")
+    mat = w_pp.coeffs
+    scale = max(float(np.linalg.norm(mat)), 1.0)
+    skew = float(np.max(np.abs(mat - mat.T), initial=0.0))
+    if skew > 1e-12 * scale:
+        raise ValueError(f"operator matrix not symmetric: max skew {skew:.3e}")
+    mat = (mat + mat.T) / 2.0
+    if not np.isfinite(mat).all():
+        raise ValueError(f"the order-{w_pp.p} operator has non-finite entries")
+    eigs = jacobi_eigenvalues(mat)
+    frames = sample_frames(np.random.default_rng(seed), w_pp.ctx.n, w_pp.p, sample_planes)
+    sampled = plane_values(mat, frames, w_pp.ctx)
     return SpectrumReport(
         eigenvalues=eigs,
         min_eigenvalue=float(eigs[0]) if eigs.size else 0.0,

@@ -209,17 +209,52 @@ def dense_square_sum(factors):
     return (total + total.T) / 2.0
 
 
+def _below(n: int, i: int) -> np.ndarray:
+    """Number of generators below e_i present in each subset mask, by bin()."""
+    return np.array([bin(s & ((1 << (i - 1)) - 1)).count("1") for s in range(2 ** n)])
+
+
+@lru_cache(maxsize=None)
+def generator_table(n: int, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gather index and source sign for left multiplication by e_i:
+    e_i . e_S lands on S xor {i}, with (-1)^(members of S below i) and an
+    extra -1 when i was in S."""
+    bit = 1 << (i - 1)
+    idx = np.arange(2 ** n) ^ bit
+    has_bit = (np.arange(2 ** n) & bit) != 0
+    sign_src = np.where(has_bit, -1.0, 1.0) * (-1.0) ** _below(n, i)
+    idx.setflags(write=False)
+    sign_src.setflags(write=False)
+    return idx, sign_src
+
+
 def loop_clifford_mul(a: cl.CliffordElement, b: cl.CliffordElement) -> np.ndarray:
     """The Clifford product by iterated left multiplication with single
     generators, e_S . b = e_{s_1} . (... (e_{s_k} . b)), one gather of
-    clifford._generator_table per generator; coefficient vector only."""
+    generator_table per generator; coefficient vector only."""
     n = a.ctx.n
     out = np.zeros(2 ** n)
     for mask in np.nonzero(a.coeffs)[0]:
         vec = b.coeffs
         for i in range(n, 0, -1):
             if int(mask) & (1 << (i - 1)):
-                idx, sign_src = cl._generator_table(n, i)
+                idx, sign_src = generator_table(n, i)
                 vec = sign_src[idx] * vec[idx]
         out += a.coeffs[mask] * vec
     return out
+
+
+def wedge_generator(i: int, a: cl.CliffordElement) -> np.ndarray:
+    """Exterior multiplication e_i ^ a: e_i ^ e_S = (-1)^(members of S below i)
+    e_{S + {i}} when i is not in S, else 0; coefficient vector only."""
+    bit = 1 << (i - 1)
+    out = np.zeros(2 ** a.ctx.n)
+    free = (np.arange(2 ** a.ctx.n) & bit) == 0
+    out[np.nonzero(free)[0] | bit] = ((-1.0) ** _below(a.ctx.n, i) * a.coeffs)[free]
+    return out
+
+
+def grade(a: cl.CliffordElement, k: int) -> cl.CliffordElement:
+    """The grade-k part of a: its coefficients on the k-subsets."""
+    sizes = np.array([bin(s).count("1") for s in range(2 ** a.ctx.n)])
+    return cl.CliffordElement(np.where(sizes == k, a.coeffs, 0.0), a.ctx)

@@ -13,14 +13,12 @@ from doubleforms.clifford import (
     basis_element,
     basis_vector,
     clifford_mul,
-    dot,
     from_vector,
     interior,
-    wedge_generator,
     zero_element,
 )
 from doubleforms import clifford
-from oracles import loop_clifford_mul, perm_sign
+from oracles import grade, loop_clifford_mul, perm_sign, wedge_generator
 
 
 def rand_element(seed, n):
@@ -63,12 +61,12 @@ def test_vector_product_formula():
     prod = clifford_mul(from_vector(ctx, u), from_vector(ctx, v))
     scalar = prod.coeffs[0]
     assert scalar == pytest.approx(-float(u @ v), rel=1e-13)
-    wedge = prod.degree_component(2)
+    wedge = grade(prod, 2)
     for (i, j) in subsets(n, 2):
         mask = (1 << (i - 1)) | (1 << (j - 1))
         want = u[i - 1] * v[j - 1] - u[j - 1] * v[i - 1]
         assert wedge.coeffs[mask] == pytest.approx(want, rel=1e-13, abs=1e-15)
-    assert prod.degrees() <= {0, 2}
+    assert (prod - grade(prod, 0) - wedge).norm() == 0.0
 
 
 def test_associativity_random():
@@ -131,20 +129,22 @@ def test_interior_is_adjoint_of_wedge():
     for i in (1, 3, 5):
         a = rand_element(20 + i, n)
         b = rand_element(30 + i, n)
-        assert dot(wedge_generator(i, a), b) == pytest.approx(dot(a, interior(i, b)), rel=1e-12)
+        want = float(a.coeffs @ interior(i, b).coeffs)
+        assert float(wedge_generator(i, a) @ b.coeffs) == pytest.approx(want, rel=1e-12)
 
 
 def test_wedge_generator_matches_basis_signs():
+    # the oracle behind the adjointness test, against exterior.wedge_basis
     ctx = AlgebraContext(4)
     for I in subsets(4, 2):
         for m in range(1, 5):
             got = wedge_generator(m, basis_element(ctx, I))
             merged = wedge_basis((m,), I)
             if merged is None:
-                assert got.norm() == 0.0
+                assert not got.any()
             else:
                 sign, K = merged
-                assert np.array_equal(got.coeffs, sign * basis_element(ctx, K).coeffs)
+                assert np.array_equal(got, sign * basis_element(ctx, K).coeffs)
 
 
 def test_ad_frozen_examples():
@@ -184,22 +184,14 @@ def test_ad_preserves_degree():
         phi_coeffs[(1 << (i - 1)) | (1 << (j - 1))] = rng.standard_normal()
     phi = CliffordElement(phi_coeffs, ctx)
     for p in (0, 1, 2, 3):
-        psi = rand_element(40 + p, n).degree_component(p)
+        psi = grade(rand_element(40 + p, n), p)
         out = ad(phi, psi)
-        off_grade = out - out.degree_component(p)
+        off_grade = out - grade(out, p)
         assert off_grade.norm() <= 1e-13 * max(phi.norm() * psi.norm(), 1.0)
     for (i, j) in ((1, 2), (2, 5)):
         basis_phi = clifford_mul(basis_vector(ctx, i), basis_vector(ctx, j))
-        psi = rand_element(44, n).degree_component(2)
-        assert ad(basis_phi, psi).degrees() <= {2}
-
-
-def test_degree_component_partitions():
-    a = rand_element(50, 4)
-    total = np.zeros(16)
-    for k in range(5):
-        total += a.degree_component(k).coeffs
-    assert np.array_equal(total, a.coeffs)
+        out = ad(basis_phi, grade(rand_element(44, n), 2))
+        assert (out - grade(out, 2)).norm() == 0.0
 
 
 def test_context_mismatch():

@@ -1,11 +1,14 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, or exports one
+it does not define.
 
 pyflakes and ruff are not dependencies of the project, so the check reads
 each module's syntax tree: every imported name must be read somewhere in
-the module or listed in its __all__.
+the module or listed in its __all__, and every name in __all__ must exist
+once the module is imported.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -52,3 +55,12 @@ def test_allowed_imports_are_not_stale():
     for module, name in ALLOWED:
         tree = ast.parse((PACKAGE / f"{module}.py").read_text())
         assert name in _imported(tree) and name not in _read(tree), (module, name)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_every_exported_name_exists(path):
+    # a name left in __all__ after its definition is gone breaks `import *`
+    name = PACKAGE.name if path.stem == "__init__" else f"{PACKAGE.name}.{path.stem}"
+    module = importlib.import_module(name)
+    missing = [n for n in _exported(ast.parse(path.read_text())) if not hasattr(module, n)]
+    assert not missing, f"{path.name} exports undefined names: {sorted(missing)}"

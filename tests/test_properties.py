@@ -11,14 +11,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes
 
 from doubleforms import cli
-from doubleforms.exterior import AlgebraContext
-from doubleforms.forms import DoubleForm, contract, inner, kn_product, metric_power, metric_product, star
-from doubleforms.random_tensors import random_bianchi_22
-from oracles import dense_kn_product, dense_square_sum, drawn_factors
+from doubleforms.exterior import MAX_DIMENSION, AlgebraContext, rank_index, unrank_index
+from doubleforms.forms import (
+    DoubleForm, bianchi_map, contract, inner, kn_product, metric, metric_power, metric_product, star,
+)
+from doubleforms.random_tensors import random_bianchi_22, random_form
+from doubleforms.weitzenboeck import np_definition
+from oracles import dense_definition, dense_kn_product, dense_square_sum, drawn_factors, enumeration_rank
 
 fixed = settings(derandomize=True, database=None, deadline=None, max_examples=25)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -128,6 +131,66 @@ def test_contraction_is_adjoint_to_the_metric_product(data, n, seed):
     a, b = _form(rng, ctx, p, q), _form(rng, ctx, p + 1, q + 1)
     gap = inner(metric_product(1, a), b) - inner(a, contract(b))
     assert abs(gap) <= 1e-12 * a.norm() * b.norm()
+
+
+@fixed
+@given(data=st.data(), n=st.integers(1, 7), seed=seeds)
+def test_definition_is_the_dense_commutator_sum(data, n, seed):
+    p = data.draw(st.integers(0, n), label="p")
+    ctx = AlgebraContext(n)
+    w = random_form(seed, 2, 2, ctx, symmetric=True)
+    got, want = np_definition(w, p).coeffs, dense_definition(w, p)
+    assert got.shape == want.shape
+    assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
+@fixed
+@given(data=st.data(), n=st.integers(1, MAX_DIMENSION))
+def test_rank_and_unrank_are_inverse(data, n):
+    ctx = AlgebraContext(n)
+    I = tuple(sorted(data.draw(st.sets(st.integers(1, n), max_size=n), label="I")))
+    r = rank_index(I, ctx)
+    assert r == enumeration_rank(I, n)
+    assert unrank_index(r, len(I), ctx) == I
+    p = data.draw(st.integers(0, n), label="p")
+    r = data.draw(st.integers(0, math.comb(n, p) - 1), label="r")
+    assert rank_index(unrank_index(r, p, ctx), ctx) == r
+
+
+#: first degree of each _bianchi_factor kind
+ROW_DEGREE = {"h": 1, "g": 1, "R": 2, "a": 1}
+
+
+def _bianchi_factor(kind, rng, ctx):
+    """A form the first Bianchi map kills: a symmetric (1,1) form, the metric,
+    an algebraic curvature tensor, or a (1,0) form (b is zero on (p,0))."""
+    if kind == "h":
+        return random_form(rng, 1, 1, ctx, symmetric=True)
+    if kind == "g":
+        return metric(ctx)
+    if kind == "R":
+        return random_bianchi_22(rng, ctx).form
+    return random_form(rng, 1, 0, ctx)
+
+
+@fixed
+@given(data=st.data(), n=st.integers(3, 7), seed=seeds)
+def test_bianchi_map_kills_products_of_bianchi_forms(data, n, seed):
+    ctx = AlgebraContext(n)
+    rng = np.random.default_rng(seed)
+    kinds = []  # 2 to 4 factors with product degree below n, so that b(product) has entries
+    while len(kinds) < 4:
+        room = n - 1 - sum(ROW_DEGREE[kind] for kind in kinds)
+        fitting = [kind for kind in "hgRa" if ROW_DEGREE[kind] <= room]
+        if not fitting or len(kinds) >= 2 and data.draw(st.booleans(), label="stop"):
+            break
+        kinds.append(data.draw(st.sampled_from(fitting), label=f"kind{len(kinds) + 1}"))
+    assume(set(kinds) != {"a"})  # b needs a second slot, which (1,0) factors alone lack
+    factors = [_bianchi_factor(kind, rng, ctx) for kind in kinds]
+    product, scale = factors[0], factors[0].norm()
+    for f in factors[1:]:
+        product, scale = kn_product(product, f), scale * f.norm()
+    assert np.max(np.abs(bianchi_map(product).coeffs), initial=0.0) <= 1e-13 * scale
 
 
 #: both zeros, subnormals, integral floats and the largest finite float

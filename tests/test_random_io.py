@@ -24,7 +24,6 @@ from doubleforms.random_tensors import (
     positive_operator_perturbation,
     random_bianchi_22,
     random_form,
-    random_symmetric_11,
     weyl_part_tensor,
 )
 from doubleforms.tensorio import bianchi_projector, load_tensor, project_bianchi, save_form
@@ -34,9 +33,9 @@ from oracles import dense_square_sum, drawn_factors
 
 def test_random_symmetric_determinism_and_symmetry():
     ctx = AlgebraContext(5)
-    a = random_symmetric_11(123, ctx)
-    b = random_symmetric_11(123, ctx)
-    c = random_symmetric_11(124, ctx)
+    a = random_form(123, 1, 1, ctx, symmetric=True)
+    b = random_form(123, 1, 1, ctx, symmetric=True)
+    c = random_form(124, 1, 1, ctx, symmetric=True)
     assert np.array_equal(a.coeffs, b.coeffs)
     assert not np.array_equal(a.coeffs, c.coeffs)
     assert a.is_symmetric()
@@ -45,7 +44,7 @@ def test_random_symmetric_determinism_and_symmetry():
 def test_random_symmetric_entry_scale():
     # loose Monte Carlo sanity on the entry magnitude
     ctx = AlgebraContext(4)
-    mags = [float(np.mean(np.abs(random_symmetric_11(s, ctx).coeffs))) for s in range(200)]
+    mags = [float(np.mean(np.abs(random_form(s, 1, 1, ctx, symmetric=True).coeffs))) for s in range(200)]
     assert 0.3 <= float(np.mean(mags)) <= 1.2
 
 
@@ -122,10 +121,10 @@ def test_random_bianchi_consumes_terms_square_normals(n, terms):
 
 def test_bianchi_from_squares_rejects_bad_factors():
     ctx = AlgebraContext(4)
-    h = random_symmetric_11(0, ctx)
+    h = random_form(0, 1, 1, ctx, symmetric=True)
     skew = DoubleForm(1, 1, np.triu(np.ones((4, 4))), ctx)
     for factors, message in (([], "at least one"),
-                             ([h, random_symmetric_11(0, AlgebraContext(5))], "context mismatch"),
+                             ([h, random_form(0, 1, 1, AlgebraContext(5), symmetric=True)], "context mismatch"),
                              ([h, skew], r"symmetric \(1,1\)"),
                              ([h, random_form(0, 2, 2, ctx, symmetric=True)], r"symmetric \(1,1\)")):
         with pytest.raises(ValueError, match=message):

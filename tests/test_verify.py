@@ -327,7 +327,7 @@ def test_cli_sectional_values_are_the_spectrum_samples(tensor_file, capsys):
     args = ["--input", tensor_file, "--p", "2", "--samples", "60", "--seed", "4", "--json"]
     assert main(["sectional", *args]) == 0
     doc = json.loads(capsys.readouterr().out)
-    op = wz.operator_matrix(wz.np_definition(load_tensor(tensor_file), 2))
+    op = wz.np_definition(load_tensor(tensor_file), 2)
     assert doc["values"] == wz.spectrum(op, sample_planes=60, seed=4).sampled_values.tolist()
     assert main(["spectrum", *args]) == 0
     assert json.loads(capsys.readouterr().out)["min_sampled_sectional"] == doc["min"]
@@ -413,6 +413,20 @@ def test_cli_overflow_is_an_error_not_invalid_json(tmp_path, capsys, argv, value
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "not JSON compliant" in captured.err
+
+
+@pytest.mark.parametrize("as_json", [True, False], ids=["json", "text"])
+def test_cli_spectrum_names_an_overflowing_operator(tmp_path, capsys, as_json):
+    # the order-2 operator of two 1e308 diagonal entries holds inf and NaN;
+    # LAPACK would report only that its eigenvalues did not converge
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": 4, "entries": [{"ij": [1, 2], "kl": [1, 2], "value": 1e308},
+                                                    {"ij": [1, 3], "kl": [1, 3], "value": 1e308}]}))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["spectrum", "--input", str(path), "--p", "2"] + ["--json"] * as_json) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: the order-2 operator has non-finite entries" in captured.err
 
 
 def test_cli_small_tensor_uses_one_bianchi_rule(tmp_path, capsys):

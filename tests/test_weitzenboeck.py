@@ -22,6 +22,7 @@ from doubleforms.forms import (
     metric,
     metric_power,
     orthonormalize,
+    plane_values,
     sectional,
     star,
 )
@@ -45,7 +46,6 @@ from doubleforms.weitzenboeck import (
     np_formula,
     np_midpoint_formula,
     np_split,
-    operator_matrix,
     p_curvature_form,
     spectrum,
 )
@@ -128,7 +128,7 @@ def test_definition_is_frame_independent():
                     for b in range(len(pair_list)):
                         if A_rot[a, b] == 0.0:
                             continue
-                        total += A_rot[a, b] * cl.dot(ads[a, r], ads[b, s])
+                        total += A_rot[a, b] * float(ads[a, r].coeffs @ ads[b, s].coeffs)
                 got[r, s] = 0.25 * total
         want = np_definition(w, p)
         assert np.max(np.abs(got - want.coeffs)) <= 1e-10 * max(want.norm(), 1.0)
@@ -551,22 +551,54 @@ def test_midpoint_parity_and_range():
 # -- operators and spectra ---------------------------------------------------------
 
 
-def test_operator_matrix_identity_cases():
+def test_spectrum_identity_cases():
     ctx = AlgebraContext(5)
-    assert np.array_equal(operator_matrix(metric_power(2, ctx) / 2).matrix, np.eye(10))
-    zero = operator_matrix(0.0 * metric_power(2, ctx))
-    assert np.all(zero.matrix == 0.0)
-    w = constant_curvature(1.0, ctx)
-    op = operator_matrix(np_definition(w, 2))
-    assert np.allclose(op.matrix, 6.0 * np.eye(10))
+    unit = spectrum(metric_power(2, ctx) / 2, sample_planes=5, seed=0)
+    assert np.array_equal(unit.eigenvalues, np.ones(10))
+    assert np.allclose(unit.sampled_values, 1.0, rtol=1e-12)
+    zero = spectrum(0.0 * metric_power(2, ctx), sample_planes=5, seed=0)
+    assert np.all(zero.eigenvalues == 0.0) and np.all(zero.sampled_values == 0.0)
+    rep = spectrum(np_definition(constant_curvature(1.0, ctx), 2), sample_planes=5, seed=0)
+    assert np.allclose(rep.eigenvalues, 6.0)
 
 
-def test_operator_matrix_rejects_asymmetric():
+def test_spectrum_reads_the_coefficient_matrix():
+    # an exactly symmetric matrix survives the symmetrization bit for bit
+    for n, p in ((4, 0), (5, 2), (6, 3), (7, 7)):
+        N = np_definition(random_bianchi_22(n, AlgebraContext(n)), p)
+        rep = spectrum(N, sample_planes=8, seed=1)
+        assert np.array_equal(rep.eigenvalues, jacobi_eigenvalues(N.coeffs))
+        frames = wz.sample_frames(np.random.default_rng(1), n, p, 8)
+        assert np.array_equal(rep.sampled_values, plane_values(N.coeffs, frames, N.ctx))
+
+
+def test_spectrum_rejects_asymmetric():
     ctx = AlgebraContext(4)
     raw = np.zeros((6, 6))
     raw[0, 1] = 1.0
-    with pytest.raises(ValueError):
-        operator_matrix(DoubleForm(2, 2, raw, ctx))
+    with pytest.raises(ValueError, match="not symmetric"):
+        spectrum(DoubleForm(2, 2, raw, ctx))
+    # skew within 1e-12 of the norm is roundoff, and is symmetrized away;
+    # LAPACK reads the lower triangle, where the raw matrix has no entry
+    raw[0, 1] = 1e-13
+    raw += np.eye(6)
+    rep = spectrum(DoubleForm(2, 2, raw, ctx), sample_planes=1)
+    assert np.array_equal(rep.eigenvalues, eigh_eigenvalues((raw + raw.T) / 2))
+    assert rep.eigenvalues[0] < 1.0 < rep.eigenvalues[-1]
+    with pytest.raises(ValueError, match=r"expected a \(p,p\) form"):
+        spectrum(DoubleForm(1, 2, np.zeros((4, 6)), ctx))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 1e308])
+def test_spectrum_rejects_non_finite_operators(monkeypatch, bad):
+    # LAPACK never sees them: it fails on a NaN with "did not converge";
+    # 1e308 is finite, but the symmetrization's sum overflows
+    monkeypatch.setattr(wz, "jacobi_eigenvalues", lambda m: pytest.fail("LAPACK called"))
+    raw = np.eye(6)
+    raw[2, 2] = bad
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="the order-2 operator has non-finite entries"):
+        spectrum(DoubleForm(2, 2, raw, AlgebraContext(4)))
 
 
 def test_jacobi_against_lapack():
@@ -590,21 +622,21 @@ def test_spectrum_constant_curvature():
     ctx = AlgebraContext(5)
     w = constant_curvature(1.0, ctx)
     for p in (2, 3):
-        rep = spectrum(operator_matrix(np_definition(w, p)), sample_planes=10, seed=3)
+        rep = spectrum(np_definition(w, p), sample_planes=10, seed=3)
         assert np.allclose(rep.eigenvalues, p * (5 - p))
         assert rep.min_sampled_sectional == pytest.approx(p * (5 - p), rel=1e-12)
 
 
 def test_spectrum_zero_tensor():
     ctx = AlgebraContext(4)
-    rep = spectrum(operator_matrix(0.0 * metric_power(2, ctx)), sample_planes=5, seed=0)
+    rep = spectrum(0.0 * metric_power(2, ctx), sample_planes=5, seed=0)
     assert np.all(rep.eigenvalues == 0.0)
 
 
 def test_spectrum_rayleigh_bound_and_determinism():
     ctx = AlgebraContext(5)
     w = random_bianchi_22(80, ctx)
-    op = operator_matrix(np_definition(w, 2))
+    op = np_definition(w, 2)
     rep1 = spectrum(op, sample_planes=40, seed=9)
     rep2 = spectrum(op, sample_planes=40, seed=9)
     assert rep1.min_eigenvalue <= rep1.min_sampled_sectional + 1e-10
