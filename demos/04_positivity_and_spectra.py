@@ -15,7 +15,7 @@ n = 5
 ctx = df.AlgebraContext(n)
 
 print("== perturbed unit curvature keeps every operator positive ==")
-w = df.positive_operator_perturbation(7, ctx, margin=0.5)
+w = df.positive_operator_perturbation(7, ctx)
 op_eigs = df.jacobi_eigenvalues(w.form.coeffs)
 print(f"curvature operator eigenvalues in [{op_eigs[0]:.3f}, {op_eigs[-1]:.3f}]")
 for p in range(2, n - 1):
@@ -62,6 +62,7 @@ for p in range(0, n - 1):
 print("\n== mid-degree expression through p-curvature and Weyl ==")
 ctx6 = df.AlgebraContext(6)
 w6 = df.random_bianchi_22(11, ctx6)
-lhs, rhs = df.np_midpoint_formula(w6, 2)
+lhs = df.np_definition(w6, 4)
+rhs = df.np_midpoint_formula(w6, 2)
 print(f"  n=6, p=2: order-4 operator vs p-curvature/Weyl expression, "
       f"residual {(lhs - rhs).norm() / lhs.norm():.2e}")

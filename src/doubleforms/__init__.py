@@ -9,11 +9,9 @@ seeded suite that verifies every identity numerically.
 from .exterior import (
     AlgebraContext,
     MultiIndex,
-    complement,
     rank_index,
     subsets,
     unrank_index,
-    wedge_basis,
 )
 from .forms import (
     CurvatureTensor,
@@ -57,7 +55,6 @@ from .weitzenboeck import (
     spectrum,
 )
 from .random_tensors import (
-    bianchi_from_squares,
     conformally_flat,
     constant_curvature,
     positive_operator_perturbation,
@@ -73,11 +70,9 @@ __version__ = "0.1.0"
 __all__ = [
     "AlgebraContext",
     "MultiIndex",
-    "complement",
     "rank_index",
     "subsets",
     "unrank_index",
-    "wedge_basis",
     "CurvatureTensor",
     "DoubleForm",
     "bianchi_residual",
@@ -113,7 +108,6 @@ __all__ = [
     "np_split",
     "p_curvature_form",
     "spectrum",
-    "bianchi_from_squares",
     "conformally_flat",
     "constant_curvature",
     "positive_operator_perturbation",

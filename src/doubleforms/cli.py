@@ -9,8 +9,9 @@ With --json the computing commands print the bytes of json.dumps(doc,
 indent=2, sort_keys=True, allow_nan=False) and a newline, their float64
 arrays written as nested lists.  The text is streamed to stdout one matrix
 row at a time instead of being built whole; each array's distinct values
-are encoded once, and every number is encoded before the first byte is
-written, so a non-finite result exits 2 with nothing on stdout.
+are encoded once.  Every number of the document is encoded before the
+first byte is written, with or without --json, so a non-finite result
+exits 2 with nothing on stdout.
 """
 
 from __future__ import annotations
@@ -149,20 +150,16 @@ def _pieces(doc):
     return chain.from_iterable((piece,) if isinstance(piece, str) else piece for piece in plan)
 
 
-def _dumps(value) -> str:
-    """json.dumps(value, indent=2, sort_keys=True, allow_nan=False), with
-    float64 arrays encoded as the nested lists of their tolist()."""
-    return "".join(_pieces(value))
-
-
 def _emit(doc: dict, as_json: bool, lines) -> None:
     """Print doc as JSON or print lines.
 
-    The JSON goes to stdout in the pieces _pieces gives, a matrix row at a
-    time, and a non-finite number raises ValueError before any of them.
+    doc is planned (_pieces) in either case, so a non-finite number in it
+    raises ValueError before anything is written.  The JSON goes to stdout
+    in the pieces _pieces gives, a matrix row at a time.
     """
+    pieces = _pieces(doc)
     if as_json:
-        sys.stdout.writelines(_pieces(doc))
+        sys.stdout.writelines(pieces)
         sys.stdout.write("\n")
     else:
         for line in lines:
@@ -225,15 +222,15 @@ def _cmd_spectrum(args) -> int:
         "eigenvalues": report.eigenvalues,
         "min_eigenvalue": report.min_eigenvalue,
         "min_sampled_sectional": report.min_sampled_sectional,
-        "sample_count": report.sample_count,
-        "seed": report.seed,
+        "sample_count": args.samples,
+        "seed": args.seed,
     }
     lines = [
         f"spectrum of the order-{args.p} operator of {args.input}",
         f"  min eigenvalue        {report.min_eigenvalue:.12g}",
         f"  max eigenvalue        {report.eigenvalues[-1]:.12g}",
         f"  min sampled sectional {report.min_sampled_sectional:.12g} "
-        f"({report.sample_count} planes, seed {report.seed})",
+        f"({args.samples} planes, seed {args.seed})",
     ]
     _emit(doc, args.json, lines)
     return 0
@@ -289,17 +286,21 @@ def _cmd_sectional(args) -> int:
 def _cmd_pcurvature(args) -> int:
     tensor = _load(args)
     form = wz.p_curvature_form(tensor, args.p)
-    eigs = wz.jacobi_eigenvalues(form.coeffs)
+    norm = form.norm()
+    # a form with a non-finite entry has a non-finite norm: it fails here,
+    # as in the other commands, and never reaches spectrum
+    json.dumps(norm, allow_nan=False)
+    eigs = wz.spectrum(form, sample_planes=0).eigenvalues
     doc = {
         "n": tensor.n,
         "p": args.p,
-        "norm": form.norm(),
+        "norm": norm,
         "eigenvalues": eigs,
         "matrix": form.coeffs,
     }
     lines = [
         f"p-curvature form of {args.input} at p={args.p}",
-        f"  norm {form.norm():.12g}",
+        f"  norm {norm:.12g}",
         f"  eigenvalue range [{eigs[0]:.12g}, {eigs[-1]:.12g}]",
     ]
     _emit(doc, args.json, lines)

@@ -3,8 +3,8 @@
 Basis p-vectors e_I = e_{i_1} ^ ... ^ e_{i_p} are addressed by strictly
 increasing tuples of integers in [1, n], ordered lexicographically.  Every
 dense coefficient matrix in this package uses that ordering on both axes,
-so ranking, unranking and the sign bookkeeping for merges and Hodge
-complements are centralized here.
+so ranking, unranking and the sign bookkeeping for merges and
+insertions are centralized here.
 """
 
 from __future__ import annotations
@@ -82,22 +82,6 @@ def merge_sign(I: MultiIndex, J: MultiIndex) -> int:
     """Sign of sorting the concatenation (I, J); both halves already sorted."""
     inversions = sum(1 for i in I for j in J if i > j)
     return -1 if inversions % 2 else 1
-
-
-def wedge_basis(I, J) -> tuple[int, MultiIndex] | None:
-    """e_I ^ e_J as (sign, merged index), or None when I and J intersect."""
-    I, J = tuple(I), tuple(J)
-    if set(I) & set(J):
-        return None
-    return merge_sign(I, J), tuple(sorted(I + J))
-
-
-def complement(I, ctx: AlgebraContext) -> tuple[int, MultiIndex]:
-    """Hodge complement of I: sign and index with e_I ^ e_{I^c} = sign * e_{1..n}."""
-    I = validate_index(I, ctx)
-    chosen = set(I)
-    rest = tuple(i for i in range(1, ctx.n + 1) if i not in chosen)
-    return merge_sign(I, rest), rest
 
 
 def insertion_sign(m: int, I: MultiIndex) -> int | None:

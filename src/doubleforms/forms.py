@@ -448,13 +448,16 @@ def bianchi_map(w: DoubleForm) -> DoubleForm:
     out = np.zeros((ctx.dim(w.p + 1), ctx.dim(w.q - 1)))
     rows, removed = _removal_table(n, w.p + 1)
     lift, lift_sign = _lift_table(n, w.q - 1)
+    # where x_j lies in Y the lift rank is -1 and its sign 0: that gather
+    # reads the zero column, so a non-finite entry of w cannot reach it
+    padded = np.concatenate([w.coeffs, np.zeros((len(w.coeffs), 1))], axis=1)
     # one removal position at a time keeps each temporary C(n,p+1) x C(n,q-1)
     for j in range(w.p + 1):
         m = removed[:, j]
-        sign = lift_sign[:, m].T  # zero where x_j lies in Y, cancelling the -1 rank's gather
+        sign = lift_sign[:, m].T
         if j % 2 == 0:
             sign = -sign
-        out += sign * w.coeffs[rows[:, j, None], lift[:, m].T]
+        out += sign * padded[rows[:, j, None], lift[:, m].T]
     return DoubleForm(w.p + 1, w.q - 1, out, ctx)
 
 

@@ -22,7 +22,6 @@ from .forms import kn_product  # noqa: F401  not called here; bench/tracing.py c
 
 __all__ = [
     "random_form",
-    "bianchi_from_squares",
     "random_bianchi_22",
     "constant_curvature",
     "conformally_flat",
@@ -60,31 +59,14 @@ def _sum_of_squares(H: np.ndarray, ctx: AlgebraContext) -> CurvatureTensor:
     return CurvatureTensor(DoubleForm(2, 2, (out + out.T) / 2.0, ctx))
 
 
-def bianchi_from_squares(forms) -> CurvatureTensor:
-    """Sum of exterior squares h.h of symmetric (1,1) forms."""
-    forms = list(forms)
-    if not forms:
-        raise ValueError("need at least one (1,1) form")
-    ctx = forms[0].ctx
-    for h in forms:
-        if h.degree != (1, 1) or not h.is_symmetric():
-            raise ValueError("each factor must be a symmetric (1,1) form")
-        if h.ctx != ctx:
-            raise ValueError(f"context mismatch: n={ctx.n} vs n={h.ctx.n}")
-    return _sum_of_squares(np.stack([h.coeffs for h in forms]), ctx)
-
-
-def random_bianchi_22(seed, ctx: AlgebraContext, terms: int | None = None) -> CurvatureTensor:
+def random_bianchi_22(seed, ctx: AlgebraContext) -> CurvatureTensor:
     """Random algebraic curvature tensor as a sum of squares of (1,1) forms.
 
-    The default term count n(n+1)/2 + 2 makes generic samples carry a full
-    Weyl part.  The factors take terms * n^2 normals from the stream, in
-    the order of terms separate n x n draws.
+    The term count n(n+1)/2 + 2 makes generic samples carry a full Weyl
+    part.  The factors take that many n x n draws of normals from the
+    stream, in turn.
     """
-    if terms is None:
-        terms = ctx.n * (ctx.n + 1) // 2 + 2
-    if terms < 1:
-        raise ValueError(f"term count must be >= 1, got {terms}")
+    terms = ctx.n * (ctx.n + 1) // 2 + 2
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((terms, ctx.n, ctx.n))
     return _sum_of_squares((raw + raw.transpose(0, 2, 1)) / 2.0, ctx)
@@ -114,14 +96,12 @@ def weyl_part_tensor(seed, ctx: AlgebraContext) -> CurvatureTensor:
     return CurvatureTensor(weyl.symmetrized(), bianchi_tol=1e-10)
 
 
-def positive_operator_perturbation(seed, ctx: AlgebraContext, margin: float = 0.5) -> CurvatureTensor:
+def positive_operator_perturbation(seed, ctx: AlgebraContext) -> CurvatureTensor:
     """g^2/2 plus a Bianchi perturbation small enough that the tensor stays
     positive definite as an operator on 2-vectors (smallest eigenvalue at
-    least 1 - margin)."""
-    if not 0.0 < margin < 1.0:
-        raise ValueError(f"margin must be in (0, 1), got {margin}")
+    least 1/2)."""
     base = constant_curvature(1.0, ctx).form
     noise = random_bianchi_22(seed, ctx).form
     # operator 2-norm bound via Frobenius norm keeps this seed-deterministic
-    scale = margin / max(noise.norm(), 1e-12)
+    scale = 0.5 / max(noise.norm(), 1e-12)
     return CurvatureTensor((base + scale * noise).symmetrized())

@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .exterior import AlgebraContext, subsets, _ranks
-from .forms import BIANCHI_TOL, BianchiViolation, CurvatureTensor, DoubleForm, bianchi_map
+from .forms import BianchiViolation, CurvatureTensor, DoubleForm, bianchi_map
 
 __all__ = ["load_tensor", "save_form", "bianchi_projector", "project_bianchi"]
 
@@ -49,7 +49,7 @@ def _parse_pair(raw, field: str, n: int, length: int) -> tuple[int, ...]:
     return idx
 
 
-def load_tensor(path, *, on_bianchi: str = "warn", bianchi_tol: float = BIANCHI_TOL) -> CurvatureTensor:
+def load_tensor(path, *, on_bianchi: str = "warn") -> CurvatureTensor:
     """Read a (2,2) curvature tensor, mirroring entries across the symmetry.
 
     on_bianchi selects how a violated first Bianchi identity is handled:
@@ -108,7 +108,7 @@ def load_tensor(path, *, on_bianchi: str = "warn", bianchi_tol: float = BIANCHI_
         mat[b, a] = value
     form = DoubleForm(2, 2, mat, ctx)
     try:
-        return CurvatureTensor(form, bianchi_tol=bianchi_tol)
+        return CurvatureTensor(form)
     except BianchiViolation as exc:
         if on_bianchi == "strict":
             raise ValueError(f"{path}: {exc}") from None

@@ -476,8 +476,8 @@ def _run_mid_degree(cfg: SuiteConfig) -> Iterator[Measurement]:
             ("pure Weyl", weyl_part_tensor(_seedseq(cfg, "mid_degree", n, p, 2), ctx)),
         ]
         for t, (label, w) in enumerate(instances):
-            lhs, rhs = wz.np_midpoint_formula(w, p)
-            yield n, p, t, _rel(rhs, lhs), label, MAIN
+            rhs = wz.np_midpoint_formula(w, p)
+            yield n, p, t, _rel(rhs, wz.np_definition(w, (n + p) // 2)), label, MAIN
 
 
 def _run_sectional_sum(cfg: SuiteConfig) -> Iterator[Measurement]:

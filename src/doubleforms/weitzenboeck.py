@@ -275,14 +275,12 @@ def p_curvature_form(omega, p: int) -> DoubleForm:
     return star(lifted)
 
 
-def np_midpoint_formula(omega, p: int) -> tuple[DoubleForm, DoubleForm]:
-    """Both sides of the order-(n+p)/2 expression through p-curvature and Weyl.
+def np_midpoint_formula(omega, p: int) -> DoubleForm:
+    """Order-(n+p)/2 operator through the p-curvature form and the Weyl part:
 
-    Returns (definitional lhs, closed-form rhs) where
-
-        rhs = C g^{(n-p)/2} { *(p(p-1)/(n-p-2)! g^{n-p-2} w)
-                              - (n-1)(n-2)/(p-2)! g^{p-2} W },
-        C   = 2 (p-2)! / ( ((n+p-4)/2)! (n+p-2) (n-p-1) ).
+        C g^{(n-p)/2} { *(p(p-1)/(n-p-2)! g^{n-p-2} w)
+                        - (n-1)(n-2)/(p-2)! g^{p-2} W },
+        C = 2 (p-2)! / ( ((n+p-4)/2)! (n+p-2) (n-p-1) ).
     """
     w = as_form22(omega)
     ctx = w.ctx
@@ -298,9 +296,7 @@ def np_midpoint_formula(omega, p: int) -> tuple[DoubleForm, DoubleForm]:
     star_term = (p * (p - 1) / factorial(n - p - 2)) * star(metric_product(n - p - 2, w))
     weyl_term = ((n - 1) * (n - 2) / factorial(p - 2)) * metric_product(p - 2, weyl)
     C = 2.0 * factorial(p - 2) / (factorial((n + p - 4) // 2) * (n + p - 2) * (n - p - 1))
-    rhs = C * metric_product((n - p) // 2, star_term - weyl_term)
-    lhs = np_definition(w, order)
-    return lhs, rhs
+    return C * metric_product((n - p) // 2, star_term - weyl_term)
 
 
 # -- operators, spectra, sampled sectional curvature -----------------------
@@ -322,8 +318,6 @@ class SpectrumReport:
     eigenvalues: np.ndarray
     min_eigenvalue: float
     min_sampled_sectional: float | None
-    sample_count: int
-    seed: int
     sampled_values: np.ndarray = field(repr=False, default=None)
 
 
@@ -378,7 +372,5 @@ def spectrum(w_pp: DoubleForm, sample_planes: int = 100, seed: int = 0) -> Spect
         eigenvalues=eigs,
         min_eigenvalue=float(eigs[0]) if eigs.size else 0.0,
         min_sampled_sectional=float(sampled.min()) if sampled.size else None,
-        sample_count=sample_planes,
-        seed=seed,
         sampled_values=sampled,
     )

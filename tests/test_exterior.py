@@ -1,15 +1,19 @@
-"""Ranking, wedge signs and Hodge complements of the basis combinatorics."""
+"""Ranking, wedge signs and Hodge complements of the basis combinatorics.
+
+For disjoint I and J, e_I ^ e_J = merge_sign(I, J) e_{sorted(I + J)}.
+"""
 
 import pytest
 
 from doubleforms.exterior import (
     AlgebraContext,
-    complement,
+    insertion_sign,
+    merge_sign,
     rank_index,
     subsets,
     unrank_index,
-    wedge_basis,
 )
+from doubleforms.forms import _complement_table
 from oracles import enumeration_rank
 
 
@@ -76,53 +80,68 @@ def test_context_bounds():
 
 
 def test_wedge_examples():
-    assert wedge_basis((1,), (2,)) == (1, (1, 2))
-    assert wedge_basis((2,), (1,)) == (-1, (1, 2))
+    assert merge_sign((1,), (2,)) == 1
+    assert merge_sign((2,), (1,)) == -1
     # one transposition moves 2 past 3
-    assert wedge_basis((1, 3), (2,)) == (-1, (1, 2, 3))
-    assert wedge_basis((1, 2), (2, 3)) is None
+    assert merge_sign((1, 3), (2,)) == -1
+    assert merge_sign((1, 2), (3, 4)) == 1
+    # e_2 ^ e_{12} = 0: the kernels' insertion rule reports the overlap
+    assert insertion_sign(2, (1, 2)) is None
 
 
 def test_wedge_antisymmetry_exhaustive():
     for n in (3, 4, 5):
-        ctx = AlgebraContext(n)
         for p in range(n + 1):
             for q in range(n + 1 - p):
                 for I in subsets(n, p):
                     for J in subsets(n, q):
-                        left = wedge_basis(I, J)
-                        right = wedge_basis(J, I)
-                        if left is None:
-                            assert right is None
+                        if set(I) & set(J):
                             continue
                         flip = -1 if (p * q) % 2 else 1
-                        assert right == (flip * left[0], left[1])
-        del ctx
+                        assert merge_sign(J, I) == flip * merge_sign(I, J)
+
+
+def _rest(I, n):
+    return tuple(i for i in range(1, n + 1) if i not in I)
 
 
 def test_complement_examples():
-    assert complement((1, 2), AlgebraContext(4)) == (1, (3, 4))
-    assert complement((2,), AlgebraContext(2)) == (-1, (1,))
-    assert complement((), AlgebraContext(3)) == (1, (1, 2, 3))
+    # e_I ^ e_{I^c} = merge_sign(I, I^c) e_{1..n}
+    assert merge_sign((1, 2), (3, 4)) == 1
+    assert merge_sign((2,), (1,)) == -1
+    assert merge_sign((), (1, 2, 3)) == 1
+    # star's table, by rank of I: rank of I^c and that sign
+    ranks, signs = _complement_table(4, 2)
+    assert (ranks[0], signs[0]) == (5, 1)  # (1, 2) -> (3, 4)
+    ranks, signs = _complement_table(2, 1)
+    assert (ranks[1], signs[1]) == (0, -1)  # (2,) -> (1,)
+    ranks, signs = _complement_table(3, 0)
+    assert (ranks[0], signs[0]) == (0, 1)  # () -> (1, 2, 3)
 
 
 def test_complement_merges_to_volume():
+    # the complement table behind star holds exactly those signs
     for n in (2, 4, 6):
         ctx = AlgebraContext(n)
         full = tuple(range(1, n + 1))
         for p in range(n + 1):
-            for I in subsets(n, p):
-                sign, rest = complement(I, ctx)
-                assert wedge_basis(I, rest) == (sign, full)
+            ranks, signs = _complement_table(n, p)
+            for r, I in enumerate(subsets(n, p)):
+                rest = _rest(I, n)
+                assert tuple(sorted(I + rest)) == full
+                assert ranks[r] == rank_index(rest, ctx)
+                assert signs[r] == merge_sign(I, rest)
 
 
 def test_double_complement_sign():
     for n in (2, 3, 4, 5, 6):
-        ctx = AlgebraContext(n)
         for p in range(n + 1):
             expected = -1 if (p * (n - p)) % 2 else 1
-            for I in subsets(n, p):
-                s1, rest = complement(I, ctx)
-                s2, back = complement(rest, ctx)
-                assert back == I
-                assert s1 * s2 == expected
+            ranks, signs = _complement_table(n, p)
+            back_ranks, back_signs = _complement_table(n, n - p)
+            for r, I in enumerate(subsets(n, p)):
+                rest = _rest(I, n)
+                assert _rest(rest, n) == I
+                assert merge_sign(I, rest) * merge_sign(rest, I) == expected
+                assert back_ranks[ranks[r]] == r
+                assert signs[r] * back_signs[ranks[r]] == expected

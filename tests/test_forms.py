@@ -438,6 +438,16 @@ def test_bianchi_map_matches_literal_sum(n):
             assert bianchi_residual(w) == np.max(np.abs(got.coeffs), initial=0.0)
 
 
+def test_bianchi_map_never_reads_a_slot_it_does_not_need():
+    # (3,4) x (3,4) never enters the map: x_j is outside {3, 4} whenever
+    # the rest of x is (3, 4).  So the map of this form is zero, not NaN.
+    mat = np.zeros((6, 6))
+    mat[-1, -1] = np.inf
+    w = DoubleForm(2, 2, mat, AlgebraContext(4))
+    assert np.array_equal(bianchi_map(w).coeffs, np.zeros((4, 4)))
+    assert bianchi_residual(w) == 0.0
+
+
 def test_bianchi_requires_second_degree():
     with pytest.raises(ValueError):
         bianchi_residual(rand_form(0, 2, 0, 4))

@@ -372,10 +372,10 @@ def test_dumps_matches_stdlib_on_edge_cases():
         [[1.0, 2.0], [3.0, -4.5e299]], ["a, b", [1, [2, 3]], {"k": (1.0, 2.0)}],
     ]
     for doc in docs:
-        assert cli._dumps(doc) == _stdlib_dumps(doc), doc
+        assert "".join(cli._pieces(doc)) == _stdlib_dumps(doc), doc
     for doc in (float("nan"), {"a": [1.0, float("inf")]}, [[-float("inf")]]):
         with pytest.raises(ValueError):
-            cli._dumps(doc)
+            cli._pieces(doc)
 
 
 def test_cli_strict_flag(tmp_path, capsys):
@@ -427,6 +427,35 @@ def test_cli_spectrum_names_an_overflowing_operator(tmp_path, capsys, as_json):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: the order-2 operator has non-finite entries" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["weitzenboeck", "--p", "2"], ["pcurvature", "--p", "2"],
+                                  ["sectional", "--p", "2"], ["decompose"]],
+                         ids=["weitzenboeck", "pcurvature", "sectional", "decompose"])
+def test_cli_text_output_never_prints_a_non_finite_number(tmp_path, capsys, argv):
+    # the tensor of the spectrum test above: each result holds inf or NaN
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": 4, "entries": [{"ij": [1, 2], "kl": [1, 2], "value": 1e308},
+                                                    {"ij": [1, 3], "kl": [1, 3], "value": 1e308}]}))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main([*argv, "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not JSON compliant" in captured.err
+
+
+@pytest.mark.parametrize("as_json", [True, False], ids=["json", "text"])
+def test_cli_pcurvature_keeps_a_non_finite_form_from_lapack(tmp_path, capsys, as_json):
+    # every entry of this order-2 p-curvature form is zero, inf or NaN;
+    # LAPACK would report only that its eigenvalues did not converge
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": 6, "entries": [{"ij": ij, "kl": ij, "value": 1e308}
+                                                    for ij in ([1, 2], [1, 3], [5, 6])]}))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["pcurvature", "--input", str(path), "--p", "2"] + ["--json"] * as_json) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not JSON compliant" in captured.err
 
 
 def test_cli_small_tensor_uses_one_bianchi_rule(tmp_path, capsys):
