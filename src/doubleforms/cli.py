@@ -25,7 +25,6 @@ import numpy as np
 
 from .forms import bianchi_residual, contract_iter, plane_values
 from .tensorio import _float_texts, load_tensor, save_form
-from .verify import SuiteConfig, run_suite
 from . import weitzenboeck as wz
 
 _USAGE_ERROR = 2
@@ -35,6 +34,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
     return value
 
 
@@ -76,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("spectrum", help="eigenvalues and sampled sectional minima of the order-p operator")
     add_io(s)
     s.add_argument("--samples", type=_positive_int, default=100)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_seed, default=0)
 
     d = sub.add_parser("decompose", help="scalar / traceless-Ricci / Weyl split")
     add_io(d, with_p=False)
@@ -84,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     sec = sub.add_parser("sectional", help="sampled sectional curvatures of the order-p operator")
     add_io(sec)
     sec.add_argument("--samples", type=_positive_int, default=100)
-    sec.add_argument("--seed", type=int, default=0)
+    sec.add_argument("--seed", type=_seed, default=0)
 
     pc = sub.add_parser("pcurvature", help="the p-curvature form *(g^(n-p-2) w / (n-p-2)!)")
     add_io(pc)
@@ -167,6 +173,9 @@ def _emit(doc: dict, as_json: bool, lines) -> None:
 
 
 def _cmd_verify(args) -> int:
+    # imported here, so the other commands never load the suite
+    from .verify import SuiteConfig, run_suite
+
     cfg = SuiteConfig(
         n_min=args.n_min,
         n_max=args.n_max,

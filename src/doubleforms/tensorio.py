@@ -125,10 +125,13 @@ def _float_texts(values: np.ndarray):
     are encoded once in one call of the C encoder, which raises ValueError
     on a non-finite value.  The lookup finds each entry's text by binary
     search among those patterns and returns an object array of strings.
+    The patterns are the sorted array with repeats masked out: numpy 2's
+    hash-based np.unique is several times slower and imports numpy.ma.
     """
     if values.dtype != np.float64:
         raise TypeError(f"expected a float64 array, got {values.dtype}")
-    keys = np.unique(values.view(np.int64))
+    keys = np.sort(values.view(np.int64), axis=None)
+    keys = np.concatenate((keys[:1], keys[1:][keys[1:] != keys[:-1]]))
     body = json.dumps(keys.view(np.float64).tolist(), allow_nan=False)[1:-1]
     texts = np.array(body.split(", "), dtype=object)
     return lambda part: texts[np.searchsorted(keys, part.view(np.int64))]

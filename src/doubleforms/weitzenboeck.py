@@ -366,8 +366,11 @@ def spectrum(w_pp: DoubleForm, sample_planes: int = 100, seed: int = 0) -> Spect
     if not np.isfinite(mat).all():
         raise ValueError(f"the order-{w_pp.p} operator has non-finite entries")
     eigs = jacobi_eigenvalues(mat)
-    frames = sample_frames(np.random.default_rng(seed), w_pp.ctx.n, w_pp.p, sample_planes)
-    sampled = plane_values(mat, frames, w_pp.ctx)
+    if sample_planes:
+        frames = sample_frames(np.random.default_rng(seed), w_pp.ctx.n, w_pp.p, sample_planes)
+        sampled = plane_values(mat, frames, w_pp.ctx)
+    else:  # no generator, so a command that asks for no samples never imports numpy.random
+        sampled = np.empty(0)
     return SpectrumReport(
         eigenvalues=eigs,
         min_eigenvalue=float(eigs[0]) if eigs.size else 0.0,

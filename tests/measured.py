@@ -1,10 +1,12 @@
-"""Run the command line in a child process and read the child's own peak RSS.
+"""Run the command line in a child process and read what the child itself
+reports at exit: its peak RSS and the modules it loaded.
 
 The child writes the high-water mark of its own address space at exit.  The
 ru_maxrss of wait4 would also count the calling test process: Linux carries
 the parent's peak RSS into the child's across fork and exec.
 """
 
+import json
 import os
 import pathlib
 import subprocess
@@ -12,22 +14,41 @@ import sys
 
 import doubleforms
 
-_CLI_WITH_PEAK = """
-import atexit, runpy, sys
-peak_path = sys.argv.pop(1)
+_REPORT_AT_EXIT = """
+import atexit, sys
+report_path = sys.argv.pop(1)
 def report():
-    with open("/proc/self/status") as status, open(peak_path, "w") as out:
-        out.write(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+    with open("/proc/self/status") as status:
+        peak_kb = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
+    import json
+    with open(report_path, "w") as out:
+        json.dump({"peak_kb": int(peak_kb), "modules": sorted(sys.modules)}, out)
 atexit.register(report)
-runpy.run_module("doubleforms.cli", run_name="__main__", alter_sys=True)
 """
+
+_CLI = 'import runpy; runpy.run_module("doubleforms.cli", run_name="__main__", alter_sys=True)'
+
+
+def run_measured(source, args, out_path):
+    """Run source in a child process with args as its arguments and its
+    stdout written to out_path; return (exit code, its peak RSS in MB, the
+    names of the modules it had loaded at exit)."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(doubleforms.__file__).parents[1]))
+    report_path = pathlib.Path(out_path).with_suffix(".report")
+    cmd = [sys.executable, "-c", _REPORT_AT_EXIT + source, str(report_path), *args]
+    with open(out_path, "w") as out:
+        code = subprocess.run(cmd, stdout=out, stderr=subprocess.DEVNULL, env=env).returncode
+    report = json.loads(report_path.read_text())
+    return code, report["peak_kb"] / 1024, set(report["modules"])  # VmHWM is in kilobytes
 
 
 def run_cli_measured(args, out_path):
     """Run the CLI in a child process; return (exit code, its peak RSS in MB)."""
-    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(doubleforms.__file__).parents[1]))
-    peak_path = pathlib.Path(out_path).with_suffix(".peak")
-    cmd = [sys.executable, "-c", _CLI_WITH_PEAK, str(peak_path), *args]
-    with open(out_path, "w") as out:
-        code = subprocess.run(cmd, stdout=out, stderr=subprocess.DEVNULL, env=env).returncode
-    return code, int(peak_path.read_text()) / 1024  # VmHWM is in kilobytes
+    code, peak_mb, _ = run_measured(_CLI, args, out_path)
+    return code, peak_mb
+
+
+def run_cli_modules(args, out_path):
+    """Run the CLI in a child process; return (exit code, the modules it loaded)."""
+    code, _, modules = run_measured(_CLI, args, out_path)
+    return code, modules

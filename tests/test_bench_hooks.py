@@ -7,6 +7,7 @@ unseen.
 """
 
 import importlib
+import sys
 import types
 from pathlib import Path
 
@@ -35,3 +36,24 @@ def test_every_probed_table_is_an_lru_cache(tracing):
     for mod, name in tracing.TABLES:
         table = getattr(importlib.import_module(f"doubleforms.{mod}"), name, None)
         assert hasattr(table, "cache_info"), f"{mod}.{name}"
+
+
+def test_traced_names_are_not_cached_in_the_package(tracing):
+    # the package resolves its names on every access: a wrapper seen
+    # through it while traced must not outlive the restore, which puts
+    # back only the module attributes saved before the tracer went in
+    import doubleforms
+
+    for name in doubleforms._SUBMODULES:
+        importlib.import_module(f"doubleforms.{name}")
+    original = doubleforms.forms.kn_product
+    saved = {name: dict(vars(mod)) for name, mod in sys.modules.items()
+             if name == "doubleforms" or name.startswith("doubleforms.")}
+    try:
+        tracing.install(tracing.Tracer())
+        assert doubleforms.kn_product is not original
+    finally:
+        for name, attrs in saved.items():
+            vars(sys.modules[name]).update(attrs)
+    assert doubleforms.kn_product is original
+    assert "kn_product" not in vars(doubleforms)

@@ -1,5 +1,6 @@
 """No module of the package imports a name it never uses, or exports one
-it does not define.
+it does not define; the package and the command line load a module only
+when it is used.
 
 pyflakes and ruff are not dependencies of the project, so the check reads
 each module's syntax tree: every imported name must be read somewhere in
@@ -12,6 +13,12 @@ import importlib
 from pathlib import Path
 
 import pytest
+
+import doubleforms
+from doubleforms.exterior import AlgebraContext
+from doubleforms.random_tensors import random_bianchi_22
+from doubleforms.tensorio import save_form
+from measured import run_cli_modules, run_measured
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "doubleforms"
 
@@ -64,3 +71,57 @@ def test_every_exported_name_exists(path):
     module = importlib.import_module(name)
     missing = [n for n in _exported(ast.parse(path.read_text())) if not hasattr(module, n)]
     assert not missing, f"{path.name} exports undefined names: {sorted(missing)}"
+
+
+# -- the lazy package -----------------------------------------------------------
+
+
+def test_star_import_binds_exactly_all():
+    namespace = {}
+    exec("from doubleforms import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(doubleforms.__all__)
+    for name, value in namespace.items():
+        home = importlib.import_module(f"doubleforms.{doubleforms._SUBMODULE[name]}")
+        assert value is getattr(home, name)
+
+
+def test_dir_lists_every_public_name():
+    assert set(doubleforms.__all__) <= set(dir(doubleforms))
+    assert set(doubleforms._SUBMODULE) == set(doubleforms.__all__)
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        getattr(doubleforms, "no_such_name")
+
+
+def test_bare_import_loads_no_submodule(tmp_path):
+    code, _, modules = run_measured("import doubleforms", [], tmp_path / "out.txt")
+    assert code == 0
+    assert {m for m in modules if m.startswith("doubleforms")} == {"doubleforms"}
+    # a submodule is still an attribute of the package
+    code, _, modules = run_measured("import doubleforms; doubleforms.verify.run_suite", [],
+                                    tmp_path / "out.txt")
+    assert code == 0 and "doubleforms.verify" in modules
+
+
+#: What a command that runs neither the suite nor a random draw never loads.
+UNUSED = {"doubleforms.verify", "doubleforms.random_tensors", "numpy.ma", "numpy.random"}
+
+
+@pytest.mark.parametrize("args, unused", [
+    (["decompose", "--json"], UNUSED),
+    (["weitzenboeck", "--p", "3", "--json"], UNUSED),
+    (["weitzenboeck", "--p", "3", "--method", "definition", "--json"], UNUSED),
+    (["pcurvature", "--p", "3", "--json"], UNUSED),
+    (["spectrum", "--p", "3", "--samples", "4", "--json"], {"doubleforms.verify"}),
+    (["sectional", "--p", "3", "--samples", "4"], {"doubleforms.verify"}),
+], ids=["decompose", "weitzenboeck", "definition", "pcurvature", "spectrum", "sectional"])
+def test_command_loads_only_what_it_runs(tmp_path, args, unused):
+    tensor = tmp_path / "t.json"
+    save_form(random_bianchi_22(6, AlgebraContext(6)), tensor)
+    code, modules = run_cli_modules([args[0], "--input", str(tensor), *args[1:]],
+                                    tmp_path / "out.txt")
+    assert code == 0
+    assert not unused & modules, sorted(unused & modules)

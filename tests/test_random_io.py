@@ -1,10 +1,12 @@
 """Generators and the tensor file format."""
 
 import json
+import types
 
 import numpy as np
 import pytest
 
+from doubleforms import tensorio
 from doubleforms.exterior import AlgebraContext, subsets
 from doubleforms.forms import (
     CurvatureTensor,
@@ -215,6 +217,48 @@ def test_save_form_rejects_non_finite_before_writing(tmp_path, value):
     with pytest.raises(ValueError, match="not JSON compliant"):
         save_form(DoubleForm(2, 2, coeffs, AlgebraContext(4)), path)
     assert not path.exists()
+
+
+def _unique_float_texts(values):
+    """The np.unique version of tensorio._float_texts: (keys, lookup)."""
+    keys = np.unique(values.view(np.int64))
+    body = json.dumps(keys.view(np.float64).tolist(), allow_nan=False)[1:-1]
+    texts = np.array(body.split(", "), dtype=object)
+    return keys, lambda part: texts[np.searchsorted(keys, part.view(np.int64))]
+
+
+@pytest.mark.parametrize("values", [
+    np.zeros(0),
+    np.zeros((0, 3)),
+    np.array([2.5]),
+    np.full((3, 4), -7.25),
+    np.array([0.0, -0.0, -0.0, 0.0, 1.0, -0.0]),
+    np.array([[5e-324, -5e-324, 0.0], [2.2250738585072e-308, -1e-310, 5e-324]]),
+    EDGE_VALUES[np.random.default_rng(3).integers(0, len(EDGE_VALUES), (7, 9))],
+], ids=["empty", "empty-2d", "single", "all-equal", "signed-zeros", "subnormals", "edge-mix"])
+def test_float_texts_encodes_the_distinct_bit_patterns_once(monkeypatch, values):
+    encoded = []
+
+    def dumps(obj, **kwargs):
+        encoded.append(obj)
+        return json.dumps(obj, **kwargs)
+
+    # one call of the encoder, on the sorted distinct bit patterns
+    monkeypatch.setattr(tensorio, "json", types.SimpleNamespace(dumps=dumps))
+    lookup = tensorio._float_texts(values)
+    want_keys, want_lookup = _unique_float_texts(values)
+    assert len(encoded) == 1
+    assert np.array_equal(np.array(encoded[0], dtype=np.float64).view(np.int64), want_keys)
+    got = lookup(values)
+    assert got.shape == values.shape
+    assert got.tolist() == want_lookup(values).tolist()
+    assert got.ravel().tolist() == [json.dumps(v) for v in values.ravel().tolist()]
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_float_texts_rejects_non_finite_values(bad):
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        tensorio._float_texts(np.array([[1.0, bad], [-0.0, 1.0]]))
 
 
 def test_single_entry_sets_symmetric_images(tmp_path):

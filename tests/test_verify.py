@@ -259,6 +259,9 @@ def test_cli_usage_errors(capsys):
     for command, samples in (("spectrum", "0"), ("spectrum", "-1"), ("sectional", "0")):
         assert main([command, "--input", "t.json", "--p", "2", "--samples", samples]) == 2
         assert "--samples: must be a positive integer" in capsys.readouterr().err
+    for command in ("spectrum", "sectional"):
+        assert main([command, "--input", "t.json", "--p", "2", "--seed", "-1"]) == 2
+        assert "--seed: must be a non-negative integer, got -1" in capsys.readouterr().err
 
 
 @pytest.fixture()

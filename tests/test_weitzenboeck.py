@@ -570,6 +570,17 @@ def test_spectrum_reads_the_coefficient_matrix():
         assert np.array_equal(rep.sampled_values, plane_values(N.coeffs, frames, N.ctx))
 
 
+def test_spectrum_without_samples_draws_no_generator(monkeypatch):
+    N = np_definition(random_bianchi_22(3, AlgebraContext(5)), 2)
+    want = spectrum(N, sample_planes=4, seed=0).eigenvalues
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: pytest.fail("generator drawn"))
+    rep = spectrum(N, sample_planes=0)
+    assert np.array_equal(rep.eigenvalues, want)
+    assert rep.min_eigenvalue == float(want[0])
+    assert rep.min_sampled_sectional is None
+    assert rep.sampled_values.dtype == np.float64 and rep.sampled_values.shape == (0,)
+
+
 def test_spectrum_rejects_asymmetric():
     ctx = AlgebraContext(4)
     raw = np.zeros((6, 6))
