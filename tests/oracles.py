@@ -258,3 +258,120 @@ def grade(a: cl.CliffordElement, k: int) -> cl.CliffordElement:
     """The grade-k part of a: its coefficients on the k-subsets."""
     sizes = np.array([bin(s).count("1") for s in range(2 ** a.ctx.n)])
     return cl.CliffordElement(np.where(sizes == k, a.coeffs, 0.0), a.ctx)
+
+
+# -- loop references for the mask-built basis tables ---------------------------
+#
+# The builders the package used before its tables were computed from bit
+# masks: one Python pass per subset, signs from the tuple definitions below
+# and ranks from a dictionary over the lexicographic enumeration.
+
+
+def tuple_merge_sign(I, J) -> int:
+    """Sign of sorting the concatenation (I, J) of sorted tuples: (-1) to
+    the number of pairs i in I, j in J with i > j."""
+    inversions = sum(1 for i in I for j in J if i > j)
+    return -1 if inversions % 2 else 1
+
+
+def tuple_insertion_sign(m: int, I):
+    """Sign of e_m ^ e_I for a sorted tuple I, or None when m occurs in I."""
+    if m in I:
+        return None
+    below = sum(1 for i in I if i < m)
+    return -1 if below % 2 else 1
+
+
+def _lex(n: int, k: int) -> list:
+    return list(itertools.combinations(range(1, n + 1), k)) if k >= 0 else []
+
+
+def _lex_ranks(n: int, k: int) -> dict:
+    return {I: r for r, I in enumerate(_lex(n, k))}
+
+
+def loop_subset_masks(n: int, k: int) -> np.ndarray:
+    return np.array([sum(1 << (i - 1) for i in I) for I in _lex(n, k)], dtype=np.int64)
+
+
+def loop_mask_ranks(n: int) -> np.ndarray:
+    ranks = np.empty(2 ** n, dtype=np.int64)
+    for k in range(n + 1):
+        for r, I in enumerate(_lex(n, k)):
+            ranks[sum(1 << (i - 1) for i in I)] = r
+    return ranks
+
+
+def loop_split_tensor(n: int, p1: int, p2: int):
+    """forms._split_tensor: per p1-subset K and each p2-subset I disjoint
+    from it, the rank of I, the rank of K u I and the sign of e_K ^ e_I."""
+    small, big = _lex_ranks(n, p2), _lex_ranks(n, p1 + p2)
+    shape = (comb(n, p1), comb(n - p1, p2))
+    src = np.empty(shape, dtype=np.int64)
+    dst = np.empty(shape, dtype=np.int64)
+    sign = np.empty(shape)
+    for r, K in enumerate(_lex(n, p1)):
+        rest = [i for i in range(1, n + 1) if i not in K]
+        for c, I in enumerate(itertools.combinations(rest, p2)):
+            src[r, c] = small[I]
+            dst[r, c] = big[tuple(sorted(K + I))]
+            sign[r, c] = tuple_merge_sign(K, I)
+    return src, dst, sign
+
+
+def loop_lift_table(n: int, k: int):
+    """forms._lift_table: rank and sign of e_m ^ e_I; -1 and 0 for m in I."""
+    subs, big = _lex(n, k), _lex_ranks(n, k + 1)
+    idx = np.full((len(subs), n), -1, dtype=np.int64)
+    sgn = np.zeros((len(subs), n))
+    for r, I in enumerate(subs):
+        for m in range(1, n + 1):
+            s = tuple_insertion_sign(m, I)
+            if s is not None:
+                idx[r, m - 1] = big[tuple(sorted(I + (m,)))]
+                sgn[r, m - 1] = s
+    return idx, sgn
+
+
+def loop_member_table(n: int, k: int) -> np.ndarray:
+    subs = _lex(n, k)
+    return np.array(subs, dtype=np.int64).reshape(len(subs), k) - 1
+
+
+def loop_removal_table(n: int, k: int):
+    """forms._removal_table: per k-subset X and position j, the rank of X
+    without x_j and x_j - 1."""
+    small = _lex_ranks(n, k - 1)
+    subs = _lex(n, k)
+    idx = np.array([[small[X[:j] + X[j + 1:]] for j in range(k)] for X in subs], dtype=np.int64)
+    return idx.reshape(len(subs), k), loop_member_table(n, k)
+
+
+def loop_four_form_table(n: int) -> np.ndarray:
+    """tensorio._four_form_table: per 4-subset abcd, as rows, the rank of
+    abc, d - 1 and the ranks of ab, cd, ac, bd, ad, bc."""
+    r2, r3 = _lex_ranks(n, 2), _lex_ranks(n, 3)
+    rows = [
+        (r3[(a, b, c)], d - 1, r2[(a, b)], r2[(c, d)], r2[(a, c)], r2[(b, d)], r2[(a, d)], r2[(b, c)])
+        for a, b, c, d in _lex(n, 4)
+    ]
+    return np.array(rows, dtype=np.int64).reshape(-1, 8).T
+
+
+def sorted_ad_table(n: int, p: int):
+    """weitzenboeck._ad_table with each target ranked by a binary search
+    among the sorted source masks in place of the shared mask lookup."""
+    sources = np.array(_lex(n, p), dtype=np.int64).reshape(comb(n, p), p)
+    pairs = np.array(_lex(n, 2), dtype=np.int64).reshape(comb(n, 2), 2)
+    src = np.repeat(np.arange(len(sources)), len(pairs))
+    pair = np.tile(np.arange(len(pairs)), len(sources))
+    source_masks = (1 << (sources - 1)).sum(axis=1)
+    S, E = source_masks[src], (1 << (pairs - 1)).sum(axis=1)[pair]
+    flips, signs = cl._sign_masks(n), cl._lower_parity(n, n + 1)
+    coef = signs[S & flips[E]] - signs[E & flips[S]]
+    keep = np.nonzero(coef)[0]
+    by_mask = np.argsort(source_masks)
+    target = by_mask[np.searchsorted(source_masks[by_mask], S[keep] ^ E[keep])]
+    order = keep[np.argsort(target, kind="stable")]
+    shape = (len(sources), p * (n - p))
+    return src[order].reshape(shape), pair[order].reshape(shape), coef[order].reshape(shape)

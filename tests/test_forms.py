@@ -448,6 +448,26 @@ def test_bianchi_map_never_reads_a_slot_it_does_not_need():
     assert bianchi_residual(w) == 0.0
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("n", range(2, 6))
+def test_bianchi_map_keeps_pad_neighbours_apart(n, bad):
+    # the flat gather reads a zero pad after each row of w: a single
+    # non-finite entry in the first row or the last column, the pad's
+    # neighbours, reaches exactly the cells the literal sum reaches
+    for p in range(n + 1):
+        for q in range(1, n + 1):
+            rows, cols = comb(n, p), comb(n, q)
+            places = {(0, c) for c in range(cols)} | {(r, cols - 1) for r in range(rows)}
+            for r, c in sorted(places):
+                mat = rand_form(7 * p + q, p, q, n).coeffs.copy()
+                mat[r, c] = bad
+                w = DoubleForm(p, q, mat, AlgebraContext(n))
+                got = bianchi_map(w).coeffs
+                want = literal_bianchi_map(w)
+                assert np.array_equal(np.isfinite(got), np.isfinite(want)), (p, q, r, c)
+                assert np.array_equal(np.isnan(got), np.isnan(want)), (p, q, r, c)
+
+
 def test_bianchi_requires_second_degree():
     with pytest.raises(ValueError):
         bianchi_residual(rand_form(0, 2, 0, 4))

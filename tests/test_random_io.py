@@ -292,6 +292,31 @@ def test_diagonal_entry_file(tmp_path):
     ({"n": 4, "entries": [{"ij": [1, 2], "kl": [1, 2]}]}, "missing fields"),
     ({"n": 4, "entries": [{"ij": [1, 2], "kl": [1, 2], "value": "x"}]}, "entries[0].value"),
     ({"n": 4, "entries": "nope"}, "'entries' must be a list"),
+    # indices are JSON integers and values JSON numbers; booleans are neither
+    ({"n": True, "entries": []}, "'n' must be an integer, got True"),
+    ({"n": 4, "entries": [{"ij": [1.7, 2], "kl": [1, 2], "value": 1.0}]},
+     "entries[0].ij: indices must be integers, got [1.7, 2]"),
+    ({"n": 4, "entries": [{"ij": [1, 2], "kl": ["1", "2"], "value": 1.0}]},
+     "entries[0].kl: indices must be integers, got ['1', '2']"),
+    ({"n": 4, "entries": [{"ij": [True, 2], "kl": [1, 2], "value": 1.0}]},
+     "entries[0].ij: indices must be integers, got [True, 2]"),
+    ({"n": 4, "entries": [{"ij": [1, 2], "kl": [1, 2], "value": "2.5"}]},
+     "entries[0].value: expected a number, got '2.5'"),
+    ({"n": 4, "entries": [{"ij": [1, 2], "kl": [1, 2], "value": True}]},
+     "entries[0].value: expected a number, got True"),
+    # an integer past the float64 range is the infinity it rounds to, as 1e400 is
+    ({"n": 4, "entries": [{"ij": [1, 2], "kl": [1, 2], "value": -10 ** 400}]},
+     "entries[0].value: non-finite value -inf"),
+    # the first bad entry in file order, with its first failing check
+    ({"n": 4, "entries": [{"ij": [1, 2], "kl": [1, 2], "value": 1.0},
+                          {"ij": [2, 1], "kl": [1, 9], "value": "x"},
+                          {"ij": [1, 2], "kl": [1, 2], "value": 2.0},
+                          {}]},
+     "entries[1].ij: indices must be strictly increasing, got [2, 1]"),
+    ({"n": 4, "entries": [{"ij": [1, 2], "kl": [1, 3], "value": 1.0},
+                          {"ij": [1, 3], "kl": [1, 2], "value": 2.0},
+                          {"ij": [1, 2], "kl": [1, 2], "value": "x"}]},
+     "entries[1]: conflicts with an earlier entry for the same symmetric slot (1.0 vs 2.0)"),
 ])
 def test_malformed_files(tmp_path, doc, fragment):
     path = tmp_path / "bad.json"

@@ -401,6 +401,22 @@ def test_cli_rejects_non_finite_values(tmp_path, capsys, value):
     assert "entries[0].value: non-finite" in captured.err
 
 
+@pytest.mark.parametrize("text, message", [
+    ('"n": 4, "entries": [{"ij": [1.7, 2], "kl": [1, 2], "value": 1}]', "entries[0].ij: indices must be integers"),
+    ('"n": 4, "entries": [{"ij": [1, 2], "kl": [true, 2], "value": 1}]', "entries[0].kl: indices must be integers"),
+    ('"n": 4, "entries": [{"ij": [1, 2], "kl": [1, 2], "value": true}]', "entries[0].value: expected a number"),
+    ('"n": 4, "entries": [{"ij": [1, 2], "kl": [1, 2], "value": "2.5"}]', "entries[0].value: expected a number"),
+    ('"n": true, "entries": []', "'n' must be an integer"),
+])
+def test_cli_rejects_booleans_and_non_numbers(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.json"
+    path.write_text("{%s}" % text)
+    assert main(["decompose", "--input", str(path), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 @pytest.mark.parametrize("value", [1e308, 1e200], ids=["1e308", "1e200"])
 @pytest.mark.parametrize("argv", [["decompose"], ["weitzenboeck", "--p", "2"], ["pcurvature", "--p", "1"]],
                          ids=["decompose", "weitzenboeck", "pcurvature"])
