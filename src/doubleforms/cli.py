@@ -11,7 +11,8 @@ arrays written as nested lists.  The text is streamed to stdout one matrix
 row at a time instead of being built whole; each array's distinct values
 are encoded once.  Every number of the document is encoded before the
 first byte is written, with or without --json, so a non-finite result
-exits 2 with nothing on stdout.
+exits 2 with one error line on stderr, where numpy's floating-point
+warnings are silenced, and nothing on stdout.
 """
 
 from __future__ import annotations
@@ -333,7 +334,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else _USAGE_ERROR
     try:
-        return _COMMANDS[args.command](args)
+        # an overflow or invalid operation leaves Infinity or NaN in the
+        # result, which the command refuses with one error line; numpy's
+        # warnings on the way there would only add lines to stderr
+        with np.errstate(all="ignore"):
+            return _COMMANDS[args.command](args)
     except (OSError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_ERROR

@@ -10,8 +10,8 @@ and the (ij) <-> (kl) symmetry is enforced on load.  General (p,q) forms
 written by save_form carry explicit "p" and "q" fields and index lists of
 the matching lengths.
 
-Indices and "n" must be JSON integers and values JSON numbers; booleans
-are neither.  The entries are read and checked as whole arrays, and a bad
+Indices, "n" and the optional "p" and "q" must be JSON integers and values
+JSON numbers; booleans are neither.  The entries are read and checked as whole arrays, and a bad
 file is reported at its first bad entry, in file order.  Loading rejects
 non-finite values and checks the first Bianchi identity with the
 CurvatureTensor rule.  The default policy is to warn on stderr
@@ -171,12 +171,13 @@ def load_tensor(path, *, on_bianchi: str = "warn") -> CurvatureTensor:
         raise ValueError(f"{path}: top level must be an object")
     if "n" not in doc:
         raise ValueError(f"{path}: missing dimension field 'n'")
-    n = doc["n"]
-    if type(n) is not int:
-        raise ValueError(f"{path}: 'n' must be an integer, got {n!r}")
+    for d in ("n", "p", "q"):
+        if d in doc and type(doc[d]) is not int:
+            raise ValueError(f"{path}: '{d}' must be an integer, got {doc[d]!r}")
     for d in ("p", "q"):
-        if d in doc and doc[d] != 2:
+        if doc.get(d, 2) != 2:
             raise ValueError(f"{path}: curvature tensors must have {d} = 2, got {doc[d]}")
+    n = doc["n"]
     ctx = AlgebraContext(n)
     entries = doc.get("entries", [])
     if not isinstance(entries, list):

@@ -2,10 +2,21 @@
 
 Each identity is a generator of measurements: it sweeps (dimension, order,
 seed) cells and yields, per cell, the residual, its note and the pinned
-`Check` that judges it.  One loop in `run_suite` turns the measurements
-into records.  All randomness derives from the configured base seed, so
-two runs with the same configuration produce identical reports; wall-clock
-timings are kept out of the canonical JSON serialization for that reason.
+`Check` that judges it.  One loop, `_run_identity`, turns an identity's
+measurements into records.  All randomness derives from the configured
+base seed and the identity's name, so two runs with the same configuration
+produce identical reports; wall-clock timings are kept out of the
+canonical JSON serialization for that reason.
+
+The identities do not depend on each other, so `run_suite` runs them on
+the usable CPUs: in a pool of processes forked from the caller, one per
+usable CPU up to one per selected identity, and puts the records back in
+`IDENTITIES` order, which keeps every report byte.  It runs them one after
+another in the calling process where that pool would have one worker,
+where the platform cannot fork, and where the caller runs other threads,
+since a forked child could inherit a lock one of them holds.  The pool is
+joined before `run_suite` returns or raises.  Each identity's timing is its own wall time in the
+process that ran it, so the timings can add up to more than the run's.
 
 Most residuals are relative and "smaller is better"; rank checks record a
 singular-value ratio and positivity checks record a smallest eigenvalue.
@@ -17,9 +28,12 @@ from __future__ import annotations
 
 import json
 import operator
+import os
+import threading
 import time
 import zlib
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from math import comb, factorial
 from itertools import permutations
 from typing import Callable, Iterator
@@ -348,10 +362,11 @@ def _run_weitzenboeck_injectivity(cfg: SuiteConfig) -> Iterator[Measurement]:
 def _run_contraction_orders(cfg: SuiteConfig) -> Iterator[Measurement]:
     factors, failures, cells = [], 0, 0
     for n, p, t, w in _sweep(cfg, "contraction_orders", cfg.seeds):
-        oracle_p = wz.np_definition(w, p)
+        lhs = wz.np_definition(w, p)
         worst, worst_note = 0.0, ""
         for k in range(0, p + 1):
-            lhs, rhs = contract_iter(oracle_p, k), wz.np_contraction_rhs(w, p, k)
+            # the k-fold contraction of the oracle, one contraction on from k - 1
+            lhs, rhs = lhs if k == 0 else contract(lhs), wz.np_contraction_rhs(w, p, k)
             r = _rel(lhs, rhs)
             if r > worst:
                 worst, worst_note = r, f"worst at k={k}"
@@ -613,20 +628,55 @@ IDENTITIES: dict[str, Callable[[SuiteConfig], Iterator[Measurement]]] = {
 }
 
 
+def _run_identity(name: str, cfg: SuiteConfig) -> tuple[list[IdentityRecord], float]:
+    """One identity's records and its wall time in the process that ran it."""
+    start = time.perf_counter()
+    records = []
+    for n, p, seed, residual, note, check in IDENTITIES[name](cfg):
+        tol, passed = check.judge(residual, cfg)
+        records.append(IdentityRecord(name, n, p, seed, residual, tol, passed, note, check.lower_bound))
+    return records, time.perf_counter() - start
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _fork_pool(workers: int):
+    """A pool of workers forked from this process, or None where it would
+    have one worker, where this process runs other threads or where the
+    platform cannot fork."""
+    if workers < 2 or threading.active_count() != 1:
+        return None
+    import multiprocessing  # here, so that a serial run never pays its import
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    return multiprocessing.get_context("fork").Pool(workers)
+
+
 def run_suite(config: SuiteConfig | None = None) -> VerificationReport:
     """Run the configured identities and collect a deterministic report."""
     cfg = config or SuiteConfig()
     cfg.validate()
-    selected = cfg.identities or tuple(IDENTITIES)
-    records: list[IdentityRecord] = []
-    timings: dict[str, float] = {}
-    for name in IDENTITIES:
-        if name not in selected:
-            continue
-        start = time.perf_counter()
-        for n, p, seed, residual, note, check in IDENTITIES[name](cfg):
-            tol, passed = check.judge(residual, cfg)
-            records.append(IdentityRecord(name, n, p, seed, residual, tol, passed, note, check.lower_bound))
-        timings[name] = time.perf_counter() - start
-    return VerificationReport(config={**asdict(cfg), "identities": sorted(selected)},
-                              records=records, timings=timings)
+    chosen = cfg.identities or tuple(IDENTITIES)
+    selected = [name for name in IDENTITIES if name in chosen]
+    run = partial(_run_identity, cfg=cfg)
+    pool = _fork_pool(min(_usable_cpus(), len(selected)))
+    if pool is None:
+        results = list(map(run, selected))
+    else:
+        try:
+            results = list(pool.imap(run, selected))
+        except BaseException:
+            pool.terminate()
+            pool.join()
+            raise
+        pool.close()
+        pool.join()
+    return VerificationReport(config={**asdict(cfg), "identities": sorted(chosen)},
+                              records=[r for records, _ in results for r in records],
+                              timings={name: seconds for name, (_, seconds) in zip(selected, results)})

@@ -150,8 +150,9 @@ def np_adjoint(w_pp: DoubleForm, p: int) -> DoubleForm:
         raise ValueError(f"expected a ({p},{p}) form, got {w_pp.degree}")
     ctx = w_pp.ctx
     _check_formula_range(ctx.n, p)
-    term1 = metric_product(1, contract_iter(w_pp, p - 1)) / factorial(p - 1)
-    term2 = 2.0 * contract_iter(w_pp, p - 2) / factorial(p - 2)
+    c2 = contract_iter(w_pp, p - 2)
+    term1 = metric_product(1, contract(c2)) / factorial(p - 1)
+    term2 = 2.0 * c2 / factorial(p - 2)
     return term1 - term2
 
 

@@ -107,7 +107,8 @@ def test_bare_import_loads_no_submodule(tmp_path):
 
 
 #: What a command that runs neither the suite nor a random draw never loads.
-UNUSED = {"doubleforms.verify", "doubleforms.random_tensors", "numpy.ma", "numpy.random"}
+UNUSED = {"doubleforms.verify", "doubleforms.random_tensors", "numpy.ma", "numpy.random",
+          "multiprocessing"}
 
 
 @pytest.mark.parametrize("args, unused", [
@@ -115,8 +116,8 @@ UNUSED = {"doubleforms.verify", "doubleforms.random_tensors", "numpy.ma", "numpy
     (["weitzenboeck", "--p", "3", "--json"], UNUSED),
     (["weitzenboeck", "--p", "3", "--method", "definition", "--json"], UNUSED),
     (["pcurvature", "--p", "3", "--json"], UNUSED),
-    (["spectrum", "--p", "3", "--samples", "4", "--json"], {"doubleforms.verify"}),
-    (["sectional", "--p", "3", "--samples", "4"], {"doubleforms.verify"}),
+    (["spectrum", "--p", "3", "--samples", "4", "--json"], {"doubleforms.verify", "multiprocessing"}),
+    (["sectional", "--p", "3", "--samples", "4"], {"doubleforms.verify", "multiprocessing"}),
 ], ids=["decompose", "weitzenboeck", "definition", "pcurvature", "spectrum", "sectional"])
 def test_command_loads_only_what_it_runs(tmp_path, args, unused):
     tensor = tmp_path / "t.json"
@@ -125,3 +126,12 @@ def test_command_loads_only_what_it_runs(tmp_path, args, unused):
                                     tmp_path / "out.txt")
     assert code == 0
     assert not unused & modules, sorted(unused & modules)
+
+
+def test_one_identity_runs_without_multiprocessing(tmp_path):
+    # one selected identity runs in the calling process: no pool to import
+    code, modules = run_cli_modules(["verify", "--identity", "closed_form", "--json"],
+                                    tmp_path / "out.txt")
+    assert code == 0
+    assert "doubleforms.verify" in modules
+    assert not {m for m in modules if m.partition(".")[0] == "multiprocessing"}

@@ -317,6 +317,10 @@ def test_diagonal_entry_file(tmp_path):
                           {"ij": [1, 3], "kl": [1, 2], "value": 2.0},
                           {"ij": [1, 2], "kl": [1, 2], "value": "x"}]},
      "entries[1]: conflicts with an earlier entry for the same symmetric slot (1.0 vs 2.0)"),
+    # the optional degrees are JSON integers too, and then must be 2
+    ({"n": 4, "p": 2.0, "entries": []}, "'p' must be an integer, got 2.0"),
+    ({"n": 4, "q": True, "entries": []}, "'q' must be an integer, got True"),
+    ({"n": 4, "p": 2, "q": 3, "entries": []}, "curvature tensors must have q = 2, got 3"),
 ])
 def test_malformed_files(tmp_path, doc, fragment):
     path = tmp_path / "bad.json"

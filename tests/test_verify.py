@@ -1,6 +1,7 @@
 """The verification suite and the command-line interface."""
 
 import json
+import multiprocessing
 import os
 import pathlib
 import subprocess
@@ -202,6 +203,61 @@ def test_trial_count_does_not_raise_peak_memory(tmp_path):
         code, peaks[trials] = run_cli_measured(args, tmp_path / f"{trials}.json")
         assert code == 0
     assert peaks[1000] <= 1.05 * peaks[100], peaks
+
+
+# -- identities on the usable CPUs -------------------------------------------
+
+
+def _with_cpus(monkeypatch, cpus):
+    """Make run_suite see cpus usable CPUs; returns the list that collects
+    what each of its _fork_pool calls gives, a pool or None."""
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: cpus)
+    made, fork_pool = [], verify._fork_pool
+
+    def spy(workers):
+        made.append(fork_pool(workers))
+        return made[-1]
+
+    monkeypatch.setattr(verify, "_fork_pool", spy)
+    return made
+
+
+@pytest.mark.parametrize("cfg", [
+    SuiteConfig(n_min=4, n_max=6, seeds=1, trials=5),
+    SuiteConfig(n_min=4, n_max=5, seeds=2, trials=5, identities=("star_contraction", "closed_form")),
+], ids=["all", "two"])
+def test_report_bytes_do_not_depend_on_the_cpu_count(monkeypatch, cfg):
+    reports = {}
+    for cpus in (1, 2):
+        made = _with_cpus(monkeypatch, cpus)
+        reports[cpus] = run_suite(cfg)
+        assert [pool is not None for pool in made] == [cpus == 2]
+    assert reports[1].to_json() == reports[2].to_json()
+    assert list(reports[1].timings) == list(reports[2].timings) == [
+        name for name in IDENTITIES if name in (cfg.identities or IDENTITIES)]
+
+
+def test_no_worker_outlives_the_suite(monkeypatch, capsys):
+    made = _with_cpus(monkeypatch, 2)
+    cfg = SuiteConfig(n_min=4, n_max=5, seeds=1, trials=5,
+                      identities=("closed_form", "contraction_adjoint", "decomposition"))
+    assert run_suite(cfg).passed
+    assert made[-1] is not None
+    assert multiprocessing.active_children() == []
+
+    def broken(cfg):
+        raise ValueError("closed_form broke")
+
+    # the first task fails while the other worker still runs its own
+    monkeypatch.setitem(verify.IDENTITIES, "closed_form", broken)
+    with pytest.raises(ValueError, match="closed_form broke"):
+        run_suite(cfg)
+    assert made[-1] is not None
+    assert multiprocessing.active_children() == []
+    argv = ["verify", "--n-min", "4", "--n-max", "5", "--seeds", "1", "--trials", "5"]
+    assert main([*argv, *(f"--identity={name}" for name in cfg.identities)]) == 2
+    assert capsys.readouterr().err == "error: closed_form broke\n"
+    assert multiprocessing.active_children() == []
 
 
 # -- command line -----------------------------------------------------------
@@ -432,6 +488,23 @@ def test_cli_overflow_is_an_error_not_invalid_json(tmp_path, capsys, argv, value
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "not JSON compliant" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["decompose", "--json"], ["weitzenboeck", "--p", "2", "--json"],
+                                  ["pcurvature", "--p", "2"]],
+                         ids=["decompose", "weitzenboeck", "pcurvature"])
+def test_cli_overflow_prints_one_error_line_and_no_warning(tmp_path, argv):
+    # numpy warns on the way to the non-finite result; in a child process,
+    # as a user runs it, so that the test runner's warning capture is not in the way
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": 4, "entries": [{"ij": [1, 2], "kl": [1, 2], "value": 1e308},
+                                                    {"ij": [1, 3], "kl": [1, 3], "value": 1e308}]}))
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(wz.__file__).parents[1]))
+    cmd = [sys.executable, "-m", "doubleforms.cli", *argv, "--input", str(path)]
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True, check=False)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: Out of range float values are not JSON compliant\n"
 
 
 @pytest.mark.parametrize("as_json", [True, False], ids=["json", "text"])
