@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial, prod
+from math import comb, factorial, frexp, prod
 
 import numpy as np
 
@@ -554,6 +554,10 @@ def sectional(w: DoubleForm, span) -> float:
 #: Default relative tolerance on the Bianchi residual of curvature tensors.
 BIANCHI_TOL = 1e-12
 
+#: Entry size up to which a (2,2) form's norm cannot overflow: it sums at
+#: most C(12, 2)**2 < 2**13 squares, each at most 2**1000.
+_UNSCALED_BIANCHI_CHECK = 2.0 ** 500
+
 
 class BianchiViolation(ValueError):
     """A (2,2) form fails the first Bianchi identity at the requested tolerance."""
@@ -581,12 +585,19 @@ class CurvatureTensor:
         if not self.form.is_symmetric():
             raise ValueError("curvature tensor matrix must be exactly symmetric")
         if np.isfinite(self.bianchi_tol):
-            residual = bianchi_residual(self.form)
-            limit = self.bianchi_tol * self.form.norm()
+            # residual and norm scale together, so a form near the float64
+            # range is checked times a power of two that keeps both finite
+            form, shift = self.form, 0
+            big = float(np.max(np.abs(form.coeffs), initial=0.0))
+            if big > _UNSCALED_BIANCHI_CHECK:
+                shift = frexp(big)[1]
+                form = DoubleForm(2, 2, np.ldexp(form.coeffs, -shift), form.ctx)
+            residual = bianchi_residual(form)
+            limit = self.bianchi_tol * form.norm()
             if not residual <= limit:
                 raise BianchiViolation(
                     f"first Bianchi identity violated: residual {residual:.3e} "
-                    f"exceeds {limit:.3e}"
+                    f"exceeds {limit:.3e}" + (f" (both times 2**{-shift})" if shift else "")
                 )
 
     @property

@@ -11,10 +11,10 @@ written by save_form carry explicit "p" and "q" fields and index lists of
 the matching lengths.
 
 Indices, "n" and the optional "p" and "q" must be JSON integers and values
-JSON numbers; booleans are neither.  The entries are read and checked as whole arrays, and a bad
-file is reported at its first bad entry, in file order.  Loading rejects
-non-finite values and checks the first Bianchi identity with the
-CurvatureTensor rule.  The default policy is to warn on stderr
+JSON numbers; booleans are neither.  The entries are checked one at a
+time, and a bad file is reported at its first bad entry, in file order.
+Loading rejects non-finite values and checks the first Bianchi identity
+with the CurvatureTensor rule.  The default policy is to warn on stderr
 and continue; "strict" rejects the file and "project" applies the
 orthogonal projection onto the symmetric Bianchi subspace, which has a
 closed form: symmetric (2,2) forms split as curvature tensors plus
@@ -24,15 +24,13 @@ closed form: symmetric (2,2) forms split as curvature tensors plus
 from __future__ import annotations
 
 import json
+import math
 import sys
 from functools import lru_cache
-from itertools import chain
-from math import comb
-from operator import itemgetter
 
 import numpy as np
 
-from .exterior import AlgebraContext, mask_ranks, subsets
+from .exterior import AlgebraContext, _ranks, mask_ranks, subsets
 from .forms import BianchiViolation, CurvatureTensor, DoubleForm, _member_table, bianchi_map
 
 __all__ = ["load_tensor", "save_form", "bianchi_projector", "project_bianchi"]
@@ -43,113 +41,56 @@ _POLICIES = ("warn", "strict", "project")
 #: The fields of every entry of a tensor file.
 _FIELDS = frozenset({"ij", "kl", "value"})
 
-#: The smallest integer that a float64 rounds to infinity.
-_FLOAT_OVERFLOW = 2 ** 1024 - 2 ** 970
 
-
-def _of_types(values: list, *kinds: type) -> np.ndarray:
-    """Whether each of values has exactly one of the types kinds, so that
-    a JSON boolean (a Python bool) is neither an integer nor a number."""
-    test = frozenset(kinds).__contains__
-    return np.fromiter(map(test, map(type, values)), dtype=bool, count=len(values))
-
-
-def _standing_in(values: list, keep: np.ndarray, stand_in) -> list:
-    """A copy of values with stand_in wherever keep is False."""
-    values = list(values)
-    for k in np.flatnonzero(~keep):
-        values[k] = stand_in
-    return values
-
-
-def _raise_first(checks: list) -> None:
-    """checks holds (failure mask over the entries, message for entry k)
-    in the order one entry is checked.  Raise the message of the first
-    failing check of the first entry that fails any, in file order."""
-    failed = np.array([mask for mask, _ in checks], dtype=bool)
-    bad = np.flatnonzero(failed.any(axis=0))
-    if bad.size:
-        k = int(bad[0])
-        raise ValueError(checks[int(np.argmax(failed[:, k]))][1](k))
-
-
-def _index_pairs(raws: list, field, n: int, checks: list) -> np.ndarray:
-    """The index pairs raws as a (count, 2) array, with the checks that
-    each is a list of two JSON integers in [1, n], strictly increasing,
-    appended to checks.  A pair that fails a check reads (1, 2)."""
-    lists = _of_types(raws, list)
-    lengths = np.fromiter(map(len, _standing_in(raws, lists, ())), dtype=np.int64, count=len(raws))
-    shaped = lengths == 2
-    checks.append((~shaped, lambda k: f"{field(k)}: expected a list of 2 indices, got {raws[k]!r}"))
-    flat = list(chain.from_iterable(_standing_in(raws, shaped, [1, 2])))
-    integers = _of_types(flat, int)
-    checks.append((~integers.reshape(-1, 2).all(axis=1),
-                   lambda k: f"{field(k)}: indices must be integers, got {raws[k]!r}"))
-    # compared as Python integers, which JSON does not bound
-    flat = np.array(_standing_in(flat, integers, 1), dtype=object).reshape(-1, 2)
-    inside = ((flat >= 1) & (flat <= n)).all(axis=1)
-    checks.append((~inside, lambda k: f"{field(k)}: indices must lie in [1, {n}], got {raws[k]!r}"))
-    pairs = np.where(inside[:, None], flat, [1, 2]).astype(np.int64)
-    checks.append((pairs[:, 0] >= pairs[:, 1],
-                   lambda k: f"{field(k)}: indices must be strictly increasing, got {raws[k]!r}"))
-    return pairs
+def _index_pair(raw, n: int, where: str, name: str) -> tuple[int, int]:
+    """The index pair raw, field name of the entry at where, checked to be
+    two JSON integers in [1, n], strictly increasing."""
+    if type(raw) is not list or len(raw) != 2:
+        raise ValueError(f"{where}.{name}: expected a list of 2 indices, got {raw!r}")
+    i, j = raw
+    if type(i) is not int or type(j) is not int:
+        raise ValueError(f"{where}.{name}: indices must be integers, got {raw!r}")
+    if not (1 <= i <= n and 1 <= j <= n):
+        raise ValueError(f"{where}.{name}: indices must lie in [1, {n}], got {raw!r}")
+    if i >= j:
+        raise ValueError(f"{where}.{name}: indices must be strictly increasing, got {raw!r}")
+    return i, j
 
 
 def _read_entries(entries: list, n: int, path) -> np.ndarray:
     """The symmetric (2,2) coefficient matrix that a file's entries list.
 
-    Every check is made on the whole list at once; a fault raises
-    ValueError for the first bad entry in file order, with the message of
-    its first failing check.  Indices must be JSON integers and values JSON
-    numbers (booleans are neither); an integer value too large for a
-    float64 is the non-finite value it rounds to.
+    The entries are checked one at a time, in file order; the first fault
+    raises ValueError with the message of that entry's first failing check.
+    Indices must be JSON integers and values JSON numbers (booleans are
+    neither); an integer value too large for a float64 is the infinity it
+    rounds to.  The last entry of a symmetric slot sets both of its cells.
     """
-    checks = []
-
-    def where(k):
-        return f"{path}: entries[{k}]"
-
-    objects = _of_types(entries, dict)
-    checks.append((~objects, lambda k: f"{where(k)}: expected an object, got {entries[k]!r}"))
-    complete = objects & np.fromiter(map(_FIELDS.issubset, _standing_in(entries, objects, {})),
-                                     dtype=bool, count=len(entries))
-    checks.append((~complete,
-                   lambda k: f"{where(k)}: missing fields {sorted(_FIELDS - set(entries[k]))}"))
-    full = _standing_in(entries, complete, {"ij": [1, 2], "kl": [1, 2], "value": 0.0})
-    ij = _index_pairs(list(map(itemgetter("ij"), full)), lambda k: f"{where(k)}.ij", n, checks)
-    kl = _index_pairs(list(map(itemgetter("kl"), full)), lambda k: f"{where(k)}.kl", n, checks)
-    raw = list(map(itemgetter("value"), full))
-    numbers = _of_types(raw, int, float)
-    checks.append((~numbers, lambda k: f"{where(k)}.value: expected a number, got {raw[k]!r}"))
-    values = np.array(_standing_in(raw, numbers, 0.0), dtype=object)
-    integers = np.flatnonzero(_of_types(raw, int))
-    overflow = integers[np.abs(values[integers]) >= _FLOAT_OVERFLOW]
-    values[overflow] = np.where(values[overflow] > 0, np.inf, -np.inf)
-    values = values.astype(np.float64)
-    checks.append((~np.isfinite(values),
-                   lambda k: f"{where(k)}.value: non-finite value {float(values[k])!r}"))
-    ranks = mask_ranks(n)
-    a, b = (ranks[(1 << (pairs[:, 0] - 1)) | (1 << (pairs[:, 1] - 1))] for pairs in (ij, kl))
-    dim = comb(n, 2)
-    slots = np.minimum(a, b) * dim + np.maximum(a, b)
-    # the entries of each symmetric slot together, in file order
-    order = np.argsort(slots, kind="stable")
-    slots, ordered = slots[order], values[order]
-    starts = np.ones(len(slots), dtype=bool)
-    starts[1:] = slots[1:] != slots[:-1]
-    seen = np.empty(len(slots))  # the value of each entry's slot at its first entry
-    seen[order] = ordered[starts][np.cumsum(starts) - 1]
-    checks.append((values != seen, lambda k: (
-        f"{where(k)}: conflicts with an earlier entry for the same "
-        f"symmetric slot ({float(seen[k])!r} vs {float(values[k])!r})")))
-    _raise_first(checks)
-    # the last entry of a slot sets both of its cells (0.0 and -0.0 agree)
-    ends = np.ones(len(slots), dtype=bool)
-    ends[:-1] = starts[1:]
-    mat = np.zeros((dim, dim))
-    rows, cols = np.divmod(slots[ends], dim)
-    mat[rows, cols] = ordered[ends]
-    mat[cols, rows] = ordered[ends]
+    ranks = _ranks(n, 2)
+    mat = np.zeros((len(ranks), len(ranks)))
+    seen = {}  # the value of each symmetric slot at its first entry
+    for k, entry in enumerate(entries):
+        where = f"{path}: entries[{k}]"
+        if type(entry) is not dict:
+            raise ValueError(f"{where}: expected an object, got {entry!r}")
+        if not _FIELDS.issubset(entry):
+            raise ValueError(f"{where}: missing fields {sorted(_FIELDS - set(entry))}")
+        a = ranks[_index_pair(entry["ij"], n, where, "ij")]
+        b = ranks[_index_pair(entry["kl"], n, where, "kl")]
+        raw = entry["value"]
+        if type(raw) is not int and type(raw) is not float:
+            raise ValueError(f"{where}.value: expected a number, got {raw!r}")
+        try:
+            value = float(raw)
+        except OverflowError:
+            value = math.inf if raw > 0 else -math.inf
+        if not math.isfinite(value):
+            raise ValueError(f"{where}.value: non-finite value {value!r}")
+        first = seen.setdefault((a, b) if a <= b else (b, a), value)
+        if first != value:  # 0.0 and -0.0 agree
+            raise ValueError(f"{where}: conflicts with an earlier entry for the same "
+                             f"symmetric slot ({first!r} vs {value!r})")
+        mat[a, b] = mat[b, a] = value
     return mat
 
 
@@ -178,7 +119,10 @@ def load_tensor(path, *, on_bianchi: str = "warn") -> CurvatureTensor:
         if doc.get(d, 2) != 2:
             raise ValueError(f"{path}: curvature tensors must have {d} = 2, got {doc[d]}")
     n = doc["n"]
-    ctx = AlgebraContext(n)
+    try:
+        ctx = AlgebraContext(n)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     entries = doc.get("entries", [])
     if not isinstance(entries, list):
         raise ValueError(f"{path}: 'entries' must be a list")

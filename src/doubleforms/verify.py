@@ -15,8 +15,9 @@ usable CPU up to one per selected identity, and puts the records back in
 another in the calling process where that pool would have one worker,
 where the platform cannot fork, and where the caller runs other threads,
 since a forked child could inherit a lock one of them holds.  The pool is
-joined before `run_suite` returns or raises.  Each identity's timing is its own wall time in the
-process that ran it, so the timings can add up to more than the run's.
+joined before `run_suite` returns or raises.  Each identity's timing is
+its own wall time in the process that ran it, so the timings can add up
+to more than the run's.
 
 Most residuals are relative and "smaller is better"; rank checks record a
 singular-value ratio and positivity checks record a smallest eigenvalue.

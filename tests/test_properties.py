@@ -8,6 +8,8 @@ import contextlib
 import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from doubleforms.forms import (
     DoubleForm, bianchi_map, contract, inner, kn_product, metric, metric_power, metric_product, star,
 )
 from doubleforms.random_tensors import _sum_of_squares, random_bianchi_22, random_form
+from doubleforms.tensorio import load_tensor, save_form
 from doubleforms.weitzenboeck import np_definition
 from oracles import dense_definition, dense_kn_product, dense_square_sum, drawn_factors, enumeration_rank
 
@@ -240,3 +243,33 @@ def test_streamed_json_rejects_non_finite_numbers_before_writing(doc, bad, data)
     with contextlib.redirect_stdout(out), pytest.raises(ValueError, match="not JSON compliant"):
         cli._emit({"a": doc, "b": spoiled}, True, [])
     assert out.getvalue() == ""
+
+
+@st.composite
+def symmetric_22_forms(draw):
+    """Symmetric (2,2) forms whose coefficients are drawn from EDGE_FLOATS."""
+    ctx = AlgebraContext(draw(st.integers(1, 6)))
+    dim = ctx.dim(2)
+    upper = np.triu_indices(dim)
+    coeffs = np.zeros((dim, dim))
+    size = len(upper[0])
+    coeffs[upper] = draw(st.lists(st.sampled_from(EDGE_FLOATS), min_size=size, max_size=size))
+    coeffs.T[upper] = coeffs[upper]
+    return DoubleForm(2, 2, coeffs, ctx)
+
+
+@fixed
+# both zeros, a subnormal, and entries whose squares overflow in the Bianchi check
+@example(form=DoubleForm(2, 2, np.array([[-0.0, 5e-324, 1.7976931348623157e308],
+                                         [5e-324, 0.0, -2.0],
+                                         [1.7976931348623157e308, -2.0, 1e16]]), AlgebraContext(3)))
+@given(form=symmetric_22_forms())
+def test_saved_forms_load_bit_for_bit(form):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "form.json"
+        save_form(form, path)
+        # most drawn forms break the Bianchi identity, which warn mode reports
+        with contextlib.redirect_stderr(io.StringIO()):
+            back = load_tensor(path, on_bianchi="warn").form.coeffs
+    # zeros are not written, so -0.0 reads back as 0.0
+    assert np.array_equal(back.view(np.int64), (form.coeffs + 0.0).view(np.int64))

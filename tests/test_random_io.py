@@ -321,6 +321,13 @@ def test_diagonal_entry_file(tmp_path):
     ({"n": 4, "p": 2.0, "entries": []}, "'p' must be an integer, got 2.0"),
     ({"n": 4, "q": True, "entries": []}, "'q' must be an integer, got True"),
     ({"n": 4, "p": 2, "q": 3, "entries": []}, "curvature tensors must have q = 2, got 3"),
+    ({"n": 13, "entries": []}, "dimension must be an integer in [1, 12], got 13"),
+    ({"n": 4, "entries": [[1, 2]]}, "entries[0]: expected an object, got [1, 2]"),
+    # n = 1 has no index pairs, so every listed pair is out of range
+    ({"n": 1, "entries": [{"ij": [1, 2], "kl": [1, 2], "value": 1.0}]},
+     "entries[0].ij: indices must lie in [1, 1], got [1, 2]"),
+    ({"n": 4, "entries": [{"ij": [1, 2], "kl": [1, 2], "value": 10 ** 400}]},
+     "entries[0].value: non-finite value inf"),
 ])
 def test_malformed_files(tmp_path, doc, fragment):
     path = tmp_path / "bad.json"
@@ -331,6 +338,25 @@ def test_malformed_files(tmp_path, doc, fragment):
         except ValueError as exc:
             assert fragment in str(exc)
             raise
+
+
+def test_repeated_slots_load(tmp_path):
+    # a slot may be listed again with an equal value, in either orientation;
+    # 0.0 and -0.0 are equal, and the last entry of a slot sets both cells
+    path = tmp_path / "repeats.json"
+    path.write_text(json.dumps({"n": 4, "entries": [
+        {"ij": [1, 2], "kl": [1, 3], "value": 1.5},
+        {"ij": [1, 3], "kl": [1, 2], "value": 1.5},
+        {"ij": [1, 2], "kl": [1, 3], "value": 1.5},
+        {"ij": [2, 3], "kl": [1, 4], "value": 0.0},
+        {"ij": [1, 4], "kl": [2, 3], "value": -0.0},
+        {"ij": [3, 4], "kl": [3, 4], "value": 2},
+    ]}))
+    form = load_tensor(path, on_bianchi="warn").form
+    assert form.value((1, 2), (1, 3)) == form.value((1, 3), (1, 2)) == 1.5
+    assert np.signbit(form.value((2, 3), (1, 4))) and np.signbit(form.value((1, 4), (2, 3)))
+    assert form.coeffs.dtype == np.float64 and form.value((3, 4), (3, 4)) == 2.0
+    assert np.count_nonzero(form.coeffs) == 3
 
 
 def test_invalid_json(tmp_path):
@@ -353,12 +379,12 @@ def test_conflicting_symmetric_entries(tmp_path):
         load_tensor(path)
 
 
-def _witness_file(tmp_path):
+def _witness_file(tmp_path, value=1.0):
     # the (e_12, e_34)-supported tensor violating the Bianchi identity
     path = tmp_path / "witness.json"
     path.write_text(json.dumps({
         "n": 4,
-        "entries": [{"ij": [1, 2], "kl": [3, 4], "value": 1.0}],
+        "entries": [{"ij": [1, 2], "kl": [3, 4], "value": value}],
     }))
     return path
 
@@ -367,6 +393,13 @@ def test_strict_mode_rejects_witness(tmp_path):
     path = _witness_file(tmp_path)
     with pytest.raises(ValueError, match="Bianchi"):
         load_tensor(path, on_bianchi="strict")
+
+
+@pytest.mark.parametrize("value", [1e200, -1.7976931348623157e308])
+def test_strict_mode_rejects_witness_near_the_float_range(tmp_path, value):
+    # the norm's squares overflow unscaled, which made the limit infinite
+    with pytest.raises(ValueError, match=r"Bianchi identity violated: .* \(both times 2\*\*-"):
+        load_tensor(_witness_file(tmp_path, value), on_bianchi="strict")
 
 
 def test_warn_mode_reports(tmp_path, capsys):
