@@ -11,8 +11,9 @@ arrays written as nested lists.  The text is streamed to stdout one matrix
 row at a time instead of being built whole; each array's distinct values
 are encoded once.  Every number of the document is encoded before the
 first byte is written, with or without --json, so a non-finite result
-exits 2 with one error line on stderr, where numpy's floating-point
-warnings are silenced, and nothing on stdout.
+exits 2 with one error line on stderr, which names its field (such as
+"matrix[3][7]" or "norm"), and nothing on stdout; numpy's floating-point
+warnings are silenced.
 """
 
 from __future__ import annotations
@@ -104,31 +105,46 @@ def _load(args):
     return load_tensor(args.input, on_bianchi=mode)
 
 
-def _plan(value, indent: str, out: list) -> None:
+def _plan(value, indent: str, out: list, path: str = "") -> None:
     """Append to out the pieces of json.dumps(value, indent=2, sort_keys=True,
     allow_nan=False) on a string-keyed document: texts, and one generator of
     row texts per float64 array.  The distinct values of each array are
     encoded here, so every number is encoded, or found non-finite, before
-    any piece is written."""
+    any piece is written.  A non-finite number raises the encoder's
+    ValueError prefixed with its path in the document, such as
+    "matrix[3][7]" (an array's first non-finite entry in row-major order)."""
     inner = indent + "  "
     if isinstance(value, np.ndarray):
-        out.append(_array_rows(value, _float_texts(value), indent))
+        try:
+            texts = _float_texts(value)
+        except ValueError as exc:
+            first = np.argwhere(~np.isfinite(value))[0]
+            raise _at(path + "".join(f"[{i}]" for i in first), exc) from None
+        out.append(_array_rows(value, texts, indent))
     elif isinstance(value, dict) and value:
         sep = "{"
         for key in sorted(value):
             out.append(f"{sep}{inner}{json.dumps(key)}: ")
-            _plan(value[key], inner, out)
+            _plan(value[key], inner, out, f"{path}.{key}" if path else key)
             sep = ","
         out.append(indent + "}")
     elif isinstance(value, (list, tuple)) and value:
         sep = "["
-        for item in value:
+        for i, item in enumerate(value):
             out.append(sep + inner)
-            _plan(item, inner, out)
+            _plan(item, inner, out, f"{path}[{i}]")
             sep = ","
         out.append(indent + "]")
     else:
-        out.append(json.dumps(value, allow_nan=False))
+        try:
+            out.append(json.dumps(value, allow_nan=False))
+        except ValueError as exc:
+            raise _at(path, exc) from None
+
+
+def _at(path: str, exc: ValueError) -> ValueError:
+    """exc's message, prefixed with the path of the value that raised it."""
+    return ValueError(f"{path}: {exc}" if path else str(exc))
 
 
 def _array_rows(values: np.ndarray, texts, indent: str):
@@ -297,9 +313,10 @@ def _cmd_pcurvature(args) -> int:
     tensor = _load(args)
     form = wz.p_curvature_form(tensor, args.p)
     norm = form.norm()
-    # a form with a non-finite entry has a non-finite norm: it fails here,
-    # as in the other commands, and never reaches spectrum
-    json.dumps(norm, allow_nan=False)
+    # a form with a non-finite entry, or past the float range, has a
+    # non-finite norm: it fails here, named as _emit names it, and never
+    # reaches spectrum
+    _pieces({"norm": norm})
     eigs = wz.spectrum(form, sample_planes=0).eigenvalues
     doc = {
         "n": tensor.n,

@@ -26,7 +26,7 @@ exterior.subset_masks: unions and removals are mask operations, ranks are
 read off exterior.mask_ranks, and the signs come from the broadcasting
 merge_sign (the shuffle table) and insertion_sign (the lift table behind
 contraction), so the product's table shares no code with the
-contraction's.  At n = 12 none takes more than about 3 ms to build.
+contraction's.
 
 metric_product, contract and star each run one private array kernel
 (_metric_stack, _contract_stack, _star_stack) that takes a stack of
@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial, frexp, prod
+from math import comb, factorial, frexp, ldexp, prod
 
 import numpy as np
 
@@ -118,7 +118,19 @@ class DoubleForm:
         return float(self.coeffs[rank_index(I, self.ctx), rank_index(J, self.ctx)])
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
+        """The Frobenius norm.  When the sum of squares overflows on finite
+        entries, it is taken on the coefficients times 2**-e, e the exponent
+        of the largest entry, and scaled back, without a warning; it is inf
+        only past the float range."""
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(self.coeffs))
+        if norm == np.inf and np.isfinite(self.coeffs).all():
+            shift = frexp(float(np.max(np.abs(self.coeffs))))[1]
+            try:
+                norm = ldexp(float(np.linalg.norm(np.ldexp(self.coeffs, -shift))), shift)
+            except OverflowError:
+                pass
+        return norm
 
     def transpose(self) -> "DoubleForm":
         return DoubleForm(self.q, self.p, self.coeffs.T, self.ctx)

@@ -334,8 +334,8 @@ def _run_metric_injectivity(cfg: SuiteConfig) -> Iterator[Measurement]:
         for p in range(0, n // 2 + 1):
             units = np.eye(ctx.dim(p) ** 2).reshape(-1, ctx.dim(p), ctx.dim(p))
             for k in range(0, n - 2 * p + 1):
-                cols = [metric_product(k, DoubleForm(p, p, e, ctx)).coeffs.reshape(-1) for e in units]
-                yield n, p, k, *_ratio(np.array(cols).T, f"multiplication by g^{k}")
+                cols = _metric_stack(k, units, n, p, p).reshape(len(units), -1)
+                yield n, p, k, *_ratio(cols.T, f"multiplication by g^{k}")
 
 
 def _bianchi_basis(n: int) -> np.ndarray:
@@ -670,14 +670,8 @@ def run_suite(config: SuiteConfig | None = None) -> VerificationReport:
     if pool is None:
         results = list(map(run, selected))
     else:
-        try:
+        with pool:  # its exit terminates the workers and joins them
             results = list(pool.imap(run, selected))
-        except BaseException:
-            pool.terminate()
-            pool.join()
-            raise
-        pool.close()
-        pool.join()
     return VerificationReport(config={**asdict(cfg), "identities": sorted(chosen)},
                               records=[r for records, _ in results for r in records],
                               timings={name: seconds for name, (_, seconds) in zip(selected, results)})

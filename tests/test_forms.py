@@ -329,6 +329,23 @@ def test_adjointness_k_fold():
 # -- Hodge star ---------------------------------------------------------------
 
 
+def test_norm_past_the_range_of_squares():
+    # squares overflow past 1.4e154; the norm is then taken on the form
+    # times a power of two, and is inf only where the true norm is
+    ctx = AlgebraContext(4)
+    for big in (1e200, 1e308, 1.7976931348623157e308 / 2):
+        raw = np.zeros((6, 6))
+        raw[0, 0] = raw[3, 5] = big
+        assert DoubleForm(2, 2, raw, ctx).norm() == np.sqrt(2.0) * big
+    raw[1, 1] = 1.7976931348623157e308
+    assert DoubleForm(2, 2, raw, ctx).norm() == np.inf
+    raw[1, 1] = np.nan
+    assert np.isnan(DoubleForm(2, 2, raw, ctx).norm())
+    # ordinary forms take numpy's norm bit for bit
+    form = rand_form(0, 2, 3, 6)
+    assert form.norm() == float(np.linalg.norm(form.coeffs))
+
+
 def test_star_volume_normalization():
     for n in range(2, 7):
         ctx = AlgebraContext(n)

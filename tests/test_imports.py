@@ -37,12 +37,14 @@ def _imported(tree: ast.Module) -> set[str]:
     return names
 
 
-def _exported(tree: ast.Module) -> set[str]:
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            return set(ast.literal_eval(node.value))
-    return set()
+def _module(path: Path):
+    return importlib.import_module(
+        PACKAGE.name if path.stem == "__init__" else f"{PACKAGE.name}.{path.stem}")
+
+
+def _exported(path: Path) -> set[str]:
+    # read from the imported module: the package derives its __all__
+    return set(getattr(_module(path), "__all__", ()))
 
 
 def _read(tree: ast.Module) -> set[str]:
@@ -52,7 +54,7 @@ def _read(tree: ast.Module) -> set[str]:
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
 def test_module_imports_only_names_it_uses(path):
     tree = ast.parse(path.read_text())
-    unused = _imported(tree) - _read(tree) - _exported(tree)
+    unused = _imported(tree) - _read(tree) - _exported(path)
     unused -= {name for module, name in ALLOWED if module == path.stem}
     assert not unused, f"{path.name} imports unused names: {sorted(unused)}"
 
@@ -67,9 +69,8 @@ def test_allowed_imports_are_not_stale():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
 def test_every_exported_name_exists(path):
     # a name left in __all__ after its definition is gone breaks `import *`
-    name = PACKAGE.name if path.stem == "__init__" else f"{PACKAGE.name}.{path.stem}"
-    module = importlib.import_module(name)
-    missing = [n for n in _exported(ast.parse(path.read_text())) if not hasattr(module, n)]
+    module = _module(path)
+    missing = [n for n in _exported(path) if not hasattr(module, n)]
     assert not missing, f"{path.name} exports undefined names: {sorted(missing)}"
 
 

@@ -473,16 +473,26 @@ def test_cli_rejects_booleans_and_non_numbers(tmp_path, capsys, text, message):
     assert message in captured.err
 
 
-@pytest.mark.parametrize("value", [1e308, 1e200], ids=["1e308", "1e200"])
+#: The six diagonal slots of a (2,2) form at n = 4.
+SIX_SLOTS = ([1, 2], [1, 3], [1, 4], [2, 3], [2, 4], [3, 4])
+
+
+def _diagonal_tensor(path, value, slots=SIX_SLOTS):
+    """An n = 4 tensor file holding value on the given diagonal slots."""
+    path.write_text(json.dumps({"n": 4, "entries": [{"ij": ij, "kl": ij, "value": value}
+                                                    for ij in slots]}))
+    return path
+
+
+@pytest.mark.parametrize("value", [1e308, 4e307], ids=["1e308", "4e307"])
 @pytest.mark.parametrize("argv", [["decompose"], ["weitzenboeck", "--p", "2"], ["pcurvature", "--p", "1"]],
                          ids=["decompose", "weitzenboeck", "pcurvature"])
 def test_cli_overflow_is_an_error_not_invalid_json(tmp_path, capsys, argv, value):
-    # at 1e200 the weitzenboeck and pcurvature matrices stay finite (largest
-    # entry 2e+200) and the first non-finite number is the norm, which sorts
-    # after "matrix": a writer that checked numbers as it went would fail late
-    path = tmp_path / "huge.json"
-    path.write_text(json.dumps({"n": 4, "entries": [{"ij": [1, 2], "kl": [1, 2], "value": value},
-                                                    {"ij": [1, 3], "kl": [1, 3], "value": value}]}))
+    # at 4e307 the weitzenboeck and pcurvature matrices stay finite (largest
+    # entries 1.6e308 and 1.2e308) while their norms lie past the float
+    # range: the first non-finite number is the norm, which sorts after
+    # "matrix", so a writer that checked numbers as it went would fail late
+    path = _diagonal_tensor(tmp_path / "huge.json", value)
     with np.errstate(over="ignore", invalid="ignore"):
         assert main([*argv, "--input", str(path), "--json"]) == 2
     captured = capsys.readouterr()
@@ -490,21 +500,39 @@ def test_cli_overflow_is_an_error_not_invalid_json(tmp_path, capsys, argv, value
     assert "not JSON compliant" in captured.err
 
 
-@pytest.mark.parametrize("argv", [["decompose", "--json"], ["weitzenboeck", "--p", "2", "--json"],
-                                  ["pcurvature", "--p", "2"]],
-                         ids=["decompose", "weitzenboeck", "pcurvature"])
-def test_cli_overflow_prints_one_error_line_and_no_warning(tmp_path, argv):
+@pytest.mark.parametrize("argv, field", [
+    (["decompose", "--json"], "omega0"),
+    (["weitzenboeck", "--p", "2", "--json"], "matrix[0][0]"),
+    (["pcurvature", "--p", "2"], "norm"),
+], ids=["decompose", "weitzenboeck", "pcurvature"])
+def test_cli_overflow_prints_one_error_line_and_no_warning(tmp_path, argv, field):
     # numpy warns on the way to the non-finite result; in a child process,
-    # as a user runs it, so that the test runner's warning capture is not in the way
-    path = tmp_path / "huge.json"
-    path.write_text(json.dumps({"n": 4, "entries": [{"ij": [1, 2], "kl": [1, 2], "value": 1e308},
-                                                    {"ij": [1, 3], "kl": [1, 3], "value": 1e308}]}))
+    # as a user runs it, so that the test runner's warning capture is not in
+    # the way.  The line names the first non-finite field in key order.
+    path = _diagonal_tensor(tmp_path / "huge.json", 1e308)
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(wz.__file__).parents[1]))
     cmd = [sys.executable, "-m", "doubleforms.cli", *argv, "--input", str(path)]
     proc = subprocess.run(cmd, env=env, capture_output=True, text=True, check=False)
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert proc.stderr == "error: Out of range float values are not JSON compliant\n"
+    assert proc.stderr == f"error: {field}: Out of range float values are not JSON compliant\n"
+
+
+@pytest.mark.parametrize("argv, norms", [
+    (["decompose"], {"omega1_norm": "omega1", "omega2_norm": "omega2"}),
+    (["weitzenboeck", "--p", "2"], {"norm": "matrix"}),
+    (["pcurvature", "--p", "1"], {"norm": "matrix"}),
+], ids=["decompose", "weitzenboeck", "pcurvature"])
+def test_cli_huge_finite_results_exit_0(tmp_path, capsys, argv, norms):
+    # the squares of entries past 1.4e154 overflow, but every result and
+    # every norm is finite: the norm is taken at a scale where they fit
+    path = _diagonal_tensor(tmp_path / "big.json", 1e200, SIX_SLOTS[:2])
+    assert main([*argv, "--input", str(path), "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    for norm, matrix in norms.items():
+        matrix = np.array(doc[matrix])
+        assert np.isfinite(matrix).all() and 1e154 < doc[norm] < np.inf
+        assert doc[norm] == pytest.approx(1e200 * np.linalg.norm(matrix / 1e200), rel=1e-14)
 
 
 @pytest.mark.parametrize("as_json", [True, False], ids=["json", "text"])
@@ -525,10 +553,8 @@ def test_cli_spectrum_names_an_overflowing_operator(tmp_path, capsys, as_json):
                                   ["sectional", "--p", "2"], ["decompose"]],
                          ids=["weitzenboeck", "pcurvature", "sectional", "decompose"])
 def test_cli_text_output_never_prints_a_non_finite_number(tmp_path, capsys, argv):
-    # the tensor of the spectrum test above: each result holds inf or NaN
-    path = tmp_path / "huge.json"
-    path.write_text(json.dumps({"n": 4, "entries": [{"ij": [1, 2], "kl": [1, 2], "value": 1e308},
-                                                    {"ij": [1, 3], "kl": [1, 3], "value": 1e308}]}))
+    # each result holds inf or NaN, or has a norm past the float range
+    path = _diagonal_tensor(tmp_path / "huge.json", 1e308)
     with np.errstate(over="ignore", invalid="ignore"):
         assert main([*argv, "--input", str(path)]) == 2
     captured = capsys.readouterr()

@@ -598,16 +598,30 @@ def test_spectrum_rejects_asymmetric():
         spectrum(DoubleForm(1, 2, np.zeros((4, 6)), ctx))
 
 
-@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 1e308])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_spectrum_rejects_non_finite_operators(monkeypatch, bad):
-    # LAPACK never sees them: it fails on a NaN with "did not converge";
-    # 1e308 is finite, but the symmetrization's sum overflows
+    # LAPACK never sees them: it fails on a NaN with "did not converge"
     monkeypatch.setattr(wz, "jacobi_eigenvalues", lambda m: pytest.fail("LAPACK called"))
     raw = np.eye(6)
     raw[2, 2] = bad
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(ValueError, match="the order-2 operator has non-finite entries"):
         spectrum(DoubleForm(2, 2, raw, AlgebraContext(4)))
+
+
+def test_spectrum_takes_entries_near_the_float_range():
+    # the symmetrization halves before it adds, so 1e308 stays finite, and
+    # the skew check's norm is scaled, so a skew of 1e190 is still seen
+    ctx = AlgebraContext(4)
+    raw = np.eye(6)
+    raw[2, 2] = 1e308
+    rep = spectrum(DoubleForm(2, 2, raw, ctx), sample_planes=4)
+    assert np.array_equal(rep.eigenvalues, [1.0] * 5 + [1e308])
+    assert np.isfinite(rep.sampled_values).all()
+    raw = 1e200 * np.eye(6)
+    raw[0, 1] = 1e190
+    with pytest.raises(ValueError, match=r"not symmetric: max skew 1.000e\+190"):
+        spectrum(DoubleForm(2, 2, raw, ctx))
 
 
 def test_jacobi_against_lapack():
