@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from itertools import chain
 
 import numpy as np
 
 from .forms import bianchi_residual, contract_iter, plane_values
-from .tensorio import _float_texts, load_tensor, save_form
+from .tensorio import _BLOCK, _float_texts, load_tensor, save_form
 from . import weitzenboeck as wz
 
 _USAGE_ERROR = 2
@@ -149,20 +150,38 @@ def _at(path: str, exc: ValueError) -> ValueError:
 
 def _array_rows(values: np.ndarray, texts, indent: str):
     """The JSON text of a float64 array as it would be a nested list, one
-    piece per innermost row, each row's texts looked up in texts."""
-    if not len(values):
-        yield "[]"
-        return
-    inner = indent + "  "
+    piece per innermost row.  The entries' texts are looked up in texts a
+    block of whole rows (about _BLOCK entries) per call, and only as the
+    pieces are taken, so a document planned but not written looks up none."""
     if values.ndim == 1:
-        yield "[" + inner + ("," + inner).join(texts(values)) + indent + "]"
+        yield _text_row(texts(values), indent)
         return
+    step = max(1, _BLOCK // max(1, math.prod(values.shape[1:])))
+    yield from _text_rows(chain.from_iterable(
+        texts(values[i:i + step]) for i in range(0, len(values), step)), indent)
+
+
+def _text_rows(items, indent: str):
+    """The pieces of a JSON list whose items are the object arrays of texts
+    items gives, one piece per innermost row."""
+    inner = indent + "  "
     sep = "["
-    for row in values:
+    for item in items:
         yield sep + inner
-        yield from _array_rows(row, texts, inner)
+        if item.ndim == 1:
+            yield _text_row(item, inner)
+        else:
+            yield from _text_rows(item, inner)
         sep = ","
-    yield indent + "]"
+    yield "[]" if sep == "[" else indent + "]"
+
+
+def _text_row(texts: np.ndarray, indent: str) -> str:
+    """The JSON list of the 1-D object array of texts texts."""
+    if not len(texts):
+        return "[]"
+    inner = indent + "  "
+    return "[" + inner + ("," + inner).join(texts.tolist()) + indent + "]"
 
 
 def _pieces(doc):

@@ -79,6 +79,11 @@ __all__ = [
     "decomposable_coefficients",
 ]
 
+#: Norm below which DoubleForm.norm scales the entries up.  Above it, a
+#: form of at most 2**20 entries has a largest square of at least 2**-920,
+#: so the squares that underflow cannot move the sum.
+_TINY_NORM = 2.0 ** -450
+
 
 @dataclass(frozen=True, eq=False)
 class DoubleForm:
@@ -119,13 +124,14 @@ class DoubleForm:
 
     def norm(self) -> float:
         """The Frobenius norm.  When the sum of squares overflows on finite
-        entries, it is taken on the coefficients times 2**-e, e the exponent
-        of the largest entry, and scaled back, without a warning; it is inf
-        only past the float range."""
+        entries, or the norm lies below 2**-450, where squares of entries
+        can underflow, it is taken on the coefficients times 2**-e, e the
+        exponent of the largest entry, and scaled back, without a warning;
+        it is inf only past the float range, and 0 only for a zero form."""
         with np.errstate(over="ignore"):
             norm = float(np.linalg.norm(self.coeffs))
-        if norm == np.inf and np.isfinite(self.coeffs).all():
-            shift = frexp(float(np.max(np.abs(self.coeffs))))[1]
+        if (norm == np.inf and np.isfinite(self.coeffs).all()) or norm < _TINY_NORM:
+            shift = frexp(float(np.max(np.abs(self.coeffs), initial=0.0)))[1]
             try:
                 norm = ldexp(float(np.linalg.norm(np.ldexp(self.coeffs, -shift))), shift)
             except OverflowError:

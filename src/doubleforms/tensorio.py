@@ -139,15 +139,29 @@ def load_tensor(path, *, on_bianchi: str = "warn") -> CurvatureTensor:
         return CurvatureTensor(form, bianchi_tol=float("inf"))
 
 
+#: Fibonacci hashing's multiplier, 2**64 over the golden ratio, made odd
+_HASH = np.uint64(0x9E3779B97F4A7C15)
+#: at most 2**_SLOT_BITS int32 slots (8 MB), about 4 to 8 per distinct key below that
+_SLOT_BITS = 21
+#: the entries whose texts one lookup takes, at most, so that its temporaries stay small
+_BLOCK = 1 << 16
+
+
 def _float_texts(values: np.ndarray):
     """A lookup from float64 arrays of values' entries to their JSON texts.
 
     The distinct bit patterns of values, so that -0.0 and 0.0 stay apart,
     are encoded once in one call of the C encoder, which raises ValueError
-    on a non-finite value.  The lookup finds each entry's text by binary
-    search among those patterns and returns an object array of strings.
-    The patterns are the sorted array with repeats masked out: numpy 2's
-    hash-based np.unique is several times slower and imports numpy.ma.
+    on a non-finite value.  The patterns are the sorted array with repeats
+    masked out: numpy 2's hash-based np.unique is several times slower and
+    imports numpy.ma.
+
+    The lookup returns an object array of strings of its argument's shape.
+    It finds each entry's pattern in a direct-address table of slots,
+    indexed by the top bits of the pattern times an odd constant (uint64
+    arrays wrap without a warning), and checks it there; the entries whose
+    pattern lost its slot to another one are found by binary search, so
+    every text is exact whatever the collisions.
     """
     if values.dtype != np.float64:
         raise TypeError(f"expected a float64 array, got {values.dtype}")
@@ -155,7 +169,24 @@ def _float_texts(values: np.ndarray):
     keys = np.concatenate((keys[:1], keys[1:][keys[1:] != keys[:-1]]))
     body = json.dumps(keys.view(np.float64).tolist(), allow_nan=False)[1:-1]
     texts = np.array(body.split(", "), dtype=object)
-    return lambda part: texts[np.searchsorted(keys, part.view(np.int64))]
+    width = min(_SLOT_BITS, max(1, (4 * len(keys)).bit_length()))
+    slots = np.zeros(1 << width, dtype=np.int32)
+
+    def slot(bits):
+        return ((bits.view(np.uint64) * _HASH) >> np.uint64(64 - width)).view(np.int64)
+
+    slots[slot(keys)] = np.arange(len(keys), dtype=np.int32)
+
+    def lookup(part):
+        bits = part.view(np.int64)
+        found = slots[slot(bits)]
+        missed = np.flatnonzero(keys[found] != bits)
+        if missed.size:
+            flat = found.reshape(-1)
+            flat[missed] = np.searchsorted(keys, bits.reshape(-1)[missed])
+        return texts[found]
+
+    return lookup
 
 
 def save_form(form, path) -> None:
@@ -164,7 +195,8 @@ def save_form(form, path) -> None:
     The file holds the bytes of json.dump(doc, fh, indent=2, allow_nan=False)
     and a newline, where doc is {"n", "p", "q", "entries"} with one entry
     {"ij", "kl", "value"} per nonzero coefficient in row-major order.  It is
-    written one matrix row at a time, encoding each distinct value once; a
+    written one matrix row at a time, encoding each distinct value once and
+    looking up the texts of a block of rows' nonzero values in one call; a
     non-finite coefficient raises ValueError before the file is opened.
     """
     if isinstance(form, CurvatureTensor):
@@ -175,22 +207,27 @@ def save_form(form, path) -> None:
     value_texts = _float_texts(coeffs)
 
     def index_texts(d):
-        return np.array([json.dumps(list(I), indent=2).replace("\n", "\n      ")
+        # json.dumps(list(I), indent=2) at the depth of an entry's field
+        return np.array(["[\n        " + ",\n        ".join(map(str, I)) + "\n      ]" if I else "[]"
                          for I in subsets(n, d)], dtype=object)
 
-    rows, cols = index_texts(form.p), index_texts(form.q)
+    heads = '{\n      "ij": ' + index_texts(form.p) + ',\n      "kl": '
+    cols = index_texts(form.q) + ',\n      "value": '
+    step = max(1, _BLOCK // max(1, coeffs.shape[1]))
     close = "\n    }"
     written = False
     with open(path, "w") as fh:
         fh.write(f'{{\n  "n": {n},\n  "p": {form.p},\n  "q": {form.q},\n  "entries": [')
-        for a, row in enumerate(coeffs):
-            nonzero = np.flatnonzero(row)
-            if nonzero.size:
-                head = '{\n      "ij": ' + rows[a] + ',\n      "kl": '
-                tails = cols[nonzero] + ',\n      "value": ' + value_texts(row[nonzero])
-                fh.write((",\n    " if written else "\n    ") + head
-                         + (close + ",\n    " + head).join(tails) + close)
-                written = True
+        for start in range(0, len(coeffs), step):
+            block = coeffs[start:start + step]
+            r, c = np.nonzero(block)
+            tails = (cols[c] + value_texts(block[r, c])).tolist()
+            ends = np.cumsum(np.bincount(r, minlength=len(block))).tolist()
+            for head, lo, hi in zip(heads[start:start + step].tolist(), [0, *ends], ends):
+                if lo < hi:
+                    fh.write((",\n    " if written else "\n    ") + head
+                             + (close + ",\n    " + head).join(tails[lo:hi]) + close)
+                    written = True
         fh.write("\n  ]\n}\n" if written else "]\n}\n")
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import factorial
+from math import factorial, frexp, ldexp
 
 import numpy as np
 
@@ -347,9 +347,11 @@ def spectrum(w_pp: DoubleForm, sample_planes: int = 100, seed: int = 0) -> Spect
     values of a symmetric (p,p) form, as a self-adjoint operator on p-vectors.
 
     The standard basis is orthonormal, so the operator matrix is the
-    coefficient matrix.  It must be finite and symmetric up to 1e-12 of its
-    norm (DoubleForm.norm, finite up to the float range); it is symmetrized
-    as 0.5 m + 0.5 m^T, which cannot overflow.  The samples are
+    coefficient matrix.  It must be finite and symmetric up to 1e-12 of
+    its norm, or of 1 below norm 1; the skew and the norm are compared on
+    the matrix times 2**-e, e >= 0 the exponent of its largest entry, so
+    neither overflows.  It is symmetrized as 0.5 m + 0.5 m^T, which cannot
+    overflow either.  The samples are
     forms.plane_values on sample_frames(default_rng(seed)), the path of the
     sectional command.  They are Rayleigh quotients of the operator matrix,
     so the smallest eigenvalue never exceeds their minimum.
@@ -357,9 +359,12 @@ def spectrum(w_pp: DoubleForm, sample_planes: int = 100, seed: int = 0) -> Spect
     if w_pp.p != w_pp.q:
         raise ValueError(f"expected a (p,p) form, got {w_pp.degree}")
     mat = w_pp.coeffs
-    scale = max(w_pp.norm(), 1.0)
-    skew = float(np.max(np.abs(mat - mat.T), initial=0.0))
-    if skew > 1e-12 * scale:
+    shift = max(frexp(float(np.max(np.abs(mat), initial=0.0)))[1], 0)
+    scaled = np.ldexp(mat, -shift)
+    skew = np.max(np.abs(scaled - scaled.T), initial=0.0)
+    if skew > 1e-12 * max(np.linalg.norm(scaled), ldexp(1.0, -shift)):
+        with np.errstate(over="ignore"):  # the skew as printed is inf past the float range
+            skew = float(np.max(np.abs(mat - mat.T)))
         raise ValueError(f"operator matrix not symmetric: max skew {skew:.3e}")
     mat = 0.5 * mat + 0.5 * mat.T
     if not np.isfinite(mat).all():

@@ -346,6 +346,20 @@ def test_norm_past_the_range_of_squares():
     assert form.norm() == float(np.linalg.norm(form.coeffs))
 
 
+def test_norm_below_the_range_of_squares():
+    # squares of entries below about 1e-154 underflow, to 0 under 1.5e-162;
+    # a norm below 2**-450 is taken on the form times a power of two
+    ctx = AlgebraContext(4)
+    for tiny in (1e-140, 1e-160, 1e-310, 5e-324):
+        raw = np.zeros((6, 6))
+        raw[0, 0] = raw[3, 5] = tiny
+        assert DoubleForm(2, 2, raw, ctx).norm() == pytest.approx(np.sqrt(2.0) * tiny, rel=1e-15, abs=0)
+    raw = np.diag([1e-310] * 6)  # the operator's entries in the CLI case
+    assert DoubleForm(2, 2, raw, ctx).norm() == pytest.approx(np.sqrt(6.0) * 1e-310, rel=1e-12, abs=0)
+    assert DoubleForm(2, 2, np.zeros((6, 6)), ctx).norm() == 0.0
+    assert DoubleForm(2, 2, -0.0 * np.eye(6), ctx).norm() == 0.0
+
+
 def test_star_volume_normalization():
     for n in range(2, 7):
         ctx = AlgebraContext(n)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes
 
-from doubleforms import cli
+from doubleforms import cli, tensorio
 from doubleforms.exterior import MAX_DIMENSION, AlgebraContext, rank_index, unrank_index
 from doubleforms.forms import (
     DoubleForm, bianchi_map, contract, inner, kn_product, metric, metric_power, metric_product, star,
@@ -243,6 +243,25 @@ def test_streamed_json_rejects_non_finite_numbers_before_writing(doc, bad, data)
     with contextlib.redirect_stdout(out), pytest.raises(ValueError, match="not JSON compliant"):
         cli._emit({"a": doc, "b": spoiled}, True, [])
     assert out.getvalue() == ""
+
+
+@fixed
+@given(shape=array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=24), seed=seeds,
+       edge=st.floats(0.0, 1.0), one_slot=st.booleans())
+def test_float_texts_lookup_is_each_entrys_encoding(shape, seed, edge, one_slot):
+    # many distinct values: Gaussians at every binary scale from the
+    # subnormals up, mixed with a share edge of EDGE_FLOATS; one_slot hashes
+    # every key to one slot, so nearly every entry takes the binary search
+    rng = np.random.default_rng(seed)
+    gaussians = np.ldexp(rng.standard_normal(shape), rng.integers(-1080, 1000, shape))
+    drawn = np.array(EDGE_FLOATS)[rng.integers(0, len(EDGE_FLOATS), shape)]
+    values = np.where(rng.random(shape) < edge, drawn, gaussians)
+    with pytest.MonkeyPatch.context() as patch:
+        if one_slot:
+            patch.setattr(tensorio, "_HASH", np.uint64(0))
+        got = tensorio._float_texts(values)(values)
+    assert got.shape == values.shape
+    assert got.ravel().tolist() == [json.dumps(v) for v in values.ravel().tolist()]
 
 
 @st.composite

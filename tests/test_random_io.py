@@ -209,6 +209,23 @@ def test_save_form_is_the_stdlib_encoding(tmp_path, n, p, q, fill):
     assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
 
 
+@pytest.mark.parametrize("block", [1, 40, 100])
+def test_save_form_in_blocks_of_rows_is_the_stdlib_encoding(tmp_path, monkeypatch, block):
+    # blocks of one row, of 2 rows with a zero row inside, and of 5 rows
+    # with every key hashed to one slot
+    ctx = AlgebraContext(6)
+    rng = np.random.default_rng(block)
+    coeffs = EDGE_VALUES[rng.integers(0, len(EDGE_VALUES), (15, 20))]
+    coeffs[3] = coeffs[:, 7] = 0.0
+    monkeypatch.setattr(tensorio, "_BLOCK", block)
+    if block == 100:
+        monkeypatch.setattr(tensorio, "_HASH", np.uint64(0))
+    form = DoubleForm(2, 3, coeffs, ctx)
+    save_form(form, tmp_path / "got.json")
+    _stdlib_save(form, tmp_path / "want.json")
+    assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+
+
 @pytest.mark.parametrize("value", [np.inf, np.nan])
 def test_save_form_rejects_non_finite_before_writing(tmp_path, value):
     coeffs = np.eye(6)
@@ -253,6 +270,27 @@ def test_float_texts_encodes_the_distinct_bit_patterns_once(monkeypatch, values)
     assert got.shape == values.shape
     assert got.tolist() == want_lookup(values).tolist()
     assert got.ravel().tolist() == [json.dumps(v) for v in values.ravel().tolist()]
+
+
+@pytest.mark.parametrize("slot_bits", [None, 1], ids=["one-slot", "two-slots"])
+@pytest.mark.parametrize("values", [
+    np.array([0.0, -0.0, 5e-324, -5e-324, 1.0]),
+    EDGE_VALUES[np.random.default_rng(4).integers(0, len(EDGE_VALUES), (9, 7))],
+    np.random.default_rng(5).standard_normal((40, 30)).round(1),
+    np.random.default_rng(6).standard_normal(500),
+], ids=["signed-zeros", "edge-mix", "repeats", "distinct"])
+def test_float_texts_finds_the_keys_that_lost_their_slot(monkeypatch, values, slot_bits):
+    # a zero multiplier hashes every key to slot 0, and one slot bit leaves
+    # two slots; either way most entries miss and take the binary search
+    if slot_bits is None:
+        monkeypatch.setattr(tensorio, "_HASH", np.uint64(0))
+    else:
+        monkeypatch.setattr(tensorio, "_SLOT_BITS", slot_bits)
+    lookup = tensorio._float_texts(values)
+    want = _unique_float_texts(values)[1](values)
+    assert lookup(values).tolist() == want.tolist()
+    # and a block of rows, as the writers take them
+    assert lookup(values[2:5]).tolist() == want[2:5].tolist()
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])

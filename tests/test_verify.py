@@ -11,7 +11,7 @@ from math import comb, factorial
 import numpy as np
 import pytest
 
-from doubleforms import cli, verify
+from doubleforms import cli, tensorio, verify
 from doubleforms.cli import main
 from doubleforms.forms import contract, kn_product, metric, metric_power
 from doubleforms.random_tensors import random_bianchi_22
@@ -437,6 +437,40 @@ def test_dumps_matches_stdlib_on_edge_cases():
             cli._pieces(doc)
 
 
+@pytest.mark.parametrize("n, p", [(10, 5), (12, 4)])
+def test_operator_json_is_the_stdlib_encoding(monkeypatch, n, p):
+    # the texts are looked up a block of whole rows at a time: 260 and 132
+    # rows per block by default, 3 and 2 rows at a block of 1000 entries
+    form = wz.np_formula(random_bianchi_22(n, AlgebraContext(n)), p)
+    doc = {"matrix": form.coeffs, "norm": form.norm(), "trace": np.diag(form.coeffs)}
+    want = _stdlib_dumps(doc)
+    assert "".join(cli._pieces(doc)) == want
+    monkeypatch.setattr(cli, "_BLOCK", 1000)
+    assert "".join(cli._pieces(doc)) == want
+
+
+def test_text_output_looks_up_no_entry(monkeypatch, capsys):
+    # text mode still encodes each array's distinct values, its check for
+    # non-finite numbers, but never asks for an entry's text
+    looked_up = []
+
+    def float_texts(values):
+        lookup = tensorio._float_texts(values)
+
+        def counted(part):
+            looked_up.append(part.size)
+            return lookup(part)
+
+        return counted
+
+    monkeypatch.setattr(cli, "_float_texts", float_texts)
+    doc = {"matrix": np.arange(6.0).reshape(2, 3), "values": np.ones(4)}
+    cli._emit(doc, False, ["text"])
+    assert capsys.readouterr().out == "text\n" and looked_up == []
+    cli._emit(doc, True, [])
+    assert capsys.readouterr().out == _stdlib_dumps(doc) + "\n" and looked_up == [6, 4]
+
+
 def test_cli_strict_flag(tmp_path, capsys):
     path = tmp_path / "witness.json"
     path.write_text(json.dumps({
@@ -533,6 +567,16 @@ def test_cli_huge_finite_results_exit_0(tmp_path, capsys, argv, norms):
         matrix = np.array(doc[matrix])
         assert np.isfinite(matrix).all() and 1e154 < doc[norm] < np.inf
         assert doc[norm] == pytest.approx(1e200 * np.linalg.norm(matrix / 1e200), rel=1e-14)
+
+
+def test_cli_norm_of_a_subnormal_operator_is_not_zero(tmp_path, capsys):
+    # the operator's entries are 4e-310, whose squares underflow to 0
+    path = _diagonal_tensor(tmp_path / "tiny.json", 1e-310)
+    assert main(["weitzenboeck", "--p", "2", "--input", str(path), "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    matrix = np.array(doc["matrix"])
+    assert matrix.any() and doc["norm"] == pytest.approx(1e-310 * np.linalg.norm(matrix / 1e-310),
+                                                         rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("as_json", [True, False], ids=["json", "text"])

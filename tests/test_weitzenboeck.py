@@ -216,7 +216,8 @@ def test_closed_forms_at_dimension_twelve_within_budget(tmp_path):
 
 def test_weitzenboeck_json_at_dimension_twelve_streams_its_matrix(tmp_path):
     # the 924 x 924 matrix is written a row at a time, so the peak is the
-    # computation's (about 60 MB), not that of the whole text (120 MB)
+    # computation's (57 MB on a 2-vCPU x86 machine), not that of the whole
+    # text (120 MB)
     path = tmp_path / "n12.json"
     save_form(random_bianchi_22(12, AlgebraContext(12)), path)
     code, rss_mb = run_cli_measured(["weitzenboeck", "--input", str(path), "--p", "6", "--json"],
@@ -622,6 +623,15 @@ def test_spectrum_takes_entries_near_the_float_range():
     raw[0, 1] = 1e190
     with pytest.raises(ValueError, match=r"not symmetric: max skew 1.000e\+190"):
         spectrum(DoubleForm(2, 2, raw, ctx))
+
+
+def test_spectrum_sees_a_skew_past_the_float_range():
+    # the norm of this matrix lies past the float range, so a check against
+    # the plain norm could never fire; at the scale 2**-1024 it does
+    raw = np.full((6, 6), 1.7e308)
+    raw[0, 1] = 0.0
+    with pytest.raises(ValueError, match=r"not symmetric: max skew 1.700e\+308"):
+        spectrum(DoubleForm(2, 2, raw, AlgebraContext(4)), sample_planes=0)
 
 
 def test_jacobi_against_lapack():
