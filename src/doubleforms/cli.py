@@ -6,21 +6,23 @@ pcurvature.  Exit status is 0 on success, 1 when the verification suite
 finds an identity failure, and 2 on usage or I/O problems.
 
 With --json the computing commands print the bytes of json.dumps(doc,
-indent=2, sort_keys=True, allow_nan=False) and a newline, their float64
-arrays written as nested lists.  The text is streamed to stdout one matrix
-row at a time instead of being built whole; each array's distinct values
-are encoded once.  Every number of the document is encoded before the
-first byte is written, with or without --json, so a non-finite result
-exits 2 with one error line on stderr, which names its field (such as
-"matrix[3][7]" or "norm"), and nothing on stdout; numpy's floating-point
-warnings are silenced.
+indent=2, sort_keys=True, allow_nan=False) and a newline.  Each doc is
+flat: string keys, and values that are numbers, strings, None or 1-D/2-D
+float64 arrays, written as nested lists.  The text is streamed to stdout
+one matrix row at a time instead of being built whole; each array's
+distinct values are encoded once.  Every number of the document is encoded
+before the first byte is written, with or without --json, and before
+weitzenboeck --output writes its file, so a non-finite result exits 2 with
+one error line on stderr, which names its field (such as "matrix[3][7]" or
+"norm"), nothing on stdout and no file; numpy's floating-point warnings
+are silenced.  --project takes any symmetric input, a pure 4-form (whose
+projection is zero) and entries near the float64 range included.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from itertools import chain
 
@@ -106,74 +108,46 @@ def _load(args):
     return load_tensor(args.input, on_bianchi=mode)
 
 
-def _plan(value, indent: str, out: list, path: str = "") -> None:
-    """Append to out the pieces of json.dumps(value, indent=2, sort_keys=True,
-    allow_nan=False) on a string-keyed document: texts, and one generator of
-    row texts per float64 array.  The distinct values of each array are
-    encoded here, so every number is encoded, or found non-finite, before
-    any piece is written.  A non-finite number raises the encoder's
-    ValueError prefixed with its path in the document, such as
-    "matrix[3][7]" (an array's first non-finite entry in row-major order)."""
-    inner = indent + "  "
-    if isinstance(value, np.ndarray):
+def _pieces(doc: dict):
+    """An iterator over the text of json.dumps(doc, indent=2, sort_keys=True,
+    allow_nan=False) in pieces, for a flat document: string keys, and values
+    that are numbers, strings, None or 1-D/2-D float64 arrays.  The distinct
+    values of each array are encoded here, so every number is encoded, or
+    found non-finite, before it returns.  A non-finite number raises the
+    encoder's ValueError prefixed with its key, and in an array with [i][j]
+    of its first non-finite entry in row-major order, as in "matrix[3][7]"."""
+    parts = []
+    for key in sorted(doc):
+        value = doc[key]
         try:
-            texts = _float_texts(value)
+            if isinstance(value, np.ndarray):
+                rows = _array_rows(value, _float_texts(value))
+            else:
+                rows = (json.dumps(value, allow_nan=False),)
         except ValueError as exc:
-            first = np.argwhere(~np.isfinite(value))[0]
-            raise _at(path + "".join(f"[{i}]" for i in first), exc) from None
-        out.append(_array_rows(value, texts, indent))
-    elif isinstance(value, dict) and value:
-        sep = "{"
-        for key in sorted(value):
-            out.append(f"{sep}{inner}{json.dumps(key)}: ")
-            _plan(value[key], inner, out, f"{path}.{key}" if path else key)
-            sep = ","
-        out.append(indent + "}")
-    elif isinstance(value, (list, tuple)) and value:
-        sep = "["
-        for i, item in enumerate(value):
-            out.append(sep + inner)
-            _plan(item, inner, out, f"{path}[{i}]")
-            sep = ","
-        out.append(indent + "]")
-    else:
-        try:
-            out.append(json.dumps(value, allow_nan=False))
-        except ValueError as exc:
-            raise _at(path, exc) from None
+            at = np.argwhere(~np.isfinite(value))[0] if isinstance(value, np.ndarray) else ()
+            raise ValueError(f"{key}{''.join(f'[{i}]' for i in at)}: {exc}") from None
+        parts += [(("{" if not parts else ",") + "\n  " + json.dumps(key) + ": ",), rows]
+    parts.append(("\n}" if parts else "{}",))
+    return chain.from_iterable(parts)
 
 
-def _at(path: str, exc: ValueError) -> ValueError:
-    """exc's message, prefixed with the path of the value that raised it."""
-    return ValueError(f"{path}: {exc}" if path else str(exc))
-
-
-def _array_rows(values: np.ndarray, texts, indent: str):
-    """The JSON text of a float64 array as it would be a nested list, one
-    piece per innermost row.  The entries' texts are looked up in texts a
-    block of whole rows (about _BLOCK entries) per call, and only as the
-    pieces are taken, so a document planned but not written looks up none."""
+def _array_rows(values: np.ndarray, texts):
+    """The JSON text of a 1-D or 2-D float64 array at a key of the document,
+    as it would be a nested list, one piece per row.  The entries' texts are
+    looked up in texts a block of whole rows (about _BLOCK entries) per call,
+    and only as the pieces are taken, so a document planned but not written
+    looks up none."""
     if values.ndim == 1:
-        yield _text_row(texts(values), indent)
+        yield _text_row(texts(values), "\n  ")
         return
-    step = max(1, _BLOCK // max(1, math.prod(values.shape[1:])))
-    yield from _text_rows(chain.from_iterable(
-        texts(values[i:i + step]) for i in range(0, len(values), step)), indent)
-
-
-def _text_rows(items, indent: str):
-    """The pieces of a JSON list whose items are the object arrays of texts
-    items gives, one piece per innermost row."""
-    inner = indent + "  "
+    step = max(1, _BLOCK // max(1, values.shape[1]))
     sep = "["
-    for item in items:
-        yield sep + inner
-        if item.ndim == 1:
-            yield _text_row(item, inner)
-        else:
-            yield from _text_rows(item, inner)
-        sep = ","
-    yield "[]" if sep == "[" else indent + "]"
+    for start in range(0, len(values), step):
+        for row in texts(values[start:start + step]):
+            yield sep + "\n    " + _text_row(row, "\n    ")
+            sep = ","
+    yield "[]" if sep == "[" else "\n  ]"
 
 
 def _text_row(texts: np.ndarray, indent: str) -> str:
@@ -182,14 +156,6 @@ def _text_row(texts: np.ndarray, indent: str) -> str:
         return "[]"
     inner = indent + "  "
     return "[" + inner + ("," + inner).join(texts.tolist()) + indent + "]"
-
-
-def _pieces(doc):
-    """An iterator over the JSON text of doc in pieces (see _plan); raises
-    ValueError on a non-finite number before it returns."""
-    plan = []
-    _plan(doc, "\n", plan)
-    return chain.from_iterable((piece,) if isinstance(piece, str) else piece for piece in plan)
 
 
 def _emit(doc: dict, as_json: bool, lines) -> None:
@@ -238,8 +204,6 @@ def _cmd_weitzenboeck(args) -> int:
         form = wz.np_formula(tensor, args.p)
     else:
         form = wz.np_definition(tensor, args.p)
-    if args.output:
-        save_form(form, args.output)
     doc = {
         "n": n,
         "p": args.p,
@@ -248,6 +212,9 @@ def _cmd_weitzenboeck(args) -> int:
         "bianchi_residual": bianchi_residual(form) if args.p >= 1 else 0.0,
         "matrix": form.coeffs,
     }
+    if args.output:
+        _pieces(doc)  # a non-finite number fails, named, before the file is written
+        save_form(form, args.output)
     lines = [
         f"order-{args.p} operator of {args.input} via {args.method}",
         f"  norm            {doc['norm']:.12g}",

@@ -577,6 +577,17 @@ BIANCHI_TOL = 1e-12
 _UNSCALED_BIANCHI_CHECK = 2.0 ** 500
 
 
+def _bianchi_scaled(form: DoubleForm) -> tuple[DoubleForm, int]:
+    """form times 2**-shift, and shift: 0 while no entry exceeds
+    _UNSCALED_BIANCHI_CHECK, else the exponent of the largest entry, so that
+    the result's norm, Bianchi map and Bianchi projection stay finite."""
+    big = float(np.max(np.abs(form.coeffs), initial=0.0))
+    if big <= _UNSCALED_BIANCHI_CHECK:
+        return form, 0
+    shift = frexp(big)[1]
+    return DoubleForm(form.p, form.q, np.ldexp(form.coeffs, -shift), form.ctx), shift
+
+
 class BianchiViolation(ValueError):
     """A (2,2) form fails the first Bianchi identity at the requested tolerance."""
 
@@ -605,11 +616,7 @@ class CurvatureTensor:
         if np.isfinite(self.bianchi_tol):
             # residual and norm scale together, so a form near the float64
             # range is checked times a power of two that keeps both finite
-            form, shift = self.form, 0
-            big = float(np.max(np.abs(form.coeffs), initial=0.0))
-            if big > _UNSCALED_BIANCHI_CHECK:
-                shift = frexp(big)[1]
-                form = DoubleForm(2, 2, np.ldexp(form.coeffs, -shift), form.ctx)
+            form, shift = _bianchi_scaled(self.form)
             residual = bianchi_residual(form)
             limit = self.bianchi_tol * form.norm()
             if not residual <= limit:

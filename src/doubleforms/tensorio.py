@@ -31,7 +31,8 @@ from functools import lru_cache
 import numpy as np
 
 from .exterior import AlgebraContext, _ranks, mask_ranks, subsets
-from .forms import BianchiViolation, CurvatureTensor, DoubleForm, _member_table, bianchi_map
+from .forms import (BianchiViolation, CurvatureTensor, DoubleForm, _bianchi_scaled,
+                    _member_table, bianchi_map, bianchi_residual)
 
 __all__ = ["load_tensor", "save_form", "bianchi_projector", "project_bianchi"]
 
@@ -134,7 +135,7 @@ def load_tensor(path, *, on_bianchi: str = "warn") -> CurvatureTensor:
         if on_bianchi == "strict":
             raise ValueError(f"{path}: {exc}") from None
         if on_bianchi == "project":
-            return CurvatureTensor(project_bianchi(form), bianchi_tol=1e-9)
+            return _projected(form, path)
         print(f"warning: {path}: {exc}; continuing", file=sys.stderr)
         return CurvatureTensor(form, bianchi_tol=float("inf"))
 
@@ -266,6 +267,21 @@ def project_bianchi(form: DoubleForm) -> DoubleForm:
         out[ij, kl] -= value
         out[kl, ij] -= value
     return DoubleForm(2, 2, out, ctx)
+
+
+def _projected(form: DoubleForm, path) -> CurvatureTensor:
+    """The curvature tensor project_bianchi makes of form, projected at the
+    power-of-two scale of the CurvatureTensor check, so that entries near the
+    float64 range stay finite.  Its rounding residual is judged against the
+    input's norm: the projection of a pure 4-form is zero up to rounding."""
+    scaled, shift = _bianchi_scaled(form)
+    projected = project_bianchi(scaled)
+    residual, limit = bianchi_residual(projected), 1e-9 * scaled.norm()
+    if not residual <= limit:
+        raise BianchiViolation(f"{path}: first Bianchi identity violated after projection: "
+                               f"residual {residual:.3e} exceeds {limit:.3e}")
+    return CurvatureTensor(DoubleForm(2, 2, np.ldexp(projected.coeffs, shift), form.ctx),
+                           bianchi_tol=float("inf"))
 
 
 @lru_cache(maxsize=None)

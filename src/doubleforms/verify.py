@@ -36,7 +36,7 @@ import zlib
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from math import comb, factorial
-from itertools import permutations
+from itertools import combinations, permutations
 from typing import Callable, Iterator
 
 import numpy as np
@@ -451,18 +451,9 @@ def _run_wedge_recovery(cfg: SuiteConfig) -> Iterator[Measurement]:
                     prod = cl.basis_vector(ctx, I[perm[0]])
                     for a in perm[1:]:
                         prod = cl.clifford_mul(prod, cl.basis_vector(ctx, I[a]))
-                    acc = acc + _perm_sign(perm) * prod
+                    acc = acc + (-1) ** sum(a > b for a, b in combinations(perm, 2)) * prod
                 worst = max(worst, ((1.0 / factorial(p)) * acc - cl.basis_element(ctx, I)).norm())
         yield n, None, 0, worst, "antisymmetrized products, p <= 4", EXACT
-
-
-def _perm_sign(perm) -> int:
-    sign = 1
-    for a in range(len(perm)):
-        for b in range(a + 1, len(perm)):
-            if perm[a] > perm[b]:
-                sign = -sign
-    return sign
 
 
 def _run_clifford_associativity(cfg: SuiteConfig) -> Iterator[Measurement]:

@@ -454,6 +454,27 @@ def test_project_mode_returns_bianchi_tensor(tmp_path):
     assert bianchi_residual(t.form) <= 1e-9 * max(t.form.norm(), 1.0)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e300, 1.3e308, 1.7976931348623157e308])
+def test_project_mode_is_the_projection_at_every_scale(tmp_path, scale):
+    # the largest entry is scale and the others are at most scale / 2, so
+    # the projection's entries stay within scale; it is taken times a power
+    # of two, which changes no bit below the float range
+    ctx = AlgebraContext(5)
+    raw = np.random.default_rng(11).uniform(-0.5, 0.5, (10, 10))
+    unit = (raw + raw.T) / 2.0
+    unit[0, 0] = 1.0
+    path = tmp_path / "raw.json"
+    path.write_text(json.dumps({"n": 5, "entries": [
+        {"ij": list(I), "kl": list(J), "value": float(unit[a, b] * scale)}
+        for a, I in enumerate(subsets(5, 2)) for b, J in enumerate(subsets(5, 2)) if a <= b]}))
+    got = load_tensor(path, on_bianchi="project").form.coeffs
+    if scale <= 1e300:
+        assert np.array_equal(got, project_bianchi(DoubleForm(2, 2, unit * scale, ctx)).coeffs)
+    assert np.isfinite(got).all()
+    assert np.allclose(got / scale, project_bianchi(DoubleForm(2, 2, unit, ctx)).coeffs,
+                       rtol=1e-14, atol=1e-15)
+
+
 def test_projection_fixes_bianchi_forms():
     ctx = AlgebraContext(4)
     w = random_bianchi_22(5, ctx)

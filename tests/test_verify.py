@@ -4,6 +4,7 @@ import json
 import multiprocessing
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from math import comb, factorial
@@ -18,7 +19,7 @@ from doubleforms.random_tensors import random_bianchi_22
 from doubleforms.tensorio import load_tensor, save_form
 from doubleforms.verify import IDENTITIES, IdentityRecord, SuiteConfig, run_suite, worst_text
 from doubleforms import weitzenboeck as wz
-from doubleforms.exterior import AlgebraContext
+from doubleforms.exterior import AlgebraContext, subsets
 from measured import run_cli_measured
 
 
@@ -424,16 +425,19 @@ def test_cli_json_is_the_stdlib_encoding(tensor_file, monkeypatch, capsys, argv)
 
 
 def test_dumps_matches_stdlib_on_edge_cases():
+    scalars = [None, True, False, 0, -7, -0.0, 1e300, -1e-300, 1.7976931348623157e308, 5e-324]
     docs = [
-        {}, [], None, True, False, 0, -7, -0.0, 1e300, -1e-300, 1.7976931348623157e308, 5e-324,
-        {"empty_list": [], "empty_dict": {}, "nested": [[], {}, [[]]]},
-        {"b": [1.0, -0.0, 2.5e-300, 3, True, None], "a": {"z": [0.1], "y": "x, y"}},
-        [[1.0, 2.0], [3.0, -4.5e299]], ["a, b", [1, [2, 3]], {"k": (1.0, 2.0)}],
+        {},
+        {f"k{i}": value for i, value in enumerate(scalars)},
+        {"b": "x, y", "a, b": "", "c": -0.0},
+        {"v": np.array([1.0, -0.0, 2.5e-300, 3.0]), "m": np.array([[1.0, 2.0], [3.0, -4.5e299]])},
+        {"v": np.zeros(0), "rows": np.zeros((0, 3)), "columns": np.zeros((2, 0))},
     ]
     for doc in docs:
         assert "".join(cli._pieces(doc)) == _stdlib_dumps(doc), doc
-    for doc in (float("nan"), {"a": [1.0, float("inf")]}, [[-float("inf")]]):
-        with pytest.raises(ValueError):
+    for doc, key in (({"a": float("nan")}, "a: "), ({"a": 1.0, "b": np.array([1.0, np.inf])}, "b[1]: "),
+                     ({"m": np.array([[0.0, 1.0], [-np.inf, np.nan]])}, "m[1][0]: ")):
+        with pytest.raises(ValueError, match=f"^{re.escape(key)}"):
             cli._pieces(doc)
 
 
@@ -604,6 +608,41 @@ def test_cli_text_output_never_prints_a_non_finite_number(tmp_path, capsys, argv
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "not JSON compliant" in captured.err
+
+
+@pytest.mark.parametrize("value, slots, argv, field", [
+    (1.5e307, [list(ij) for ij in subsets(6, 2)], [], "norm"),
+    (1.5e308, [[1, 2], [1, 3], [5, 6]], ["--method", "definition"], "matrix[0][0]"),
+], ids=["norm", "matrix"])
+def test_cli_output_file_is_not_written_when_the_run_fails(tmp_path, capsys, value, slots, argv, field):
+    # at 1.5e307 the operator is finite but its norm is not; at 1.5e308 the
+    # operator itself overflows.  Either way the run exits 2 and the error
+    # names the field, with or without --output, and writes no file.
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": 6, "entries": [{"ij": ij, "kl": ij, "value": value} for ij in slots]}))
+    out = tmp_path / "out.json"
+    for extra in ([], ["--output", str(out)]):
+        assert main(["weitzenboeck", "--input", str(path), "--p", "2", *argv, *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {field}: Out of range float values are not JSON compliant\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [0.1, 0.7, 3.3, 0.3, 1.1, 1.7e308, -1.7e308])
+def test_cli_project_takes_a_pure_four_form_to_zero(tmp_path, capsys, value):
+    # the 4-form value e1234 read as a (2,2) form is orthogonal to every
+    # curvature tensor: its projection is zero up to rounding, which is
+    # judged against the input's norm, and it is taken at a scale where the
+    # symmetrization of 1.7e308 entries does not overflow
+    path = tmp_path / "four.json"
+    path.write_text(json.dumps({"n": 4, "entries": [
+        {"ij": [1, 2], "kl": [3, 4], "value": value}, {"ij": [1, 3], "kl": [2, 4], "value": -value},
+        {"ij": [1, 4], "kl": [2, 3], "value": value}]}))
+    assert main(["decompose", "--input", str(path), "--project", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["omega0"] == doc["omega1_norm"] == 0.0
+    assert doc["omega2_norm"] <= 1e-15 * abs(value)
 
 
 @pytest.mark.parametrize("as_json", [True, False], ids=["json", "text"])
