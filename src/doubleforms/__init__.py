@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 
 #: Each submodule and the public names it defines: the one list of them.
 _PUBLIC = {
-    "exterior": ("AlgebraContext", "MultiIndex", "rank_index", "subsets", "unrank_index"),
+    "exterior": ("AlgebraContext", "MultiIndex", "rank_index", "subsets"),
     "forms": ("CurvatureTensor", "DoubleForm", "bianchi_residual", "contract", "contract_iter",
               "inner", "kn_product", "metric", "metric_power", "metric_product",
               "orthonormalize", "sectional", "star", "zero_form"),

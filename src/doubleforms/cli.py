@@ -29,7 +29,7 @@ from itertools import chain
 import numpy as np
 
 from .forms import bianchi_residual, contract_iter, plane_values
-from .tensorio import _BLOCK, _float_texts, load_tensor, save_form
+from .tensorio import _BLOCK, _float_texts, _write_form, load_tensor
 from . import weitzenboeck as wz
 
 _USAGE_ERROR = 2
@@ -108,20 +108,26 @@ def _load(args):
     return load_tensor(args.input, on_bianchi=mode)
 
 
-def _pieces(doc: dict):
+def _pieces(doc: dict, texts: dict | None = None):
     """An iterator over the text of json.dumps(doc, indent=2, sort_keys=True,
     allow_nan=False) in pieces, for a flat document: string keys, and values
     that are numbers, strings, None or 1-D/2-D float64 arrays.  The distinct
     values of each array are encoded here, so every number is encoded, or
     found non-finite, before it returns.  A non-finite number raises the
     encoder's ValueError prefixed with its key, and in an array with [i][j]
-    of its first non-finite entry in row-major order, as in "matrix[3][7]"."""
+    of its first non-finite entry in row-major order, as in "matrix[3][7]".
+    texts, when given, maps keys to the _float_texts lookups of arrays
+    encoded before, which are used as they are; the lookup of every other
+    array is added to it."""
+    texts = {} if texts is None else texts
     parts = []
     for key in sorted(doc):
         value = doc[key]
         try:
             if isinstance(value, np.ndarray):
-                rows = _array_rows(value, _float_texts(value))
+                if key not in texts:
+                    texts[key] = _float_texts(value)
+                rows = _array_rows(value, texts[key])
             else:
                 rows = (json.dumps(value, allow_nan=False),)
         except ValueError as exc:
@@ -158,14 +164,15 @@ def _text_row(texts: np.ndarray, indent: str) -> str:
     return "[" + inner + ("," + inner).join(texts.tolist()) + indent + "]"
 
 
-def _emit(doc: dict, as_json: bool, lines) -> None:
+def _emit(doc: dict, as_json: bool, lines, texts: dict | None = None) -> None:
     """Print doc as JSON or print lines.
 
-    doc is planned (_pieces) in either case, so a non-finite number in it
-    raises ValueError before anything is written.  The JSON goes to stdout
-    in the pieces _pieces gives, a matrix row at a time.
+    doc is planned (_pieces, with the array texts texts) in either case, so
+    a non-finite number in it raises ValueError before anything is written.
+    The JSON goes to stdout in the pieces _pieces gives, a matrix row at a
+    time.
     """
-    pieces = _pieces(doc)
+    pieces = _pieces(doc, texts)
     if as_json:
         sys.stdout.writelines(pieces)
         sys.stdout.write("\n")
@@ -212,15 +219,16 @@ def _cmd_weitzenboeck(args) -> int:
         "bianchi_residual": bianchi_residual(form) if args.p >= 1 else 0.0,
         "matrix": form.coeffs,
     }
+    texts = {}  # each array's values, encoded once for the file and stdout
     if args.output:
-        _pieces(doc)  # a non-finite number fails, named, before the file is written
-        save_form(form, args.output)
+        _pieces(doc, texts)  # a non-finite number fails, named, before the file is written
+        _write_form(form, args.output, texts["matrix"])
     lines = [
         f"order-{args.p} operator of {args.input} via {args.method}",
         f"  norm            {doc['norm']:.12g}",
         f"  bianchi residual {doc['bianchi_residual']:.3e}",
     ] + ([f"  written to      {args.output}"] if args.output else [])
-    _emit(doc, args.json, lines)
+    _emit(doc, args.json, lines, texts)
     return 0
 
 

@@ -10,7 +10,8 @@ Products use the sign rule e_A . e_B = (-1)^parity(B & D_A) e_{A xor B}:
 bit j-1 of D_A is set when j lies in A (e_j . e_j = -1), xor'd with the
 parity of the number of elements of A above j (the anticommutations that
 carry e_j into place).  clifford_mul is one gather over the support of its
-left factor, in blocks of at most _PRODUCT_BLOCK terms.
+left factor, in blocks of at most _PRODUCT_BLOCK terms; _mul_stack runs
+it on a stack of pairs of elements at once.
 """
 
 from __future__ import annotations
@@ -139,25 +140,57 @@ def from_vector(ctx: AlgebraContext, coords) -> CliffordElement:
     return CliffordElement(vec, ctx)
 
 
-def clifford_mul(a: CliffordElement, b: CliffordElement) -> CliffordElement:
-    """Associative bilinear product with e.f = e ^ f - g(e, f) on vectors.
+def _mul_stack(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """The products a[m] . b[m] of two stacks (members, 2**n) of coefficient
+    vectors.
 
-    Sums a[A] e_A . b over the nonzero rows A of a in mask order; within a
-    block of rows the terms of each entry are added in that order.
+    Member m sums a[m, A] e_A . b[m] over the nonzero entries A of a[m] in
+    mask order, in blocks of step = _PRODUCT_BLOCK / 2**n entries: a
+    block's terms are added entry by entry and the blocks are added to
+    zeros in turn, so every member gets the bits a stack of one gives.  The
+    members' supports are padded to the longest one with terms of exactly
+    zero, which leave every sum as it is, and a chunk of members is
+    gathered one block at a time.  An entry's flat index F = m 2**n + A in
+    the stack gives its terms' flat sources in b as F xor B: m 2**n only
+    sets bits above those of A and B.
     """
-    a._check_same(b)
-    n = a.ctx.n
     size = 2 ** n
     flips, signs = _sign_masks(n), _lower_parity(n, n + 1)  # (-1)^|S| for every subset S
     targets = np.arange(size)
-    rows = np.nonzero(a.coeffs)[0]
+    members = len(a)
+    a, b = a.reshape(-1), b.reshape(-1)
+    flat = np.flatnonzero(a)
+    counts = np.bincount(flat >> n, minlength=members)
+    width = int(counts.max(initial=0))
+    padded = bool((counts < width).any())
+    if padded:
+        valid = np.arange(width) < counts[:, None]
+        support = np.zeros((members, width), dtype=np.int64)
+        support[valid] = flat  # row-major: each member's entries in mask order
+    else:
+        support = flat.reshape(members, width)
     step = max(1, _PRODUCT_BLOCK // size)
-    out = np.zeros(size)
-    for start in range(0, len(rows), step):
-        A = rows[start:start + step, None]
-        B = A ^ targets  # e_A . e_B lands on A xor B, the column's target
-        out += (a.coeffs[A] * (signs[B & flips[A]] * b.coeffs[B])).sum(axis=0)
-    return CliffordElement(out, a.ctx)
+    chunk = max(1, step // max(1, min(width, step)))
+    out = np.zeros((members, size))
+    for lo in range(0, members, chunk):
+        for start in range(0, width, step):
+            F = support[lo:lo + chunk, start:start + step, None]
+            source = F ^ targets  # e_A . e_B lands on A xor B, the column's target
+            terms = a[F] * (signs[source & flips[F & (size - 1)]] * b[source])
+            if padded:
+                terms[~valid[lo:lo + chunk, start:start + step]] = 0.0
+            out[lo:lo + chunk] += terms.sum(axis=1)
+    return out
+
+
+def clifford_mul(a: CliffordElement, b: CliffordElement) -> CliffordElement:
+    """Associative bilinear product with e.f = e ^ f - g(e, f) on vectors.
+
+    Sums a[A] e_A . b over the nonzero entries A of a in mask order
+    (_mul_stack on a stack of one).
+    """
+    a._check_same(b)
+    return CliffordElement(_mul_stack(a.coeffs[None], b.coeffs[None], a.ctx.n)[0], a.ctx)
 
 
 def interior(i: int, a: CliffordElement) -> CliffordElement:

@@ -3,7 +3,7 @@
 Basis p-vectors e_I = e_{i_1} ^ ... ^ e_{i_p} are addressed by strictly
 increasing tuples of integers in [1, n], ordered lexicographically.  Every
 dense coefficient matrix in this package uses that ordering on both axes,
-so ranking, unranking and the sign bookkeeping for merges and
+so ranking and the sign bookkeeping for merges and
 insertions are centralized here.
 
 The array kernels address subsets by int64 bit masks, bit i - 1 for the
@@ -130,16 +130,6 @@ def rank_index(I, ctx: AlgebraContext) -> int:
     """Position of I in the lexicographic order of len(I)-subsets of {1..n}."""
     I = validate_index(I, ctx)
     return _ranks(ctx.n, len(I))[I]
-
-
-def unrank_index(r: int, p: int, ctx: AlgebraContext) -> MultiIndex:
-    """Inverse of rank_index."""
-    if not 0 <= p <= ctx.n:
-        raise ValueError(f"degree must be in [0, {ctx.n}], got {p}")
-    table = subsets(ctx.n, p)
-    if not 0 <= r < len(table):
-        raise ValueError(f"rank {r} out of range [0, {len(table)}) for degree {p}")
-    return table[r]
 
 
 def merge_sign(I, J):

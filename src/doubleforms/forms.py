@@ -33,7 +33,10 @@ metric_product, contract and star each run one private array kernel
 coefficient matrices, shape (..., C(n,p), C(n,q)): the gathers index the
 last two axes and one bincount scatters the whole stack.  The DoubleForm
 functions pass a stack of one; a stacked call gives every member the same
-terms, summed in the same order, so its bits equal a single call's.
+terms, summed in the same order, so its bits equal a single call's.  The
+first Bianchi map (_bianchi_stack) and the checks of CurvatureTensor
+(_check_curvature) take stacks the same way, so the suite checks a whole
+stack of random curvature tensors in one call.
 
 Forms are evaluated on planes by one function, plane_values: the values
 v.W.v on a stack of orthonormal frames, v the frame's p x p minors.
@@ -85,6 +88,25 @@ __all__ = [
 _TINY_NORM = 2.0 ** -450
 
 
+def _exponent(coeffs: np.ndarray) -> int:
+    """The exponent e of the largest |entry| of coeffs, which is m 2**e with
+    1/2 <= m < 1; 0 when every entry is zero or there is none."""
+    return frexp(float(np.max(np.abs(coeffs), initial=0.0)))[1]
+
+
+def _norm(coeffs: np.ndarray) -> float:
+    """The Frobenius norm of a coefficient matrix, as DoubleForm.norm."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(coeffs))
+    if (norm == np.inf and np.isfinite(coeffs).all()) or norm < _TINY_NORM:
+        shift = _exponent(coeffs)
+        try:
+            norm = ldexp(float(np.linalg.norm(np.ldexp(coeffs, -shift))), shift)
+        except OverflowError:
+            pass
+    return norm
+
+
 @dataclass(frozen=True, eq=False)
 class DoubleForm:
     """A (p,q) double form as a dense coefficient matrix.
@@ -128,15 +150,7 @@ class DoubleForm:
         can underflow, it is taken on the coefficients times 2**-e, e the
         exponent of the largest entry, and scaled back, without a warning;
         it is inf only past the float range, and 0 only for a zero form."""
-        with np.errstate(over="ignore"):
-            norm = float(np.linalg.norm(self.coeffs))
-        if (norm == np.inf and np.isfinite(self.coeffs).all()) or norm < _TINY_NORM:
-            shift = frexp(float(np.max(np.abs(self.coeffs), initial=0.0)))[1]
-            try:
-                norm = ldexp(float(np.linalg.norm(np.ldexp(self.coeffs, -shift))), shift)
-            except OverflowError:
-                pass
-        return norm
+        return _norm(self.coeffs)
 
     def transpose(self) -> "DoubleForm":
         return DoubleForm(self.q, self.p, self.coeffs.T, self.ctx)
@@ -451,50 +465,62 @@ def _removal_table(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
 _BIANCHI_BLOCK = 2 ** 15
 
 
+def _bianchi_stack(coeffs: np.ndarray, n: int, p: int, q: int) -> np.ndarray:
+    """First Bianchi map of each (p,q) coefficient matrix of a stack
+    (members, C(n,p), C(n,q)), see bianchi_map.
+
+    Every output entry adds its terms in the order of j, one block of
+    output rows of every member at a time: the lift ranks and signs of each
+    term are rows of the transposed lift table, and its values one flat
+    gather from the stack.
+    """
+    members, height, width = coeffs.shape[0], coeffs.shape[1], coeffs.shape[2] + 1
+    out = np.zeros((members, comb(n, p + 1), comb(n, q - 1)))
+    rows, removed = _removal_table(n, p + 1)
+    lift, lift_sign = _lift_table(n, q - 1)
+    # rows by the inserted x_j, so each position j gathers whole rows
+    lift, lift_sign = np.ascontiguousarray(lift.T), np.ascontiguousarray(lift_sign.T)
+    # each matrix with a zero column appended, read by one flat gather:
+    # where x_j lies in Y the lift rank is -1 and its sign 0, and the flat
+    # index row * width - 1 lands on the zero pad ending the row before
+    # (the previous member's last row's, or through the wrap the last
+    # member's, for row 0), so a non-finite entry cannot reach it
+    padded = np.concatenate([coeffs, np.zeros((members, height, 1))], axis=2).ravel()
+    offsets = (np.arange(members) * (height * width)).reshape(-1, 1, 1)
+    # mode "wrap" reads index -1 as the last entry and, unlike the
+    # default, gathers straight into the buffer
+    step = max(1, _BIANCHI_BLOCK // max(1, members * out.shape[2]))
+    for start in range(0, out.shape[1], step):
+        block = out[:, start:start + step]
+        block_rows, block_removed = rows[start:start + step], removed[start:start + step]
+        sign, index, terms = np.empty(block.shape[1:]), np.empty(block.shape, dtype=np.int64), np.empty(block.shape)
+        for j in range(p + 1):
+            m = block_removed[:, j]
+            lift_sign.take(m, axis=0, out=sign, mode="wrap")
+            if j % 2 == 0:
+                np.negative(sign, out=sign)
+            # the first member's flat indices, then every other member's, offset
+            lift.take(m, axis=0, out=index[0], mode="wrap")
+            index[0] += block_rows[:, j, None] * width
+            index[1:] = index[0] + offsets[1:]
+            padded.take(index, out=terms, mode="wrap")
+            terms *= sign
+            block += terms
+    return out
+
+
 def bianchi_map(w: DoubleForm) -> DoubleForm:
     """First Bianchi map b: (p,q) -> (p+1, q-1),
 
         b(w)(x_1..x_{p+1}; Y) = sum_j (-1)^j w(x_1..^x_j..x_{p+1}; x_j ^ Y),
 
     on increasing basis tuples; zero exactly on the Bianchi subalgebra.
-    Every output entry adds its terms in the order of j, one block of
-    output rows at a time: the lift ranks and signs of each term are rows
-    of the transposed lift table, and its values one flat gather from w.
+    One call of _bianchi_stack on a stack of one.
     """
     if w.q < 1:
         raise ValueError(f"Bianchi map needs q >= 1, got degree {w.degree}")
-    ctx = w.ctx
-    n = ctx.n
-    out = np.zeros((ctx.dim(w.p + 1), ctx.dim(w.q - 1)))
-    rows, removed = _removal_table(n, w.p + 1)
-    lift, lift_sign = _lift_table(n, w.q - 1)
-    # rows by the inserted x_j, so each position j gathers whole rows
-    lift, lift_sign = np.ascontiguousarray(lift.T), np.ascontiguousarray(lift_sign.T)
-    # w with a zero column appended, read by one flat gather: where x_j
-    # lies in Y the lift rank is -1 and its sign 0, and the flat index
-    # row * width - 1 lands on the zero pad ending the row before (the
-    # last row's, through the wrap, for row 0), so a non-finite entry of
-    # w cannot reach it
-    width = w.coeffs.shape[1] + 1
-    padded = np.concatenate([w.coeffs, np.zeros((len(w.coeffs), 1))], axis=1).ravel()
-    # mode "wrap" reads index -1 as the last entry and, unlike the
-    # default, gathers straight into the buffer
-    step = max(1, _BIANCHI_BLOCK // out.shape[1])
-    for start in range(0, len(out), step):
-        block = out[start:start + step]
-        block_rows, block_removed = rows[start:start + step], removed[start:start + step]
-        sign, index, terms = np.empty(block.shape), np.empty(block.shape, dtype=np.int64), np.empty(block.shape)
-        for j in range(w.p + 1):
-            m = block_removed[:, j]
-            lift_sign.take(m, axis=0, out=sign, mode="wrap")
-            if j % 2 == 0:
-                np.negative(sign, out=sign)
-            lift.take(m, axis=0, out=index, mode="wrap")
-            index += block_rows[:, j, None] * width
-            padded.take(index, out=terms, mode="wrap")
-            terms *= sign
-            block += terms
-    return DoubleForm(w.p + 1, w.q - 1, out, ctx)
+    out = _bianchi_stack(w.coeffs[None], w.ctx.n, w.p, w.q)[0]
+    return DoubleForm(w.p + 1, w.q - 1, out, w.ctx)
 
 
 def bianchi_residual(w: DoubleForm) -> float:
@@ -577,19 +603,50 @@ BIANCHI_TOL = 1e-12
 _UNSCALED_BIANCHI_CHECK = 2.0 ** 500
 
 
-def _bianchi_scaled(form: DoubleForm) -> tuple[DoubleForm, int]:
-    """form times 2**-shift, and shift: 0 while no entry exceeds
-    _UNSCALED_BIANCHI_CHECK, else the exponent of the largest entry, so that
-    the result's norm, Bianchi map and Bianchi projection stay finite."""
-    big = float(np.max(np.abs(form.coeffs), initial=0.0))
-    if big <= _UNSCALED_BIANCHI_CHECK:
-        return form, 0
-    shift = frexp(big)[1]
-    return DoubleForm(form.p, form.q, np.ldexp(form.coeffs, -shift), form.ctx), shift
+def _bianchi_scaled(coeffs: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Each matrix of a stack (members, rows, cols) times 2**-shift, and the
+    shifts: 0 while no entry of the matrix exceeds _UNSCALED_BIANCHI_CHECK,
+    else the exponent of its largest entry, so that its norm, Bianchi map and
+    Bianchi projection stay finite.  A stack that needs no shift is returned
+    as it is."""
+    big = np.max(np.abs(coeffs), axis=(1, 2), initial=0.0)
+    shifts = [_exponent(m) if b > _UNSCALED_BIANCHI_CHECK else 0 for m, b in zip(coeffs, big)]
+    if not any(shifts):
+        return coeffs, shifts
+    return np.ldexp(coeffs, -np.array(shifts).reshape(-1, 1, 1)), shifts
 
 
 class BianchiViolation(ValueError):
     """A (2,2) form fails the first Bianchi identity at the requested tolerance."""
+
+
+def _check_curvature(coeffs: np.ndarray, n: int, tol: float) -> None:
+    """Check each symmetric (2,2) coefficient matrix of a stack
+    (members, C(n,2), C(n,2)) in turn, as CurvatureTensor does: it must be
+    finite and exactly symmetric, and for a finite tol its Bianchi residual
+    must not exceed tol times its norm.  The first failing member raises,
+    with the message a CurvatureTensor of it would give.  The residuals of
+    the members before it are one call of _bianchi_stack, and each norm is
+    the member's own, so every member gets the numbers a stack of one would.
+    """
+    finite = np.isfinite(coeffs).all(axis=(1, 2))
+    good = finite & (coeffs == coeffs.transpose(0, 2, 1)).all(axis=(1, 2))
+    valid = len(coeffs) if good.all() else int(np.argmin(good))
+    if np.isfinite(tol) and valid:
+        # residual and norm scale together, so a form near the float64
+        # range is checked times a power of two that keeps both finite
+        scaled, shifts = _bianchi_scaled(coeffs[:valid])
+        residuals = np.max(np.abs(_bianchi_stack(scaled, n, 2, 2)), axis=(1, 2), initial=0.0)
+        for residual, member, shift in zip(residuals, scaled, shifts):
+            limit = tol * _norm(member)
+            if not residual <= limit:
+                raise BianchiViolation(
+                    f"first Bianchi identity violated: residual {residual:.3e} "
+                    f"exceeds {limit:.3e}" + (f" (both times 2**{-shift})" if shift else "")
+                )
+    if valid < len(coeffs):
+        raise ValueError("curvature tensor has non-finite entries" if not finite[valid]
+                         else "curvature tensor matrix must be exactly symmetric")
 
 
 @dataclass(frozen=True, eq=False)
@@ -600,7 +657,8 @@ class CurvatureTensor:
     first if necessary); the Bianchi residual must not exceed bianchi_tol
     times the norm, else BianchiViolation is raised.  Pass
     bianchi_tol=float("inf") to skip that check, e.g. for raw file input
-    that will only be inspected.
+    that will only be inspected.  The checks are _check_curvature's on a
+    stack of one.
     """
 
     form: DoubleForm
@@ -609,21 +667,7 @@ class CurvatureTensor:
     def __post_init__(self) -> None:
         if self.form.degree != (2, 2):
             raise ValueError(f"curvature tensor must be a (2,2) form, got {self.form.degree}")
-        if not np.all(np.isfinite(self.form.coeffs)):
-            raise ValueError("curvature tensor has non-finite entries")
-        if not self.form.is_symmetric():
-            raise ValueError("curvature tensor matrix must be exactly symmetric")
-        if np.isfinite(self.bianchi_tol):
-            # residual and norm scale together, so a form near the float64
-            # range is checked times a power of two that keeps both finite
-            form, shift = _bianchi_scaled(self.form)
-            residual = bianchi_residual(form)
-            limit = self.bianchi_tol * form.norm()
-            if not residual <= limit:
-                raise BianchiViolation(
-                    f"first Bianchi identity violated: residual {residual:.3e} "
-                    f"exceeds {limit:.3e}" + (f" (both times 2**{-shift})" if shift else "")
-                )
+        _check_curvature(self.form.coeffs[None], self.form.ctx.n, self.bianchi_tol)
 
     @property
     def ctx(self) -> AlgebraContext:

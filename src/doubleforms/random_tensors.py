@@ -17,7 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 from .exterior import AlgebraContext
-from .forms import CurvatureTensor, DoubleForm, _member_table, metric_power, metric_product
+from .forms import (BIANCHI_TOL, CurvatureTensor, DoubleForm, _check_curvature, _member_table,
+                    metric_power, metric_product)
 from .forms import kn_product  # noqa: F401  not called here; bench/tracing.py counts it in this module
 
 __all__ = [
@@ -42,21 +43,41 @@ def random_form(seed, p: int, q: int, ctx: AlgebraContext, *, symmetric: bool = 
     return DoubleForm(p, q, raw, ctx)
 
 
-def _sum_of_squares(H: np.ndarray, ctx: AlgebraContext) -> CurvatureTensor:
-    """Sum of the squares h_t.h_t for a stack H of symmetric n x n matrices,
+def _sum_of_squares(H: np.ndarray, ctx: AlgebraContext) -> np.ndarray:
+    """Sums of the squares h_t.h_t, one for each stack of symmetric n x n
+    factors in H, shape (members, terms, n, n): the (members, C(n,2), C(n,2))
+    coefficient matrices
 
         out[ij,kl] = 2 (G[i,k,j,l] - G[i,l,j,k]),  G[i,k,j,l] = sum_t h_t[i,k] h_t[j,l],
 
-    with G one (n^2, terms) x (terms, n^2) product.
+    with G one (n^2, terms) x (terms, n^2) product per member.
     """
     n = ctx.n
-    flat = H.reshape(len(H), n * n)
-    G = (flat.T @ flat).reshape(n, n, n, n)
+    flat = H.reshape(len(H), -1, n * n)
+    G = (flat.transpose(0, 2, 1) @ flat).reshape(-1, n, n, n, n)
     pairs = _member_table(n, 2)
     i, j = pairs[:, 0], pairs[:, 1]
     ri, rj, ck, cl = i[:, None], j[:, None], i[None, :], j[None, :]
-    out = 2.0 * (G[ri, ck, rj, cl] - G[ri, cl, rj, ck])
-    return CurvatureTensor(DoubleForm(2, 2, (out + out.T) / 2.0, ctx))
+    out = 2.0 * (G[:, ri, ck, rj, cl] - G[:, ri, cl, rj, ck])
+    return (out + out.transpose(0, 2, 1)) / 2.0
+
+
+def _factors(seeds, n: int) -> np.ndarray:
+    """The symmetric factors of random_bianchi_22 for each seed (or
+    generator) of seeds, stacked: (members, terms, n, n).  Each member takes
+    terms = n(n+1)/2 + 2 draws of n x n normals from its stream, in turn,
+    each made symmetric."""
+    shape = (n * (n + 1) // 2 + 2, n, n)
+    raw = np.array([np.random.default_rng(seed).standard_normal(shape) for seed in seeds])
+    return (raw + raw.transpose(0, 1, 3, 2)) / 2.0
+
+
+def _curvature_stack(H: np.ndarray, ctx: AlgebraContext) -> np.ndarray:
+    """_sum_of_squares of a stack of factor stacks, each member checked as
+    a CurvatureTensor of it would be (forms._check_curvature)."""
+    coeffs = _sum_of_squares(H, ctx)
+    _check_curvature(coeffs, ctx.n, BIANCHI_TOL)
+    return coeffs
 
 
 def random_bianchi_22(seed, ctx: AlgebraContext) -> CurvatureTensor:
@@ -64,12 +85,10 @@ def random_bianchi_22(seed, ctx: AlgebraContext) -> CurvatureTensor:
 
     The term count n(n+1)/2 + 2 makes generic samples carry a full Weyl
     part.  The factors take that many n x n draws of normals from the
-    stream, in turn.
+    stream, in turn (_factors).
     """
-    terms = ctx.n * (ctx.n + 1) // 2 + 2
-    rng = np.random.default_rng(seed)
-    raw = rng.standard_normal((terms, ctx.n, ctx.n))
-    return _sum_of_squares((raw + raw.transpose(0, 2, 1)) / 2.0, ctx)
+    coeffs = _sum_of_squares(_factors([seed], ctx.n), ctx)[0]
+    return CurvatureTensor(DoubleForm(2, 2, coeffs, ctx))
 
 
 def constant_curvature(kappa: float, ctx: AlgebraContext) -> CurvatureTensor:

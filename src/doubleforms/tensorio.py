@@ -204,8 +204,14 @@ def save_form(form, path) -> None:
         form = form.form
     if not isinstance(form, DoubleForm):
         raise TypeError(f"expected DoubleForm or CurvatureTensor, got {type(form).__name__}")
+    _write_form(form, path, _float_texts(form.coeffs))
+
+
+def _write_form(form: DoubleForm, path, value_texts) -> None:
+    """save_form's file, with value_texts the _float_texts lookup of the
+    form's coefficients, so a caller that encoded them already passes its
+    own lookup."""
     n, coeffs = form.ctx.n, form.coeffs
-    value_texts = _float_texts(coeffs)
 
     def index_texts(d):
         # json.dumps(list(I), indent=2) at the depth of an entry's field
@@ -274,7 +280,8 @@ def _projected(form: DoubleForm, path) -> CurvatureTensor:
     power-of-two scale of the CurvatureTensor check, so that entries near the
     float64 range stay finite.  Its rounding residual is judged against the
     input's norm: the projection of a pure 4-form is zero up to rounding."""
-    scaled, shift = _bianchi_scaled(form)
+    scaled, (shift,) = _bianchi_scaled(form.coeffs[None])
+    scaled = DoubleForm(2, 2, scaled[0], form.ctx)
     projected = project_bianchi(scaled)
     residual, limit = bianchi_residual(projected), 1e-9 * scaled.norm()
     if not residual <= limit:

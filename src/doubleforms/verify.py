@@ -8,6 +8,18 @@ base seed and the identity's name, so two runs with the same configuration
 produce identical reports; wall-clock timings are kept out of the
 canonical JSON serialization for that reason.
 
+The sweeps over random curvature tensors draw the seeds of a cell (n, p)
+in turn and evaluate them as one stack of coefficient matrices, shape
+(seeds, C(n,2), C(n,2)): one call of the sampler, of the commutator-sum
+oracle and of each closed form per stack (the private _*_stack kernels of
+forms, weitzenboeck and random_tensors), where the per-form functions run
+the same kernels on a stack of one.  Each member adds its terms in the
+order a stack of one would, and its norms and inner products are its
+own, so every record is the one a per-seed loop gives.  A stack holds at
+most _stack_size(n, p) seeds, which bounds its temporaries; the
+exhaustive Clifford checks multiply stacks of basis elements in one
+clifford._mul_stack call each.
+
 The identities do not depend on each other, so `run_suite` runs them on
 the usable CPUs: in a pool of processes forked from the caller, one per
 usable CPU up to one per selected identity, and puts the records back in
@@ -48,18 +60,19 @@ from .forms import (
     DoubleForm,
     _contract_stack,
     _metric_stack,
+    _norm,
     _star_stack,
     contract,
     contract_iter,
-    inner,
     kn_product,
     metric_power,
     metric_product,
     orthonormalize,
     plane_values,
-    star,
 )
 from .random_tensors import (
+    _curvature_stack,
+    _factors,
     conformally_flat,
     constant_curvature,
     positive_operator_perturbation,
@@ -191,8 +204,10 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
-        # timings are excluded so equal seeds give byte-identical reports
-        records = [{k: v for k, v in asdict(r).items() if k != "lower_bound"} for r in self.records]
+        # timings are excluded so equal seeds give byte-identical reports;
+        # the fields are read directly, as asdict would deep-copy each record
+        records = [{"identity": r.identity, "n": r.n, "p": r.p, "seed": r.seed, "residual": r.residual,
+                    "tolerance": r.tolerance, "passed": r.passed, "note": r.note} for r in self.records]
         doc = {"config": self.config, "records": records, "summary": self.summary()}
         return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
@@ -227,8 +242,14 @@ def _rng(cfg: SuiteConfig, identity: str, *key: int) -> np.random.Generator:
     return np.random.default_rng(_seedseq(cfg, identity, *key))
 
 
+def _rels(actual: np.ndarray, expected: np.ndarray) -> list[float]:
+    """|actual - expected| / max(|expected|, 1) for each member of two stacks
+    of coefficient matrices, with the norm of DoubleForm.norm."""
+    return [_norm(gap) / max(_norm(want), 1.0) for gap, want in zip(actual - expected, expected)]
+
+
 def _rel(actual: DoubleForm, expected: DoubleForm) -> float:
-    return (actual - expected).norm() / max(expected.norm(), 1.0)
+    return _rels(actual.coeffs[None], expected.coeffs[None])[0]
 
 
 def _cells(cfg: SuiteConfig) -> Iterator[tuple[int, int, AlgebraContext]]:
@@ -238,11 +259,34 @@ def _cells(cfg: SuiteConfig) -> Iterator[tuple[int, int, AlgebraContext]]:
         yield from ((n, p, ctx) for p in range(2, n - 1))
 
 
-def _sweep(cfg: SuiteConfig, identity: str, seeds: int) -> Iterator[tuple[int, int, int, CurvatureTensor]]:
-    """(n, p, seed, random curvature tensor) over the cells and seeds."""
+def _draws(cfg: SuiteConfig, identity: str, ctx: AlgebraContext, keys) -> np.ndarray:
+    """random_bianchi_22 of the seed sequence of each key, as one stack of
+    checked coefficient matrices (members, C(n,2), C(n,2))."""
+    return _curvature_stack(_factors([_seedseq(cfg, identity, *key) for key in keys], ctx.n), ctx)
+
+
+#: Terms the commutator-sum oracle gathers for one stack at most, so that
+#: the stacked kernels' temporaries stay small at every (n, p).
+_STACK_TERMS = 2 ** 16
+
+
+def _stack_size(n: int, p: int, contracted: bool = False) -> int:
+    """Members of one stack at (n, p), at least one: as many as keep within
+    _STACK_TERMS the terms each member gathers in the oracle, C(n,p)
+    (p(n-p))^2, and for a contracted identity in each contraction from
+    degree p down, C(n,k)^2 (n-k) from degree k+1 to k."""
+    chain = [comb(n, k) ** 2 * (n - k) for k in range(p)] if contracted else []
+    return max(1, _STACK_TERMS // max([comb(n, p) * (p * (n - p)) ** 2, *chain]))
+
+
+def _sweep(cfg: SuiteConfig, identity: str, seeds: int,
+           contracted: bool = False) -> Iterator[tuple[int, int, int, np.ndarray]]:
+    """(n, p, t, stack of random curvature tensors for the seeds t, t+1, ...):
+    each cell's seeds in stacks of at most _stack_size(n, p, contracted)."""
     for n, p, ctx in _cells(cfg):
-        for t in range(seeds):
-            yield n, p, t, random_bianchi_22(_seedseq(cfg, identity, n, p, t), ctx)
+        step = _stack_size(n, p, contracted)
+        for t in range(0, seeds, step):
+            yield n, p, t, _draws(cfg, identity, ctx, [(n, p, s) for s in range(t, min(seeds, t + step))])
 
 
 def _min_eig(form: DoubleForm) -> float:
@@ -294,14 +338,17 @@ def _positive_scalar(w: CurvatureTensor) -> tuple[CurvatureTensor, float]:
 
 
 def _run_closed_form(cfg: SuiteConfig) -> Iterator[Measurement]:
-    for n, p, t, w in _sweep(cfg, "closed_form", cfg.seeds):
-        yield n, p, t, _rel(wz.np_formula(w, p), wz.np_definition(w, p)), "", MAIN
+    for n, p, t, W in _sweep(cfg, "closed_form", cfg.seeds):
+        residuals = _rels(wz._formula_stack(W, n, p), wz._definition_stack(W, n, p))
+        yield from ((n, p, seed, r, "", MAIN) for seed, r in enumerate(residuals, t))
 
 
 def _run_hodge_duality(cfg: SuiteConfig) -> Iterator[Measurement]:
-    for n, p, t, w in _sweep(cfg, "hodge_duality", cfg.seeds):
-        r = _rel(star(wz.np_definition(w, p)), wz.np_definition(w, n - p))
-        yield n, p, t, r, "self-dual cell" if n == 2 * p else "", MAIN
+    for n, p, t, W in _sweep(cfg, "hodge_duality", cfg.seeds):
+        dual = _star_stack(wz._definition_stack(W, n, p), n, p, p)
+        note = "self-dual cell" if n == 2 * p else ""
+        for seed, r in enumerate(_rels(dual, wz._definition_stack(W, n, n - p)), t):
+            yield n, p, seed, r, note, MAIN
 
 
 def _run_contraction_adjoint(cfg: SuiteConfig) -> Iterator[Measurement]:
@@ -328,13 +375,25 @@ def _run_star_contraction(cfg: SuiteConfig) -> Iterator[Measurement]:
         yield n, p, 0, worst, f"max over {cfg.trials} forms", ADJOINT
 
 
+#: Unit matrices one block of metric_injectivity multiplies by g^k at most,
+#: times the entries of each one's image.
+_UNIT_BLOCK_ENTRIES = 2 ** 15
+
+
 def _run_metric_injectivity(cfg: SuiteConfig) -> Iterator[Measurement]:
     for n in [n for n in cfg.dimensions() if n <= 6]:
         ctx = AlgebraContext(n)
         for p in range(0, n // 2 + 1):
-            units = np.eye(ctx.dim(p) ** 2).reshape(-1, ctx.dim(p), ctx.dim(p))
+            dim = ctx.dim(p)
             for k in range(0, n - 2 * p + 1):
-                cols = _metric_stack(k, units, n, p, p).reshape(len(units), -1)
+                # the unit matrices in blocks, each block's images one stacked product
+                cols = np.empty((dim * dim, ctx.dim(p + k) ** 2))
+                step = max(1, _UNIT_BLOCK_ENTRIES // cols.shape[1])
+                for start in range(0, len(cols), step):
+                    units = np.zeros((min(step, len(cols) - start), dim * dim))
+                    units[:, start:start + len(units)] = np.eye(len(units))
+                    images = _metric_stack(k, units.reshape(-1, dim, dim), n, p, p)
+                    cols[start:start + len(units)] = images.reshape(len(units), -1)
                 yield n, p, k, *_ratio(cols.T, f"multiplication by g^{k}")
 
 
@@ -349,35 +408,40 @@ def _run_weitzenboeck_injectivity(cfg: SuiteConfig) -> Iterator[Measurement]:
         ctx = AlgebraContext(n)
         dim = ctx.dim(2)
         basis = _bianchi_basis(n)
+        members = basis.T.reshape(-1, dim, dim)
         for p in range(2, n - 1):
-            cols = [wz.np_formula(DoubleForm(2, 2, col.reshape(dim, dim), ctx), p).coeffs.reshape(-1)
-                    for col in basis.T]
+            cols = wz._formula_stack(members, n, p).reshape(len(members), -1)
             note = f"order-{p} map on the {basis.shape[1]}-dim Bianchi space"
             if n == 2 * p:
                 # the splitting coefficient (n-2p) kills g.h for traceless h
                 # here, so the map genuinely has a kernel at n = 2p
                 note += "; n = 2p cell where the traceless-Ricci block maps to zero"
-            yield n, p, 0, *_ratio(np.array(cols).T, note)
+            yield n, p, 0, *_ratio(cols.T, note)
 
 
 def _run_contraction_orders(cfg: SuiteConfig) -> Iterator[Measurement]:
     factors, failures, cells = [], 0, 0
-    for n, p, t, w in _sweep(cfg, "contraction_orders", cfg.seeds):
-        lhs = wz.np_definition(w, p)
-        worst, worst_note = 0.0, ""
+    for n, p, first, W in _sweep(cfg, "contraction_orders", cfg.seeds, contracted=True):
+        lhs, orders = wz._definition_stack(W, n, p), []
         for k in range(0, p + 1):
             # the k-fold contraction of the oracle, one contraction on from k - 1
-            lhs, rhs = lhs if k == 0 else contract(lhs), wz.np_contraction_rhs(w, p, k)
-            r = _rel(lhs, rhs)
-            if r > worst:
-                worst, worst_note = r, f"worst at k={k}"
-            if not MAIN.judge(r, cfg)[1]:
-                denom = inner(rhs, rhs)
-                if denom > 0:
-                    factors.append(inner(lhs, rhs) / denom)
-        cells += 1
-        failures += not MAIN.judge(worst, cfg)[1]
-        yield n, p, t, worst, worst_note, MAIN
+            if k:
+                lhs = _contract_stack(lhs, n, p - k + 1, p - k + 1)
+            rhs = wz._contraction_rhs_stack(W, n, p, k)
+            orders.append((_rels(lhs, rhs), lhs, rhs))
+        for m in range(len(W)):
+            worst, worst_note = 0.0, ""
+            for k, (residuals, lhs, rhs) in enumerate(orders):
+                r = residuals[m]
+                if r > worst:
+                    worst, worst_note = r, f"worst at k={k}"
+                if not MAIN.judge(r, cfg)[1]:
+                    denom = float(np.sum(rhs[m] * rhs[m]))
+                    if denom > 0:
+                        factors.append(float(np.sum(lhs[m] * rhs[m])) / denom)
+            cells += 1
+            failures += not MAIN.judge(worst, cfg)[1]
+            yield n, p, first + m, worst, worst_note, MAIN
     if failures and failures >= max(2, cells // 2) and factors:
         arr = np.asarray(factors)
         if np.max(np.abs(arr - arr.mean())) <= 1e-3 * max(abs(arr.mean()), 1e-12):
@@ -387,26 +451,29 @@ def _run_contraction_orders(cfg: SuiteConfig) -> Iterator[Measurement]:
 
 
 def _run_einstein_alternative(cfg: SuiteConfig) -> Iterator[Measurement]:
-    for n, p, t, w in _sweep(cfg, "einstein_alternative", min(cfg.seeds, 5)):
-        r = _rel(wz.np_contraction_einstein_rhs(w, p), wz.np_contraction_rhs(w, p, p - 1))
-        yield n, p, t, r, "", ADJOINT
+    for n, p, t, W in _sweep(cfg, "einstein_alternative", min(cfg.seeds, 5)):
+        residuals = _rels(wz._einstein_rhs_stack(W, n, p), wz._contraction_rhs_stack(W, n, p, p - 1))
+        yield from ((n, p, seed, r, "", ADJOINT) for seed, r in enumerate(residuals, t))
 
 
 def _run_splitting(cfg: SuiteConfig) -> Iterator[Measurement]:
-    for n, p, t, w in _sweep(cfg, "splitting", cfg.seeds):
-        yield n, p, t, _rel(wz.np_split(wz.decompose_22(w), p), wz.np_definition(w, p)), "", MAIN
+    for n, p, t, W in _sweep(cfg, "splitting", cfg.seeds):
+        split = wz._split_stack(*wz._decompose_stack(W, n), n, p)
+        residuals = _rels(split, wz._definition_stack(W, n, p))
+        yield from ((n, p, seed, r, "", MAIN) for seed, r in enumerate(residuals, t))
 
 
 def _run_decomposition(cfg: SuiteConfig) -> Iterator[Measurement]:
     for n in cfg.dimensions():
-        ctx = AlgebraContext(n)
-        for t in range(cfg.seeds):
-            w = random_bianchi_22(_seedseq(cfg, "decomposition", n, 0, t), ctx)
-            comps = wz.decompose_22(w)
-            rebuilt = comps.omega2 + metric_product(1, comps.omega1) + comps.omega0 * metric_power(2, ctx)
-            scale = max(w.form.norm(), 1.0)
-            yield n, None, t, (w.form - rebuilt).norm() / scale, "reassembly", MAIN
-            r = max(contract(comps.omega2).norm(), abs(contract(comps.omega1).scalar())) / scale
+        W = _draws(cfg, "decomposition", AlgebraContext(n), [(n, 0, t) for t in range(cfg.seeds)])
+        omega2, omega1, omega0 = wz._decompose_stack(W, n)
+        rebuilt = omega2 + _metric_stack(1, omega1, n, 1, 1) + wz._times_metric_power(2, omega0, n)
+        weyl_traces = _contract_stack(omega2, n, 2, 2)
+        ricci_traces = _contract_stack(omega1, n, 1, 1)[:, 0, 0]
+        for t, (gap, w) in enumerate(zip(W - rebuilt, W)):
+            scale = max(_norm(w), 1.0)
+            yield n, None, t, _norm(gap) / scale, "reassembly", MAIN
+            r = max(_norm(weyl_traces[t]), abs(float(ricci_traces[t]))) / scale
             yield n, None, t, r, "trace-free parts", ADJOINT
 
 
@@ -425,34 +492,45 @@ def _run_constant_curvature(cfg: SuiteConfig) -> Iterator[Measurement]:
             yield n, p, 0, r, note, EXACT
 
 
+def _norms(stack: np.ndarray) -> list[float]:
+    """The norm of each member of a stack of Clifford coefficient vectors."""
+    return [float(np.linalg.norm(member)) for member in stack]
+
+
 def _run_clifford_ad_rule(cfg: SuiteConfig) -> Iterator[Measurement]:
     for n in (4, 5, 6):  # exhaustive at the pinned dimensions
-        ctx = AlgebraContext(n)
-        worst = 0.0
-        for (i, j) in subsets(n, 2):
-            phi = cl.clifford_mul(cl.basis_vector(ctx, i), cl.basis_vector(ctx, j))
-            for size in range(0, n + 1):
-                for S in subsets(n, size):
-                    psi = cl.basis_element(ctx, S)
-                    overlap = len({i, j} & set(S))
-                    want = 2.0 * cl.clifford_mul(phi, psi) if overlap == 1 else cl.zero_element(ctx)
-                    worst = max(worst, (cl.ad(phi, psi) - want).norm())
+        units = np.eye(2 ** n)  # the basis element of each subset, by mask
+        pairs = np.array([(1 << (i - 1)) | (1 << (j - 1)) for i, j in subsets(n, 2)])
+        low = pairs & -pairs  # e_i of each pair (i, j), and e_j = pair - e_i
+        phi = cl._mul_stack(units[low], units[pairs - low], n)
+        # every pair with every subset S: ad_{e_i.e_j} e_S against 2 e_i.e_j.e_S
+        # where exactly one of i, j lies in S, and 0 elsewhere
+        phis, psis = np.repeat(phi, len(units), axis=0), np.tile(units, (len(pairs), 1))
+        left = cl._mul_stack(phis, psis, n)
+        overlap = pairs[:, None] & np.arange(len(units))
+        single = ((overlap != 0) & (overlap != pairs[:, None])).ravel()
+        want = np.where(single[:, None], 2.0 * left, 0.0)
+        worst = max(0.0, *_norms(left - cl._mul_stack(psis, phis, n) - want))
         yield n, None, 0, worst, "exhaustive over pairs and subsets", EXACT
 
 
 def _run_wedge_recovery(cfg: SuiteConfig) -> Iterator[Measurement]:
     for n in (4, 5, 6):
-        ctx = AlgebraContext(n)
+        units = np.eye(2 ** n)  # the basis element of each subset, by mask
         worst = 0.0
         for p in range(1, 5):
-            for I in subsets(n, p):
-                acc = cl.zero_element(ctx)
-                for perm in permutations(range(p)):
-                    prod = cl.basis_vector(ctx, I[perm[0]])
-                    for a in perm[1:]:
-                        prod = cl.clifford_mul(prod, cl.basis_vector(ctx, I[a]))
-                    acc = acc + (-1) ** sum(a > b for a, b in combinations(perm, 2)) * prod
-                worst = max(worst, ((1.0 / factorial(p)) * acc - cl.basis_element(ctx, I)).norm())
+            perms = list(permutations(range(p)))
+            # the generators e_i of every subset I, as masks, in the order of each permutation
+            gens = (1 << (np.array(subsets(n, p)) - 1))[:, perms].reshape(-1, p)
+            prod = units[gens[:, 0]]
+            for a in range(1, p):
+                prod = cl._mul_stack(prod, units[gens[:, a]], n)
+            prod = prod.reshape(-1, len(perms), len(units))
+            acc = np.zeros((len(prod), len(units)))
+            for k, perm in enumerate(perms):
+                acc = acc + (-1) ** sum(a > b for a, b in combinations(perm, 2)) * prod[:, k]
+            gap = (1.0 / factorial(p)) * acc - units[gens[::len(perms)].sum(axis=1)]
+            worst = max(worst, *_norms(gap))
         yield n, None, 0, worst, "antisymmetrized products, p <= 4", EXACT
 
 
@@ -488,28 +566,36 @@ def _run_mid_degree(cfg: SuiteConfig) -> Iterator[Measurement]:
 
 
 def _run_sectional_sum(cfg: SuiteConfig) -> Iterator[Measurement]:
-    for n, p, t, w in _sweep(cfg, "sectional_sum", min(cfg.seeds, 3)):
-        rng = _rng(cfg, "sectional_sum", n, p, t)
-        frames = np.array([orthonormalize(rng.standard_normal((n, n))) for _ in range(5)])
-        lhs = plane_values(wz.np_definition(w, p).coeffs, frames[:, :, :p], w.ctx)
-        # the value on e_1..e_p is the sum over the 2-planes e_i ^ e_j, i < p <= j
-        pairs = [(i, j) for i in range(p) for j in range(p, n)]
-        planes = frames[:, :, pairs].transpose(0, 2, 1, 3).reshape(-1, n, 2)
-        rhs = plane_values(w.form.coeffs, planes, w.ctx).reshape(5, -1).sum(-1)
-        worst = float(np.max(np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1.0)))
-        yield n, p, t, worst, "5 random planes", MAIN
+    for n, p, first, W in _sweep(cfg, "sectional_sum", min(cfg.seeds, 3)):
+        ctx = AlgebraContext(n)
+        for t, (w, image) in enumerate(zip(W, wz._definition_stack(W, n, p)), first):
+            rng = _rng(cfg, "sectional_sum", n, p, t)
+            frames = np.array([orthonormalize(rng.standard_normal((n, n))) for _ in range(5)])
+            lhs = plane_values(image, frames[:, :, :p], ctx)
+            # the value on e_1..e_p is the sum over the 2-planes e_i ^ e_j, i < p <= j
+            pairs = [(i, j) for i in range(p) for j in range(p, n)]
+            planes = frames[:, :, pairs].transpose(0, 2, 1, 3).reshape(-1, n, 2)
+            rhs = plane_values(w, planes, ctx).reshape(5, -1).sum(-1)
+            worst = float(np.max(np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1.0)))
+            yield n, p, t, worst, "5 random planes", MAIN
 
 
 def _run_adjoint_pairing(cfg: SuiteConfig) -> Iterator[Measurement]:
     for n, p, ctx in _cells(cfg):
         rng = _rng(cfg, "adjoint_pairing", n, p)  # one stream for every draw of the cell
-        worst = 0.0
-        for _ in range(20):
-            alpha = random_bianchi_22(rng, ctx)
-            beta = random_form(rng, p, p, ctx, symmetric=True)
-            lhs = inner(wz.np_definition(alpha, p), beta)
-            rhs = inner(alpha.form, wz.np_adjoint(beta, p))
-            worst = max(worst, abs(lhs - rhs) / max(alpha.form.norm() * beta.norm(), 1.0))
+        # the pairs' draws in turn, as random_bianchi_22 and random_form take them, then stacked
+        factors, raw = [], np.empty((20, ctx.dim(p), ctx.dim(p)))
+        for draw in raw:
+            factors.append(_factors([rng], n)[0])
+            draw[:] = rng.standard_normal(draw.shape)
+        alpha = _curvature_stack(np.array(factors), ctx)
+        beta = (raw + raw.transpose(0, 2, 1)) / 2.0
+        worst, step = 0.0, _stack_size(n, p, contracted=True)
+        for start in range(0, len(raw), step):
+            A, B = alpha[start:start + step], beta[start:start + step]
+            for a, b, image, adjoint in zip(A, B, wz._definition_stack(A, n, p), wz._adjoint_stack(B, n, p)):
+                lhs, rhs = float(np.sum(image * b)), float(np.sum(a * adjoint))
+                worst = max(worst, abs(lhs - rhs) / max(_norm(a) * _norm(b), 1.0))
         yield n, p, 0, worst, "20 random pairs", MAIN
 
 

@@ -19,13 +19,20 @@ code with the closed forms; the closed form
 
 and every derived identity (duality, splitting, contraction orders,
 mid-degree expression, adjoint) are checked against it numerically.
+
+The oracle and each closed form have one private kernel on stacks of
+coefficient matrices, shape (members, rows, cols) (_definition_stack,
+_formula_stack, _decompose_stack, ...); the public functions run it on a
+stack of one, and the verification suite on all the seeds of a cell.  A
+stacked call gives every member the terms a stack of one gives, summed in
+the same order, so its bits equal a single call's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import factorial, frexp, ldexp
+from math import comb, factorial, ldexp
 
 import numpy as np
 
@@ -33,12 +40,11 @@ from .exterior import AlgebraContext, mask_ranks, subset_masks
 from . import clifford as cl
 from .forms import (
     DoubleForm,
+    _contract_stack,
+    _exponent,
+    _metric_stack,
     as_form22,
-    contract,
-    contract_iter,
     kn_product,  # noqa: F401  not called here; bench/tracing.py counts it in this module
-    metric,
-    metric_power,
     metric_product,
     orthonormalize,
     plane_values,
@@ -99,6 +105,23 @@ def _ad_table(n: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return table
 
 
+def _definition_stack(W: np.ndarray, n: int, p: int) -> np.ndarray:
+    """The commutator sum of np_definition for each (2,2) coefficient matrix
+    of a stack (members, C(n,2), C(n,2)): one gather of the stack over the
+    _ad_table rows and one scatter, each member's cells offset by its
+    position, so that every member adds its terms in the order a stack of
+    one would."""
+    src, pair, coef = _ad_table(n, p)
+    dim, members = len(src), len(W)
+    terms = W[:, pair[:, :, None], pair[:, None, :]] * (coef[:, :, None] * coef[:, None, :])
+    cells = src[:, :, None] * dim + src[:, None, :]
+    if members > 1:
+        cells = (np.arange(members) * (dim * dim)).reshape(-1, 1, 1, 1) + cells
+    N = np.bincount(cells.ravel(), weights=terms.ravel(), minlength=members * dim * dim)
+    N = N.reshape(members, dim, dim) * 0.25
+    return (N + N.transpose(0, 2, 1)) / 2.0  # symmetric in exact arithmetic; kill roundoff skew
+
+
 def np_definition(omega, p: int) -> DoubleForm:
     """Order-p Weitzenboeck form via the Clifford commutator sum.
 
@@ -106,20 +129,14 @@ def np_definition(omega, p: int) -> DoubleForm:
     reference implementation everything else is measured against.  With
     ad_{e_a} e_I = s e_{K}, the sum reads N[I,J] = (1/4) sum_K s s' w[a,b]
     over the pairs of terms (I,a,s), (J,b,s') landing on the same K, so it
-    is one gather of w over the _ad_table rows and one scatter into N.
+    is one gather of w over the _ad_table rows and one scatter into N
+    (_definition_stack on a stack of one).
     """
     w = as_form22(omega)
     ctx = w.ctx
     if not 0 <= p <= ctx.n:
         raise ValueError(f"order must be in [0, {ctx.n}], got {p}")
-    src, pair, coef = _ad_table(ctx.n, p)
-    dim = len(src)
-    terms = w.coeffs[pair[:, :, None], pair[:, None, :]] * (coef[:, :, None] * coef[:, None, :])
-    cells = src[:, :, None] * dim + src[:, None, :]
-    N = np.bincount(cells.ravel(), weights=terms.ravel(), minlength=dim * dim)
-    N = N.reshape(dim, dim) * 0.25
-    N = (N + N.T) / 2.0  # symmetric in exact arithmetic; kill roundoff skew
-    return DoubleForm(p, p, N, ctx)
+    return DoubleForm(p, p, _definition_stack(w.coeffs[None], ctx.n, p)[0], ctx)
 
 
 # -- closed forms ---------------------------------------------------------
@@ -133,13 +150,27 @@ def _check_formula_range(n: int, p: int) -> None:
         )
 
 
+def _formula_stack(W: np.ndarray, n: int, p: int) -> np.ndarray:
+    """The closed form of np_formula for each (2,2) matrix of a stack."""
+    inner_part = _metric_stack(1, _contract_stack(W, n, 2, 2), n, 1, 1) / (p - 1) - 2.0 * W
+    return _metric_stack(p - 2, inner_part, n, 2, 2) / factorial(p - 2)
+
+
 def np_formula(omega, p: int) -> DoubleForm:
     """Closed form { g.c(w)/(p-1) - 2 w } g^{p-2}/(p-2)! for Bianchi input."""
     w = as_form22(omega)
     ctx = w.ctx
     _check_formula_range(ctx.n, p)
-    inner_part = metric_product(1, contract(w)) / (p - 1) - 2.0 * w
-    return metric_product(p - 2, inner_part) / factorial(p - 2)
+    return DoubleForm(p, p, _formula_stack(w.coeffs[None], ctx.n, p)[0], ctx)
+
+
+def _adjoint_stack(B: np.ndarray, n: int, p: int) -> np.ndarray:
+    """The adjoint of np_adjoint for each (p,p) matrix of a stack."""
+    c2 = B
+    for k in range(p, 2, -1):
+        c2 = _contract_stack(c2, n, k, k)
+    term1 = _metric_stack(1, _contract_stack(c2, n, 2, 2), n, 1, 1) / factorial(p - 1)
+    return term1 - 2.0 * c2 / factorial(p - 2)
 
 
 def np_adjoint(w_pp: DoubleForm, p: int) -> DoubleForm:
@@ -148,10 +179,19 @@ def np_adjoint(w_pp: DoubleForm, p: int) -> DoubleForm:
         raise ValueError(f"expected a ({p},{p}) form, got {w_pp.degree}")
     ctx = w_pp.ctx
     _check_formula_range(ctx.n, p)
-    c2 = contract_iter(w_pp, p - 2)
-    term1 = metric_product(1, contract(c2)) / factorial(p - 1)
-    term2 = 2.0 * c2 / factorial(p - 2)
-    return term1 - term2
+    return DoubleForm(2, 2, _adjoint_stack(w_pp.coeffs[None], ctx.n, p)[0], ctx)
+
+
+def _traces(W: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Ricci contractions c w, shape (members, n, n), and the scalars
+    c^2 w, shape (members,), of a stack of (2,2) matrices."""
+    ricci = _contract_stack(W, n, 2, 2)
+    return ricci, _contract_stack(ricci, n, 1, 1)[:, 0, 0]
+
+
+def _times_metric_power(k: int, scalars: np.ndarray, n: int) -> np.ndarray:
+    """scalars[m] g^k for each member m: the matrices k! I times each scalar."""
+    return (float(factorial(k)) * np.eye(comb(n, k))) * scalars[:, None, None]
 
 
 # -- orthogonal decomposition of (2,2) forms -----------------------------
@@ -170,6 +210,17 @@ class KulkarniComponents:
         return self.omega2.ctx
 
 
+def _decompose_stack(W: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Weyl, traceless-Ricci and scalar parts of decompose_22 for each
+    (2,2) matrix of a stack: (members, C(n,2), C(n,2)), (members, n, n) and
+    (members,) arrays."""
+    ricci, s = _traces(W, n)
+    omega0 = s / (2.0 * n * (n - 1))
+    omega1 = (ricci - _times_metric_power(1, s / n, n)) / (n - 2)
+    omega2 = W - _metric_stack(1, omega1, n, 1, 1) - _times_metric_power(2, omega0, n)
+    return omega2, omega1, omega0
+
+
 def decompose_22(omega) -> KulkarniComponents:
     """Split a curvature tensor into scalar, traceless-Ricci and Weyl parts.
 
@@ -182,13 +233,17 @@ def decompose_22(omega) -> KulkarniComponents:
     n = ctx.n
     if n < 4:
         raise ValueError(f"decomposition requires dimension >= 4, got n={n}")
-    g = metric(ctx)
-    ricci = contract(w)
-    s = contract(ricci).scalar()
-    omega0 = s / (2.0 * n * (n - 1))
-    omega1 = (ricci - (s / n) * g) / (n - 2)
-    omega2 = w - metric_product(1, omega1) - omega0 * metric_power(2, ctx)
-    return KulkarniComponents(omega2=omega2, omega1=omega1, omega0=omega0)
+    omega2, omega1, omega0 = _decompose_stack(w.coeffs[None], n)
+    return KulkarniComponents(omega2=DoubleForm(2, 2, omega2[0], ctx),
+                              omega1=DoubleForm(1, 1, omega1[0], ctx), omega0=float(omega0[0]))
+
+
+def _split_stack(omega2: np.ndarray, omega1: np.ndarray, omega0: np.ndarray, n: int, p: int) -> np.ndarray:
+    """The operator np_split assembles, for each member of stacked parts."""
+    t2 = _metric_stack(p - 2, omega2, n, 2, 2) * (-2.0 / factorial(p - 2))
+    t1 = _metric_stack(p - 1, omega1, n, 1, 1) * ((n - 2 * p) / factorial(p - 1))
+    t0 = _times_metric_power(p, 2.0 * (n - p) * omega0 / factorial(p - 1), n)
+    return t2 + t1 + t0
 
 
 def np_split(components: KulkarniComponents, p: int) -> DoubleForm:
@@ -200,13 +255,27 @@ def np_split(components: KulkarniComponents, p: int) -> DoubleForm:
     ctx = components.ctx
     n = ctx.n
     _check_formula_range(n, p)
-    t2 = metric_product(p - 2, components.omega2) * (-2.0 / factorial(p - 2))
-    t1 = metric_product(p - 1, components.omega1) * ((n - 2 * p) / factorial(p - 1))
-    t0 = metric_power(p, ctx) * (2.0 * (n - p) * components.omega0 / factorial(p - 1))
-    return t2 + t1 + t0
+    out = _split_stack(components.omega2.coeffs[None], components.omega1.coeffs[None],
+                       np.array([components.omega0]), n, p)
+    return DoubleForm(p, p, out[0], ctx)
 
 
 # -- contraction orders ----------------------------------------------------
+
+
+def _contraction_rhs_stack(W: np.ndarray, n: int, p: int, k: int) -> np.ndarray:
+    """The closed form of np_contraction_rhs for each (2,2) matrix of a stack."""
+    ricci, s = _traces(W, n)
+    if k == p:
+        return (p * factorial(n - 2) / factorial(n - p - 1) * s)[:, None, None]
+    if k == p - 1:
+        coef = factorial(n - 3) / factorial(n - p - 1)
+        return coef * ((n - 2 * p) * ricci + _times_metric_power(1, (p - 1) * s, n))
+    coef = factorial(n - p + k - 2) / (factorial(n - p - 2) * factorial(p - k - 2))
+    a = (n - k - p - 1) / ((n - p - 1) * (p - k - 1))
+    b = k / ((n - p - 1) * (p - k - 1) * (p - k))
+    brace = -2.0 * W + a * _metric_stack(1, ricci, n, 1, 1) + _times_metric_power(2, b * s, n)
+    return coef * _metric_stack(p - k - 2, brace, n, 2, 2)
 
 
 def np_contraction_rhs(omega, p: int, k: int) -> DoubleForm:
@@ -222,27 +291,27 @@ def np_contraction_rhs(omega, p: int, k: int) -> DoubleForm:
     _check_formula_range(n, p)
     if not 0 <= k <= p:
         raise ValueError(f"contraction order must be in [0, {p}], got {k}")
-    ricci = contract(w)
-    s = contract(ricci).scalar()
-    if k == p:
-        value = p * factorial(n - 2) / factorial(n - p - 1) * s
-        return DoubleForm(0, 0, [[value]], ctx)
-    if k == p - 1:
-        coef = factorial(n - 3) / factorial(n - p - 1)
-        return coef * ((n - 2 * p) * ricci + (p - 1) * s * metric(ctx))
-    coef = factorial(n - p + k - 2) / (factorial(n - p - 2) * factorial(p - k - 2))
-    a = (n - k - p - 1) / ((n - p - 1) * (p - k - 1))
-    b = k / ((n - p - 1) * (p - k - 1) * (p - k))
-    brace = -2.0 * w + a * metric_product(1, ricci) + (b * s) * metric_power(2, ctx)
-    return coef * metric_product(p - k - 2, brace)
+    return DoubleForm(p - k, p - k, _contraction_rhs_stack(w.coeffs[None], n, p, k)[0], ctx)
+
+
+def _einstein_stack(ricci: np.ndarray, s: np.ndarray, n: int) -> np.ndarray:
+    """E = (1/2) c^2 w g - c w of each member, from the _traces of a stack."""
+    return _times_metric_power(1, 0.5 * s, n) - ricci
 
 
 def einstein_tensor(omega) -> DoubleForm:
     """E = (1/2) c^2 w g - c w, a symmetric (1,1) form."""
     w = as_form22(omega)
-    ricci = contract(w)
-    s = contract(ricci).scalar()
-    return 0.5 * s * metric(w.ctx) - ricci
+    n = w.ctx.n
+    return DoubleForm(1, 1, _einstein_stack(*_traces(w.coeffs[None], n), n)[0], w.ctx)
+
+
+def _einstein_rhs_stack(W: np.ndarray, n: int, p: int) -> np.ndarray:
+    """The expression of np_contraction_einstein_rhs for each (2,2) matrix of a stack."""
+    ricci, s = _traces(W, n)
+    coef = factorial(n - 3) / factorial(n - p - 1)
+    einstein = _einstein_stack(ricci, s, n)
+    return coef * (_times_metric_power(1, ((n - 2) / 2.0) * s, n) - (n - 2 * p) * einstein)
 
 
 def np_contraction_einstein_rhs(omega, p: int) -> DoubleForm:
@@ -254,9 +323,7 @@ def np_contraction_einstein_rhs(omega, p: int) -> DoubleForm:
     ctx = w.ctx
     n = ctx.n
     _check_formula_range(n, p)
-    s = contract_iter(w, 2).scalar()
-    coef = factorial(n - 3) / factorial(n - p - 1)
-    return coef * (((n - 2) / 2.0) * s * metric(ctx) - (n - 2 * p) * einstein_tensor(w))
+    return DoubleForm(1, 1, _einstein_rhs_stack(w.coeffs[None], n, p)[0], ctx)
 
 
 # -- p-curvature and the mid-degree expression ----------------------------
@@ -359,7 +426,7 @@ def spectrum(w_pp: DoubleForm, sample_planes: int = 100, seed: int = 0) -> Spect
     if w_pp.p != w_pp.q:
         raise ValueError(f"expected a (p,p) form, got {w_pp.degree}")
     mat = w_pp.coeffs
-    shift = max(frexp(float(np.max(np.abs(mat), initial=0.0)))[1], 0)
+    shift = max(_exponent(mat), 0)
     scaled = np.ldexp(mat, -shift)
     skew = np.max(np.abs(scaled - scaled.T), initial=0.0)
     if skew > 1e-12 * max(np.linalg.norm(scaled), ldexp(1.0, -shift)):

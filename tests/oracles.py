@@ -19,6 +19,16 @@ from doubleforms.exterior import AlgebraContext, subsets
 from doubleforms.forms import DoubleForm, _lift_table
 
 
+def unrank_index(r: int, p: int, ctx: AlgebraContext):
+    """Inverse of rank_index: the r-th p-subset in lexicographic order."""
+    if not 0 <= p <= ctx.n:
+        raise ValueError(f"degree must be in [0, {ctx.n}], got {p}")
+    table = subsets(ctx.n, p)
+    if not 0 <= r < len(table):
+        raise ValueError(f"rank {r} out of range [0, {len(table)}) for degree {p}")
+    return table[r]
+
+
 def perm_sign(perm) -> int:
     sign = 1
     for a in range(len(perm)):

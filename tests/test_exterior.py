@@ -11,10 +11,9 @@ from doubleforms.exterior import (
     merge_sign,
     rank_index,
     subsets,
-    unrank_index,
 )
 from doubleforms.forms import _complement_table
-from oracles import enumeration_rank
+from oracles import enumeration_rank, unrank_index
 
 
 def test_rank_examples():

@@ -17,14 +17,15 @@ from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes
 
 from doubleforms import cli, tensorio
-from doubleforms.exterior import MAX_DIMENSION, AlgebraContext, rank_index, unrank_index
+from doubleforms.exterior import MAX_DIMENSION, AlgebraContext, rank_index
 from doubleforms.forms import (
     DoubleForm, bianchi_map, contract, inner, kn_product, metric, metric_power, metric_product, star,
 )
 from doubleforms.random_tensors import _sum_of_squares, random_bianchi_22, random_form
 from doubleforms.tensorio import load_tensor, save_form
 from doubleforms.weitzenboeck import np_definition
-from oracles import dense_definition, dense_kn_product, dense_square_sum, drawn_factors, enumeration_rank
+from oracles import (dense_definition, dense_kn_product, dense_square_sum, drawn_factors, enumeration_rank,
+                     unrank_index)
 
 fixed = settings(derandomize=True, database=None, deadline=None, max_examples=25)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -36,7 +37,7 @@ def test_sampler_is_the_dense_square_sum(n, terms, seed):
     ctx = AlgebraContext(n)
     factors = drawn_factors(seed, ctx, terms)
     want = dense_square_sum(factors)
-    got = _sum_of_squares(np.stack([h.coeffs for h in factors]), ctx).form.coeffs
+    got = _sum_of_squares(np.stack([h.coeffs for h in factors])[None], ctx)[0]
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 

@@ -62,8 +62,8 @@ def test_random_form_shapes():
 
 def test_square_of_metric_is_metric_power():
     ctx = AlgebraContext(4)
-    built = _sum_of_squares(metric(ctx).coeffs[None], ctx)
-    assert np.array_equal(built.form.coeffs, metric_power(2, ctx).coeffs)
+    built = _sum_of_squares(metric(ctx).coeffs[None, None], ctx)[0]
+    assert np.array_equal(built, metric_power(2, ctx).coeffs)
 
 
 def test_random_bianchi_construction():
@@ -96,7 +96,7 @@ def test_sum_of_minors_matches_dense_squares(n):
             factors = drawn_factors(seed, ctx, terms)
             want = dense_square_sum(factors)
             stack = np.stack([h.coeffs for h in factors])
-            assert_matches_dense(_sum_of_squares(stack, ctx).form.coeffs, want)
+            assert_matches_dense(_sum_of_squares(stack[None], ctx)[0], want)
             if terms == default:
                 assert_matches_dense(random_bianchi_22(seed, ctx).form.coeffs, want)
 

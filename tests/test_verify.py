@@ -14,7 +14,7 @@ import pytest
 
 from doubleforms import cli, tensorio, verify
 from doubleforms.cli import main
-from doubleforms.forms import contract, kn_product, metric, metric_power
+from doubleforms.forms import DoubleForm, contract, kn_product, metric, metric_power
 from doubleforms.random_tensors import random_bianchi_22
 from doubleforms.tensorio import load_tensor, save_form
 from doubleforms.verify import IDENTITIES, IdentityRecord, SuiteConfig, run_suite, worst_text
@@ -114,16 +114,18 @@ def test_different_seeds_differ():
 
 
 def test_mutation_corrupted_coefficient_fails(monkeypatch):
-    # a closed form with -2 drifted to -1.9 must trip the main comparison
-    def corrupted(omega, p):
-        from doubleforms.forms import as_form22
+    # a closed form with -2 drifted to -1.9 must trip the main comparison;
+    # the suite runs the closed form on each cell's stack of tensors
+    def corrupted(W, n, p):
+        ctx = AlgebraContext(n)
+        out = []
+        for coeffs in W:
+            w = DoubleForm(2, 2, coeffs, ctx)
+            part = kn_product(metric(ctx), contract(w)) / (p - 1) - 1.9 * w
+            out.append((kn_product(part, metric_power(p - 2, ctx)) / factorial(p - 2)).coeffs)
+        return np.array(out)
 
-        w = as_form22(omega)
-        ctx = w.ctx
-        part = kn_product(metric(ctx), contract(w)) / (p - 1) - 1.9 * w
-        return kn_product(part, metric_power(p - 2, ctx)) / factorial(p - 2)
-
-    monkeypatch.setattr(wz, "np_formula", corrupted)
+    monkeypatch.setattr(wz, "_formula_stack", corrupted)
     cfg = SuiteConfig(n_min=4, n_max=4, seeds=2, trials=5, identities=("closed_form",))
     report = run_suite(cfg)
     assert not report.passed
@@ -132,12 +134,13 @@ def test_mutation_corrupted_coefficient_fails(monkeypatch):
 
 def test_fitted_factor_diagnostic(monkeypatch):
     # a closed form off by a constant factor is reported with that factor
-    true_rhs = wz.np_contraction_rhs
+    # the suite runs the closed form on each cell's stack of tensors
+    true_rhs = wz._contraction_rhs_stack
 
-    def half_rhs(omega, p, k):
-        return 0.5 * true_rhs(omega, p, k)
+    def half_rhs(W, n, p, k):
+        return 0.5 * true_rhs(W, n, p, k)
 
-    monkeypatch.setattr(wz, "np_contraction_rhs", half_rhs)
+    monkeypatch.setattr(wz, "_contraction_rhs_stack", half_rhs)
     cfg = SuiteConfig(n_min=4, n_max=4, seeds=2, trials=5, identities=("contraction_orders",))
     report = run_suite(cfg)
     assert not report.passed
@@ -415,9 +418,9 @@ def test_cli_json_is_the_stdlib_encoding(tensor_file, monkeypatch, capsys, argv)
     docs = []
     emit = cli._emit
 
-    def capture(doc, as_json, lines):
+    def capture(doc, as_json, lines, *texts):
         docs.append(doc)
-        emit(doc, as_json, lines)
+        emit(doc, as_json, lines, *texts)
 
     monkeypatch.setattr(cli, "_emit", capture)
     assert main([*argv, "--input", tensor_file, "--json"]) == 0
