@@ -56,15 +56,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    v = sub.add_parser("verify", help="run the numerical identity suite")
-    v.add_argument("--n-min", type=int, default=4)
-    v.add_argument("--n-max", type=int, default=6)
-    v.add_argument("--seeds", type=int, default=10, help="random tensors per (n, p) cell")
-    v.add_argument("--trials", type=int, default=100, help="random pairs per sampled check")
-    v.add_argument("--tol", type=float, default=1e-9, help="main relative tolerance")
+    # each option the user leaves out keeps its SuiteConfig default
+    v = sub.add_parser("verify", help="run the numerical identity suite", argument_default=argparse.SUPPRESS)
+    v.add_argument("--n-min", type=int)
+    v.add_argument("--n-max", type=int)
+    v.add_argument("--seeds", type=int, help="random tensors per (n, p) cell")
+    v.add_argument("--trials", type=int, help="random pairs per sampled check")
+    v.add_argument("--tol", type=float, dest="tolerance", metavar="TOL", help="main relative tolerance")
     v.add_argument("--extended", action="store_true", help="include n = 7, 8 sweeps")
-    v.add_argument("--seed", type=int, default=42, help="base seed for all randomness")
-    v.add_argument("--json", action="store_true", help="emit the canonical JSON report")
+    v.add_argument("--seed", type=int, dest="base_seed", metavar="SEED", help="base seed for all randomness")
+    v.add_argument("--json", action="store_true", default=False, help="emit the canonical JSON report")
     v.add_argument("--identity", action="append", dest="identities", metavar="NAME",
                    help="restrict to one identity (repeatable)")
 
@@ -185,17 +186,10 @@ def _cmd_verify(args) -> int:
     # imported here, so the other commands never load the suite
     from .verify import SuiteConfig, run_suite
 
-    cfg = SuiteConfig(
-        n_min=args.n_min,
-        n_max=args.n_max,
-        seeds=args.seeds,
-        trials=args.trials,
-        tolerance=args.tol,
-        extended=args.extended,
-        base_seed=args.seed,
-        identities=tuple(args.identities) if args.identities else None,
-    )
-    report = run_suite(cfg)
+    given = {key: value for key, value in vars(args).items() if key not in ("command", "json")}
+    if "identities" in given:
+        given["identities"] = tuple(given["identities"])
+    report = run_suite(SuiteConfig(**given))
     if args.json:
         sys.stdout.write(report.to_json())
     else:

@@ -142,17 +142,15 @@ def from_vector(ctx: AlgebraContext, coords) -> CliffordElement:
 
 def _mul_stack(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     """The products a[m] . b[m] of two stacks (members, 2**n) of coefficient
-    vectors.
+    vectors, whose left factors a[m] all have supports of one size.
 
     Member m sums a[m, A] e_A . b[m] over the nonzero entries A of a[m] in
     mask order, in blocks of step = _PRODUCT_BLOCK / 2**n entries: a
     block's terms are added entry by entry and the blocks are added to
-    zeros in turn, so every member gets the bits a stack of one gives.  The
-    members' supports are padded to the longest one with terms of exactly
-    zero, which leave every sum as it is, and a chunk of members is
-    gathered one block at a time.  An entry's flat index F = m 2**n + A in
-    the stack gives its terms' flat sources in b as F xor B: m 2**n only
-    sets bits above those of A and B.
+    zeros in turn, so every member gets the bits a stack of one gives.  An
+    entry's flat index F = m 2**n + A in the stack gives its terms' flat
+    sources in b as F xor B: m 2**n only sets bits above those of A and B.
+    Supports of different sizes raise ValueError.
     """
     size = 2 ** n
     flips, signs = _sign_masks(n), _lower_parity(n, n + 1)  # (-1)^|S| for every subset S
@@ -161,25 +159,16 @@ def _mul_stack(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     a, b = a.reshape(-1), b.reshape(-1)
     flat = np.flatnonzero(a)
     counts = np.bincount(flat >> n, minlength=members)
-    width = int(counts.max(initial=0))
-    padded = bool((counts < width).any())
-    if padded:
-        valid = np.arange(width) < counts[:, None]
-        support = np.zeros((members, width), dtype=np.int64)
-        support[valid] = flat  # row-major: each member's entries in mask order
-    else:
-        support = flat.reshape(members, width)
+    if (counts != counts.max(initial=0)).any():
+        raise ValueError("the left factors' supports differ in size")
+    support = flat.reshape(members, -1)  # row-major: each member's entries in mask order
     step = max(1, _PRODUCT_BLOCK // size)
-    chunk = max(1, step // max(1, min(width, step)))
     out = np.zeros((members, size))
-    for lo in range(0, members, chunk):
-        for start in range(0, width, step):
-            F = support[lo:lo + chunk, start:start + step, None]
-            source = F ^ targets  # e_A . e_B lands on A xor B, the column's target
-            terms = a[F] * (signs[source & flips[F & (size - 1)]] * b[source])
-            if padded:
-                terms[~valid[lo:lo + chunk, start:start + step]] = 0.0
-            out[lo:lo + chunk] += terms.sum(axis=1)
+    for start in range(0, support.shape[1], step):
+        F = support[:, start:start + step, None]
+        source = F ^ targets  # e_A . e_B lands on A xor B, the column's target
+        terms = a[F] * (signs[source & flips[F & (size - 1)]] * b[source])
+        out += terms.sum(axis=1)
     return out
 
 

@@ -141,7 +141,10 @@ class DoubleForm:
         return (self.p, self.q)
 
     def value(self, I, J) -> float:
-        """Coefficient on the basis pair (e_I, e_J)."""
+        """Coefficient on the basis pair (e_I, e_J), I of p entries and J of q."""
+        I, J = tuple(I), tuple(J)
+        if (len(I), len(J)) != self.degree:
+            raise ValueError(f"index degrees ({len(I)},{len(J)}) do not match a {self.degree} form")
         return float(self.coeffs[rank_index(I, self.ctx), rank_index(J, self.ctx)])
 
     def norm(self) -> float:
@@ -578,16 +581,19 @@ def plane_values(coeffs: np.ndarray, frames: np.ndarray, ctx: AlgebraContext) ->
 
 
 def sectional(w: DoubleForm, span) -> float:
-    """Value of a symmetric (p,p) form on the p-plane spanned by the input.
+    """Value of a symmetric (p,p) form on the p-plane spanned by the input,
+    p vectors of n coordinates each.
 
     The span is orthonormalized first, so the result only depends on the
     plane, not the chosen spanning vectors.
     """
     if w.p != w.q:
         raise ValueError(f"sectional curvature needs a (p,p) form, got {w.degree}")
-    span = list(span)
+    span = [np.asarray(v, dtype=float) for v in span]
     if len(span) != w.p:
         raise ValueError(f"expected {w.p} spanning vectors, got {len(span)}")
+    if any(v.shape != (w.ctx.n,) for v in span):
+        raise ValueError(f"spanning vectors must have {w.ctx.n} coordinates")
     if w.p == 0:
         return w.scalar()
     return float(plane_values(w.coeffs, orthonormalize(span)[None], w.ctx)[0])
@@ -621,21 +627,22 @@ class BianchiViolation(ValueError):
 
 
 def _check_curvature(coeffs: np.ndarray, n: int, tol: float) -> None:
-    """Check each symmetric (2,2) coefficient matrix of a stack
-    (members, C(n,2), C(n,2)) in turn, as CurvatureTensor does: it must be
-    finite and exactly symmetric, and for a finite tol its Bianchi residual
-    must not exceed tol times its norm.  The first failing member raises,
-    with the message a CurvatureTensor of it would give.  The residuals of
-    the members before it are one call of _bianchi_stack, and each norm is
-    the member's own, so every member gets the numbers a stack of one would.
+    """Check a stack (members, C(n,2), C(n,2)) of symmetric (2,2)
+    coefficient matrices as CurvatureTensor does: the stack must be finite
+    and exactly symmetric, and for a finite tol each member's Bianchi
+    residual must not exceed tol times its norm.  The first member over its
+    limit raises, with the message a CurvatureTensor of it would give.  The
+    residuals are one call of _bianchi_stack, and each norm is the member's
+    own, so every member gets the numbers a stack of one would.
     """
-    finite = np.isfinite(coeffs).all(axis=(1, 2))
-    good = finite & (coeffs == coeffs.transpose(0, 2, 1)).all(axis=(1, 2))
-    valid = len(coeffs) if good.all() else int(np.argmin(good))
-    if np.isfinite(tol) and valid:
+    if not np.isfinite(coeffs).all():
+        raise ValueError("curvature tensor has non-finite entries")
+    if not (coeffs == coeffs.transpose(0, 2, 1)).all():
+        raise ValueError("curvature tensor matrix must be exactly symmetric")
+    if np.isfinite(tol):
         # residual and norm scale together, so a form near the float64
         # range is checked times a power of two that keeps both finite
-        scaled, shifts = _bianchi_scaled(coeffs[:valid])
+        scaled, shifts = _bianchi_scaled(coeffs)
         residuals = np.max(np.abs(_bianchi_stack(scaled, n, 2, 2)), axis=(1, 2), initial=0.0)
         for residual, member, shift in zip(residuals, scaled, shifts):
             limit = tol * _norm(member)
@@ -644,9 +651,6 @@ def _check_curvature(coeffs: np.ndarray, n: int, tol: float) -> None:
                     f"first Bianchi identity violated: residual {residual:.3e} "
                     f"exceeds {limit:.3e}" + (f" (both times 2**{-shift})" if shift else "")
                 )
-    if valid < len(coeffs):
-        raise ValueError("curvature tensor has non-finite entries" if not finite[valid]
-                         else "curvature tensor matrix must be exactly symmetric")
 
 
 @dataclass(frozen=True, eq=False)

@@ -112,7 +112,7 @@ def weyl_part_tensor(seed, ctx: AlgebraContext) -> CurvatureTensor:
     base = random_bianchi_22(seed, ctx)
     weyl = decompose_22(base).omega2
     # the Weyl projection only removes Bianchi components, so it stays Bianchi
-    return CurvatureTensor(weyl.symmetrized(), bianchi_tol=1e-10)
+    return CurvatureTensor(weyl.symmetrized())
 
 
 def positive_operator_perturbation(seed, ctx: AlgebraContext) -> CurvatureTensor:

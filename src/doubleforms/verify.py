@@ -492,11 +492,6 @@ def _run_constant_curvature(cfg: SuiteConfig) -> Iterator[Measurement]:
             yield n, p, 0, r, note, EXACT
 
 
-def _norms(stack: np.ndarray) -> list[float]:
-    """The norm of each member of a stack of Clifford coefficient vectors."""
-    return [float(np.linalg.norm(member)) for member in stack]
-
-
 def _run_clifford_ad_rule(cfg: SuiteConfig) -> Iterator[Measurement]:
     for n in (4, 5, 6):  # exhaustive at the pinned dimensions
         units = np.eye(2 ** n)  # the basis element of each subset, by mask
@@ -510,7 +505,7 @@ def _run_clifford_ad_rule(cfg: SuiteConfig) -> Iterator[Measurement]:
         overlap = pairs[:, None] & np.arange(len(units))
         single = ((overlap != 0) & (overlap != pairs[:, None])).ravel()
         want = np.where(single[:, None], 2.0 * left, 0.0)
-        worst = max(0.0, *_norms(left - cl._mul_stack(psis, phis, n) - want))
+        worst = max(0.0, *np.linalg.norm(left - cl._mul_stack(psis, phis, n) - want, axis=1))
         yield n, None, 0, worst, "exhaustive over pairs and subsets", EXACT
 
 
@@ -530,7 +525,7 @@ def _run_wedge_recovery(cfg: SuiteConfig) -> Iterator[Measurement]:
             for k, perm in enumerate(perms):
                 acc = acc + (-1) ** sum(a > b for a, b in combinations(perm, 2)) * prod[:, k]
             gap = (1.0 / factorial(p)) * acc - units[gens[::len(perms)].sum(axis=1)]
-            worst = max(worst, *_norms(gap))
+            worst = max(worst, *np.linalg.norm(gap, axis=1))
         yield n, None, 0, worst, "antisymmetrized products, p <= 4", EXACT
 
 

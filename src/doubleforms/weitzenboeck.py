@@ -77,7 +77,7 @@ class FormulaRangeError(ValueError):
 # -- definitional operator (the oracle) ---------------------------------
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=None)
 def _ad_table(n: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gather lists of the commutators ad_{e_i.e_j} on basis p-vectors.
 
@@ -386,27 +386,33 @@ class SpectrumReport:
     sampled_values: np.ndarray = field(repr=False, default=None)
 
 
-#: Gaussian draws sample_plane makes for one plane before it gives up.
+#: Gaussian draws sample_frames makes for one plane before it gives up.
 _PLANE_TRIES = 32
 
 
-def sample_plane(rng: np.random.Generator, n: int, p: int) -> np.ndarray:
-    """Orthonormal basis of a random p-plane from Gaussian vectors; the
-    0-plane is the empty (n, 0) frame and draws nothing."""
-    if p == 0:
-        return np.zeros((n, 0))
-    for _ in range(_PLANE_TRIES):
-        raw = rng.standard_normal((p, n))
-        try:
-            return orthonormalize(raw)
-        except ValueError:
-            continue  # resample near-degenerate draws
-    raise RuntimeError("failed to sample a nondegenerate plane")
-
-
 def sample_frames(rng: np.random.Generator, n: int, p: int, count: int) -> np.ndarray:
-    """count sample_plane draws from rng in turn, stacked: shape (count, n, p)."""
-    return np.array([sample_plane(rng, n, p) for _ in range(count)]).reshape(count, n, p)
+    """Orthonormal bases of count random p-planes, shape (count, n, p).
+
+    Each plane is drawn from rng in turn, as p Gaussian vectors that are
+    orthonormalized, and drawn again while they are near-degenerate.  The
+    0-plane is the empty (n, 0) frame and draws nothing; p > n raises
+    ValueError.
+    """
+    if p > n:
+        raise ValueError(f"no {p}-plane in dimension {n}")
+    frames = np.zeros((count, n, p))
+    if p == 0:
+        return frames
+    for frame in frames:
+        for _ in range(_PLANE_TRIES):
+            try:
+                frame[:] = orthonormalize(rng.standard_normal((p, n)))
+                break
+            except ValueError:
+                continue  # resample near-degenerate draws
+        else:
+            raise RuntimeError("failed to sample a nondegenerate plane")
+    return frames
 
 
 def spectrum(w_pp: DoubleForm, sample_planes: int = 100, seed: int = 0) -> SpectrumReport:

@@ -52,6 +52,16 @@ def test_metric_is_identity():
     assert g.value((1,), (2,)) == 0.0
 
 
+def test_value_needs_the_degrees_of_the_form():
+    from doubleforms.random_tensors import random_bianchi_22
+
+    w = random_bianchi_22(1, AlgebraContext(4)).form
+    assert w.value((1, 2), (1, 3)) == w.coeffs[0, 1]
+    for I, J in (((1,), (1, 2)), ((1, 2, 3), (1, 2)), ((1, 2), ())):
+        with pytest.raises(ValueError, match=r"do not match a \(2, 2\) form"):
+            w.value(I, J)
+
+
 def test_metric_power_values():
     ctx = AlgebraContext(4)
     g2 = metric_power(2, ctx)
@@ -583,6 +593,13 @@ def test_sectional_degenerate_span():
         sectional(w, [v, 2 * v])
     with pytest.raises(ValueError):
         sectional(w, [v])  # wrong count for a (2,2) form
+
+
+def test_sectional_needs_n_coordinates():
+    w = metric_power(2, AlgebraContext(4))
+    for span in ([[1, 0, 0, 0, 5], [0, 1, 0, 0, 0]], [[1, 0, 0], [0, 1, 0]], [[1, 0, 0, 0], [[0], [1], [0], [0]]]):
+        with pytest.raises(ValueError, match="must have 4 coordinates"):
+            sectional(w, span)
 
 
 def test_sectional_of_a_scalar_form_reads_its_scalar():

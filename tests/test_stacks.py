@@ -77,11 +77,10 @@ def test_stacked_check_raises_for_the_first_failing_member():
         with pytest.raises(kind) as stacked:
             forms._check_curvature(np.array([good[0], member, good[1]]), n, forms.BIANCHI_TOL)
         assert str(stacked.value) == str(single.value)
-    # members are checked in turn: a Bianchi violation before a non-finite member wins
-    with pytest.raises(BianchiViolation):
-        forms._check_curvature(np.array([bad_bianchi, non_finite]), n, forms.BIANCHI_TOL)
-    with pytest.raises(ValueError, match="non-finite"):
-        forms._check_curvature(np.array([non_finite, bad_bianchi]), n, forms.BIANCHI_TOL)
+    # the whole stack must be finite before any residual is taken
+    for stack in ([bad_bianchi, non_finite], [non_finite, bad_bianchi], [skew, good[0], non_finite]):
+        with pytest.raises(ValueError, match="non-finite"):
+            forms._check_curvature(np.array(stack), n, forms.BIANCHI_TOL)
     # a member near the float range is checked times its own power of two
     huge = np.array([good[1], bad_bianchi * 1e300])
     with pytest.raises(BianchiViolation, match=r"both times 2\*\*-"):
@@ -158,16 +157,14 @@ def test_adjoint_stack_equals_per_member_calls(n, members):
             assert_same_bits(got[m], wz.np_adjoint(DoubleForm(p, p, B[m], ctx), p).coeffs, (p, m))
 
 
-def clifford_stack(n, members, rng):
-    """Pairs of stacks of Clifford elements: sparse and dense left factors,
-    a zero one, and -0.0 entries on both sides.  The first entry is nonzero,
-    so that a padded term which gathers it without being zeroed shows."""
+def clifford_stack(n, members, rng, support):
+    """Pairs of stacks of Clifford elements: each left factor has support
+    nonzero entries at random places and -0.0 everywhere else, and each
+    right factor has a -0.0 entry."""
     size = 2 ** n
-    a = rng.standard_normal((members, size)) * (rng.random((members, size)) < 0.3)
-    a[-1] = rng.standard_normal(size)
-    if members == 3:
-        a[1] = 0.0
-    a[0, 0], a[0, 1] = 0.75, -0.0
+    a = np.full((members, size), -0.0)
+    for row in a:
+        row[rng.choice(size, support, replace=False)] = rng.standard_normal(support)
     b = rng.standard_normal((members, size))
     b[:, 0] = -0.0
     return a, b
@@ -181,21 +178,30 @@ def test_clifford_stack_equals_per_member_products(monkeypatch, n, members, bloc
     if block:
         monkeypatch.setattr(cl, "_PRODUCT_BLOCK", block * 2 ** n)
     ctx = AlgebraContext(n)
-    a, b = clifford_stack(n, members, np.random.default_rng(n))
-    got = cl._mul_stack(a, b, n)
-    for m in range(members):
-        want = cl.clifford_mul(cl.CliffordElement(a[m], ctx), cl.CliffordElement(b[m], ctx))
-        assert_same_bits(got[m], want.coeffs, m)
-        # the single product against the sum over the support in blocks of rows
-        step = max(1, cl._PRODUCT_BLOCK // 2 ** n)
-        rows = np.flatnonzero(a[m])
-        flips, signs = cl._sign_masks(n), cl._lower_parity(n, n + 1)
-        loop = np.zeros(2 ** n)
-        for start in range(0, len(rows), step):
-            A = rows[start:start + step, None]
-            B = A ^ np.arange(2 ** n)
-            loop += (a[m][A] * (signs[B & flips[A]] * b[m][B])).sum(axis=0)
-        assert_same_bits(want.coeffs, loop, m)
+    rng = np.random.default_rng(n)
+    for support in (0, max(1, 2 ** n // 4), 2 ** n):  # zero, sparse and dense left factors
+        a, b = clifford_stack(n, members, rng, support)
+        got = cl._mul_stack(a, b, n)
+        for m in range(members):
+            want = cl.clifford_mul(cl.CliffordElement(a[m], ctx), cl.CliffordElement(b[m], ctx))
+            assert_same_bits(got[m], want.coeffs, (support, m))
+            # the single product against the sum over the support in blocks of rows
+            step = max(1, cl._PRODUCT_BLOCK // 2 ** n)
+            rows = np.flatnonzero(a[m])
+            flips, signs = cl._sign_masks(n), cl._lower_parity(n, n + 1)
+            loop = np.zeros(2 ** n)
+            for start in range(0, len(rows), step):
+                A = rows[start:start + step, None]
+                B = A ^ np.arange(2 ** n)
+                loop += (a[m][A] * (signs[B & flips[A]] * b[m][B])).sum(axis=0)
+            assert_same_bits(want.coeffs, loop, (support, m))
+
+
+def test_clifford_stack_rejects_supports_of_different_sizes():
+    a, b = np.eye(4)[[1, 2]], np.ones((2, 4))
+    a[1, 3] = 0.5
+    with pytest.raises(ValueError, match="supports differ in size"):
+        cl._mul_stack(a, b, 2)
 
 
 #: The forms kernels the closed forms are built from.

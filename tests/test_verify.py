@@ -310,6 +310,14 @@ def test_cli_verify_identity_failure_exit_code(capsys):
     assert code == 1
 
 
+def test_verify_defaults_live_in_the_suite_config():
+    # an option left out sets nothing, so SuiteConfig alone holds the defaults
+    assert vars(cli.build_parser().parse_args(["verify"])) == {"command": "verify", "json": False}
+    args = cli.build_parser().parse_args(["verify", "--tol", "1e-3", "--seed", "7", "--identity", "tachibana"])
+    assert vars(args) == {"command": "verify", "json": False, "tolerance": 1e-3, "base_seed": 7,
+                          "identities": ["tachibana"]}
+
+
 def test_cli_usage_errors(capsys):
     assert main([]) == 2
     assert main(["frobnicate"]) == 2

@@ -571,6 +571,16 @@ def test_spectrum_reads_the_coefficient_matrix():
         assert np.array_equal(rep.sampled_values, plane_values(N.coeffs, frames, N.ctx))
 
 
+def test_sampled_planes_need_p_at_most_n():
+    # no p-plane exists when p > n: refused at once, before any draw
+    zero = DoubleForm(2, 2, np.zeros((0, 0)), AlgebraContext(1))
+    with pytest.raises(ValueError, match="no 2-plane in dimension 1"):
+        spectrum(zero, sample_planes=3)
+    with pytest.raises(ValueError, match="no 3-plane in dimension 2"):
+        wz.sample_frames(np.random.default_rng(0), 2, 3, 1)
+    assert wz.sample_frames(np.random.default_rng(0), 4, 0, 2).shape == (2, 4, 0)
+
+
 def test_spectrum_without_samples_draws_no_generator(monkeypatch):
     N = np_definition(random_bianchi_22(3, AlgebraContext(5)), 2)
     want = spectrum(N, sample_planes=4, seed=0).eigenvalues
