@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exterior import AlgebraContext, validate_index
+from .exterior import AlgebraContext, _mask, validate_index
 
 __all__ = [
     "CliffordElement",
@@ -122,10 +122,7 @@ def basis_element(ctx: AlgebraContext, I) -> CliffordElement:
     """e_{i_1} . ... . e_{i_p} for increasing I; equals the basis wedge."""
     I = validate_index(I, ctx)
     vec = np.zeros(2 ** ctx.n)
-    mask = 0
-    for i in I:
-        mask |= 1 << (i - 1)
-    vec[mask] = 1.0
+    vec[_mask(I)] = 1.0
     return CliffordElement(vec, ctx)
 
 
@@ -184,6 +181,7 @@ def clifford_mul(a: CliffordElement, b: CliffordElement) -> CliffordElement:
 
 def interior(i: int, a: CliffordElement) -> CliffordElement:
     """Interior product i_{e_i}, the adjoint of wedging with e_i."""
+    (i,) = validate_index((i,), a.ctx)
     n = a.ctx.n
     bit = 1 << (i - 1)
     size = 2 ** n

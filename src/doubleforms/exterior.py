@@ -4,7 +4,9 @@ Basis p-vectors e_I = e_{i_1} ^ ... ^ e_{i_p} are addressed by strictly
 increasing tuples of integers in [1, n], ordered lexicographically.  Every
 dense coefficient matrix in this package uses that ordering on both axes,
 so ranking and the sign bookkeeping for merges and
-insertions are centralized here.
+insertions are centralized here.  The tuple API (subsets, rank_index,
+validate_index) is the package's public boundary, and subsets is the
+independent enumeration the tests check the mask tables against.
 
 The array kernels address subsets by int64 bit masks, bit i - 1 for the
 member i.  Two cached tables translate: subset_masks(n, k) lists the masks
@@ -55,11 +57,6 @@ def subsets(n: int, p: int) -> tuple[MultiIndex, ...]:
 
 
 @lru_cache(maxsize=None)
-def _ranks(n: int, p: int) -> dict[MultiIndex, int]:
-    return {I: r for r, I in enumerate(subsets(n, p))}
-
-
-@lru_cache(maxsize=None)
 def _mask_sizes(n: int) -> np.ndarray:
     """Number of members of every subset mask of {1..n}."""
     masks = np.arange(1 << n, dtype=np.int64)
@@ -101,9 +98,9 @@ def subset_masks(n: int, k: int) -> np.ndarray:
 
 
 def _mask(I) -> np.ndarray:
-    """I as int64 bit masks: a tuple of members becomes its mask."""
+    """I as int64 bit masks: a tuple of members becomes its mask, an int."""
     if isinstance(I, tuple):
-        return np.int64(sum(1 << (i - 1) for i in I))
+        return sum(1 << (i - 1) for i in I)
     return np.asarray(I, dtype=np.int64)
 
 
@@ -115,8 +112,12 @@ def _parity(masks: np.ndarray) -> np.ndarray:
 
 
 def validate_index(I, ctx: AlgebraContext) -> MultiIndex:
-    """Normalize I to a tuple and check it addresses a basis element of ctx."""
-    I = tuple(int(i) for i in I)
+    """Normalize I to a tuple of ints and check it addresses a basis element
+    of ctx; entries must be Python or numpy integers, not booleans."""
+    I = tuple(I)
+    if any(isinstance(i, bool) or not isinstance(i, (int, np.integer)) for i in I):
+        raise ValueError(f"index entries must be integers: {I}")
+    I = tuple(map(int, I))
     if len(I) > ctx.n:
         raise ValueError(f"degree {len(I)} exceeds dimension {ctx.n}")
     if any(not 1 <= i <= ctx.n for i in I):
@@ -129,7 +130,7 @@ def validate_index(I, ctx: AlgebraContext) -> MultiIndex:
 def rank_index(I, ctx: AlgebraContext) -> int:
     """Position of I in the lexicographic order of len(I)-subsets of {1..n}."""
     I = validate_index(I, ctx)
-    return _ranks(ctx.n, len(I))[I]
+    return int(mask_ranks(ctx.n)[_mask(I)])
 
 
 def merge_sign(I, J):

@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exterior import AlgebraContext, _ranks, mask_ranks, subsets
+from .exterior import AlgebraContext, _mask, mask_ranks
 from .forms import (BianchiViolation, CurvatureTensor, DoubleForm, _bianchi_scaled,
                     _member_table, bianchi_map, bianchi_residual)
 
@@ -67,8 +67,8 @@ def _read_entries(entries: list, n: int, path) -> np.ndarray:
     neither); an integer value too large for a float64 is the infinity it
     rounds to.  The last entry of a symmetric slot sets both of its cells.
     """
-    ranks = _ranks(n, 2)
-    mat = np.zeros((len(ranks), len(ranks)))
+    ranks = mask_ranks(n).tolist()
+    mat = np.zeros((math.comb(n, 2),) * 2)
     seen = {}  # the value of each symmetric slot at its first entry
     for k, entry in enumerate(entries):
         where = f"{path}: entries[{k}]"
@@ -76,8 +76,8 @@ def _read_entries(entries: list, n: int, path) -> np.ndarray:
             raise ValueError(f"{where}: expected an object, got {entry!r}")
         if not _FIELDS.issubset(entry):
             raise ValueError(f"{where}: missing fields {sorted(_FIELDS - set(entry))}")
-        a = ranks[_index_pair(entry["ij"], n, where, "ij")]
-        b = ranks[_index_pair(entry["kl"], n, where, "kl")]
+        a = ranks[_mask(_index_pair(entry["ij"], n, where, "ij"))]
+        b = ranks[_mask(_index_pair(entry["kl"], n, where, "kl"))]
         raw = entry["value"]
         if type(raw) is not int and type(raw) is not float:
             raise ValueError(f"{where}.value: expected a number, got {raw!r}")
@@ -216,7 +216,7 @@ def _write_form(form: DoubleForm, path, value_texts) -> None:
     def index_texts(d):
         # json.dumps(list(I), indent=2) at the depth of an entry's field
         return np.array(["[\n        " + ",\n        ".join(map(str, I)) + "\n      ]" if I else "[]"
-                         for I in subsets(n, d)], dtype=object)
+                         for I in (_member_table(n, d) + 1).tolist()], dtype=object)
 
     heads = '{\n      "ij": ' + index_texts(form.p) + ',\n      "kl": '
     cols = index_texts(form.q) + ',\n      "value": '

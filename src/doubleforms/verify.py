@@ -53,12 +53,13 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .exterior import AlgebraContext, subsets
+from .exterior import AlgebraContext, subset_masks
 from . import clifford as cl
 from .forms import (
     CurvatureTensor,
     DoubleForm,
     _contract_stack,
+    _member_table,
     _metric_stack,
     _norm,
     _star_stack,
@@ -67,7 +68,6 @@ from .forms import (
     kn_product,
     metric_power,
     metric_product,
-    orthonormalize,
     plane_values,
 )
 from .random_tensors import (
@@ -357,7 +357,7 @@ def _run_contraction_adjoint(cfg: SuiteConfig) -> Iterator[Measurement]:
         lifted, lowered = _metric_stack(1, W1, n, p, p), _contract_stack(W2, n, p + 1, p + 1)
         for w1, w2, up, down in zip(W1, W2, lifted, lowered):
             gap = abs(float(np.sum(up * w2)) - float(np.sum(w1 * down)))
-            yield gap / max(float(np.linalg.norm(w1)) * float(np.linalg.norm(w2)), 1.0)
+            yield gap / max(_norm(w1) * _norm(w2), 1.0)
 
     for n, p, worst in _trials(cfg, "contraction_adjoint", lambda p: (p, p + 1), residuals):
         yield n, p, 0, worst, f"max over {cfg.trials} pairs", ADJOINT
@@ -369,7 +369,7 @@ def _run_star_contraction(cfg: SuiteConfig) -> Iterator[Measurement]:
         q = n - p
         back = _star_stack(_contract_stack(_star_stack(W, n, p, p), n, q, q), n, q - 1, q - 1)
         for w, gap in zip(W, _metric_stack(1, W, n, p, p) - back):
-            yield float(np.linalg.norm(gap)) / max(float(np.linalg.norm(w)), 1.0)
+            yield _norm(gap) / max(_norm(w), 1.0)
 
     for n, p, worst in _trials(cfg, "star_contraction", lambda p: (p,), residuals):
         yield n, p, 0, worst, f"max over {cfg.trials} forms", ADJOINT
@@ -495,7 +495,7 @@ def _run_constant_curvature(cfg: SuiteConfig) -> Iterator[Measurement]:
 def _run_clifford_ad_rule(cfg: SuiteConfig) -> Iterator[Measurement]:
     for n in (4, 5, 6):  # exhaustive at the pinned dimensions
         units = np.eye(2 ** n)  # the basis element of each subset, by mask
-        pairs = np.array([(1 << (i - 1)) | (1 << (j - 1)) for i, j in subsets(n, 2)])
+        pairs = subset_masks(n, 2)
         low = pairs & -pairs  # e_i of each pair (i, j), and e_j = pair - e_i
         phi = cl._mul_stack(units[low], units[pairs - low], n)
         # every pair with every subset S: ad_{e_i.e_j} e_S against 2 e_i.e_j.e_S
@@ -516,7 +516,7 @@ def _run_wedge_recovery(cfg: SuiteConfig) -> Iterator[Measurement]:
         for p in range(1, 5):
             perms = list(permutations(range(p)))
             # the generators e_i of every subset I, as masks, in the order of each permutation
-            gens = (1 << (np.array(subsets(n, p)) - 1))[:, perms].reshape(-1, p)
+            gens = (1 << _member_table(n, p))[:, perms].reshape(-1, p)
             prod = units[gens[:, 0]]
             for a in range(1, p):
                 prod = cl._mul_stack(prod, units[gens[:, a]], n)
@@ -565,7 +565,7 @@ def _run_sectional_sum(cfg: SuiteConfig) -> Iterator[Measurement]:
         ctx = AlgebraContext(n)
         for t, (w, image) in enumerate(zip(W, wz._definition_stack(W, n, p)), first):
             rng = _rng(cfg, "sectional_sum", n, p, t)
-            frames = np.array([orthonormalize(rng.standard_normal((n, n))) for _ in range(5)])
+            frames = wz.sample_frames(rng, n, n, 5)
             lhs = plane_values(image, frames[:, :, :p], ctx)
             # the value on e_1..e_p is the sum over the 2-planes e_i ^ e_j, i < p <= j
             pairs = [(i, j) for i in range(p) for j in range(p, n)]
@@ -631,9 +631,8 @@ def _run_kn_algebra(cfg: SuiteConfig) -> Iterator[Measurement]:
         a, b = rng.standard_normal((2, n))
         wedge = kn_product(DoubleForm(1, 0, a[:, None], ctx), DoubleForm(1, 0, b[:, None], ctx))
         clifford = cl.clifford_mul(cl.from_vector(ctx, a), cl.from_vector(ctx, b))
-        masks = [(1 << (i - 1)) | (1 << (j - 1)) for i, j in subsets(n, 2)]
-        gap = float(np.linalg.norm(wedge.coeffs[:, 0] - clifford.coeffs[masks]))
-        worst = max(worst, gap / max(float(np.linalg.norm(a) * np.linalg.norm(b)), 1.0))
+        gap = _norm(wedge.coeffs[:, 0] - clifford.coeffs[subset_masks(n, 2)])
+        worst = max(worst, gap / max(_norm(a) * _norm(b), 1.0))
         yield n, None, 0, worst, "commutativity and associativity", EXACT
 
 

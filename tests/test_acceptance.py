@@ -14,6 +14,8 @@ against the commutator-sum oracle, the kernel on the Bianchi space is
 exactly {g.h : h symmetric, tr h = 0}, of dimension n(n+1)/2 - 1.
 """
 
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -23,6 +25,7 @@ import pytest
 from doubleforms.exterior import AlgebraContext
 from doubleforms.forms import DoubleForm, kn_product, metric
 from doubleforms.verify import _TOL_RATIO, SuiteConfig, _bianchi_basis, run_suite, worst_text
+import doubleforms
 from doubleforms import weitzenboeck as wz
 from conftest import acceptance_lines
 
@@ -190,8 +193,10 @@ def test_criterion_10_positivity(report):
 def test_criterion_11_determinism(tmp_path):
     cmd = [sys.executable, "-m", "doubleforms.cli", "verify", "--seed", "42",
            "--n-min", "4", "--n-max", "5", "--seeds", "3", "--trials", "20", "--json"]
-    first = subprocess.run(cmd, capture_output=True)
-    second = subprocess.run(cmd, capture_output=True)
+    # the children import the package this test imported
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(doubleforms.__file__).parents[1]))
+    first = subprocess.run(cmd, capture_output=True, env=env)
+    second = subprocess.run(cmd, capture_output=True, env=env)
     ok = first.stdout == second.stdout and len(first.stdout) > 0
     _emit(f"criterion 11 (byte-identical reports): "
           f"{'PASS' if ok else 'FAIL'}  bytes={len(first.stdout)}")

@@ -122,6 +122,22 @@ def test_interior_examples():
     assert np.array_equal(interior(1, e12).coeffs, basis_element(ctx, (2,)).coeffs)
     assert np.array_equal(interior(2, e12).coeffs, -basis_element(ctx, (1,)).coeffs)
     assert interior(3, e12).norm() == 0.0
+    # i must address a generator of the context, with basis_vector's message
+    e12 = basis_element(AlgebraContext(4), (1, 2))
+    for i in (5, 0):
+        with pytest.raises(ValueError, match=r"index entries must lie in \[1, 4\]"):
+            basis_vector(e12.ctx, i)
+        with pytest.raises(ValueError, match=r"index entries must lie in \[1, 4\]"):
+            interior(i, e12)
+
+
+def test_basis_element_rejects_non_integers():
+    ctx = AlgebraContext(4)
+    for I in ((1.2, 3.9), (1.0, 3), (True, 3)):
+        with pytest.raises(ValueError, match="must be integers"):
+            basis_element(ctx, I)
+    e13 = basis_element(ctx, (np.int64(1), 3))
+    assert np.array_equal(e13.coeffs, clifford_mul(basis_vector(ctx, 1), basis_vector(ctx, 3)).coeffs)
 
 
 def test_interior_is_adjoint_of_wedge():

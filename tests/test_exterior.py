@@ -3,6 +3,7 @@
 For disjoint I and J, e_I ^ e_J = merge_sign(I, J) e_{sorted(I + J)}.
 """
 
+import numpy as np
 import pytest
 
 from doubleforms.exterior import (
@@ -13,6 +14,7 @@ from doubleforms.exterior import (
     subsets,
 )
 from doubleforms.forms import _complement_table
+from doubleforms.random_tensors import random_bianchi_22
 from oracles import enumeration_rank, unrank_index
 
 
@@ -32,7 +34,7 @@ def test_unrank_examples():
 
 
 def test_rank_matches_enumeration_everywhere():
-    for n in (3, 5, 6):
+    for n in (3, 5, 6, 12):
         ctx = AlgebraContext(n)
         for p in range(n + 1):
             for I in subsets(n, p):
@@ -59,6 +61,14 @@ def test_rank_errors():
         rank_index((2, 2), ctx)
     with pytest.raises(ValueError):
         rank_index((3, 1), ctx)
+    # entries must be integers: non-integral numbers are not truncated, booleans are rejected
+    for I in ((1.9, 2.7), (1.0, 2), (True, 2), (1, np.True_), ("1", 2), (np.float64(1), 3)):
+        with pytest.raises(ValueError, match="must be integers"):
+            rank_index(I, ctx)
+    with pytest.raises(ValueError, match="must be integers"):
+        random_bianchi_22(1, AlgebraContext(4)).form.value((1.5, 2.5), (1, 2))
+    assert rank_index((np.int64(2), np.int32(3)), ctx) == 2
+    assert type(rank_index((np.int64(2), np.int32(3)), ctx)) is int
 
 
 def test_unrank_errors():

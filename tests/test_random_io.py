@@ -156,12 +156,12 @@ def test_positive_operator_perturbation_margin():
 
 
 def test_round_trip(tmp_path):
-    ctx = AlgebraContext(5)
-    w = random_bianchi_22(11, ctx)
-    path = tmp_path / "tensor.json"
-    save_form(w, path)
-    back = load_tensor(path)
-    assert np.array_equal(back.form.coeffs, w.form.coeffs)
+    for n in (5, 12):
+        w = random_bianchi_22(11, AlgebraContext(n))
+        path = tmp_path / f"tensor{n}.json"
+        save_form(w, path)
+        back = load_tensor(path)
+        assert np.array_equal(back.form.coeffs, w.form.coeffs)
 
 
 def test_save_general_form_fields(tmp_path):
