@@ -17,11 +17,10 @@ it on a stack of pairs of elements at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .exterior import AlgebraContext, _mask, validate_index
+from .exterior import AlgebraContext, _mask, cached_table, validate_index
 
 __all__ = [
     "CliffordElement",
@@ -82,17 +81,15 @@ class CliffordElement:
         return f"CliffordElement(n={self.ctx.n}, norm={self.norm():.6g})"
 
 
-@lru_cache(maxsize=None)
+@cached_table
 def _lower_parity(n: int, i: int) -> np.ndarray:
     """(-1)**(number of generators below i present in each subset)."""
     lower = (1 << (i - 1)) - 1
     counts = np.array([bin(s & lower).count("1") for s in range(2 ** n)], dtype=np.int64)
-    out = np.where(counts % 2 == 0, 1.0, -1.0)
-    out.setflags(write=False)
-    return out
+    return np.where(counts % 2 == 0, 1.0, -1.0)
 
 
-@lru_cache(maxsize=None)
+@cached_table
 def _sign_masks(n: int) -> np.ndarray:
     """D_A for every subset mask A, so that e_A . e_B = (-1)^parity(B & D_A) e_{A xor B}."""
     masks = np.arange(2 ** n)
@@ -102,7 +99,6 @@ def _sign_masks(n: int) -> np.ndarray:
         present = (masks >> (j - 1)) & 1
         out |= (present ^ above) << (j - 1)
         above ^= present
-    out.setflags(write=False)
     return out
 
 

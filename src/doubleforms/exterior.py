@@ -14,13 +14,16 @@ of the k-subsets in lexicographic order, and mask_ranks(n) maps each of
 the 2**n masks to its rank among the subsets of its size.  merge_sign and
 insertion_sign take masks and broadcast over arrays, so the kernels'
 tables are built as whole arrays; a tuple argument is read as its mask.
+
+cached_table is the package's one cache of basis tables: it makes each
+array a table returns read-only, since every caller shares it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from math import comb
 
 import numpy as np
@@ -48,7 +51,24 @@ class AlgebraContext:
         return comb(self.n, p)
 
 
-@lru_cache(maxsize=None)
+def cached_table(build):
+    """build as a basis table: lru_cache(maxsize=None) around it, and the
+    array it returns, or each array of a returned tuple, made read-only on
+    each build, so that no caller can change the shared table."""
+
+    @lru_cache(maxsize=None)
+    @wraps(build)
+    def table(*args):
+        out = build(*args)
+        for a in out if isinstance(out, tuple) else (out,):
+            if isinstance(a, np.ndarray):
+                a.setflags(write=False)
+        return out
+
+    return table
+
+
+@cached_table
 def subsets(n: int, p: int) -> tuple[MultiIndex, ...]:
     """All strictly increasing p-tuples over {1..n}, in lexicographic order."""
     if p < 0:
@@ -56,7 +76,7 @@ def subsets(n: int, p: int) -> tuple[MultiIndex, ...]:
     return tuple(itertools.combinations(range(1, n + 1), p))
 
 
-@lru_cache(maxsize=None)
+@cached_table
 def _mask_sizes(n: int) -> np.ndarray:
     """Number of members of every subset mask of {1..n}."""
     masks = np.arange(1 << n, dtype=np.int64)
@@ -66,7 +86,7 @@ def _mask_sizes(n: int) -> np.ndarray:
     return sizes
 
 
-@lru_cache(maxsize=None)
+@cached_table
 def mask_ranks(n: int) -> np.ndarray:
     """Rank of every subset mask of {1..n} among the subsets of its size.
 
@@ -83,17 +103,15 @@ def mask_ranks(n: int) -> np.ndarray:
     starts = np.cumsum([0] + [comb(n, k) for k in range(n)])
     ranks = np.empty(1 << n, dtype=np.int64)
     ranks[order] = np.arange(1 << n) - starts[sizes[order]]
-    ranks.setflags(write=False)
     return ranks
 
 
-@lru_cache(maxsize=None)
+@cached_table
 def subset_masks(n: int, k: int) -> np.ndarray:
     """Bit masks of the k-subsets of {1..n}, in lexicographic order."""
     chosen = np.flatnonzero(_mask_sizes(n) == k)
     masks = np.empty(len(chosen), dtype=np.int64)
     masks[mask_ranks(n)[chosen]] = chosen
-    masks.setflags(write=False)
     return masks
 
 

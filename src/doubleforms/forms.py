@@ -20,11 +20,12 @@ left factor.  Products by a metric power g^k, which carry every closed
 form of the Weitzenboeck operators, pass the whole diagonal of
 g^k = k! I (metric_product), selected without copying table rows.
 
-The cached basis tables (_split_tensor, _lift_table, _member_table,
-_removal_table) are built as whole arrays from the bit masks of
-exterior.subset_masks: unions and removals are mask operations, ranks are
-read off exterior.mask_ranks, and the signs come from the broadcasting
-merge_sign (the shuffle table) and insertion_sign (the lift table behind
+The basis tables (_split_tensor, _lift_table, _member_table,
+_removal_table), cached read-only through exterior.cached_table, are
+built as whole arrays from the bit masks of exterior.subset_masks:
+unions and removals are mask operations, ranks are read off
+exterior.mask_ranks, and the signs come from the broadcasting merge_sign
+(the shuffle table) and insertion_sign (the lift table behind
 contraction), so the product's table shares no code with the
 contraction's.
 
@@ -47,13 +48,13 @@ plane checks all call it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb, factorial, frexp, ldexp, prod
 
 import numpy as np
 
 from .exterior import (
     AlgebraContext,
+    cached_table,
     insertion_sign,
     mask_ranks,
     merge_sign,
@@ -98,7 +99,7 @@ def _norm(coeffs: np.ndarray) -> float:
     """The Frobenius norm of a coefficient matrix, as DoubleForm.norm."""
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(coeffs))
-    if (norm == np.inf and np.isfinite(coeffs).all()) or norm < _TINY_NORM:
+    if (norm == np.inf and np.isfinite(coeffs).all()) or (norm < _TINY_NORM and coeffs.any()):
         shift = _exponent(coeffs)
         try:
             norm = ldexp(float(np.linalg.norm(np.ldexp(coeffs, -shift))), shift)
@@ -149,10 +150,11 @@ class DoubleForm:
 
     def norm(self) -> float:
         """The Frobenius norm.  When the sum of squares overflows on finite
-        entries, or the norm lies below 2**-450, where squares of entries
-        can underflow, it is taken on the coefficients times 2**-e, e the
-        exponent of the largest entry, and scaled back, without a warning;
-        it is inf only past the float range, and 0 only for a zero form."""
+        entries, or the norm of a nonzero form lies below 2**-450, where
+        squares of entries can underflow, it is taken on the coefficients
+        times 2**-e, e the exponent of the largest entry, and scaled back,
+        without a warning; it is inf only past the float range, and 0 only
+        for a zero form."""
         return _norm(self.coeffs)
 
     def transpose(self) -> "DoubleForm":
@@ -226,7 +228,7 @@ def metric_power(k: int, ctx: AlgebraContext) -> DoubleForm:
 # -- exterior (Kulkarni-Nomizu) product --------------------------------
 
 
-@lru_cache(maxsize=None)
+@cached_table
 def _split_tensor(n: int, p1: int, p2: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The shuffle signs of the exterior product, in sparse form.
 
@@ -241,8 +243,6 @@ def _split_tensor(n: int, p1: int, p2: int) -> tuple[np.ndarray, np.ndarray, np.
     ranks = mask_ranks(n)
     src, dst = ranks[I], ranks[K | I]
     sign = merge_sign(K, I).astype(float)
-    for a in (src, dst, sign):
-        a.setflags(write=False)
     return src, dst, sign
 
 
@@ -345,19 +345,17 @@ def metric_product(k: int, w: DoubleForm) -> DoubleForm:
 # -- contraction --------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@cached_table
 def _lift_table(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Rank and sign of e_m ^ e_I over k-subsets I; -1 marks m in I."""
     I = subset_masks(n, k)[:, None]
     m = np.arange(1, n + 1)
     sgn = insertion_sign(m, I).astype(float)
     idx = np.where(sgn != 0, mask_ranks(n)[I | (1 << (m - 1))], -1)
-    idx.setflags(write=False)
-    sgn.setflags(write=False)
     return idx, sgn
 
 
-@lru_cache(maxsize=None)
+@cached_table
 def _contract_scatter(n: int, p: int, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Flat source index, flat target index and sign of every term of the
     contraction of a (p,q) form, ordered by the slot index m so that
@@ -372,10 +370,7 @@ def _contract_scatter(n: int, p: int, q: int) -> tuple[np.ndarray, np.ndarray, n
         src.append((idxI[rows, m][:, None] * cols_in + idxJ[cols, m]).ravel())
         dst.append((rows[:, None] * cols_out + cols).ravel())
         sign.append(np.outer(sgnI[rows, m], sgnJ[cols, m]).ravel())
-    table = tuple(np.concatenate(parts) for parts in (src, dst, sign))
-    for a in table:
-        a.setflags(write=False)
-    return table
+    return tuple(np.concatenate(parts) for parts in (src, dst, sign))
 
 
 def _contract_stack(coeffs: np.ndarray, n: int, p: int, q: int) -> np.ndarray:
@@ -420,7 +415,7 @@ def inner(w1: DoubleForm, w2: DoubleForm) -> float:
     return float(np.sum(w1.coeffs * w2.coeffs))
 
 
-@lru_cache(maxsize=None)
+@cached_table
 def _complement_table(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """For each d-subset K: rank of K^c among (n-d)-subsets, and the sign
     of e_K ^ e_{K^c}; the one column of the shuffle table (n, d, n-d)."""
@@ -445,21 +440,18 @@ def star(w: DoubleForm) -> DoubleForm:
 # -- first Bianchi identity ----------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@cached_table
 def _member_table(n: int, k: int) -> np.ndarray:
     """The members of every k-subset, zero-based, one row per subset."""
     masks = subset_masks(n, k)
-    members = np.nonzero((masks[:, None] >> np.arange(n)) & 1)[1].reshape(len(masks), k)
-    members.setflags(write=False)
-    return members
+    return np.nonzero((masks[:, None] >> np.arange(n)) & 1)[1].reshape(len(masks), k)
 
 
-@lru_cache(maxsize=None)
+@cached_table
 def _removal_table(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """For each k-subset X and position j: rank of X without x_j, and x_j - 1."""
     members = _member_table(n, k)
     idx = mask_ranks(n)[subset_masks(n, k)[:, None] ^ (1 << members)]
-    idx.setflags(write=False)
     return idx, members
 
 

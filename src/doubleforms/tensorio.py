@@ -26,11 +26,10 @@ from __future__ import annotations
 import json
 import math
 import sys
-from functools import lru_cache
 
 import numpy as np
 
-from .exterior import AlgebraContext, _mask, mask_ranks
+from .exterior import AlgebraContext, cached_table, mask_ranks
 from .forms import (BianchiViolation, CurvatureTensor, DoubleForm, _bianchi_scaled,
                     _member_table, bianchi_map, bianchi_residual)
 
@@ -43,9 +42,9 @@ _POLICIES = ("warn", "strict", "project")
 _FIELDS = frozenset({"ij", "kl", "value"})
 
 
-def _index_pair(raw, n: int, where: str, name: str) -> tuple[int, int]:
-    """The index pair raw, field name of the entry at where, checked to be
-    two JSON integers in [1, n], strictly increasing."""
+def _index_pair(raw, n: int, where: str, name: str) -> int:
+    """The bit mask of the index pair raw, field name of the entry at where,
+    checked to be two JSON integers in [1, n], strictly increasing."""
     if type(raw) is not list or len(raw) != 2:
         raise ValueError(f"{where}.{name}: expected a list of 2 indices, got {raw!r}")
     i, j = raw
@@ -55,7 +54,7 @@ def _index_pair(raw, n: int, where: str, name: str) -> tuple[int, int]:
         raise ValueError(f"{where}.{name}: indices must lie in [1, {n}], got {raw!r}")
     if i >= j:
         raise ValueError(f"{where}.{name}: indices must be strictly increasing, got {raw!r}")
-    return i, j
+    return (1 << (i - 1)) | (1 << (j - 1))
 
 
 def _read_entries(entries: list, n: int, path) -> np.ndarray:
@@ -76,8 +75,8 @@ def _read_entries(entries: list, n: int, path) -> np.ndarray:
             raise ValueError(f"{where}: expected an object, got {entry!r}")
         if not _FIELDS.issubset(entry):
             raise ValueError(f"{where}: missing fields {sorted(_FIELDS - set(entry))}")
-        a = ranks[_mask(_index_pair(entry["ij"], n, where, "ij"))]
-        b = ranks[_mask(_index_pair(entry["kl"], n, where, "kl"))]
+        a = ranks[_index_pair(entry["ij"], n, where, "ij")]
+        b = ranks[_index_pair(entry["kl"], n, where, "kl")]
         raw = entry["value"]
         if type(raw) is not int and type(raw) is not float:
             raise ValueError(f"{where}.value: expected a number, got {raw!r}")
@@ -241,16 +240,14 @@ def _write_form(form: DoubleForm, path, value_texts) -> None:
 # -- projection onto the symmetric Bianchi subspace ------------------------
 
 
-@lru_cache(maxsize=None)
+@cached_table
 def _four_form_table(n: int) -> np.ndarray:
     """Per 4-subset abcd, as rows: rank of abc, d - 1, ranks of ab, cd, ac, bd, ad, bc."""
     members = _member_table(n, 4)
     a, b, c, d = (1 << members).T
     ranks = mask_ranks(n)
-    table = np.stack([ranks[a | b | c], members[:, 3],
-                      *(ranks[x | y] for x, y in ((a, b), (c, d), (a, c), (b, d), (a, d), (b, c)))])
-    table.setflags(write=False)
-    return table
+    return np.stack([ranks[a | b | c], members[:, 3],
+                     *(ranks[x | y] for x, y in ((a, b), (c, d), (a, c), (b, d), (a, d), (b, c)))])
 
 
 def project_bianchi(form: DoubleForm) -> DoubleForm:
@@ -291,12 +288,10 @@ def _projected(form: DoubleForm, path) -> CurvatureTensor:
                            bianchi_tol=float("inf"))
 
 
-@lru_cache(maxsize=None)
+@cached_table
 def bianchi_projector(n: int) -> np.ndarray:
     """Matrix of project_bianchi on vectorized (2,2) coefficient matrices."""
     ctx = AlgebraContext(n)
     dim = ctx.dim(2)
     units = np.eye(dim * dim).reshape(-1, dim, dim)
-    P = np.array([project_bianchi(DoubleForm(2, 2, e, ctx)).coeffs.reshape(-1) for e in units]).T
-    P.setflags(write=False)
-    return P
+    return np.array([project_bianchi(DoubleForm(2, 2, e, ctx)).coeffs.reshape(-1) for e in units]).T

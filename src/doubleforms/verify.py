@@ -578,16 +578,15 @@ def _run_sectional_sum(cfg: SuiteConfig) -> Iterator[Measurement]:
 def _run_adjoint_pairing(cfg: SuiteConfig) -> Iterator[Measurement]:
     for n, p, ctx in _cells(cfg):
         rng = _rng(cfg, "adjoint_pairing", n, p)  # one stream for every draw of the cell
-        # the pairs' draws in turn, as random_bianchi_22 and random_form take them, then stacked
-        factors, raw = [], np.empty((20, ctx.dim(p), ctx.dim(p)))
-        for draw in raw:
-            factors.append(_factors([rng], n)[0])
-            draw[:] = rng.standard_normal(draw.shape)
-        alpha = _curvature_stack(np.array(factors), ctx)
-        beta = (raw + raw.transpose(0, 2, 1)) / 2.0
         worst, step = 0.0, _stack_size(n, p, contracted=True)
-        for start in range(0, len(raw), step):
-            A, B = alpha[start:start + step], beta[start:start + step]
+        for start in range(0, 20, step):
+            # each pair's draws in turn, as random_bianchi_22 and random_form take them
+            factors, raw = [], np.empty((min(step, 20 - start), ctx.dim(p), ctx.dim(p)))
+            for draw in raw:
+                factors.append(_factors([rng], n)[0])
+                draw[:] = rng.standard_normal(draw.shape)
+            A = _curvature_stack(np.array(factors), ctx)
+            B = (raw + raw.transpose(0, 2, 1)) / 2.0
             for a, b, image, adjoint in zip(A, B, wz._definition_stack(A, n, p), wz._adjoint_stack(B, n, p)):
                 lhs, rhs = float(np.sum(image * b)), float(np.sum(a * adjoint))
                 worst = max(worst, abs(lhs - rhs) / max(_norm(a) * _norm(b), 1.0))

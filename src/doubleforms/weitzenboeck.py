@@ -31,12 +31,11 @@ the same order, so its bits equal a single call's.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from math import comb, factorial, ldexp
 
 import numpy as np
 
-from .exterior import AlgebraContext, mask_ranks, subset_masks
+from .exterior import AlgebraContext, cached_table, mask_ranks, subset_masks
 from . import clifford as cl
 from .forms import (
     DoubleForm,
@@ -77,7 +76,7 @@ class FormulaRangeError(ValueError):
 # -- definitional operator (the oracle) ---------------------------------
 
 
-@lru_cache(maxsize=None)
+@cached_table
 def _ad_table(n: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gather lists of the commutators ad_{e_i.e_j} on basis p-vectors.
 
@@ -99,10 +98,7 @@ def _ad_table(n: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     target = mask_ranks(n)[S[keep] ^ E[keep]]
     order = keep[np.argsort(target, kind="stable")]
     shape = (len(source_masks), p * (n - p))
-    table = (src[order].reshape(shape), pair[order].reshape(shape), coef[order].reshape(shape))
-    for a in table:
-        a.setflags(write=False)
-    return table
+    return src[order].reshape(shape), pair[order].reshape(shape), coef[order].reshape(shape)
 
 
 def _definition_stack(W: np.ndarray, n: int, p: int) -> np.ndarray:

@@ -356,7 +356,7 @@ def test_norm_past_the_range_of_squares():
     assert form.norm() == float(np.linalg.norm(form.coeffs))
 
 
-def test_norm_below_the_range_of_squares():
+def test_norm_below_the_range_of_squares(monkeypatch):
     # squares of entries below about 1e-154 underflow, to 0 under 1.5e-162;
     # a norm below 2**-450 is taken on the form times a power of two
     ctx = AlgebraContext(4)
@@ -366,6 +366,14 @@ def test_norm_below_the_range_of_squares():
         assert DoubleForm(2, 2, raw, ctx).norm() == pytest.approx(np.sqrt(2.0) * tiny, rel=1e-15, abs=0)
     raw = np.diag([1e-310] * 6)  # the operator's entries in the CLI case
     assert DoubleForm(2, 2, raw, ctx).norm() == pytest.approx(np.sqrt(6.0) * 1e-310, rel=1e-12, abs=0)
+    assert DoubleForm(2, 2, np.zeros((6, 6)), ctx).norm() == 0.0
+    assert DoubleForm(2, 2, -0.0 * np.eye(6), ctx).norm() == 0.0
+
+    def no_rescale(coeffs):
+        raise AssertionError("an all-zero form was rescaled")
+
+    # a form without a nonzero entry has norm 0.0 and is never rescaled
+    monkeypatch.setattr(forms, "_exponent", no_rescale)
     assert DoubleForm(2, 2, np.zeros((6, 6)), ctx).norm() == 0.0
     assert DoubleForm(2, 2, -0.0 * np.eye(6), ctx).norm() == 0.0
 

@@ -74,6 +74,26 @@ def test_every_exported_name_exists(path):
     assert not missing, f"{path.name} exports undefined names: {sorted(missing)}"
 
 
+def _caches(tree: ast.Module) -> set[str]:
+    """The names of functools' caches that a module imports or reads."""
+    caches = {"lru_cache", "cache"}
+    names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             and node.module == "functools" for alias in node.names} & caches
+    return names | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name) and node.value.id == "functools"
+                    and node.attr in caches}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_basis_tables_have_one_cache(path):
+    # exterior.cached_table is the one cache: it also freezes what it caches
+    caches = _caches(ast.parse(path.read_text()))
+    if path.stem == "exterior":
+        assert caches == {"lru_cache"}
+    else:
+        assert not caches, f"{path.name} uses {sorted(caches)}; cache through exterior.cached_table"
+
+
 # -- the lazy package -----------------------------------------------------------
 
 

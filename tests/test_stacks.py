@@ -237,6 +237,22 @@ def test_suite_records_do_not_depend_on_the_stack_size(monkeypatch):
     assert verify.run_suite(cfg).to_json() == want
 
 
+def test_adjoint_pairing_draws_one_stack_at_a_time(monkeypatch):
+    lengths = []
+
+    def curvature_stack(H, ctx):
+        lengths.append(len(H))
+        return _curvature_stack(H, ctx)
+
+    monkeypatch.setattr(verify, "_curvature_stack", curvature_stack)
+    verify._run_identity("adjoint_pairing", verify.SuiteConfig(n_min=8, n_max=8))
+    want = []
+    for p in range(2, 7):
+        step = verify._stack_size(8, p, contracted=True)
+        want += [min(step, 20 - start) for start in range(0, 20, step)]
+    assert lengths == want and max(want) < 20
+
+
 def test_report_json_reads_the_record_fields():
     report = verify.run_suite(verify.SuiteConfig(n_min=4, n_max=4, seeds=2, identities=("closed_form", "tachibana")))
     records = [{k: v for k, v in asdict(r).items() if k != "lower_bound"} for r in report.records]

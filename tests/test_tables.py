@@ -6,10 +6,14 @@ every mask-built table must equal its reference in dtype, shape and values
 CLI builds at n = 12.
 """
 
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import doubleforms
 from doubleforms import forms, tensorio, weitzenboeck
 from doubleforms.exterior import MAX_DIMENSION, insertion_sign, mask_ranks, merge_sign, subset_masks
 from oracles import (
@@ -31,6 +35,7 @@ def assert_same(got, want, label):
     want = want if isinstance(want, tuple) else (want,)
     assert len(got) == len(want), label
     for a, b in zip(got, want):
+        assert not a.flags.writeable, label
         assert a.dtype == b.dtype and a.shape == b.shape, (label, a.dtype, b.dtype, a.shape, b.shape)
         assert np.array_equal(a, b), label
         assert np.array_equal(np.signbit(a), np.signbit(b)), label
@@ -119,3 +124,48 @@ def test_mask_signs_equal_their_tuple_definitions(case):
     for a, b in zip(I, J):
         assert merge_sign(as_tuple(a), as_tuple(b)) == tuple_merge_sign(as_tuple(a), as_tuple(b))
         assert insertion_sign(n, as_tuple(a)) == tuple_insertion_sign(n, as_tuple(a))
+
+
+#: Every cached basis table of the package, with sample arguments.
+CACHED_TABLES = {
+    "exterior.subsets": (5, 2),
+    "exterior._mask_sizes": (5,),
+    "exterior.mask_ranks": (5,),
+    "exterior.subset_masks": (5, 2),
+    "forms._split_tensor": (5, 2, 2),
+    "forms._lift_table": (5, 2),
+    "forms._contract_scatter": (5, 2, 2),
+    "forms._complement_table": (5, 2),
+    "forms._member_table": (5, 2),
+    "forms._removal_table": (5, 2),
+    "clifford._lower_parity": (5, 3),
+    "clifford._sign_masks": (5,),
+    "tensorio._four_form_table": (5,),
+    "tensorio.bianchi_projector": (4,),
+    "weitzenboeck._ad_table": (5, 2),
+}
+
+
+def cached_functions():
+    """module.name -> function of every function defined in the package's
+    modules that has an lru_cache's cache_info."""
+    found = {}
+    for info in pkgutil.iter_modules(doubleforms.__path__):
+        module = importlib.import_module(f"doubleforms.{info.name}")
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_info") and value.__module__ == module.__name__:
+                found[f"{info.name}.{name}"] = value
+    return found
+
+
+def test_every_cached_table_is_listed():
+    assert set(cached_functions()) == set(CACHED_TABLES)
+
+
+@pytest.mark.parametrize("label", sorted(CACHED_TABLES))
+def test_every_cached_table_is_read_only(label):
+    out = cached_functions()[label](*CACHED_TABLES[label])
+    arrays = [a for a in (out if isinstance(out, tuple) else (out,)) if isinstance(a, np.ndarray)]
+    assert arrays or label == "exterior.subsets", label
+    for a in arrays:
+        assert not a.flags.writeable, label
