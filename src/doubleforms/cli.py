@@ -58,13 +58,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     # each option the user leaves out keeps its SuiteConfig default
     v = sub.add_parser("verify", help="run the numerical identity suite", argument_default=argparse.SUPPRESS)
-    v.add_argument("--n-min", type=int)
-    v.add_argument("--n-max", type=int)
+    v.add_argument("--n-min", type=int, help="smallest dimension, in [4, 10]")
+    v.add_argument("--n-max", type=int, help="largest dimension, in [4, 10]")
     v.add_argument("--seeds", type=int, help="random tensors per (n, p) cell")
     v.add_argument("--trials", type=int, help="random pairs per sampled check")
-    v.add_argument("--tol", type=float, dest="tolerance", metavar="TOL", help="main relative tolerance")
-    v.add_argument("--extended", action="store_true", help="include n = 7, 8 sweeps")
-    v.add_argument("--seed", type=int, dest="base_seed", metavar="SEED", help="base seed for all randomness")
+    v.add_argument("--tol", type=float, dest="tolerance", metavar="TOL",
+                   help="main relative tolerance, finite and positive")
+    v.add_argument("--extended", action="store_true", help="sweep up to n = 8, or to a larger --n-max")
+    v.add_argument("--seed", type=int, dest="base_seed", metavar="SEED",
+                   help="base seed for all randomness, in [0, 2**32)")
     v.add_argument("--json", action="store_true", default=False, help="emit the canonical JSON report")
     v.add_argument("--identity", action="append", dest="identities", metavar="NAME",
                    help="restrict to one identity (repeatable)")
@@ -74,9 +76,9 @@ def build_parser() -> argparse.ArgumentParser:
         if with_p:
             p.add_argument("--p", type=int, required=True, help="operator order")
         group = p.add_mutually_exclusive_group()
-        group.add_argument("--strict", action="store_true",
-                           help="reject files violating the first Bianchi identity")
-        group.add_argument("--project", action="store_true",
+        group.add_argument("--strict", action="store_const", dest="on_bianchi", const="strict",
+                           default="warn", help="reject files violating the first Bianchi identity")
+        group.add_argument("--project", action="store_const", dest="on_bianchi", const="project",
                            help="project the input onto the Bianchi subspace")
         p.add_argument("--json", action="store_true")
 
@@ -101,12 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("pcurvature", help="the p-curvature form *(g^(n-p-2) w / (n-p-2)!)")
     add_io(pc)
     return parser
-
-
-def _load(args):
-    mode = "strict" if getattr(args, "strict", False) else (
-        "project" if getattr(args, "project", False) else "warn")
-    return load_tensor(args.input, on_bianchi=mode)
 
 
 def _pieces(doc: dict, texts: dict | None = None):
@@ -199,7 +195,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_weitzenboeck(args) -> int:
-    tensor = _load(args)
+    tensor = load_tensor(args.input, on_bianchi=args.on_bianchi)
     n = tensor.n
     if args.method == "formula":
         form = wz.np_formula(tensor, args.p)
@@ -227,7 +223,7 @@ def _cmd_weitzenboeck(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    tensor = _load(args)
+    tensor = load_tensor(args.input, on_bianchi=args.on_bianchi)
     form = wz.np_definition(tensor, args.p)
     report = wz.spectrum(form, sample_planes=args.samples, seed=args.seed)
     doc = {
@@ -251,7 +247,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    tensor = _load(args)
+    tensor = load_tensor(args.input, on_bianchi=args.on_bianchi)
     comps = wz.decompose_22(tensor)
     scalar = contract_iter(tensor.form, 2).scalar()
     doc = {
@@ -274,7 +270,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_sectional(args) -> int:
-    tensor = _load(args)
+    tensor = load_tensor(args.input, on_bianchi=args.on_bianchi)
     form = wz.np_definition(tensor, args.p)
     frames = wz.sample_frames(np.random.default_rng(args.seed), tensor.n, args.p, args.samples)
     arr = plane_values(form.coeffs, frames, form.ctx)
@@ -298,7 +294,7 @@ def _cmd_sectional(args) -> int:
 
 
 def _cmd_pcurvature(args) -> int:
-    tensor = _load(args)
+    tensor = load_tensor(args.input, on_bianchi=args.on_bianchi)
     form = wz.p_curvature_form(tensor, args.p)
     norm = form.norm()
     # a form with a non-finite entry, or past the float range, has a

@@ -18,7 +18,10 @@ with the CurvatureTensor rule.  The default policy is to warn on stderr
 and continue; "strict" rejects the file and "project" applies the
 orthogonal projection onto the symmetric Bianchi subspace, which has a
 closed form: symmetric (2,2) forms split as curvature tensors plus
-4-forms, and the 4-form part is read off the Bianchi map.
+4-forms, and the 4-form part is read off the Bianchi map.  The projection
+is one kernel on stacks of coefficient matrices, _project_stack:
+project_bianchi and the "project" policy run it on a stack of one, and
+bianchi_projector on the stack of all unit matrices at once.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ import sys
 import numpy as np
 
 from .exterior import AlgebraContext, cached_table, mask_ranks
-from .forms import (BianchiViolation, CurvatureTensor, DoubleForm, _bianchi_scaled,
-                    _member_table, bianchi_map, bianchi_residual)
+from .forms import (BianchiViolation, CurvatureTensor, DoubleForm, _bianchi_scaled, _bianchi_stack,
+                    _member_table, _norm, bianchi_residual)
 
 __all__ = ["load_tensor", "save_form", "bianchi_projector", "project_bianchi"]
 
@@ -250,6 +253,18 @@ def _four_form_table(n: int) -> np.ndarray:
                      *(ranks[x | y] for x, y in ((a, b), (c, d), (a, c), (b, d), (a, d), (b, c)))])
 
 
+def _project_stack(coeffs: np.ndarray, n: int) -> np.ndarray:
+    """project_bianchi of each (2,2) matrix of a stack (members, C(n,2), C(n,2)),
+    with one _bianchi_stack call; each member gets the bits of a stack of one."""
+    out = (coeffs + coeffs.transpose(0, 2, 1)) / 2.0  # the symmetric part, projected in place
+    abc, d, ab, cd, ac, bd, ad, bc = _four_form_table(n)
+    alpha = -_bianchi_stack(out, n, 2, 2)[:, abc, d] / 3.0
+    for ij, kl, value in ((ab, cd, alpha), (ac, bd, -alpha), (ad, bc, alpha)):
+        out[:, ij, kl] -= value
+        out[:, kl, ij] -= value
+    return out
+
+
 def project_bianchi(form: DoubleForm) -> DoubleForm:
     """Orthogonal projection of a (2,2) form onto the symmetric Bianchi subspace.
 
@@ -257,19 +272,12 @@ def project_bianchi(form: DoubleForm) -> DoubleForm:
     the image of 4-forms under lambda(alpha)(xy, zw) = alpha_xyzw.  The
     Bianchi map kills the first part and has b(lambda(alpha))(abc; d) =
     -3 alpha_abcd, so the projection of the symmetric part s is
-    s - lambda(alpha) with alpha_abcd = -b(s)(abc; d)/3.
+    s - lambda(alpha) with alpha_abcd = -b(s)(abc; d)/3.  One call of
+    _project_stack on a stack of one.
     """
     if form.degree != (2, 2):
         raise ValueError(f"expected a (2,2) form, got {form.degree}")
-    ctx = form.ctx
-    sym = form.symmetrized()
-    abc, d, ab, cd, ac, bd, ad, bc = _four_form_table(ctx.n)
-    alpha = -bianchi_map(sym).coeffs[abc, d] / 3.0
-    out = sym.coeffs.copy()
-    for ij, kl, value in ((ab, cd, alpha), (ac, bd, -alpha), (ad, bc, alpha)):
-        out[ij, kl] -= value
-        out[kl, ij] -= value
-    return DoubleForm(2, 2, out, ctx)
+    return DoubleForm(2, 2, _project_stack(form.coeffs[None], form.ctx.n)[0], form.ctx)
 
 
 def _projected(form: DoubleForm, path) -> CurvatureTensor:
@@ -278,9 +286,8 @@ def _projected(form: DoubleForm, path) -> CurvatureTensor:
     float64 range stay finite.  Its rounding residual is judged against the
     input's norm: the projection of a pure 4-form is zero up to rounding."""
     scaled, (shift,) = _bianchi_scaled(form.coeffs[None])
-    scaled = DoubleForm(2, 2, scaled[0], form.ctx)
-    projected = project_bianchi(scaled)
-    residual, limit = bianchi_residual(projected), 1e-9 * scaled.norm()
+    projected = DoubleForm(2, 2, _project_stack(scaled, form.ctx.n)[0], form.ctx)
+    residual, limit = bianchi_residual(projected), 1e-9 * _norm(scaled[0])
     if not residual <= limit:
         raise BianchiViolation(f"{path}: first Bianchi identity violated after projection: "
                                f"residual {residual:.3e} exceeds {limit:.3e}")
@@ -290,8 +297,7 @@ def _projected(form: DoubleForm, path) -> CurvatureTensor:
 
 @cached_table
 def bianchi_projector(n: int) -> np.ndarray:
-    """Matrix of project_bianchi on vectorized (2,2) coefficient matrices."""
-    ctx = AlgebraContext(n)
-    dim = ctx.dim(2)
-    units = np.eye(dim * dim).reshape(-1, dim, dim)
-    return np.array([project_bianchi(DoubleForm(2, 2, e, ctx)).coeffs.reshape(-1) for e in units]).T
+    """Matrix of project_bianchi on vectorized (2,2) coefficient matrices,
+    one _project_stack call on the stack of unit matrices."""
+    dim = math.comb(n, 2)
+    return _project_stack(np.eye(dim * dim).reshape(-1, dim, dim), n).reshape(dim * dim, -1).T

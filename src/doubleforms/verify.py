@@ -105,20 +105,22 @@ class SuiteConfig:
     identities: tuple[str, ...] | None = None
 
     def dimensions(self) -> list[int]:
-        hi = 8 if self.extended else self.n_max
+        hi = max(8, self.n_max) if self.extended else self.n_max
         return list(range(self.n_min, hi + 1))
 
     def validate(self) -> None:
-        if not 4 <= self.n_min <= 8 or not 4 <= self.n_max <= 8:
-            raise ValueError(f"dimension range must lie within [4, 8], got [{self.n_min}, {self.n_max}]")
+        if not 4 <= self.n_min <= 10 or not 4 <= self.n_max <= 10:
+            raise ValueError(f"dimension range must lie within [4, 10], got [{self.n_min}, {self.n_max}]")
         if not self.dimensions():
             raise ValueError(f"empty dimension range [{self.n_min}, {self.n_max}]")
         if self.seeds < 1:
             raise ValueError(f"seed count must be >= 1, got {self.seeds}")
         if self.trials < 1:
             raise ValueError(f"trial count must be >= 1, got {self.trials}")
-        if not self.tolerance > 0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
+        if not 0 < self.tolerance < float("inf"):
+            raise ValueError(f"tolerance must be finite and positive, got {self.tolerance}")
+        if not 0 <= self.base_seed < 2 ** 32:
+            raise ValueError(f"base seed must lie in [0, 2**32), got {self.base_seed}")
         if self.identities is not None:
             unknown = set(self.identities) - set(IDENTITIES)
             if unknown:
@@ -233,7 +235,7 @@ class VerificationReport:
 
 
 def _seedseq(cfg: SuiteConfig, identity: str, *key: int) -> np.random.SeedSequence:
-    entropy = [cfg.base_seed & 0xFFFFFFFF, zlib.crc32(identity.encode())]
+    entropy = [cfg.base_seed, zlib.crc32(identity.encode())]
     entropy.extend(int(k) & 0xFFFFFFFF for k in key)
     return np.random.SeedSequence(entropy)
 
@@ -742,6 +744,6 @@ def run_suite(config: SuiteConfig | None = None) -> VerificationReport:
     else:
         with pool:  # its exit terminates the workers and joins them
             results = list(pool.imap(run, selected))
-    return VerificationReport(config={**asdict(cfg), "identities": sorted(chosen)},
+    return VerificationReport(config={**asdict(cfg), "identities": sorted(set(chosen))},
                               records=[r for records, _ in results for r in records],
                               timings={name: seconds for name, (_, seconds) in zip(selected, results)})

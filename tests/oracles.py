@@ -17,6 +17,7 @@ import numpy as np
 from doubleforms import clifford as cl
 from doubleforms.exterior import AlgebraContext, subsets
 from doubleforms.forms import DoubleForm, _lift_table
+from doubleforms.tensorio import project_bianchi
 
 
 def unrank_index(r: int, p: int, ctx: AlgebraContext):
@@ -366,6 +367,15 @@ def loop_four_form_table(n: int) -> np.ndarray:
         for a, b, c, d in _lex(n, 4)
     ]
     return np.array(rows, dtype=np.int64).reshape(-1, 8).T
+
+
+def loop_bianchi_projector(n: int) -> np.ndarray:
+    """tensorio.bianchi_projector built one unit matrix at a time: column k
+    is project_bianchi of the k-th unit (2,2) coefficient matrix."""
+    ctx = AlgebraContext(n)
+    dim = ctx.dim(2)
+    units = np.eye(dim * dim).reshape(-1, dim, dim)
+    return np.array([project_bianchi(DoubleForm(2, 2, e, ctx)).coeffs.reshape(-1) for e in units]).T
 
 
 def sorted_ad_table(n: int, p: int):

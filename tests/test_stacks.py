@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from doubleforms import clifford as cl
-from doubleforms import forms, verify
+from doubleforms import forms, tensorio, verify
 from doubleforms import weitzenboeck as wz
 from doubleforms.cli import main
 from doubleforms.exterior import AlgebraContext
@@ -97,6 +97,21 @@ def test_bianchi_stack_equals_per_member_maps(n, members):
     got = forms._bianchi_stack(W, n, 2, 2)
     for m in range(members):
         assert_same_bits(got[m], bianchi_map(DoubleForm(2, 2, W[m], ctx)).coeffs, m)
+
+
+@pytest.mark.parametrize("members", (1, 2, 5))
+@pytest.mark.parametrize("n", range(2, 9))
+def test_projection_stack_equals_per_member_projections(n, members):
+    # general (2,2) matrices, neither symmetric nor Bianchi; the first has
+    # -0.0 entries and, in a stack of five, the last is all -0.0
+    ctx = AlgebraContext(n)
+    W = np.random.default_rng(n).standard_normal((members, ctx.dim(2), ctx.dim(2)))
+    W[0, 0, -1] = W[0, -1, 0] = W[0, 0, 0] = -0.0
+    if members == 5:
+        W[4] = -0.0
+    got = tensorio._project_stack(W, n)
+    for m in range(members):
+        assert_same_bits(got[m], tensorio.project_bianchi(DoubleForm(2, 2, W[m], ctx)).coeffs, m)
 
 
 @pytest.mark.parametrize("members", STACKS)

@@ -17,6 +17,7 @@ import doubleforms
 from doubleforms import forms, tensorio, weitzenboeck
 from doubleforms.exterior import MAX_DIMENSION, insertion_sign, mask_ranks, merge_sign, subset_masks
 from oracles import (
+    loop_bianchi_projector,
     loop_four_form_table,
     loop_lift_table,
     loop_mask_ranks,
@@ -90,6 +91,11 @@ def test_mask_tables_equal_loop_references(n):
 def test_mask_tables_equal_loop_references_at_n12(name, args):
     table, reference = TABLES[name]
     assert_same(table(*args), reference(*args), (name, args))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_bianchi_projector_equals_the_per_unit_build(n):
+    assert_same(tensorio.bianchi_projector(n), loop_bianchi_projector(n), n)
 
 
 def test_complement_table_is_the_last_column_of_the_split():

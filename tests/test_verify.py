@@ -7,6 +7,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import time
 from math import comb, factorial
 
 import numpy as np
@@ -20,7 +21,7 @@ from doubleforms.tensorio import load_tensor, save_form
 from doubleforms.verify import IDENTITIES, IdentityRecord, SuiteConfig, run_suite, worst_text
 from doubleforms import weitzenboeck as wz
 from doubleforms.exterior import AlgebraContext, subsets
-from measured import run_cli_measured
+from measured import run_cli_measured, run_cli_with_workers
 
 
 QUICK = dict(n_min=5, n_max=5, seeds=2, trials=10)
@@ -160,8 +161,45 @@ def test_config_validation():
         run_suite(SuiteConfig(trials=0))
     with pytest.raises(ValueError):
         run_suite(SuiteConfig(tolerance=0.0))
+    for tolerance in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match=f"finite and positive, got {tolerance}"):
+            run_suite(SuiteConfig(tolerance=tolerance))
+    for base_seed in (-1, 2 ** 32, 4294967338, -4294967254):
+        with pytest.raises(ValueError, match=rf"base seed must lie in \[0, 2\*\*32\), got {base_seed}"):
+            run_suite(SuiteConfig(base_seed=base_seed))
+    with pytest.raises(ValueError, match=r"within \[4, 10\]"):
+        run_suite(SuiteConfig(n_min=4, n_max=11))
     with pytest.raises(ValueError):
         run_suite(SuiteConfig(identities=("no_such_identity",)))
+
+
+def test_extended_keeps_a_larger_n_max():
+    assert SuiteConfig(extended=True).dimensions() == [4, 5, 6, 7, 8]
+    assert SuiteConfig(extended=True, n_max=10).dimensions() == list(range(4, 11))
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--tol", "inf"], "tolerance must be finite and positive, got inf"),
+    (["--tol", "nan"], "tolerance must be finite and positive, got nan"),
+    (["--seed", "4294967338"], "base seed must lie in [0, 2**32), got 4294967338"),
+    (["--seed", "-4294967254"], "base seed must lie in [0, 2**32), got -4294967254"),
+    (["--n-max", "11"], "dimension range must lie within [4, 10], got [4, 11]"),
+])
+def test_cli_verify_rejects_values_out_of_range(capsys, args, message):
+    # rejected before any identity runs, with or without --json
+    for as_json in ([], ["--json"]):
+        assert main(["verify", *args, *as_json]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+def test_repeated_identity_is_listed_once(capsys):
+    once = _quick_cli(["--identity", "closed_form", "--json"])
+    assert main(once) == 0
+    want = capsys.readouterr().out
+    assert main(once + ["--identity", "closed_form"]) == 0
+    assert capsys.readouterr().out == want
+    assert json.loads(want)["config"]["identities"] == ["closed_form"]
 
 
 # -- sampled trials in blocks ------------------------------------------------
@@ -207,6 +245,23 @@ def test_trial_count_does_not_raise_peak_memory(tmp_path):
         code, peaks[trials] = run_cli_measured(args, tmp_path / f"{trials}.json")
         assert code == 0
     assert peaks[1000] <= 1.05 * peaks[100], peaks
+
+
+#: Budgets of the suite at n = 10: four times its wall time run on one CPU
+#: of a 2 vCPU machine (13-15 s; 8 s on both), and twice the peak RSS of the
+#: process or worker that peaks highest (55 MB on both CPUs, 59 MB on one)
+_N10_WALL_S = 60.0
+_N10_PEAK_MB = 120.0
+
+
+def test_suite_runs_at_n10_within_its_budget(tmp_path):
+    out = tmp_path / "n10.json"
+    start = time.perf_counter()
+    code, peak_mb = run_cli_with_workers(["verify", "--n-min", "10", "--n-max", "10", "--json"], out)
+    wall_s = time.perf_counter() - start
+    summary = json.loads(out.read_text())["summary"]
+    assert code == 0 and summary["total"] == 479 and summary["failures"] == 0, summary
+    assert wall_s <= _N10_WALL_S and peak_mb <= _N10_PEAK_MB, (wall_s, peak_mb)
 
 
 # -- identities on the usable CPUs -------------------------------------------
@@ -494,6 +549,9 @@ def test_cli_strict_flag(tmp_path, capsys):
     }))
     assert main(["decompose", "--input", str(path), "--strict"]) == 2
     assert main(["decompose", "--input", str(path), "--project", "--json"]) == 0
+    capsys.readouterr()
+    assert main(["decompose", "--input", str(path), "--strict", "--project"]) == 2
+    assert "error: argument --project: not allowed with argument --strict" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["Infinity", "NaN"])
