@@ -31,13 +31,19 @@ contraction's.
 
 metric_product, contract and star each run one private array kernel
 (_metric_stack, _contract_stack, _star_stack) that takes a stack of
-coefficient matrices, shape (..., C(n,p), C(n,q)): the gathers index the
-last two axes and one bincount scatters the whole stack.  The DoubleForm
-functions pass a stack of one; a stacked call gives every member the same
-terms, summed in the same order, so its bits equal a single call's.  The
-first Bianchi map (_bianchi_stack) and the checks of CurvatureTensor
-(_check_curvature) take stacks the same way, so the suite checks a whole
-stack of random curvature tensors in one call.
+coefficient matrices, shape (..., C(n,p), C(n,q)), and one bincount
+scatters the whole stack.  The gathers are member-major: a stack of two or
+more members is one take along the last axis of its flattened members,
+so each member's terms lie together and the terms, and every array made
+from them, are C-contiguous.  The products and the star gather through
+_gather, the contraction through its flat cached table _contract_scatter;
+a single form keeps the 2-D gather over its last two axes, which builds no
+flat index.  The DoubleForm functions pass a stack of one; a stacked call
+gives every member the same terms, summed in the same order, so its bits
+equal a single call's.  The first Bianchi map (_bianchi_stack) and the checks of
+CurvatureTensor (_check_curvature) take stacks the same way, so the suite
+checks a whole stack of random curvature tensors in one call, and _norms
+takes the norm of each member of a stack with _norm's bits.
 
 Forms are evaluated on planes by one function, plane_values: the values
 v.W.v on a stack of orthonormal frames, v the frame's p x p minors.
@@ -106,6 +112,29 @@ def _norm(coeffs: np.ndarray) -> float:
         except OverflowError:
             pass
     return norm
+
+
+def _norms(stack: np.ndarray) -> np.ndarray:
+    """_norm of each coefficient matrix of a stack (members, rows, cols),
+    with its bits.  np.linalg.norm is the square root of a BLAS dot product
+    of the matrix's entries raveled in memory order into a contiguous
+    vector; here each member is raveled the same way, into one contiguous
+    row per member, and a stacked matmul of each row by its column takes
+    the members' dot products.  The members that _norm rescales, whose norm
+    is inf on finite entries or below _TINY_NORM on nonzero ones, are taken
+    by _norm itself."""
+    if abs(stack.strides[1]) < abs(stack.strides[2]):  # members in column order
+        stack = stack.transpose(0, 2, 1)
+    flat = np.ascontiguousarray(stack).reshape(len(stack), stack.shape[1] * stack.shape[2])
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.matmul(flat[:, None, :], flat[:, :, None]).ravel())
+    rescue = norms == np.inf
+    tiny = norms < _TINY_NORM
+    if tiny.any():
+        rescue |= tiny & flat.any(axis=1)
+    for m in np.flatnonzero(rescue):
+        norms[m] = _norm(stack[m])
+    return norms
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,6 +297,22 @@ def _scatter(cells: np.ndarray, terms: np.ndarray, shape: tuple[int, int]) -> np
     return out.reshape(stack + shape)
 
 
+def _gather(coeffs: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """coeffs[..., rows, cols] for the stack (..., R, C) of coefficient
+    matrices, rows and cols broadcast against each other, with the members
+    in the leading axes and each member's entries together in memory.  A
+    stack of two or more members is one take along the last axis of its
+    flattened members; a single form keeps the 2-D gather, which builds no
+    flat index."""
+    stack = coeffs.shape[:-2]
+    members = prod(stack)
+    if members == 1:
+        return coeffs[..., rows, cols]
+    index = rows * coeffs.shape[-1] + cols
+    flat = coeffs.reshape(members, coeffs.shape[-2] * coeffs.shape[-1])
+    return flat.take(index, axis=1).reshape(stack + index.shape)
+
+
 def _product_stack(left, rows, cols, coeffs: np.ndarray, n: int,
                    p1: int, q1: int, p2: int, q2: int) -> np.ndarray:
     """A (p1,q1) form times each (p2,q2) coefficient matrix of a stack
@@ -279,8 +324,8 @@ def _product_stack(left, rows, cols, coeffs: np.ndarray, n: int,
     (k,k) form, slice(None) on both sides, which copies no table rows.
     The product reads (w1 w2)[K u I, L u J] summed over the support (K, L)
     and over I, J disjoint from K, L of w1[K, L] sgn(K,I) sgn(L,J) w2[I, J]:
-    one gather over the last two axes and one scatter.  Degrees beyond n
-    give empty matrices.
+    one member-major gather (_gather), scaled in place, and one scatter.
+    Degrees beyond n give empty matrices.
     """
     P, Q = p1 + p2, q1 + q2
     shape = (comb(n, P), comb(n, Q))
@@ -288,8 +333,8 @@ def _product_stack(left, rows, cols, coeffs: np.ndarray, n: int,
         return np.zeros(coeffs.shape[:-2] + shape)
     srcI, dstI, sgnI = _split_tensor(n, p1, p2)
     srcJ, dstJ, sgnJ = _split_tensor(n, q1, q2)
-    sign = (left * sgnI[rows])[:, :, None] * sgnJ[cols][:, None, :]
-    terms = coeffs[..., srcI[rows][:, :, None], srcJ[cols][:, None, :]] * sign
+    terms = _gather(coeffs, srcI[rows][:, :, None], srcJ[cols][:, None, :])
+    terms *= (left * sgnI[rows])[:, :, None] * sgnJ[cols][:, None, :]
     cells = dstI[rows][:, :, None] * shape[1] + dstJ[cols][:, None, :]
     return _scatter(cells, terms, shape)
 
@@ -378,9 +423,9 @@ def _contract_stack(coeffs: np.ndarray, n: int, p: int, q: int) -> np.ndarray:
     (..., C(n,p), C(n,q)): one gather and one scatter."""
     src, dst, sign = _contract_scatter(n, p, q)
     stack = coeffs.shape[:-2]
-    # one gather from the flattened stack: numpy's fast path for a 1-d source
-    src = _offset(src, prod(stack), coeffs.shape[-2] * coeffs.shape[-1])
-    terms = coeffs.reshape(-1)[src] * sign
+    # one take along the last axis of the flattened members, member-major
+    terms = coeffs.reshape(prod(stack), coeffs.shape[-2] * coeffs.shape[-1]).take(src, axis=1)
+    terms *= sign
     return _scatter(dst, terms.reshape(stack + dst.shape), (comb(n, p - 1), comb(n, q - 1)))
 
 
@@ -425,10 +470,12 @@ def _complement_table(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _star_stack(coeffs: np.ndarray, n: int, p: int, q: int) -> np.ndarray:
     """Hodge star of each (p,q) coefficient matrix of a stack
-    (..., C(n,p), C(n,q)): one signed gather over the last two axes."""
+    (..., C(n,p), C(n,q)): one signed member-major gather (_gather)."""
     permI, sgnI = _complement_table(n, n - p)
     permJ, sgnJ = _complement_table(n, n - q)
-    return np.outer(sgnI, sgnJ) * coeffs[..., permI[:, None], permJ[None, :]]
+    terms = _gather(coeffs, permI[:, None], permJ[None, :])
+    terms *= np.outer(sgnI, sgnJ)
+    return terms
 
 
 def star(w: DoubleForm) -> DoubleForm:
@@ -467,23 +514,24 @@ def _bianchi_stack(coeffs: np.ndarray, n: int, p: int, q: int) -> np.ndarray:
     Every output entry adds its terms in the order of j, one block of
     output rows of every member at a time: the lift ranks and signs of each
     term are rows of the transposed lift table, and its values one flat
-    gather from the stack.
+    gather from the stack, which is not copied.
     """
-    members, height, width = coeffs.shape[0], coeffs.shape[1], coeffs.shape[2] + 1
+    members, width = coeffs.shape[0], coeffs.shape[2]
     out = np.zeros((members, comb(n, p + 1), comb(n, q - 1)))
     rows, removed = _removal_table(n, p + 1)
     lift, lift_sign = _lift_table(n, q - 1)
     # rows by the inserted x_j, so each position j gathers whole rows
     lift, lift_sign = np.ascontiguousarray(lift.T), np.ascontiguousarray(lift_sign.T)
-    # each matrix with a zero column appended, read by one flat gather:
-    # where x_j lies in Y the lift rank is -1 and its sign 0, and the flat
-    # index row * width - 1 lands on the zero pad ending the row before
-    # (the previous member's last row's, or through the wrap the last
-    # member's, for row 0), so a non-finite entry cannot reach it
-    padded = np.concatenate([coeffs, np.zeros((members, height, 1))], axis=2).ravel()
-    offsets = (np.arange(members) * (height * width)).reshape(-1, 1, 1)
-    # mode "wrap" reads index -1 as the last entry and, unlike the
-    # default, gathers straight into the buffer
+    flat = coeffs.reshape(-1)
+    offsets = (np.arange(members) * (coeffs.shape[1] * width)).reshape(-1, 1, 1)
+    # where x_j lies in Y the lift rank is -1 and the sign 0: the index
+    # lands on the entry before the row (mode "wrap" reads -1 as the last
+    # entry and, unlike the default, gathers straight into the buffer).  A
+    # finite entry read there gives a zero term, which leaves the sum as it
+    # is; when the stack may hold a non-finite entry (its sum is not
+    # finite), those terms are set to zero, so that it cannot reach the sum
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = bool(np.isfinite(flat.sum()))
     step = max(1, _BIANCHI_BLOCK // max(1, members * out.shape[2]))
     for start in range(0, out.shape[1], step):
         block = out[:, start:start + step]
@@ -498,7 +546,9 @@ def _bianchi_stack(coeffs: np.ndarray, n: int, p: int, q: int) -> np.ndarray:
             lift.take(m, axis=0, out=index[0], mode="wrap")
             index[0] += block_rows[:, j, None] * width
             index[1:] = index[0] + offsets[1:]
-            padded.take(index, out=terms, mode="wrap")
+            flat.take(index, out=terms, mode="wrap")
+            if not finite:
+                terms[:, sign == 0] = 0.0
             terms *= sign
             block += terms
     return out
@@ -530,45 +580,81 @@ def bianchi_residual(w: DoubleForm) -> float:
 _PIVOT_TOL = 1e-8
 
 
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The dot product of each row of a with the same row of b, (count, n)
+    stacks: one stacked matmul, which takes each row pair's BLAS dot
+    product with the rows' own strides, as np.dot of the two rows does."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _orthonormal_stack(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Modified Gram-Schmidt on each member of a stack (count, p, n) of p
+    vectors: the frames (count, n, p) with orthonormal columns, and for each
+    member the index of its first vector dependent on the span before it
+    (pivot below _PIVOT_TOL times max(1, its norm)), or -1.
+
+    Each step is one stacked operation over the members, whose dot products
+    and norms are BLAS dot products with the strides a single frame's have,
+    so every member gets the bits of a stack of one.  A dependent member's
+    steps past its first dependent vector divide by a tiny or zero pivot;
+    their values are meant to be discarded, and raise no warning.
+    """
+    count, p, n = vectors.shape
+    out = np.zeros((count, n, p))
+    dependent = np.full(count, -1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for j in range(p):
+            v = vectors[:, j, :].copy()
+            scale = np.maximum(np.sqrt(_dots(v, v)), 1.0)
+            for i in range(j):
+                v -= _dots(out[:, :, i], v)[:, None] * out[:, :, i]
+            pivot = np.sqrt(_dots(v, v))
+            dependent[(pivot < _PIVOT_TOL * scale) & (dependent < 0)] = j
+            out[:, :, j] = v / pivot[:, None]
+    return out, dependent
+
+
 def orthonormalize(vectors) -> np.ndarray:
-    """Modified Gram-Schmidt; returns an n x p matrix with orthonormal columns.
+    """Modified Gram-Schmidt; returns an n x p matrix with orthonormal columns
+    (_orthonormal_stack on a stack of one).
 
     Raises ValueError when the input is (numerically) rank deficient.
     """
     F = np.array([np.asarray(v, dtype=float) for v in vectors]).T
     if F.ndim != 2:
         F = F.reshape(F.shape[0], -1)
-    n, p = F.shape
-    out = np.zeros((n, p))
-    for j in range(p):
-        v = F[:, j].copy()
-        scale = max(np.linalg.norm(v), 1.0)
-        for i in range(j):
-            v -= np.dot(out[:, i], v) * out[:, i]
-        pivot = np.linalg.norm(v)
-        if pivot < _PIVOT_TOL * scale:
-            raise ValueError(f"degenerate plane: vector {j} is dependent on the span")
-        out[:, j] = v / pivot
-    return out
+    out, dependent = _orthonormal_stack(F.T[None])
+    if dependent[0] >= 0:
+        raise ValueError(f"degenerate plane: vector {dependent[0]} is dependent on the span")
+    return out[0]
 
 
 def decomposable_coefficients(F: np.ndarray, ctx: AlgebraContext) -> np.ndarray:
-    """Coordinates of f_1 ^ ... ^ f_p over the standard basis (p x p minors)."""
+    """Coordinates of f_1 ^ ... ^ f_p over the standard basis (p x p minors),
+    for an n x p matrix F or for each member of a stack (..., n, p)."""
     F = np.asarray(F, dtype=float)
-    return np.linalg.det(F[_member_table(ctx.n, F.shape[1])])
+    return np.linalg.det(np.take(F, _member_table(ctx.n, F.shape[-1]), axis=-2))
+
+
+#: Minor entries, frames times C(n,p) p x p matrices, that plane_values
+#: takes in one determinant call at most, at least one frame.
+_MINOR_BLOCK = 2 ** 15
 
 
 def plane_values(coeffs: np.ndarray, frames: np.ndarray, ctx: AlgebraContext) -> np.ndarray:
     """Values v.W.v of a (p,p) coefficient matrix W on a stack of orthonormal
     n x p frames (count, n, p), v the coordinates of each frame's p-vector.
 
-    The minors are taken one frame at a time, so no (count, C(n,p), p, p)
-    stack is built, and the quadratic forms are one matrix product of W,
-    which is not copied.
+    The minors are decomposable_coefficients of one block of frames at a
+    time, each block at most _MINOR_BLOCK entries of (frames, C(n,p), p, p)
+    matrices, so the whole (count, C(n,p), p, p) stack is never built.  The
+    quadratic forms are one matrix product of W, which is not copied.
     """
-    V = np.empty((len(frames), coeffs.shape[0]))
-    for v, F in zip(V, frames):
-        v[:] = decomposable_coefficients(F, ctx)
+    count, p = len(frames), frames.shape[2]
+    V = np.empty((count, coeffs.shape[0]))
+    step = max(1, _MINOR_BLOCK // max(1, coeffs.shape[0] * p * p))
+    for start in range(0, count, step):
+        V[start:start + step] = decomposable_coefficients(frames[start:start + step], ctx)
     return ((V @ coeffs) * V).sum(-1)
 
 

@@ -50,15 +50,20 @@ def _sum_of_squares(H: np.ndarray, ctx: AlgebraContext) -> np.ndarray:
 
         out[ij,kl] = 2 (G[i,k,j,l] - G[i,l,j,k]),  G[i,k,j,l] = sum_t h_t[i,k] h_t[j,l],
 
-    with G one (n^2, terms) x (terms, n^2) product per member.
+    with G one (n^2, terms) x (terms, n^2) product per member.  The
+    matrices are gathered member-major, so the stack is C-contiguous.
     """
     n = ctx.n
     flat = H.reshape(len(H), -1, n * n)
-    G = (flat.transpose(0, 2, 1) @ flat).reshape(-1, n, n, n, n)
+    G = (flat.transpose(0, 2, 1) @ flat).reshape(len(H), n ** 4)
     pairs = _member_table(n, 2)
     i, j = pairs[:, 0], pairs[:, 1]
     ri, rj, ck, cl = i[:, None], j[:, None], i[None, :], j[None, :]
-    out = 2.0 * (G[:, ri, ck, rj, cl] - G[:, ri, cl, rj, ck])
+
+    def gathered(a, b, c, d):  # G[:, a, b, c, d], gathered member-major from the flat G
+        return G.take(((a * n + b) * n + c) * n + d, axis=1)
+
+    out = 2.0 * (gathered(ri, ck, rj, cl) - gathered(ri, cl, rj, ck))
     return (out + out.transpose(0, 2, 1)) / 2.0
 
 

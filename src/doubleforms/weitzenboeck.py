@@ -42,6 +42,7 @@ from .forms import (
     _contract_stack,
     _exponent,
     _metric_stack,
+    _orthonormal_stack,
     as_form22,
     kn_product,  # noqa: F401  not called here; bench/tracing.py counts it in this module
     metric_product,
@@ -106,12 +107,18 @@ def _definition_stack(W: np.ndarray, n: int, p: int) -> np.ndarray:
     of a stack (members, C(n,2), C(n,2)): one gather of the stack over the
     _ad_table rows and one scatter, each member's cells offset by its
     position, so that every member adds its terms in the order a stack of
-    one would."""
+    one would.  A stack of two or more members is gathered member-major, as
+    one take along the last axis of its flattened members, so that each
+    member's terms lie together; a single form keeps the 2-D gather."""
     src, pair, coef = _ad_table(n, p)
     dim, members = len(src), len(W)
-    terms = W[:, pair[:, :, None], pair[:, None, :]] * (coef[:, :, None] * coef[:, None, :])
+    sign = coef[:, :, None] * coef[:, None, :]
     cells = src[:, :, None] * dim + src[:, None, :]
-    if members > 1:
+    if members == 1:
+        terms = W[:, pair[:, :, None], pair[:, None, :]] * sign
+    else:
+        flat = W.reshape(members, W.shape[1] * W.shape[2])
+        terms = flat.take(pair[:, :, None] * W.shape[2] + pair[:, None, :], axis=1) * sign
         cells = (np.arange(members) * (dim * dim)).reshape(-1, 1, 1, 1) + cells
     N = np.bincount(cells.ravel(), weights=terms.ravel(), minlength=members * dim * dim)
     N = N.reshape(members, dim, dim) * 0.25
@@ -391,14 +398,21 @@ def sample_frames(rng: np.random.Generator, n: int, p: int, count: int) -> np.nd
 
     Each plane is drawn from rng in turn, as p Gaussian vectors that are
     orthonormalized, and drawn again while they are near-degenerate.  The
-    0-plane is the empty (n, 0) frame and draws nothing; p > n raises
-    ValueError.
+    planes' vectors are drawn in one call, which takes the numbers the
+    draws in turn would, and orthonormalized as one stack
+    (forms._orthonormal_stack); should one of them be near-degenerate, rng
+    is reset and the planes are drawn one at a time.  The 0-plane is the
+    empty (n, 0) frame and draws nothing; p > n raises ValueError.
     """
     if p > n:
         raise ValueError(f"no {p}-plane in dimension {n}")
-    frames = np.zeros((count, n, p))
     if p == 0:
+        return np.zeros((count, n, 0))
+    state = rng.bit_generator.state
+    frames, dependent = _orthonormal_stack(rng.standard_normal((count, p, n)))
+    if (dependent < 0).all():
         return frames
+    rng.bit_generator.state = state
     for frame in frames:
         for _ in range(_PLANE_TRIES):
             try:

@@ -240,15 +240,36 @@ def test_stacked_kernels_equal_per_member_calls(stack):
             for q in range(n + 2):
                 W = rng.standard_normal(stack + (comb(n, p), comb(n, q)))
                 members = [DoubleForm(p, q, w, ctx) for w in W.reshape((prod(stack),) + W.shape[-2:])]
+                got = {}
                 for k in range(n + 1):
+                    got["metric", k] = forms._metric_stack(k, W, n, p, q)
                     want = stacked([metric_product(k, w) for w in members])
-                    assert np.array_equal(forms._metric_stack(k, W, n, p, q), want), (n, p, q, k)
+                    assert np.array_equal(got["metric", k], want), (n, p, q, k)
                 if p >= 1 and q >= 1:
-                    want = stacked([contract(w) for w in members])
-                    assert np.array_equal(forms._contract_stack(W, n, p, q), want), (n, p, q)
+                    got["contract"] = forms._contract_stack(W, n, p, q)
+                    assert np.array_equal(got["contract"], stacked([contract(w) for w in members])), (n, p, q)
                 if p <= n and q <= n:
-                    want = stacked([star(w) for w in members])
-                    assert np.array_equal(forms._star_stack(W, n, p, q), want), (n, p, q)
+                    got["star"] = forms._star_stack(W, n, p, q)
+                    assert np.array_equal(got["star"], stacked([star(w) for w in members])), (n, p, q)
+                # member-major: each output is one C-contiguous array
+                assert all(out.flags.c_contiguous for out in got.values()), (n, p, q)
+
+
+@pytest.mark.parametrize("block", [None, 1, 200])
+def test_plane_values_equal_the_per_frame_minors(monkeypatch, block):
+    # one stacked determinant per block of frames gives each frame the
+    # minors decomposable_coefficients takes, bit for bit
+    if block:
+        monkeypatch.setattr(forms, "_MINOR_BLOCK", block)
+    for n in range(2, 13):
+        ctx = AlgebraContext(n)
+        rng = np.random.default_rng(n)
+        for p in range(1, n + 1):
+            frames = np.array([np.linalg.qr(rng.standard_normal((n, p)))[0] for _ in range(3)])
+            V = np.array([decomposable_coefficients(F, ctx) for F in frames])
+            W = rng.standard_normal((comb(n, p), comb(n, p)))
+            want = ((V @ W) * V).sum(-1)
+            assert np.array_equal(plane_values(W, frames, ctx).view(np.int64), want.view(np.int64)), (n, p)
 
 
 # -- contraction -------------------------------------------------------------
@@ -500,9 +521,10 @@ def test_bianchi_map_never_reads_a_slot_it_does_not_need():
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 @pytest.mark.parametrize("n", range(2, 6))
 def test_bianchi_map_keeps_pad_neighbours_apart(n, bad):
-    # the flat gather reads a zero pad after each row of w: a single
-    # non-finite entry in the first row or the last column, the pad's
-    # neighbours, reaches exactly the cells the literal sum reaches
+    # where x_j lies in Y the flat gather reads the entry before the row
+    # (the last entry of w for row 0) and sets that term to zero: a single
+    # non-finite entry in the first row or the last column, the entries
+    # read that way, reaches exactly the cells the literal sum reaches
     for p in range(n + 1):
         for q in range(1, n + 1):
             rows, cols = comb(n, p), comb(n, q)
@@ -634,6 +656,36 @@ def test_orthonormalize_output():
     rng = np.random.default_rng(0)
     F = orthonormalize(rng.standard_normal((3, 6)))
     assert np.allclose(F.T @ F, np.eye(3), atol=1e-12)
+
+
+def loop_orthonormalize(vectors):
+    """Modified Gram-Schmidt one vector and one np.dot at a time."""
+    F = np.array(vectors, dtype=float).T
+    n, p = F.shape
+    out = np.zeros((n, p))
+    for j in range(p):
+        v = F[:, j].copy()
+        for i in range(j):
+            v -= np.dot(out[:, i], v) * out[:, i]
+        out[:, j] = v / np.linalg.norm(v)
+    return out
+
+
+def test_orthonormal_stack_equals_the_vector_loop():
+    # every member of a stack gets the bits of the loop over its own vectors
+    rng = np.random.default_rng(11)
+    for n in range(1, 13):
+        for p in range(1, n + 1):
+            vectors = rng.standard_normal((4, p, n)) * 10.0 ** rng.integers(-3, 4)
+            frames, dependent = forms._orthonormal_stack(vectors)
+            want = np.array([loop_orthonormalize(v) for v in vectors])
+            assert np.array_equal(frames.view(np.int64), want.view(np.int64)), (n, p)
+            assert (dependent == -1).all()
+    vectors = rng.standard_normal((3, 3, 5))
+    vectors[1, 2] = vectors[1, 0] + vectors[1, 1]
+    assert forms._orthonormal_stack(vectors)[1].tolist() == [-1, 2, -1]
+    with pytest.raises(ValueError, match="vector 2 is dependent"):
+        orthonormalize(vectors[1])
 
 
 # -- container types ---------------------------------------------------------------

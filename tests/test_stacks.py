@@ -99,6 +99,21 @@ def test_bianchi_stack_equals_per_member_maps(n, members):
         assert_same_bits(got[m], bianchi_map(DoubleForm(2, 2, W[m], ctx)).coeffs, m)
 
 
+@pytest.mark.parametrize("n", range(3, 9))
+def test_bianchi_stack_zeroes_unread_terms_only_when_needed(n):
+    # a member near the float range makes the stack's sum overflow, so the
+    # stack takes the path that zeroes the terms where x_j lies in Y; every
+    # finite member still gets the bits of its own map, which does not
+    W = tensor_stack(n, 3)
+    W[0, 0, 0] += 0.5
+    W[1] = 1e308
+    with np.errstate(over="ignore"):
+        assert np.isfinite(W).all() and not np.isfinite(W.sum())
+        got = forms._bianchi_stack(W, n, 2, 2)
+    for m in (0, 2):
+        assert_same_bits(got[m], forms._bianchi_stack(W[m:m + 1], n, 2, 2)[0], m)
+
+
 @pytest.mark.parametrize("members", (1, 2, 5))
 @pytest.mark.parametrize("n", range(2, 9))
 def test_projection_stack_equals_per_member_projections(n, members):
@@ -244,12 +259,58 @@ def test_stack_size_bounds_the_gathered_terms(n, p, contracted):
 
 def test_suite_records_do_not_depend_on_the_stack_size(monkeypatch):
     names = ("closed_form", "hodge_duality", "contraction_orders", "einstein_alternative", "splitting",
-             "sectional_sum", "adjoint_pairing", "metric_injectivity")
+             "sectional_sum", "adjoint_pairing", "metric_injectivity", "contraction_adjoint",
+             "star_contraction", "tachibana")
     cfg = verify.SuiteConfig(n_min=4, n_max=6, seeds=3, identities=names)
     want = verify.run_suite(cfg).to_json()
     monkeypatch.setattr(verify, "_STACK_TERMS", 1)  # stacks of one
     monkeypatch.setattr(verify, "_UNIT_BLOCK_ENTRIES", 1)  # one unit matrix per block
+    monkeypatch.setattr(verify, "_TRIAL_TERMS", 1)  # one sampled trial per block
+    monkeypatch.setattr(forms, "_MINOR_BLOCK", 1)  # one frame's minors per determinant call
     assert verify.run_suite(cfg).to_json() == want
+
+
+def norm_stack():
+    """Members that take each path of _norm: ordinary, zero, -0.0, all
+    subnormal (rescaled up), near the float range (rescaled down), one
+    non-finite, and one mixing tiny and large entries."""
+    rng = np.random.default_rng(5)
+    ordinary = rng.standard_normal((6, 7))
+    members = [ordinary, np.zeros((6, 7)), np.full((6, 7), -0.0), ordinary * 1e-310,
+               ordinary * 1e300, ordinary * 1e-200, ordinary * 1e200]
+    mixed = ordinary.copy()
+    mixed[0, :3] = (1e-310, -0.0, 1e300)
+    inf = ordinary.copy()
+    inf[2, 2] = np.inf
+    return np.array(members + [mixed, inf])
+
+
+@pytest.mark.parametrize("layout", ["C", "member-innermost", "column-major members"])
+def test_stacked_norms_equal_the_per_member_norms(layout):
+    stack = norm_stack()
+    if layout == "member-innermost":
+        stack = np.ascontiguousarray(stack.transpose(1, 2, 0)).transpose(2, 0, 1)
+    elif layout == "column-major members":
+        stack = np.ascontiguousarray(stack.transpose(0, 2, 1)).transpose(0, 2, 1)
+    assert_same_bits(forms._norms(stack), [forms._norm(m) for m in stack])
+    assert_same_bits(forms._norms(stack[1:2]), [0.0])
+
+
+@pytest.mark.parametrize("n", range(4, 8))
+def test_stacked_kernels_return_contiguous_stacks(n):
+    # three members, each kernel's output C-contiguous, member-major
+    ctx = AlgebraContext(n)
+    W = tensor_stack(n, 3)
+    H = _factors([np.random.SeedSequence([n, t]) for t in range(3)], n)
+    outputs = {"squares": _sum_of_squares(H, ctx), "bianchi": forms._bianchi_stack(W, n, 2, 2),
+               "projection": tensorio._project_stack(W, n), "adjoint": wz._adjoint_stack(W, n, 2)}
+    for p in range(0, n + 1):
+        outputs[f"definition {p}"] = wz._definition_stack(W, n, p)
+    for p in range(2, n - 1):
+        for label, stacked, _ in _closed_forms(n, p):
+            outputs[f"{label} {p}"] = stacked(W)
+    for label, out in outputs.items():
+        assert out.flags.c_contiguous, label
 
 
 def test_adjoint_pairing_draws_one_stack_at_a_time(monkeypatch):

@@ -208,15 +208,19 @@ def test_repeated_identity_is_listed_once(capsys):
 def test_trial_blocks_split_by_columns_are_the_per_trial_draws(monkeypatch):
     # the numbers of separate per-trial draws, whatever the block size
     cfg = SuiteConfig(n_min=4, n_max=5, trials=7)
-    for budget in (1, 3 * (comb(5, 2) ** 2 + comb(5, 3) ** 2), verify._TRIAL_BLOCK_ENTRIES):
-        monkeypatch.setattr(verify, "_TRIAL_BLOCK_ENTRIES", budget)
+
+    def terms(n, p):
+        return n * comb(n - 1, p) ** 2
+
+    for budget in (1, 3 * terms(5, 2), verify._TRIAL_TERMS):
+        monkeypatch.setattr(verify, "_TRIAL_TERMS", budget)
         seen = {}
 
         def residuals(n, p, W1, W2):
             seen.setdefault((n, p), []).extend(zip(W1, W2))
-            yield from (0.0 for _ in W1)
+            return np.zeros(len(W1))
 
-        cells = list(verify._trials(cfg, "probe", lambda p: (p, p + 1), residuals))
+        cells = list(verify._trials(cfg, "probe", lambda p: (p, p + 1), terms, residuals))
         assert [(n, p) for n, p, _ in cells] == list(seen)
         for (n, p), pairs in seen.items():
             rng = verify._rng(cfg, "probe", n, p)
@@ -226,16 +230,85 @@ def test_trial_blocks_split_by_columns_are_the_per_trial_draws(monkeypatch):
                 assert np.array_equal(w2, rng.standard_normal((comb(n, p + 1), comb(n, p + 1))))
 
 
-@pytest.mark.parametrize("identity, degrees", [("contraction_adjoint", lambda n, p: (p, p + 1)),
-                                               ("star_contraction", lambda n, p: (p,))])
-def test_trial_block_size_never_shows_in_a_record(monkeypatch, identity, degrees):
+@pytest.mark.parametrize("identity, terms", [
+    ("contraction_adjoint", lambda n, p: n * comb(n - 1, p) ** 2),
+    ("star_contraction", lambda n, p: max(comb(n, p) ** 2, comb(n, p + 1) ** 2, n * comb(n - 1, p) ** 2))])
+def test_trial_block_size_never_shows_in_a_record(monkeypatch, identity, terms):
     cfg = SuiteConfig(n_min=5, n_max=5, trials=7, identities=(identity,))
     default = run_suite(cfg).to_json()
     for p in range(5):
         # blocks of 3 at this cell: 3 + 3 + 1 trials
-        budget = 3 * sum(comb(5, d) ** 2 for d in degrees(5, p))
-        monkeypatch.setattr(verify, "_TRIAL_BLOCK_ENTRIES", budget)
+        monkeypatch.setattr(verify, "_TRIAL_TERMS", 3 * terms(5, p))
         assert run_suite(cfg).to_json() == default, p
+
+
+KERNEL_TERMS = {
+    "_metric_stack": lambda k, W, n, p, q: comb(n, k) * comb(n - k, p) * comb(n - k, q),
+    "_contract_stack": lambda W, n, p, q: n * comb(n - 1, p - 1) * comb(n - 1, q - 1),
+    "_star_stack": lambda W, n, p, q: comb(n, p) * comb(n, q),
+}
+
+
+@pytest.mark.parametrize("identity", ["contraction_adjoint", "star_contraction"])
+def test_trial_block_bounds_the_gathered_terms(monkeypatch, identity):
+    # every kernel call of a block gathers at most _TRIAL_TERMS terms, or
+    # holds one trial; and blocks do hold several trials
+    calls = []
+    for name, terms in KERNEL_TERMS.items():
+        def counted(*args, kernel=getattr(verify, name), terms=terms):
+            stack = args[1] if len(args) == 5 else args[0]
+            calls.append((len(stack), terms(*args)))
+            return kernel(*args)
+        monkeypatch.setattr(verify, name, counted)
+    verify._run_identity(identity, SuiteConfig(n_min=4, n_max=8))
+    assert calls and all(members == 1 or members * terms <= verify._TRIAL_TERMS for members, terms in calls)
+    assert max(members for members, terms in calls if terms > 1000) > 1
+
+
+def test_a_nan_residual_fails_its_record(monkeypatch, capsys):
+    # one NaN entry in the product by g at (n, p) = (5, 2) reaches both
+    # trial identities' residuals, and the worst-of reductions keep it
+    metric_stack = verify._metric_stack
+
+    def poisoned(k, W, n, p, q):
+        out = metric_stack(k, W, n, p, q)
+        if (n, p) == (5, 2):
+            out[0, 0, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(verify, "_metric_stack", poisoned)
+    cfg = SuiteConfig(n_min=5, n_max=5, trials=10, identities=("contraction_adjoint", "star_contraction"))
+    bad = [r for r in run_suite(cfg).records if not r.passed]
+    assert [(r.identity, r.n, r.p) for r in bad] == [("contraction_adjoint", 5, 2), ("star_contraction", 5, 2)]
+    assert all(np.isnan(r.residual) for r in bad)
+    args = ["verify", "--n-min", "5", "--n-max", "5", "--trials", "10", "--identity", "star_contraction"]
+    assert main(args + ["--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: identity star_contraction has a non-finite residual nan at n=5, p=2, seed=0\n"
+    assert main(args) == 1
+    assert "FAIL n=5 p=2 seed=0 residual=nan" in capsys.readouterr().out
+
+
+def test_a_nan_contraction_order_fails_every_record(monkeypatch):
+    rhs_stack = wz._contraction_rhs_stack
+
+    def poisoned(W, n, p, k):
+        out = rhs_stack(W, n, p, k)
+        if k == 1:
+            out[:, 0, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(wz, "_contraction_rhs_stack", poisoned)
+    records = run_suite(SuiteConfig(n_min=5, n_max=5, seeds=2, identities=("contraction_orders",))).records
+    assert len(records) == 4
+    assert all(not r.passed and np.isnan(r.residual) and r.note == "worst at k=1" for r in records)
+
+
+@pytest.mark.parametrize("values, want", [([1.0, np.nan, 2.0], "nan"), ([0.5, 2.0], "2.0")])
+def test_worst_of_reductions_keep_a_nan(values, want):
+    assert str(verify._largest(values)) == want
+    assert str(verify._smallest([2.0] + values)) == ("nan" if want == "nan" else "0.5")
 
 
 def test_trial_count_does_not_raise_peak_memory(tmp_path):

@@ -581,6 +581,44 @@ def test_sampled_planes_need_p_at_most_n():
     assert wz.sample_frames(np.random.default_rng(0), 4, 0, 2).shape == (2, 4, 0)
 
 
+class ScriptedGenerator:
+    """A generator whose standard_normal hands out a fixed sequence of
+    numbers in order; its bit_generator.state is the position reached."""
+
+    def __init__(self, numbers):
+        self.numbers, self.state, self.bit_generator = numbers, 0, self
+
+    def standard_normal(self, shape):
+        size = int(np.prod(shape))
+        out = self.numbers[self.state:self.state + size].reshape(shape)
+        self.state += size
+        return out
+
+
+@pytest.mark.parametrize("n, p", [(4, 2), (5, 5), (8, 3), (10, 5)])
+def test_sampled_frames_are_the_per_plane_draws(n, p):
+    # the stacked draw and Gram-Schmidt give each plane the bits of its own draw
+    got = wz.sample_frames(np.random.default_rng(n), n, p, 9)
+    rng = np.random.default_rng(n)
+    want = [orthonormalize(rng.standard_normal((p, n))) for _ in range(9)]
+    assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))
+
+
+def test_a_degenerate_draw_is_drawn_again_in_turn():
+    # plane 1's first draw repeats a vector; it is drawn again from the
+    # next numbers, and plane 2 takes the numbers after those
+    n, p = 4, 3
+    draws = np.random.default_rng(0).standard_normal((4, p, n))
+    draws[1, 2] = draws[1, 0]
+    rng = ScriptedGenerator(draws.ravel())
+    got = wz.sample_frames(rng, n, p, 3)
+    want = np.array([orthonormalize(draws[t]) for t in (0, 2, 3)])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert rng.state == draws.size
+    with pytest.raises(RuntimeError, match="failed to sample"):
+        wz.sample_frames(ScriptedGenerator(np.ones(wz._PLANE_TRIES * p * n)), n, p, 1)
+
+
 def test_spectrum_without_samples_draws_no_generator(monkeypatch):
     N = np_definition(random_bianchi_22(3, AlgebraContext(5)), 2)
     want = spectrum(N, sample_planes=4, seed=0).eigenvalues
