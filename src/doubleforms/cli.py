@@ -3,7 +3,8 @@
 Subcommands: verify (identity suite), weitzenboeck (compute the order-p
 operator of a tensor file two ways), spectrum, decompose, sectional and
 pcurvature.  Exit status is 0 on success, 1 when the verification suite
-finds an identity failure, and 2 on usage or I/O problems.
+finds an identity failure, and 2 on usage or I/O problems and when an
+array does not fit in memory (such as a huge --samples).
 
 With --json the computing commands print the bytes of json.dumps(doc,
 indent=2, sort_keys=True, allow_nan=False) and a newline.  Each doc is
@@ -340,7 +341,7 @@ def main(argv=None) -> int:
         # warnings on the way there would only add lines to stderr
         with np.errstate(all="ignore"):
             return _COMMANDS[args.command](args)
-    except (OSError, ValueError, TypeError) as exc:
+    except (OSError, ValueError, TypeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_ERROR
 

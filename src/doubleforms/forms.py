@@ -22,7 +22,9 @@ g^k = k! I (metric_product), selected without copying table rows.
 
 The basis tables (_split_tensor, _lift_table, _member_table,
 _removal_table), cached read-only through exterior.cached_table, are
-built as whole arrays from the bit masks of exterior.subset_masks:
+row-major (C-contiguous) arrays, so the index, cell and sign arrays the
+kernels build from them are too.  They are built as whole arrays from the
+bit masks of exterior.subset_masks:
 unions and removals are mask operations, ranks are read off
 exterior.mask_ranks, and the signs come from the broadcasting merge_sign
 (the shuffle table) and insertion_sign (the lift table behind
@@ -32,18 +34,18 @@ contraction's.
 metric_product, contract and star each run one private array kernel
 (_metric_stack, _contract_stack, _star_stack) that takes a stack of
 coefficient matrices, shape (..., C(n,p), C(n,q)), and one bincount
-scatters the whole stack.  The gathers are member-major: a stack of two or
-more members is one take along the last axis of its flattened members,
-so each member's terms lie together and the terms, and every array made
-from them, are C-contiguous.  The products and the star gather through
-_gather, the contraction through its flat cached table _contract_scatter;
-a single form keeps the 2-D gather over its last two axes, which builds no
-flat index.  The DoubleForm functions pass a stack of one; a stacked call
-gives every member the same terms, summed in the same order, so its bits
-equal a single call's.  The first Bianchi map (_bianchi_stack) and the checks of
-CurvatureTensor (_check_curvature) take stacks the same way, so the suite
-checks a whole stack of random curvature tensors in one call, and _norms
-takes the norm of each member of a stack with _norm's bits.
+scatters the whole stack.  The gathers are member-major: every stack,
+a single form's stack of one included, is one take along the last axis of
+its flattened members, so each member's terms lie together and the terms,
+and every array made from them, are C-contiguous.  The products and the
+star gather through _gather, the contraction through its flat cached table
+_contract_scatter.  The DoubleForm functions pass a stack of one; a
+stacked call gives every member the same terms, summed in the same order,
+so its bits equal a single call's.  The first Bianchi map (_bianchi_stack)
+and the checks of CurvatureTensor (_check_curvature) take stacks the same
+way, so the suite checks a whole stack of random curvature tensors in one
+call, and _norms takes the norm of each member of a stack with _norm's
+bits.
 
 Forms are evaluated on planes by one function, plane_values: the values
 v.W.v on a stack of orthonormal frames, v the frame's p x p minors.
@@ -267,8 +269,8 @@ def _split_tensor(n: int, p1: int, p2: int) -> tuple[np.ndarray, np.ndarray, np.
     K = subset_masks(n, p1)[:, None]
     # the members outside each K, ascending, and the p2 of them that each
     # column picks: the columns list the I disjoint from K lexicographically
-    rest = np.nonzero((~K >> np.arange(n)) & 1)[1].reshape(len(K), n - p1)
-    I = (1 << rest[:, _member_table(n - p1, p2)]).sum(axis=2)
+    rest = (np.flatnonzero((~K >> np.arange(n)) & 1) % n).reshape(len(K), n - p1)
+    I = (1 << rest.take(_member_table(n - p1, p2), axis=1)).sum(axis=2)
     ranks = mask_ranks(n)
     src, dst = ranks[I], ranks[K | I]
     sign = merge_sign(K, I).astype(float)
@@ -300,16 +302,12 @@ def _scatter(cells: np.ndarray, terms: np.ndarray, shape: tuple[int, int]) -> np
 def _gather(coeffs: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """coeffs[..., rows, cols] for the stack (..., R, C) of coefficient
     matrices, rows and cols broadcast against each other, with the members
-    in the leading axes and each member's entries together in memory.  A
-    stack of two or more members is one take along the last axis of its
-    flattened members; a single form keeps the 2-D gather, which builds no
-    flat index."""
+    in the leading axes and each member's entries together in memory: one
+    take along the last axis of the flattened members, a single form being
+    a stack of one."""
     stack = coeffs.shape[:-2]
-    members = prod(stack)
-    if members == 1:
-        return coeffs[..., rows, cols]
     index = rows * coeffs.shape[-1] + cols
-    flat = coeffs.reshape(members, coeffs.shape[-2] * coeffs.shape[-1])
+    flat = coeffs.reshape(prod(stack), coeffs.shape[-2] * coeffs.shape[-1])
     return flat.take(index, axis=1).reshape(stack + index.shape)
 
 
@@ -491,7 +489,7 @@ def star(w: DoubleForm) -> DoubleForm:
 def _member_table(n: int, k: int) -> np.ndarray:
     """The members of every k-subset, zero-based, one row per subset."""
     masks = subset_masks(n, k)
-    return np.nonzero((masks[:, None] >> np.arange(n)) & 1)[1].reshape(len(masks), k)
+    return (np.flatnonzero((masks[:, None] >> np.arange(n)) & 1) % n).reshape(len(masks), k)
 
 
 @cached_table
@@ -710,8 +708,9 @@ def _check_curvature(coeffs: np.ndarray, n: int, tol: float) -> None:
     and exactly symmetric, and for a finite tol each member's Bianchi
     residual must not exceed tol times its norm.  The first member over its
     limit raises, with the message a CurvatureTensor of it would give.  The
-    residuals are one call of _bianchi_stack, and each norm is the member's
-    own, so every member gets the numbers a stack of one would.
+    residuals are one call of _bianchi_stack and the norms one of _norms,
+    which gives each member _norm's bits, so every member gets the numbers a
+    stack of one would.
     """
     if not np.isfinite(coeffs).all():
         raise ValueError("curvature tensor has non-finite entries")
@@ -722,8 +721,8 @@ def _check_curvature(coeffs: np.ndarray, n: int, tol: float) -> None:
         # range is checked times a power of two that keeps both finite
         scaled, shifts = _bianchi_scaled(coeffs)
         residuals = np.max(np.abs(_bianchi_stack(scaled, n, 2, 2)), axis=(1, 2), initial=0.0)
-        for residual, member, shift in zip(residuals, scaled, shifts):
-            limit = tol * _norm(member)
+        for residual, norm, shift in zip(residuals, _norms(scaled).tolist(), shifts):
+            limit = tol * norm
             if not residual <= limit:
                 raise BianchiViolation(
                     f"first Bianchi identity violated: residual {residual:.3e} "

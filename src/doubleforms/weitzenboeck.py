@@ -107,19 +107,14 @@ def _definition_stack(W: np.ndarray, n: int, p: int) -> np.ndarray:
     of a stack (members, C(n,2), C(n,2)): one gather of the stack over the
     _ad_table rows and one scatter, each member's cells offset by its
     position, so that every member adds its terms in the order a stack of
-    one would.  A stack of two or more members is gathered member-major, as
-    one take along the last axis of its flattened members, so that each
-    member's terms lie together; a single form keeps the 2-D gather."""
+    one would.  The gather is member-major, one take along the last axis of
+    the flattened members, so that each member's terms lie together."""
     src, pair, coef = _ad_table(n, p)
     dim, members = len(src), len(W)
-    sign = coef[:, :, None] * coef[:, None, :]
-    cells = src[:, :, None] * dim + src[:, None, :]
-    if members == 1:
-        terms = W[:, pair[:, :, None], pair[:, None, :]] * sign
-    else:
-        flat = W.reshape(members, W.shape[1] * W.shape[2])
-        terms = flat.take(pair[:, :, None] * W.shape[2] + pair[:, None, :], axis=1) * sign
-        cells = (np.arange(members) * (dim * dim)).reshape(-1, 1, 1, 1) + cells
+    cells = ((np.arange(members) * dim).reshape(-1, 1, 1, 1) + src[:, :, None]) * dim + src[:, None, :]
+    flat = W.reshape(members, W.shape[1] * W.shape[2])
+    terms = flat.take(pair[:, :, None] * W.shape[2] + pair[:, None, :], axis=1)
+    terms *= coef[:, :, None] * coef[:, None, :]
     N = np.bincount(cells.ravel(), weights=terms.ravel(), minlength=members * dim * dim)
     N = N.reshape(members, dim, dim) * 0.25
     return (N + N.transpose(0, 2, 1)) / 2.0  # symmetric in exact arithmetic; kill roundoff skew

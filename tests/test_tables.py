@@ -175,3 +175,14 @@ def test_every_cached_table_is_read_only(label):
     assert arrays or label == "exterior.subsets", label
     for a in arrays:
         assert not a.flags.writeable, label
+
+
+@pytest.mark.parametrize("label", sorted(CACHED_TABLES))
+def test_every_cached_table_is_row_major(label):
+    # the kernels build their index, cell and sign arrays from these tables,
+    # so a strided table makes every one of them strided too; the Bianchi
+    # projector, which no kernel indexes, keeps its documented transposed layout
+    out = cached_functions()[label](*CACHED_TABLES[label])
+    arrays = [a for a in (out if isinstance(out, tuple) else (out,)) if isinstance(a, np.ndarray)]
+    for a in arrays:
+        assert a.flags.c_contiguous or label == "tensorio.bianchi_projector", (label, a.strides)

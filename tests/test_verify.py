@@ -532,6 +532,19 @@ def test_cli_sectional_values_are_the_spectrum_samples(tensor_file, capsys):
     assert json.loads(capsys.readouterr().out)["min_sampled_sectional"] == doc["min"]
 
 
+@pytest.mark.parametrize("command", ["sectional", "spectrum"])
+def test_cli_allocation_failure_is_one_error_line(tensor_file, monkeypatch, capsys, command):
+    # exit code 1 is verify's failed identity; an array too large for memory
+    # (a huge --samples) is the user's input, so it exits 2 like bad input
+    def too_large(*args):
+        raise MemoryError("Unable to allocate 36.4 TiB for an array")
+
+    monkeypatch.setattr(wz, "sample_frames", too_large)
+    assert main([command, "--input", tensor_file, "--p", "2", "--samples", "100000000000"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: Unable to allocate 36.4 TiB for an array\n"
+
+
 def test_cli_pcurvature(tensor_file, capsys):
     assert main(["pcurvature", "--input", tensor_file, "--p", "2", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -226,6 +226,18 @@ def test_weitzenboeck_json_at_dimension_twelve_streams_its_matrix(tmp_path):
     assert rss_mb <= 80
 
 
+def test_weitzenboeck_definition_at_dimension_twelve_within_budget(tmp_path):
+    # the oracle gathers a single form through a flat index of all its
+    # 924 x 36 x 36 terms, as it gathers a stack; the command peaks at 65 MB
+    # on a 2-vCPU x86 machine
+    path = tmp_path / "n12.json"
+    save_form(random_bianchi_22(12, AlgebraContext(12)), path)
+    code, rss_mb = run_cli_measured(["weitzenboeck", "--input", str(path), "--p", "6",
+                                     "--method", "definition", "--json"], tmp_path / "out.json")
+    assert code == 0
+    assert rss_mb <= 150
+
+
 # -- closed form ----------------------------------------------------------------
 
 
