@@ -20,32 +20,32 @@ left factor.  Products by a metric power g^k, which carry every closed
 form of the Weitzenboeck operators, pass the whole diagonal of
 g^k = k! I (metric_product), selected without copying table rows.
 
-The basis tables (_split_tensor, _lift_table, _member_table,
-_removal_table), cached read-only through exterior.cached_table, are
-row-major (C-contiguous) arrays, so the index, cell and sign arrays the
-kernels build from them are too.  They are built as whole arrays from the
-bit masks of exterior.subset_masks:
-unions and removals are mask operations, ranks are read off
-exterior.mask_ranks, and the signs come from the broadcasting merge_sign
-(the shuffle table) and insertion_sign (the lift table behind
-contraction), so the product's table shares no code with the
+The basis tables (_split_tensor, _lift_table, _contract_scatter,
+_member_table, _removal_table), cached read-only through
+exterior.cached_table, are row-major (C-contiguous) arrays, so the index,
+cell and sign arrays the kernels build from them are too.  Each is built
+as whole arrays, with no Python loop over subsets or slots, from the bit
+masks of exterior.subset_masks: unions and removals are mask operations,
+ranks are read off exterior.mask_ranks, and the signs come from the
+broadcasting merge_sign (the shuffle table) and insertion_sign (the lift
+table behind contraction), so the product's table shares no code with the
 contraction's.
 
 metric_product, contract and star each run one private array kernel
 (_metric_stack, _contract_stack, _star_stack) that takes a stack of
 coefficient matrices, shape (..., C(n,p), C(n,q)), and one bincount
-scatters the whole stack.  The gathers are member-major: every stack,
-a single form's stack of one included, is one take along the last axis of
-its flattened members, so each member's terms lie together and the terms,
-and every array made from them, are C-contiguous.  The products and the
-star gather through _gather, the contraction through its flat cached table
+scatters the whole stack.  Every kernel reads its stack through one
+member-major take, _take: one take along the last axis of the flattened
+members, a single form's stack of one included, so each member's terms lie
+together and the terms, and every array made from them, are C-contiguous.
+The products, the star and the first Bianchi map (_bianchi_stack) index by
+row and column through _gather, the contraction by the flat cached table
 _contract_scatter.  The DoubleForm functions pass a stack of one; a
 stacked call gives every member the same terms, summed in the same order,
-so its bits equal a single call's.  The first Bianchi map (_bianchi_stack)
-and the checks of CurvatureTensor (_check_curvature) take stacks the same
-way, so the suite checks a whole stack of random curvature tensors in one
-call, and _norms takes the norm of each member of a stack with _norm's
-bits.
+so its bits equal a single call's.  The checks of CurvatureTensor
+(_check_curvature) take stacks the same way, so the suite checks a whole
+stack of random curvature tensors in one call, and _norms takes the norm
+of each row-major member of a stack with _norm's bits.
 
 Forms are evaluated on planes by one function, plane_values: the values
 v.W.v on a stack of orthonormal frames, v the frame's p x p minors.
@@ -124,9 +124,9 @@ def _norms(stack: np.ndarray) -> np.ndarray:
     row per member, and a stacked matmul of each row by its column takes
     the members' dot products.  The members that _norm rescales, whose norm
     is inf on finite entries or below _TINY_NORM on nonzero ones, are taken
-    by _norm itself."""
-    if abs(stack.strides[1]) < abs(stack.strides[2]):  # members in column order
-        stack = stack.transpose(0, 2, 1)
+    by _norm itself.  The members must be row-major, as every stack the
+    kernels build is: np.linalg.norm ravels a column-major matrix by
+    columns, an order of the squares that these rows do not keep."""
     flat = np.ascontiguousarray(stack).reshape(len(stack), stack.shape[1] * stack.shape[2])
     with np.errstate(over="ignore"):
         norms = np.sqrt(np.matmul(flat[:, None, :], flat[:, :, None]).ravel())
@@ -277,15 +277,6 @@ def _split_tensor(n: int, p1: int, p2: int) -> tuple[np.ndarray, np.ndarray, np.
     return src, dst, sign
 
 
-def _offset(index: np.ndarray, members: int, size: int) -> np.ndarray:
-    """Flat indices into every block of a stack of members blocks of size
-    entries: index addresses one block and is shifted by each member's
-    offset.  A stack of one gets the table's own array back, not a copy."""
-    if members == 1:
-        return index
-    return (np.arange(members) * size).reshape((-1,) + (1,) * index.ndim) + index
-
-
 def _scatter(cells: np.ndarray, terms: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     """Sum terms into the C-order cells of a shape-sized output, one output
     per member of the stack that the leading axes of terms (those beyond
@@ -293,22 +284,28 @@ def _scatter(cells: np.ndarray, terms: np.ndarray, shape: tuple[int, int]) -> np
     position, so one bincount fills the whole stack and adds every
     member's terms in the order a stack of one would."""
     stack = terms.shape[:terms.ndim - cells.ndim]
-    size = shape[0] * shape[1]
-    cells = _offset(cells, prod(stack), size)
-    out = np.bincount(cells.ravel(), weights=terms.ravel(), minlength=prod(stack) * size)
+    members, size = prod(stack), shape[0] * shape[1]
+    if members > 1:  # a stack of one scatters into the table's own cells, not a copy
+        cells = (np.arange(members) * size).reshape((-1,) + (1,) * cells.ndim) + cells
+    out = np.bincount(cells.ravel(), weights=terms.ravel(), minlength=members * size)
     return out.reshape(stack + shape)
 
 
-def _gather(coeffs: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """coeffs[..., rows, cols] for the stack (..., R, C) of coefficient
-    matrices, rows and cols broadcast against each other, with the members
-    in the leading axes and each member's entries together in memory: one
-    take along the last axis of the flattened members, a single form being
-    a stack of one."""
+def _take(coeffs: np.ndarray, flat_index: np.ndarray) -> np.ndarray:
+    """The entries flat_index of each C-order raveled matrix of the stack
+    (..., R, C), shape (...) + flat_index.shape, with the members in the
+    leading axes and each member's entries together in memory: one take
+    along the last axis of the flattened members, a single form being a
+    stack of one.  Every gather from a coefficient stack goes through it."""
     stack = coeffs.shape[:-2]
-    index = rows * coeffs.shape[-1] + cols
     flat = coeffs.reshape(prod(stack), coeffs.shape[-2] * coeffs.shape[-1])
-    return flat.take(index, axis=1).reshape(stack + index.shape)
+    return flat.take(flat_index, axis=1).reshape(stack + flat_index.shape)
+
+
+def _gather(coeffs: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """coeffs[..., rows, cols] for the stack (..., R, C), rows and cols
+    broadcast against each other, through _take."""
+    return _take(coeffs, rows * coeffs.shape[-1] + cols)
 
 
 def _product_stack(left, rows, cols, coeffs: np.ndarray, n: int,
@@ -405,26 +402,23 @@ def _contract_scatter(n: int, p: int, q: int) -> tuple[np.ndarray, np.ndarray, n
     summing in array order adds the m terms of each entry in turn."""
     idxI, sgnI = _lift_table(n, p - 1)
     idxJ, sgnJ = _lift_table(n, q - 1)
-    cols_in, cols_out = comb(n, q), comb(n, q - 1)
-    src, dst, sign = [], [], []
-    for m in range(n):
-        rows = np.nonzero(idxI[:, m] >= 0)[0]
-        cols = np.nonzero(idxJ[:, m] >= 0)[0]
-        src.append((idxI[rows, m][:, None] * cols_in + idxJ[cols, m]).ravel())
-        dst.append((rows[:, None] * cols_out + cols).ravel())
-        sign.append(np.outer(sgnI[rows, m], sgnJ[cols, m]).ravel())
-    return tuple(np.concatenate(parts) for parts in (src, dst, sign))
+    # for each slot m (rows), the (p-1)- and (q-1)-subsets without m, ascending
+    rows = np.flatnonzero(idxI.T >= 0).reshape(n, -1) % len(idxI)
+    cols = np.flatnonzero(idxJ.T >= 0).reshape(n, -1) % len(idxJ)
+    m = np.arange(n)[:, None]
+    src = (idxI[rows, m] * comb(n, q))[:, :, None] + idxJ[cols, m][:, None, :]
+    dst = (rows * comb(n, q - 1))[:, :, None] + cols[:, None, :]
+    sign = sgnI[rows, m][:, :, None] * sgnJ[cols, m][:, None, :]
+    return src.ravel(), dst.ravel(), sign.ravel()
 
 
 def _contract_stack(coeffs: np.ndarray, n: int, p: int, q: int) -> np.ndarray:
     """Contraction of each (p,q) coefficient matrix of a stack
-    (..., C(n,p), C(n,q)): one gather and one scatter."""
+    (..., C(n,p), C(n,q)): one member-major take (_take) and one scatter."""
     src, dst, sign = _contract_scatter(n, p, q)
-    stack = coeffs.shape[:-2]
-    # one take along the last axis of the flattened members, member-major
-    terms = coeffs.reshape(prod(stack), coeffs.shape[-2] * coeffs.shape[-1]).take(src, axis=1)
+    terms = _take(coeffs, src)
     terms *= sign
-    return _scatter(dst, terms.reshape(stack + dst.shape), (comb(n, p - 1), comb(n, q - 1)))
+    return _scatter(dst, terms, (comb(n, p - 1), comb(n, q - 1)))
 
 
 def contract(w: DoubleForm) -> DoubleForm:
@@ -500,8 +494,7 @@ def _removal_table(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return idx, members
 
 
-#: Output entries in one block of rows of bianchi_map, at least one row;
-#: the block's three buffers stay small enough to sit in cache.
+#: Output entries in one block of rows of bianchi_map, at least one row.
 _BIANCHI_BLOCK = 2 ** 15
 
 
@@ -510,45 +503,32 @@ def _bianchi_stack(coeffs: np.ndarray, n: int, p: int, q: int) -> np.ndarray:
     (members, C(n,p), C(n,q)), see bianchi_map.
 
     Every output entry adds its terms in the order of j, one block of
-    output rows of every member at a time: the lift ranks and signs of each
-    term are rows of the transposed lift table, and its values one flat
-    gather from the stack, which is not copied.
+    output rows of every member at a time: term j of output row X and
+    column Y is w[X without x_j, x_j ^ Y], one member-major gather
+    (_gather) per block and j, with the lift ranks and signs of x_j ^ Y
+    read from the rows x_j of the transposed lift table.
     """
-    members, width = coeffs.shape[0], coeffs.shape[2]
-    out = np.zeros((members, comb(n, p + 1), comb(n, q - 1)))
+    out = np.zeros((len(coeffs), comb(n, p + 1), comb(n, q - 1)))
     rows, removed = _removal_table(n, p + 1)
     lift, lift_sign = _lift_table(n, q - 1)
-    # rows by the inserted x_j, so each position j gathers whole rows
-    lift, lift_sign = np.ascontiguousarray(lift.T), np.ascontiguousarray(lift_sign.T)
-    flat = coeffs.reshape(-1)
-    offsets = (np.arange(members) * (coeffs.shape[1] * width)).reshape(-1, 1, 1)
-    # where x_j lies in Y the lift rank is -1 and the sign 0: the index
-    # lands on the entry before the row (mode "wrap" reads -1 as the last
-    # entry and, unlike the default, gathers straight into the buffer).  A
-    # finite entry read there gives a zero term, which leaves the sum as it
-    # is; when the stack may hold a non-finite entry (its sum is not
+    # where x_j lies in Y the lift rank is -1 and the sign 0, so the term
+    # reads the entry before the row (the member's last entry at row 0).
+    # A finite entry read there gives a zero term, which leaves the sum as
+    # it is; when the stack may hold a non-finite entry (its sum is not
     # finite), those terms are set to zero, so that it cannot reach the sum
     with np.errstate(over="ignore", invalid="ignore"):
-        finite = bool(np.isfinite(flat.sum()))
-    step = max(1, _BIANCHI_BLOCK // max(1, members * out.shape[2]))
+        finite = bool(np.isfinite(coeffs.sum()))
+    step = max(1, _BIANCHI_BLOCK // max(1, len(coeffs) * out.shape[2]))
     for start in range(0, out.shape[1], step):
-        block = out[:, start:start + step]
-        block_rows, block_removed = rows[start:start + step], removed[start:start + step]
-        sign, index, terms = np.empty(block.shape[1:]), np.empty(block.shape, dtype=np.int64), np.empty(block.shape)
+        block = slice(start, start + step)
         for j in range(p + 1):
-            m = block_removed[:, j]
-            lift_sign.take(m, axis=0, out=sign, mode="wrap")
-            if j % 2 == 0:
-                np.negative(sign, out=sign)
-            # the first member's flat indices, then every other member's, offset
-            lift.take(m, axis=0, out=index[0], mode="wrap")
-            index[0] += block_rows[:, j, None] * width
-            index[1:] = index[0] + offsets[1:]
-            flat.take(index, out=terms, mode="wrap")
+            m = removed[block, j]
+            terms = _gather(coeffs, rows[block, j, None], lift.T[m])
+            sign = lift_sign.T[m]
             if not finite:
                 terms[:, sign == 0] = 0.0
-            terms *= sign
-            block += terms
+            terms *= -sign if j % 2 == 0 else sign
+            out[:, block] += terms
     return out
 
 

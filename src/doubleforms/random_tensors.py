@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .exterior import AlgebraContext
-from .forms import (BIANCHI_TOL, CurvatureTensor, DoubleForm, _check_curvature, _member_table,
+from .forms import (BIANCHI_TOL, CurvatureTensor, DoubleForm, _check_curvature, _gather, _member_table,
                     metric_power, metric_product)
 from .forms import kn_product  # noqa: F401  not called here; bench/tracing.py counts it in this module
 
@@ -50,20 +50,17 @@ def _sum_of_squares(H: np.ndarray, ctx: AlgebraContext) -> np.ndarray:
 
         out[ij,kl] = 2 (G[i,k,j,l] - G[i,l,j,k]),  G[i,k,j,l] = sum_t h_t[i,k] h_t[j,l],
 
-    with G one (n^2, terms) x (terms, n^2) product per member.  The
-    matrices are gathered member-major, so the stack is C-contiguous.
+    with G one (n^2, terms) x (terms, n^2) product per member, whose entry
+    G[i,k,j,l] sits at row i n + k and column j n + l.  The matrices are
+    gathered member-major (forms._gather), so the stack is C-contiguous.
     """
     n = ctx.n
     flat = H.reshape(len(H), -1, n * n)
-    G = (flat.transpose(0, 2, 1) @ flat).reshape(len(H), n ** 4)
+    G = flat.transpose(0, 2, 1) @ flat
     pairs = _member_table(n, 2)
     i, j = pairs[:, 0], pairs[:, 1]
-    ri, rj, ck, cl = i[:, None], j[:, None], i[None, :], j[None, :]
-
-    def gathered(a, b, c, d):  # G[:, a, b, c, d], gathered member-major from the flat G
-        return G.take(((a * n + b) * n + c) * n + d, axis=1)
-
-    out = 2.0 * (gathered(ri, ck, rj, cl) - gathered(ri, cl, rj, ck))
+    ri, rj, ck, cl = i[:, None] * n, j[:, None] * n, i[None, :], j[None, :]
+    out = 2.0 * (_gather(G, ri + ck, rj + cl) - _gather(G, ri + cl, rj + ck))
     return (out + out.transpose(0, 2, 1)) / 2.0
 
 

@@ -298,8 +298,9 @@ def _projected(form: DoubleForm, path) -> CurvatureTensor:
 @cached_table
 def bianchi_projector(n: int) -> np.ndarray:
     """Matrix of project_bianchi on vectorized (2,2) coefficient matrices,
-    one _project_stack call on the stack of unit matrices.  Column u is the
-    projection of unit matrix u, a row of that stack, so the matrix is the
-    stack's transpose, column-major: the one cached table not row-major."""
+    one _project_stack call on the stack of unit matrices.  Row u is the
+    projection of unit matrix u, a member of that stack; the projection is
+    orthogonal, so the matrix is symmetric (bit for bit, for every n the
+    package supports) and row u is also column u."""
     dim = math.comb(n, 2)
-    return _project_stack(np.eye(dim * dim).reshape(-1, dim, dim), n).reshape(dim * dim, -1).T
+    return _project_stack(np.eye(dim * dim).reshape(-1, dim, dim), n).reshape(dim * dim, -1)

@@ -114,15 +114,18 @@ class SuiteConfig:
     base_seed: int = 42
     identities: tuple[str, ...] | None = None
 
+    def _top(self) -> int:
+        """The largest dimension the run sweeps: --extended reaches 8."""
+        return max(8, self.n_max) if self.extended else self.n_max
+
     def dimensions(self) -> list[int]:
-        hi = max(8, self.n_max) if self.extended else self.n_max
-        return list(range(self.n_min, hi + 1))
+        return list(range(self.n_min, self._top() + 1))
 
     def validate(self) -> None:
         if not 4 <= self.n_min <= 10 or not 4 <= self.n_max <= 10:
             raise ValueError(f"dimension range must lie within [4, 10], got [{self.n_min}, {self.n_max}]")
         if not self.dimensions():
-            raise ValueError(f"empty dimension range [{self.n_min}, {self.n_max}]")
+            raise ValueError(f"empty dimension range [{self.n_min}, {self._top()}]")
         if self.seeds < 1:
             raise ValueError(f"seed count must be >= 1, got {self.seeds}")
         if self.trials < 1:

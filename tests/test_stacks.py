@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from doubleforms import clifford as cl
-from doubleforms import forms, tensorio, verify
+from doubleforms import forms, random_tensors, tensorio, verify
 from doubleforms import weitzenboeck as wz
 from doubleforms.cli import main
 from doubleforms.exterior import AlgebraContext
@@ -235,7 +235,8 @@ def test_clifford_stack_rejects_supports_of_different_sizes():
 
 
 #: The forms kernels the closed forms are built from.
-FORMS_KERNELS = {"_product_stack", "_metric_stack", "_contract_stack", "_star_stack", "_scatter", "_offset"}
+FORMS_KERNELS = {"_product_stack", "_metric_stack", "_contract_stack", "_star_stack", "_scatter", "_gather",
+                 "_take"}
 
 
 def test_oracle_shares_no_code_with_the_closed_forms():
@@ -246,6 +247,21 @@ def test_oracle_shares_no_code_with_the_closed_forms():
         names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
         assert not names & FORMS_KERNELS, func.__name__
     assert "_definition_stack" in inspect.getsource(wz.np_definition)
+
+
+#: The functions of forms and random_tensors that may call a take: _take,
+#: which reads every coefficient stack, and those that take on a table or
+#: on frames.
+TAKE_CALLERS = {"_take", "_split_tensor", "decomposable_coefficients"}
+
+
+@pytest.mark.parametrize("module", [forms, random_tensors], ids=lambda m: m.__name__)
+def test_only_take_reads_a_coefficient_stack(module):
+    tree = ast.parse(inspect.getsource(module))
+    callers = {func.name for func in tree.body if isinstance(func, ast.FunctionDef)
+               for node in ast.walk(func) if isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Attribute) and node.func.attr == "take"}
+    assert callers <= TAKE_CALLERS, sorted(callers - TAKE_CALLERS)
 
 
 @pytest.mark.parametrize("n, p, contracted", [(8, 4, False), (8, 4, True), (8, 6, True), (4, 2, False)])
@@ -285,13 +301,11 @@ def norm_stack():
     return np.array(members + [mixed, inf])
 
 
-@pytest.mark.parametrize("layout", ["C", "member-innermost", "column-major members"])
+@pytest.mark.parametrize("layout", ["C", "member-innermost"])
 def test_stacked_norms_equal_the_per_member_norms(layout):
     stack = norm_stack()
     if layout == "member-innermost":
         stack = np.ascontiguousarray(stack.transpose(1, 2, 0)).transpose(2, 0, 1)
-    elif layout == "column-major members":
-        stack = np.ascontiguousarray(stack.transpose(0, 2, 1)).transpose(0, 2, 1)
     assert_same_bits(forms._norms(stack), [forms._norm(m) for m in stack])
     assert_same_bits(forms._norms(stack[1:2]), [0.0])
 

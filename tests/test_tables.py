@@ -1,7 +1,8 @@
-"""The basis tables built from bit masks equal their loop references.
+"""The basis tables built as whole arrays equal their loop references.
 
-tests/oracles.py keeps the builders that made one Python pass per subset;
-every mask-built table must equal its reference in dtype, shape and values
+tests/oracles.py keeps the builders that made one Python pass per subset
+(per slot, for the contraction's table); every table must equal its
+reference in dtype, shape and values
 (sign bits included) at every degree for n <= 9, and at the degrees the
 CLI builds at n = 12.
 """
@@ -18,6 +19,7 @@ from doubleforms import forms, tensorio, weitzenboeck
 from doubleforms.exterior import MAX_DIMENSION, insertion_sign, mask_ranks, merge_sign, subset_masks
 from oracles import (
     loop_bianchi_projector,
+    loop_contract_scatter,
     loop_four_form_table,
     loop_lift_table,
     loop_mask_ranks,
@@ -51,6 +53,8 @@ def every_degree(n):
         yield "ad", (n, k)
         if k >= 1:
             yield "removal", (n, k)
+            for k2 in range(1, n + 1):
+                yield "contract", (n, k, k2)
         for k2 in range(n + 1):
             yield "split", (n, k, k2)
     yield "mask_ranks", (n,)
@@ -66,13 +70,14 @@ CLI_N12 = [
     ("member", (12, k)) for k in (3, 4, 5, 6, 7)
 ] + [("removal", (12, k)) for k in (3, 5, 6, 7)] + [
     ("ad", (12, p)) for p in (4, 5, 6)
-] + [("four_form", (12,)), ("mask_ranks", (12,))] + [("subset_masks", (12, k)) for k in range(9)]
+] + [("contract", (12, 6, 6)), ("four_form", (12,)), ("mask_ranks", (12,))] + [("subset_masks", (12, k)) for k in range(9)]
 
 TABLES = {
     "subset_masks": (subset_masks, loop_subset_masks),
     "mask_ranks": (mask_ranks, loop_mask_ranks),
     "split": (forms._split_tensor, loop_split_tensor),
     "lift": (forms._lift_table, loop_lift_table),
+    "contract": (forms._contract_scatter, loop_contract_scatter),
     "member": (forms._member_table, loop_member_table),
     "removal": (forms._removal_table, loop_removal_table),
     "four_form": (tensorio._four_form_table, loop_four_form_table),
@@ -96,6 +101,13 @@ def test_mask_tables_equal_loop_references_at_n12(name, args):
 @pytest.mark.parametrize("n", range(2, 9))
 def test_bianchi_projector_equals_the_per_unit_build(n):
     assert_same(tensorio.bianchi_projector(n), loop_bianchi_projector(n), n)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_bianchi_projector_is_symmetric_bit_for_bit(n):
+    # row u is the projection of unit matrix u; the symmetry makes it column u
+    P = tensorio.bianchi_projector(n)
+    assert np.array_equal(P, P.T) and np.array_equal(np.signbit(P), np.signbit(P.T)), n
 
 
 def test_complement_table_is_the_last_column_of_the_split():
@@ -180,9 +192,8 @@ def test_every_cached_table_is_read_only(label):
 @pytest.mark.parametrize("label", sorted(CACHED_TABLES))
 def test_every_cached_table_is_row_major(label):
     # the kernels build their index, cell and sign arrays from these tables,
-    # so a strided table makes every one of them strided too; the Bianchi
-    # projector, which no kernel indexes, keeps its documented transposed layout
+    # so a strided table makes every one of them strided too
     out = cached_functions()[label](*CACHED_TABLES[label])
     arrays = [a for a in (out if isinstance(out, tuple) else (out,)) if isinstance(a, np.ndarray)]
     for a in arrays:
-        assert a.flags.c_contiguous or label == "tensorio.bianchi_projector", (label, a.strides)
+        assert a.flags.c_contiguous, (label, a.strides)

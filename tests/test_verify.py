@@ -178,6 +178,16 @@ def test_extended_keeps_a_larger_n_max():
     assert SuiteConfig(extended=True, n_max=10).dimensions() == list(range(4, 11))
 
 
+def test_empty_range_names_the_range_the_run_sweeps(capsys):
+    # --extended sweeps up to max(8, n_max), so that is the range found empty
+    with pytest.raises(ValueError, match=r"empty dimension range \[9, 8\]"):
+        run_suite(SuiteConfig(n_min=9, extended=True))
+    assert main(["verify", "--extended", "--n-min", "9"]) == 2
+    assert capsys.readouterr().err == "error: empty dimension range [9, 8]\n"
+    with pytest.raises(ValueError, match=r"empty dimension range \[9, 6\]"):
+        run_suite(SuiteConfig(n_min=9))
+
+
 @pytest.mark.parametrize("args, message", [
     (["--tol", "inf"], "tolerance must be finite and positive, got inf"),
     (["--tol", "nan"], "tolerance must be finite and positive, got nan"),
