@@ -21,15 +21,16 @@ form of the Weitzenboeck operators, pass the whole diagonal of
 g^k = k! I (metric_product), selected without copying table rows.
 
 The basis tables (_split_tensor, _lift_table, _contract_scatter,
-_member_table, _removal_table), cached read-only through
-exterior.cached_table, are row-major (C-contiguous) arrays, so the index,
-cell and sign arrays the kernels build from them are too.  Each is built
-as whole arrays, with no Python loop over subsets or slots, from the bit
-masks of exterior.subset_masks: unions and removals are mask operations,
-ranks are read off exterior.mask_ranks, and the signs come from the
-broadcasting merge_sign (the shuffle table) and insertion_sign (the lift
-table behind contraction), so the product's table shares no code with the
-contraction's.
+_member_table), cached read-only through exterior.cached_table, are
+row-major (C-contiguous) arrays, so the index, cell and sign arrays the
+kernels build from them are too.  Each is built as whole arrays, with no
+Python loop over subsets or slots, from the bit masks of
+exterior.subset_masks: unions and removals are mask operations, ranks are
+read off exterior.mask_ranks, and the signs come from the broadcasting
+merge_sign (the shuffle table) and insertion_sign (the lift table behind
+contraction and the Bianchi map), so the product's table shares no code
+with the contraction's.  The lift table is slot-major, one row per slot
+m, and _contract_scatter and _bianchi_stack both read it by rows.
 
 metric_product, contract and star each run one private array kernel
 (_metric_stack, _contract_stack, _star_stack) that takes a stack of
@@ -387,9 +388,11 @@ def metric_product(k: int, w: DoubleForm) -> DoubleForm:
 
 @cached_table
 def _lift_table(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rank and sign of e_m ^ e_I over k-subsets I; -1 marks m in I."""
-    I = subset_masks(n, k)[:, None]
-    m = np.arange(1, n + 1)
+    """Rank and sign of e_m ^ e_I, slot-major: one row per slot m, one
+    column per k-subset I; rank -1 and sign 0 where m lies in I.  Both the
+    contraction and the Bianchi map read it one slot m, a row, at a time."""
+    I = subset_masks(n, k)
+    m = np.arange(1, n + 1)[:, None]
     sgn = insertion_sign(m, I).astype(float)
     idx = np.where(sgn != 0, mask_ranks(n)[I | (1 << (m - 1))], -1)
     return idx, sgn
@@ -403,12 +406,12 @@ def _contract_scatter(n: int, p: int, q: int) -> tuple[np.ndarray, np.ndarray, n
     idxI, sgnI = _lift_table(n, p - 1)
     idxJ, sgnJ = _lift_table(n, q - 1)
     # for each slot m (rows), the (p-1)- and (q-1)-subsets without m, ascending
-    rows = np.flatnonzero(idxI.T >= 0).reshape(n, -1) % len(idxI)
-    cols = np.flatnonzero(idxJ.T >= 0).reshape(n, -1) % len(idxJ)
+    rows = np.flatnonzero(idxI >= 0).reshape(n, -1) % idxI.shape[1]
+    cols = np.flatnonzero(idxJ >= 0).reshape(n, -1) % idxJ.shape[1]
     m = np.arange(n)[:, None]
-    src = (idxI[rows, m] * comb(n, q))[:, :, None] + idxJ[cols, m][:, None, :]
+    src = (idxI[m, rows] * comb(n, q))[:, :, None] + idxJ[m, cols][:, None, :]
     dst = (rows * comb(n, q - 1))[:, :, None] + cols[:, None, :]
-    sign = sgnI[rows, m][:, :, None] * sgnJ[cols, m][:, None, :]
+    sign = sgnI[m, rows][:, :, None] * sgnJ[m, cols][:, None, :]
     return src.ravel(), dst.ravel(), sign.ravel()
 
 
@@ -486,14 +489,6 @@ def _member_table(n: int, k: int) -> np.ndarray:
     return (np.flatnonzero((masks[:, None] >> np.arange(n)) & 1) % n).reshape(len(masks), k)
 
 
-@cached_table
-def _removal_table(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """For each k-subset X and position j: rank of X without x_j, and x_j - 1."""
-    members = _member_table(n, k)
-    idx = mask_ranks(n)[subset_masks(n, k)[:, None] ^ (1 << members)]
-    return idx, members
-
-
 #: Output entries in one block of rows of bianchi_map, at least one row.
 _BIANCHI_BLOCK = 2 ** 15
 
@@ -505,11 +500,14 @@ def _bianchi_stack(coeffs: np.ndarray, n: int, p: int, q: int) -> np.ndarray:
     Every output entry adds its terms in the order of j, one block of
     output rows of every member at a time: term j of output row X and
     column Y is w[X without x_j, x_j ^ Y], one member-major gather
-    (_gather) per block and j, with the lift ranks and signs of x_j ^ Y
-    read from the rows x_j of the transposed lift table.
+    (_gather) per block and j.  x_j comes from the member table, the rank
+    of X without x_j from one mask XOR read through mask_ranks, and the
+    lift ranks and signs of x_j ^ Y are the contiguous rows x_j of the
+    slot-major lift table.
     """
     out = np.zeros((len(coeffs), comb(n, p + 1), comb(n, q - 1)))
-    rows, removed = _removal_table(n, p + 1)
+    removed = _member_table(n, p + 1)
+    rows = mask_ranks(n)[subset_masks(n, p + 1)[:, None] ^ (1 << removed)]
     lift, lift_sign = _lift_table(n, q - 1)
     # where x_j lies in Y the lift rank is -1 and the sign 0, so the term
     # reads the entry before the row (the member's last entry at row 0).
@@ -523,8 +521,8 @@ def _bianchi_stack(coeffs: np.ndarray, n: int, p: int, q: int) -> np.ndarray:
         block = slice(start, start + step)
         for j in range(p + 1):
             m = removed[block, j]
-            terms = _gather(coeffs, rows[block, j, None], lift.T[m])
-            sign = lift_sign.T[m]
+            terms = _gather(coeffs, rows[block, j, None], lift[m])
+            sign = lift_sign[m]
             if not finite:
                 terms[:, sign == 0] = 0.0
             terms *= -sign if j % 2 == 0 else sign
@@ -601,7 +599,7 @@ def orthonormalize(vectors) -> np.ndarray:
     F = np.array([np.asarray(v, dtype=float) for v in vectors]).T
     if F.ndim != 2:
         F = F.reshape(F.shape[0], -1)
-    out, dependent = _orthonormal_stack(F.T[None])
+    out, dependent = _orthonormal_stack(F[None].transpose(0, 2, 1))
     if dependent[0] >= 0:
         raise ValueError(f"degenerate plane: vector {dependent[0]} is dependent on the span")
     return out[0]

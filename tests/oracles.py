@@ -195,10 +195,10 @@ def loop_contract(w: DoubleForm) -> np.ndarray:
     idxJ, sgnJ = _lift_table(n, w.q - 1)
     out = np.zeros((comb(n, w.p - 1), comb(n, w.q - 1)))
     for m in range(n):
-        vi = idxI[:, m] >= 0
-        vj = idxJ[:, m] >= 0
-        block = w.coeffs[np.ix_(idxI[vi, m], idxJ[vj, m])]
-        out[np.ix_(vi, vj)] += np.outer(sgnI[vi, m], sgnJ[vj, m]) * block
+        vi = idxI[m] >= 0
+        vj = idxJ[m] >= 0
+        block = w.coeffs[np.ix_(idxI[m, vi], idxJ[m, vj])]
+        out[np.ix_(vi, vj)] += np.outer(sgnI[m, vi], sgnJ[m, vj]) * block
     return out
 
 
@@ -331,16 +331,17 @@ def loop_split_tensor(n: int, p1: int, p2: int):
 
 
 def loop_lift_table(n: int, k: int):
-    """forms._lift_table: rank and sign of e_m ^ e_I; -1 and 0 for m in I."""
+    """forms._lift_table: rank and sign of e_m ^ e_I, one row per slot m;
+    -1 and 0 for m in I."""
     subs, big = _lex(n, k), _lex_ranks(n, k + 1)
-    idx = np.full((len(subs), n), -1, dtype=np.int64)
-    sgn = np.zeros((len(subs), n))
+    idx = np.full((n, len(subs)), -1, dtype=np.int64)
+    sgn = np.zeros((n, len(subs)))
     for r, I in enumerate(subs):
         for m in range(1, n + 1):
             s = tuple_insertion_sign(m, I)
             if s is not None:
-                idx[r, m - 1] = big[tuple(sorted(I + (m,)))]
-                sgn[r, m - 1] = s
+                idx[m - 1, r] = big[tuple(sorted(I + (m,)))]
+                sgn[m - 1, r] = s
     return idx, sgn
 
 
@@ -352,26 +353,17 @@ def loop_contract_scatter(n: int, p: int, q: int):
     cols_in, cols_out = comb(n, q), comb(n, q - 1)
     src, dst, sign = [], [], []
     for m in range(n):
-        rows = np.nonzero(idxI[:, m] >= 0)[0]
-        cols = np.nonzero(idxJ[:, m] >= 0)[0]
-        src.append((idxI[rows, m][:, None] * cols_in + idxJ[cols, m]).ravel())
+        rows = np.nonzero(idxI[m] >= 0)[0]
+        cols = np.nonzero(idxJ[m] >= 0)[0]
+        src.append((idxI[m, rows][:, None] * cols_in + idxJ[m, cols]).ravel())
         dst.append((rows[:, None] * cols_out + cols).ravel())
-        sign.append(np.outer(sgnI[rows, m], sgnJ[cols, m]).ravel())
+        sign.append(np.outer(sgnI[m, rows], sgnJ[m, cols]).ravel())
     return tuple(np.concatenate(parts) for parts in (src, dst, sign))
 
 
 def loop_member_table(n: int, k: int) -> np.ndarray:
     subs = _lex(n, k)
     return np.array(subs, dtype=np.int64).reshape(len(subs), k) - 1
-
-
-def loop_removal_table(n: int, k: int):
-    """forms._removal_table: per k-subset X and position j, the rank of X
-    without x_j and x_j - 1."""
-    small = _lex_ranks(n, k - 1)
-    subs = _lex(n, k)
-    idx = np.array([[small[X[:j] + X[j + 1:]] for j in range(k)] for X in subs], dtype=np.int64)
-    return idx.reshape(len(subs), k), loop_member_table(n, k)
 
 
 def loop_four_form_table(n: int) -> np.ndarray:

@@ -264,6 +264,16 @@ def test_only_take_reads_a_coefficient_stack(module):
     assert callers <= TAKE_CALLERS, sorted(callers - TAKE_CALLERS)
 
 
+def test_forms_subscripts_no_transposed_array():
+    # rows of a transposed table are strided reads; each table is stored in
+    # the order its kernels read it, so none is read through .T
+    tree = ast.parse(inspect.getsource(forms))
+    readers = {func.name for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+               for node in ast.walk(func) if isinstance(node, ast.Subscript)
+               and isinstance(node.value, ast.Attribute) and node.value.attr == "T"}
+    assert not readers, sorted(readers)
+
+
 @pytest.mark.parametrize("n, p, contracted", [(8, 4, False), (8, 4, True), (8, 6, True), (4, 2, False)])
 def test_stack_size_bounds_the_gathered_terms(n, p, contracted):
     size = verify._stack_size(n, p, contracted)

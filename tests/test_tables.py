@@ -24,7 +24,6 @@ from oracles import (
     loop_lift_table,
     loop_mask_ranks,
     loop_member_table,
-    loop_removal_table,
     loop_split_tensor,
     loop_subset_masks,
     sorted_ad_table,
@@ -52,7 +51,6 @@ def every_degree(n):
         yield "member", (n, k)
         yield "ad", (n, k)
         if k >= 1:
-            yield "removal", (n, k)
             for k2 in range(1, n + 1):
                 yield "contract", (n, k, k2)
         for k2 in range(n + 1):
@@ -68,7 +66,7 @@ CLI_N12 = [
     for p1, p2 in ((1, 1), (2, 2), (3, 2), (4, 2), (4, 8), (5, 2), (5, 7), (6, 2), (6, 6))
 ] + [("lift", (12, k)) for k in (0, 1, 3, 4, 5)] + [
     ("member", (12, k)) for k in (3, 4, 5, 6, 7)
-] + [("removal", (12, k)) for k in (3, 5, 6, 7)] + [
+] + [
     ("ad", (12, p)) for p in (4, 5, 6)
 ] + [("contract", (12, 6, 6)), ("four_form", (12,)), ("mask_ranks", (12,))] + [("subset_masks", (12, k)) for k in range(9)]
 
@@ -79,7 +77,6 @@ TABLES = {
     "lift": (forms._lift_table, loop_lift_table),
     "contract": (forms._contract_scatter, loop_contract_scatter),
     "member": (forms._member_table, loop_member_table),
-    "removal": (forms._removal_table, loop_removal_table),
     "four_form": (tensorio._four_form_table, loop_four_form_table),
     "ad": (weitzenboeck._ad_table, sorted_ad_table),
 }
@@ -155,7 +152,6 @@ CACHED_TABLES = {
     "forms._contract_scatter": (5, 2, 2),
     "forms._complement_table": (5, 2),
     "forms._member_table": (5, 2),
-    "forms._removal_table": (5, 2),
     "clifford._lower_parity": (5, 3),
     "clifford._sign_masks": (5,),
     "tensorio._four_form_table": (5,),
