@@ -41,7 +41,7 @@ class AlgebraContext:
     n: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or not 1 <= self.n <= MAX_DIMENSION:
+        if isinstance(self.n, bool) or not isinstance(self.n, int) or not 1 <= self.n <= MAX_DIMENSION:
             raise ValueError(
                 f"dimension must be an integer in [1, {MAX_DIMENSION}], got {self.n!r}"
             )

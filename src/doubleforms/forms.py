@@ -45,8 +45,10 @@ _contract_scatter.  The DoubleForm functions pass a stack of one; a
 stacked call gives every member the same terms, summed in the same order,
 so its bits equal a single call's.  The checks of CurvatureTensor
 (_check_curvature) take stacks the same way, so the suite checks a whole
-stack of random curvature tensors in one call, and _norms takes the norm
-of each row-major member of a stack with _norm's bits.
+stack of random curvature tensors in one call.  The norm and the Frobenius
+pairing have one stacked kernel each, _norms and _pair_sums, which take
+each row-major member along one contiguous row; DoubleForm.norm (_norm)
+and inner run them on a stack of one.
 
 Forms are evaluated on planes by one function, plane_values: the values
 v.W.v on a stack of orthonormal frames, v the frame's p x p minors.
@@ -57,7 +59,7 @@ plane checks all call it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, factorial, frexp, ldexp, prod
+from math import comb, factorial, frexp, prod
 
 import numpy as np
 
@@ -104,39 +106,35 @@ def _exponent(coeffs: np.ndarray) -> int:
     return frexp(float(np.max(np.abs(coeffs), initial=0.0)))[1]
 
 
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The dot product of each row of a with the same row of b, (count, n)
+    stacks: one stacked matmul, which takes each row pair's BLAS dot
+    product with the rows' own strides, as np.dot of the two rows does."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
 def _norm(coeffs: np.ndarray) -> float:
-    """The Frobenius norm of a coefficient matrix, as DoubleForm.norm."""
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(coeffs))
-    if (norm == np.inf and np.isfinite(coeffs).all()) or (norm < _TINY_NORM and coeffs.any()):
-        shift = _exponent(coeffs)
-        try:
-            norm = ldexp(float(np.linalg.norm(np.ldexp(coeffs, -shift))), shift)
-        except OverflowError:
-            pass
-    return norm
+    """The Frobenius norm of a coefficient matrix or vector, as
+    DoubleForm.norm: _norms on a stack of one."""
+    return float(_norms(np.reshape(coeffs, (1, 1, -1)))[0])
 
 
 def _norms(stack: np.ndarray) -> np.ndarray:
-    """_norm of each coefficient matrix of a stack (members, rows, cols),
-    with its bits.  np.linalg.norm is the square root of a BLAS dot product
-    of the matrix's entries raveled in memory order into a contiguous
-    vector; here each member is raveled the same way, into one contiguous
-    row per member, and a stacked matmul of each row by its column takes
-    the members' dot products.  The members that _norm rescales, whose norm
-    is inf on finite entries or below _TINY_NORM on nonzero ones, are taken
-    by _norm itself.  The members must be row-major, as every stack the
-    kernels build is: np.linalg.norm ravels a column-major matrix by
-    columns, an order of the squares that these rows do not keep."""
+    """The Frobenius norm of each row-major member of a stack (members, rows,
+    cols): the square root of the BLAS dot product (_dots) of its entries in
+    one contiguous row.  Members whose sum of squares is inf on finite
+    entries, or below _TINY_NORM on nonzero ones, are scaled together by
+    2**-e, e the exponent of each one's largest entry, and scaled back."""
     flat = np.ascontiguousarray(stack).reshape(len(stack), stack.shape[1] * stack.shape[2])
     with np.errstate(over="ignore"):
-        norms = np.sqrt(np.matmul(flat[:, None, :], flat[:, :, None]).ravel())
-    rescue = norms == np.inf
-    tiny = norms < _TINY_NORM
-    if tiny.any():
-        rescue |= tiny & flat.any(axis=1)
-    for m in np.flatnonzero(rescue):
-        norms[m] = _norm(stack[m])
+        norms = np.sqrt(_dots(flat, flat))
+        rescue = np.flatnonzero((norms == np.inf) | (norms < _TINY_NORM))
+        if rescue.size:
+            big = np.max(np.abs(flat[rescue]), axis=1, initial=0.0)
+            finite = (big > 0) & (big < np.inf)
+            rescue, shift = rescue[finite], np.frexp(big[finite])[1]
+            scaled = np.ldexp(flat[rescue], -shift[:, None])
+            norms[rescue] = np.ldexp(np.sqrt(_dots(scaled, scaled)), shift)
     return norms
 
 
@@ -446,13 +444,21 @@ def contract_iter(w: DoubleForm, k: int) -> DoubleForm:
 # -- inner product, Hodge star ------------------------------------------
 
 
+def _pair_sums(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The Frobenius pairing sum(a * b) of each pair of row-major members of
+    two stacks, summed along one contiguous row per member."""
+    products = np.ascontiguousarray(A * B)
+    return products.reshape(len(A), -1).sum(axis=1)
+
+
 def inner(w1: DoubleForm, w2: DoubleForm) -> float:
-    """Canonical scalar product; blocks of different degree are orthogonal."""
+    """Canonical scalar product (_pair_sums on a stack of one); blocks of
+    different degree are orthogonal."""
     if w1.ctx != w2.ctx:
         raise ValueError(f"context mismatch: n={w1.ctx.n} vs n={w2.ctx.n}")
     if w1.degree != w2.degree:
         return 0.0
-    return float(np.sum(w1.coeffs * w2.coeffs))
+    return float(_pair_sums(w1.coeffs[None], w2.coeffs[None])[0])
 
 
 @cached_table
@@ -556,13 +562,6 @@ def bianchi_residual(w: DoubleForm) -> float:
 _PIVOT_TOL = 1e-8
 
 
-def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The dot product of each row of a with the same row of b, (count, n)
-    stacks: one stacked matmul, which takes each row pair's BLAS dot
-    product with the rows' own strides, as np.dot of the two rows does."""
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
-
-
 def _orthonormal_stack(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Modified Gram-Schmidt on each member of a stack (count, p, n) of p
     vectors: the frames (count, n, p) with orthonormal columns, and for each
@@ -592,13 +591,20 @@ def _orthonormal_stack(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def orthonormalize(vectors) -> np.ndarray:
     """Modified Gram-Schmidt; returns an n x p matrix with orthonormal columns
-    (_orthonormal_stack on a stack of one).
+    (_orthonormal_stack on a stack of one).  Each vector is first scaled by
+    2**-e, e the exponent of its largest entry, which is exact and spans
+    the same plane, so vectors of any finite scale give the frame of their
+    directions.
 
-    Raises ValueError when the input is (numerically) rank deficient.
+    Raises ValueError when a vector has a non-finite entry or the input is
+    (numerically) rank deficient.
     """
     F = np.array([np.asarray(v, dtype=float) for v in vectors]).T
     if F.ndim != 2:
         F = F.reshape(F.shape[0], -1)
+    if not np.isfinite(F).all():
+        raise ValueError("spanning vectors must have finite entries")
+    F = np.ldexp(F, -np.frexp(np.max(np.abs(F), axis=0, initial=0.0))[1])
     out, dependent = _orthonormal_stack(F[None].transpose(0, 2, 1))
     if dependent[0] >= 0:
         raise ValueError(f"degenerate plane: vector {dependent[0]} is dependent on the span")

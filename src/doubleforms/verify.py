@@ -15,10 +15,11 @@ oracle and of each closed form per stack (the private _*_stack kernels of
 forms, weitzenboeck and random_tensors), where the per-form functions run
 the same kernels on a stack of one.  The kernels gather member-major, so
 their stacks are C-contiguous.  Each member adds its terms in the order a
-stack of one would, and its norms (forms._norms) and pairing sums
-(_pair_sums) are its own, taken along the last axis of the flattened
-members, so every record is the one a per-seed loop gives.  A stack holds
-at most _stack_size(n, p) seeds, which bounds its temporaries.  The
+stack of one would, and its norms and pairing sums are its own, taken
+along the last axis of the flattened members by the kernels of
+DoubleForm.norm and forms.inner (forms._norms and forms._pair_sums), so
+every record is the one a per-seed loop gives.  A stack holds at most
+_stack_size(n, p) seeds, which bounds its temporaries.  The
 sampled trials of contraction_adjoint and star_contraction run the same
 way, in blocks that keep the terms each kernel call gathers within
 _TRIAL_TERMS; the plane checks take their minors in stacked determinants
@@ -72,6 +73,7 @@ from .forms import (
     _metric_stack,
     _norm,
     _norms,
+    _pair_sums,
     _star_stack,
     contract,
     contract_iter,
@@ -274,15 +276,6 @@ def _rels(actual: np.ndarray, expected: np.ndarray) -> list[float]:
     """|actual - expected| / max(|expected|, 1) for each member of two stacks
     of coefficient matrices, with the norm of DoubleForm.norm (_norms)."""
     return _ratios(_norms(actual - expected), _norms(expected)).tolist()
-
-
-def _pair_sums(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """The Frobenius pairing sum(a * b) of each pair of members of two
-    stacks of row-major members: the products, made C-contiguous, are
-    summed along the last axis of the flattened members, which adds each
-    member's products in the order of a sum over that member alone."""
-    products = np.ascontiguousarray(A * B)
-    return products.reshape(len(A), -1).sum(axis=1)
 
 
 def _largest(values) -> float:

@@ -42,11 +42,11 @@ from .forms import (
     _contract_stack,
     _exponent,
     _metric_stack,
+    _norm,
     _orthonormal_stack,
     as_form22,
     kn_product,  # noqa: F401  not called here; bench/tracing.py counts it in this module
     metric_product,
-    orthonormalize,
     plane_values,
     star,
 )
@@ -392,31 +392,32 @@ def sample_frames(rng: np.random.Generator, n: int, p: int, count: int) -> np.nd
     """Orthonormal bases of count random p-planes, shape (count, n, p).
 
     Each plane is drawn from rng in turn, as p Gaussian vectors that are
-    orthonormalized, and drawn again while they are near-degenerate.  The
-    planes' vectors are drawn in one call, which takes the numbers the
-    draws in turn would, and orthonormalized as one stack
-    (forms._orthonormal_stack); should one of them be near-degenerate, rng
-    is reset and the planes are drawn one at a time.  The 0-plane is the
-    empty (n, 0) frame and draws nothing; p > n raises ValueError.
+    orthonormalized, and drawn again while they are near-degenerate;
+    _PLANE_TRIES degenerate draws in a row raise RuntimeError.  The draws
+    the planes still need are made in one call, which takes the numbers
+    the draws in turn would, and orthonormalized as one stack
+    (forms._orthonormal_stack); the nondegenerate ones are kept in order,
+    and only the planes still missing are drawn again, so each plane gets
+    the numbers of its own draw.  The 0-plane is the empty (n, 0) frame
+    and draws nothing; p > n and a negative count raise ValueError.
     """
     if p > n:
         raise ValueError(f"no {p}-plane in dimension {n}")
+    if count < 0:
+        raise ValueError(f"the number of planes must be non-negative, got {count}")
     if p == 0:
         return np.zeros((count, n, 0))
-    state = rng.bit_generator.state
-    frames, dependent = _orthonormal_stack(rng.standard_normal((count, p, n)))
-    if (dependent < 0).all():
-        return frames
-    rng.bit_generator.state = state
-    for frame in frames:
-        for _ in range(_PLANE_TRIES):
-            try:
-                frame[:] = orthonormalize(rng.standard_normal((p, n)))
-                break
-            except ValueError:
-                continue  # resample near-degenerate draws
-        else:
+    frames, done, misses = np.empty((count, n, p)), 0, 0
+    while done < count:
+        drawn, dependent = _orthonormal_stack(rng.standard_normal((count - done, p, n)))
+        kept = np.flatnonzero(dependent < 0)
+        # degenerate draws in a row before each kept draw (the first run goes
+        # on from the last call's) and after the last one
+        runs = np.diff(np.concatenate(([-1 - misses], kept, [len(drawn)]))) - 1
+        if runs.max() >= _PLANE_TRIES:
             raise RuntimeError("failed to sample a nondegenerate plane")
+        frames[done:done + kept.size] = drawn[kept]
+        done, misses = done + kept.size, runs[-1]
     return frames
 
 
@@ -440,7 +441,7 @@ def spectrum(w_pp: DoubleForm, sample_planes: int = 100, seed: int = 0) -> Spect
     shift = max(_exponent(mat), 0)
     scaled = np.ldexp(mat, -shift)
     skew = np.max(np.abs(scaled - scaled.T), initial=0.0)
-    if skew > 1e-12 * max(np.linalg.norm(scaled), ldexp(1.0, -shift)):
+    if skew > 1e-12 * max(_norm(scaled), ldexp(1.0, -shift)):
         with np.errstate(over="ignore"):  # the skew as printed is inf past the float range
             skew = float(np.max(np.abs(mat - mat.T)))
         raise ValueError(f"operator matrix not symmetric: max skew {skew:.3e}")

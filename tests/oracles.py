@@ -10,13 +10,13 @@ LAPACK wrappers.
 
 import itertools
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, ldexp
 
 import numpy as np
 
 from doubleforms import clifford as cl
 from doubleforms.exterior import AlgebraContext, subsets
-from doubleforms.forms import DoubleForm, _lift_table
+from doubleforms.forms import _TINY_NORM, DoubleForm, _exponent, _lift_table
 from doubleforms.tensorio import project_bianchi
 
 
@@ -403,3 +403,19 @@ def sorted_ad_table(n: int, p: int):
     order = keep[np.argsort(target, kind="stable")]
     shape = (len(sources), p * (n - p))
     return src[order].reshape(shape), pair[order].reshape(shape), coef[order].reshape(shape)
+
+
+def loop_norm(coeffs: np.ndarray) -> float:
+    """The Frobenius norm of one coefficient matrix by np.linalg.norm,
+    rescaled by 2**-e, e the exponent of the largest entry, when the sum of
+    squares is inf on finite entries or below _TINY_NORM on nonzero ones:
+    the rule of DoubleForm.norm, one matrix at a time."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(coeffs))
+    if (norm == np.inf and np.isfinite(coeffs).all()) or (norm < _TINY_NORM and coeffs.any()):
+        shift = _exponent(coeffs)
+        try:
+            norm = ldexp(float(np.linalg.norm(np.ldexp(coeffs, -shift))), shift)
+        except OverflowError:
+            pass
+    return norm

@@ -88,6 +88,12 @@ def test_context_bounds():
         AlgebraContext(13)
 
 
+def test_context_rejects_booleans():
+    # True is an int equal to 1, but no dimension, as validate_index holds too
+    with pytest.raises(ValueError, match="dimension must be an integer"):
+        AlgebraContext(True)
+
+
 def test_wedge_examples():
     assert merge_sign((1,), (2,)) == 1
     assert merge_sign((2,), (1,)) == -1

@@ -625,6 +625,27 @@ def test_sectional_degenerate_span():
         sectional(w, [v])  # wrong count for a (2,2) form
 
 
+def test_sectional_takes_spans_at_any_scale():
+    # each vector is scaled by a power of two before Gram-Schmidt, so no
+    # square overflows or underflows and no scale reads as degenerate
+    w = metric_power(2, AlgebraContext(4))
+
+    def value(s):
+        return sectional(w, [[s, 0, 0, 0], [0, s, 0, 0]])
+
+    unit = value(1.0)
+    for k in (-700, -30, 30, 600):
+        assert np.float64(value(2.0 ** k)).view(np.int64) == np.float64(unit).view(np.int64), k
+    assert value(1e-9) == 2.0 and value(1e200) == 2.0 and value(1e155) == 2.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sectional_rejects_non_finite_spans(bad):
+    w = metric_power(2, AlgebraContext(4))
+    with pytest.raises(ValueError, match="finite entries"):
+        sectional(w, [[bad, 0, 0, 0], [0, 1, 0, 0]])
+
+
 def test_sectional_needs_n_coordinates():
     w = metric_power(2, AlgebraContext(4))
     for span in ([[1, 0, 0, 0, 5], [0, 1, 0, 0, 0]], [[1, 0, 0], [0, 1, 0]], [[1, 0, 0, 0], [[0], [1], [0], [0]]]):

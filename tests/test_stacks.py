@@ -23,6 +23,7 @@ from doubleforms.exterior import AlgebraContext
 from doubleforms.forms import BianchiViolation, CurvatureTensor, DoubleForm, bianchi_map
 from doubleforms.random_tensors import _curvature_stack, _factors, _sum_of_squares, random_bianchi_22
 from doubleforms.tensorio import save_form
+from oracles import loop_norm
 
 
 def assert_same_bits(got, want, label=""):
@@ -297,7 +298,7 @@ def test_suite_records_do_not_depend_on_the_stack_size(monkeypatch):
 
 
 def norm_stack():
-    """Members that take each path of _norm: ordinary, zero, -0.0, all
+    """Members that take each path of the norm: ordinary, zero, -0.0, all
     subnormal (rescaled up), near the float range (rescaled down), one
     non-finite, and one mixing tiny and large entries."""
     rng = np.random.default_rng(5)
@@ -316,8 +317,32 @@ def test_stacked_norms_equal_the_per_member_norms(layout):
     stack = norm_stack()
     if layout == "member-innermost":
         stack = np.ascontiguousarray(stack.transpose(1, 2, 0)).transpose(2, 0, 1)
-    assert_same_bits(forms._norms(stack), [forms._norm(m) for m in stack])
+    assert_same_bits(forms._norms(stack), [loop_norm(m) for m in stack])
     assert_same_bits(forms._norms(stack[1:2]), [0.0])
+    assert_same_bits([forms._norm(m) for m in stack], [loop_norm(m) for m in stack])
+    assert_same_bits([forms._norm(m.ravel()) for m in stack], [loop_norm(m.ravel()) for m in stack])
+
+
+@pytest.mark.parametrize("module", [forms, tensorio, wz], ids=lambda m: m.__name__)
+def test_norms_come_from_one_kernel(module):
+    # every norm of these modules is forms._norms; the Clifford layer and
+    # verify's Clifford-vector checks are the independent layer, and keep
+    # np.linalg.norm
+    tree = ast.parse(inspect.getsource(module))
+    callers = {func.name for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+               for node in ast.walk(func) if isinstance(node, ast.Attribute) and node.attr == "norm"
+               and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"}
+    assert not callers, sorted(callers)
+
+
+def test_sample_frames_reads_no_bit_generator():
+    # a degenerate draw is drawn again from the numbers that follow, never by
+    # resetting the generator's state
+    tree = ast.parse(inspect.getsource(wz.sample_frames))
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    read = names & {"bit_generator", "orthonormalize"}
+    assert not read, sorted(read)
 
 
 @pytest.mark.parametrize("n", range(4, 8))

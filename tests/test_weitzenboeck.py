@@ -593,12 +593,21 @@ def test_sampled_planes_need_p_at_most_n():
     assert wz.sample_frames(np.random.default_rng(0), 4, 0, 2).shape == (2, 4, 0)
 
 
+def test_sampled_planes_need_a_non_negative_count():
+    # refused before any draw; no planes is an empty stack
+    rng = ScriptedGenerator(np.zeros(0))
+    with pytest.raises(ValueError, match="number of planes must be non-negative, got -1"):
+        wz.sample_frames(rng, 4, 2, -1)
+    assert rng.state == 0
+    assert wz.sample_frames(rng, 4, 2, 0).shape == (0, 4, 2) and rng.state == 0
+
+
 class ScriptedGenerator:
     """A generator whose standard_normal hands out a fixed sequence of
-    numbers in order; its bit_generator.state is the position reached."""
+    numbers in order; state is the position reached."""
 
     def __init__(self, numbers):
-        self.numbers, self.state, self.bit_generator = numbers, 0, self
+        self.numbers, self.state = numbers, 0
 
     def standard_normal(self, shape):
         size = int(np.prod(shape))
@@ -629,6 +638,23 @@ def test_a_degenerate_draw_is_drawn_again_in_turn():
     assert rng.state == draws.size
     with pytest.raises(RuntimeError, match="failed to sample"):
         wz.sample_frames(ScriptedGenerator(np.ones(wz._PLANE_TRIES * p * n)), n, p, 1)
+
+
+@pytest.mark.parametrize("misses", [wz._PLANE_TRIES - 1, wz._PLANE_TRIES])
+def test_degenerate_draws_in_a_row_are_counted_across_calls(misses):
+    # plane 0 takes draw 0; plane 1 needs misses more draws, one per call,
+    # and _PLANE_TRIES of them in a row raise
+    n, p = 4, 2
+    draws = np.random.default_rng(1).standard_normal((misses + 2, p, n))
+    draws[1:-1, 1] = draws[1:-1, 0]
+    rng = ScriptedGenerator(draws.ravel())
+    if misses < wz._PLANE_TRIES:
+        got = wz.sample_frames(rng, n, p, 2)
+        want = np.array([orthonormalize(draws[0]), orthonormalize(draws[-1])])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)) and rng.state == draws.size
+    else:
+        with pytest.raises(RuntimeError, match="failed to sample"):
+            wz.sample_frames(rng, n, p, 2)
 
 
 def test_spectrum_without_samples_draws_no_generator(monkeypatch):
