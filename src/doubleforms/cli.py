@@ -29,8 +29,9 @@ from itertools import chain
 
 import numpy as np
 
+from .exterior import _per_block
 from .forms import bianchi_residual, contract_iter, plane_values
-from .tensorio import _BLOCK, _float_texts, _write_form, load_tensor
+from .tensorio import _float_texts, _write_form, load_tensor
 from . import weitzenboeck as wz
 
 _USAGE_ERROR = 2
@@ -139,13 +140,13 @@ def _pieces(doc: dict, texts: dict | None = None):
 def _array_rows(values: np.ndarray, texts):
     """The JSON text of a 1-D or 2-D float64 array at a key of the document,
     as it would be a nested list, one piece per row.  The entries' texts are
-    looked up in texts a block of whole rows (about _BLOCK entries) per call,
+    looked up in texts a block of whole rows (exterior._per_block) per call,
     and only as the pieces are taken, so a document planned but not written
     looks up none."""
     if values.ndim == 1:
         yield _text_row(texts(values), "\n  ")
         return
-    step = max(1, _BLOCK // max(1, values.shape[1]))
+    step = _per_block(values.shape[1])
     sep = "["
     for start in range(0, len(values), step):
         for row in texts(values[start:start + step]):

@@ -102,7 +102,8 @@ def _sign_masks(n: int) -> np.ndarray:
     return out
 
 
-#: Terms one block of left-factor rows holds at most in clifford_mul.
+#: Terms one block of left-factor rows holds at most in clifford_mul; the
+#: blocks are added in turn, so it fixes output bits, not a memory budget.
 _PRODUCT_BLOCK = 2 ** 16
 
 

@@ -16,7 +16,8 @@ insertion_sign take masks and broadcast over arrays, so the kernels'
 tables are built as whole arrays; a tuple argument is read as its mask.
 
 cached_table is the package's one cache of basis tables: it makes each
-array a table returns read-only, since every caller shares it.
+array a table returns read-only, since every caller shares it; _per_block
+sizes the blocks of every loop whose block size cannot change a result.
 """
 
 from __future__ import annotations
@@ -66,6 +67,17 @@ def cached_table(build):
         return out
 
     return table
+
+
+#: Entries one block's temporaries hold at most, in every loop whose block
+#: size cannot change a result; read only through _per_block.
+_BLOCK_ENTRIES = 2 ** 16
+
+
+def _per_block(entries: int) -> int:
+    """Items of entries entries each that one block holds, at least one; the
+    budget is read at call time, so one change moves every blocked loop."""
+    return max(1, _BLOCK_ENTRIES // max(1, entries))
 
 
 @cached_table

@@ -65,6 +65,7 @@ import numpy as np
 
 from .exterior import (
     AlgebraContext,
+    _per_block,
     cached_table,
     insertion_sign,
     mask_ranks,
@@ -152,6 +153,10 @@ class DoubleForm:
     ctx: AlgebraContext
 
     def __post_init__(self) -> None:
+        if any(isinstance(d, bool) or not isinstance(d, (int, np.integer)) for d in (self.p, self.q)):
+            raise ValueError(f"degrees must be integers, got ({self.p!r}, {self.q!r})")
+        object.__setattr__(self, "p", int(self.p))
+        object.__setattr__(self, "q", int(self.q))
         if self.p < 0 or self.q < 0:
             raise ValueError(f"negative degree ({self.p}, {self.q})")
         mat = np.asarray(self.coeffs, dtype=float)
@@ -333,7 +338,8 @@ def _product_stack(left, rows, cols, coeffs: np.ndarray, n: int,
     return _scatter(cells, terms, shape)
 
 
-#: Terms one block of left-factor entries holds at most in kn_product.
+#: Terms one block of left-factor entries holds at most in kn_product; the
+#: blocks are added in turn, so it fixes output bits, not a memory budget.
 _PRODUCT_BLOCK = 2 ** 18
 
 
@@ -495,16 +501,13 @@ def _member_table(n: int, k: int) -> np.ndarray:
     return (np.flatnonzero((masks[:, None] >> np.arange(n)) & 1) % n).reshape(len(masks), k)
 
 
-#: Output entries in one block of rows of bianchi_map, at least one row.
-_BIANCHI_BLOCK = 2 ** 15
-
-
 def _bianchi_stack(coeffs: np.ndarray, n: int, p: int, q: int) -> np.ndarray:
     """First Bianchi map of each (p,q) coefficient matrix of a stack
     (members, C(n,p), C(n,q)), see bianchi_map.
 
     Every output entry adds its terms in the order of j, one block of
-    output rows of every member at a time: term j of output row X and
+    output rows of every member at a time, each block's terms within the
+    budget of exterior._per_block: term j of output row X and
     column Y is w[X without x_j, x_j ^ Y], one member-major gather
     (_gather) per block and j.  x_j comes from the member table, the rank
     of X without x_j from one mask XOR read through mask_ranks, and the
@@ -522,7 +525,7 @@ def _bianchi_stack(coeffs: np.ndarray, n: int, p: int, q: int) -> np.ndarray:
     # finite), those terms are set to zero, so that it cannot reach the sum
     with np.errstate(over="ignore", invalid="ignore"):
         finite = bool(np.isfinite(coeffs.sum()))
-    step = max(1, _BIANCHI_BLOCK // max(1, len(coeffs) * out.shape[2]))
+    step = _per_block(len(coeffs) * out.shape[2])
     for start in range(0, out.shape[1], step):
         block = slice(start, start + step)
         for j in range(p + 1):
@@ -596,12 +599,15 @@ def orthonormalize(vectors) -> np.ndarray:
     the same plane, so vectors of any finite scale give the frame of their
     directions.
 
-    Raises ValueError when a vector has a non-finite entry or the input is
-    (numerically) rank deficient.
+    Raises ValueError when the input is not a non-empty sequence of 1-D
+    vectors of one length, when a vector has a non-finite entry, or when
+    the input is (numerically) rank deficient.
     """
-    F = np.array([np.asarray(v, dtype=float) for v in vectors]).T
-    if F.ndim != 2:
-        F = F.reshape(F.shape[0], -1)
+    vectors = [np.asarray(v, dtype=float) for v in vectors]
+    shapes = [v.shape for v in vectors]
+    if not vectors or len(shapes[0]) != 1 or len(set(shapes)) != 1:
+        raise ValueError(f"expected a non-empty sequence of 1-D vectors of one length, got shapes {shapes}")
+    F = np.array(vectors).T
     if not np.isfinite(F).all():
         raise ValueError("spanning vectors must have finite entries")
     F = np.ldexp(F, -np.frexp(np.max(np.abs(F), axis=0, initial=0.0))[1])
@@ -618,23 +624,18 @@ def decomposable_coefficients(F: np.ndarray, ctx: AlgebraContext) -> np.ndarray:
     return np.linalg.det(np.take(F, _member_table(ctx.n, F.shape[-1]), axis=-2))
 
 
-#: Minor entries, frames times C(n,p) p x p matrices, that plane_values
-#: takes in one determinant call at most, at least one frame.
-_MINOR_BLOCK = 2 ** 15
-
-
 def plane_values(coeffs: np.ndarray, frames: np.ndarray, ctx: AlgebraContext) -> np.ndarray:
     """Values v.W.v of a (p,p) coefficient matrix W on a stack of orthonormal
     n x p frames (count, n, p), v the coordinates of each frame's p-vector.
 
     The minors are decomposable_coefficients of one block of frames at a
-    time, each block at most _MINOR_BLOCK entries of (frames, C(n,p), p, p)
-    matrices, so the whole (count, C(n,p), p, p) stack is never built.  The
-    quadratic forms are one matrix product of W, which is not copied.
+    time, its (frames, C(n,p), p, p) matrices sized by exterior._per_block,
+    so the whole (count, C(n,p), p, p) stack is never built.  The quadratic
+    forms are one matrix product of W, which is not copied.
     """
     count, p = len(frames), frames.shape[2]
     V = np.empty((count, coeffs.shape[0]))
-    step = max(1, _MINOR_BLOCK // max(1, coeffs.shape[0] * p * p))
+    step = _per_block(coeffs.shape[0] * p * p)
     for start in range(0, count, step):
         V[start:start + step] = decomposable_coefficients(frames[start:start + step], ctx)
     return ((V @ coeffs) * V).sum(-1)

@@ -32,7 +32,7 @@ import sys
 
 import numpy as np
 
-from .exterior import AlgebraContext, cached_table, mask_ranks
+from .exterior import AlgebraContext, _per_block, cached_table, mask_ranks
 from .forms import (BianchiViolation, CurvatureTensor, DoubleForm, _bianchi_scaled, _bianchi_stack,
                     _member_table, _norm, bianchi_residual)
 
@@ -146,8 +146,6 @@ def load_tensor(path, *, on_bianchi: str = "warn") -> CurvatureTensor:
 _HASH = np.uint64(0x9E3779B97F4A7C15)
 #: at most 2**_SLOT_BITS int32 slots (8 MB), about 4 to 8 per distinct key below that
 _SLOT_BITS = 21
-#: the entries whose texts one lookup takes, at most, so that its temporaries stay small
-_BLOCK = 1 << 16
 
 
 def _float_texts(values: np.ndarray):
@@ -222,7 +220,7 @@ def _write_form(form: DoubleForm, path, value_texts) -> None:
 
     heads = '{\n      "ij": ' + index_texts(form.p) + ',\n      "kl": '
     cols = index_texts(form.q) + ',\n      "value": '
-    step = max(1, _BLOCK // max(1, coeffs.shape[1]))
+    step = _per_block(coeffs.shape[1])
     close = "\n    }"
     written = False
     with open(path, "w") as fh:

@@ -21,8 +21,9 @@ DoubleForm.norm and forms.inner (forms._norms and forms._pair_sums), so
 every record is the one a per-seed loop gives.  A stack holds at most
 _stack_size(n, p) seeds, which bounds its temporaries.  The
 sampled trials of contraction_adjoint and star_contraction run the same
-way, in blocks that keep the terms each kernel call gathers within
-_TRIAL_TERMS; the plane checks take their minors in stacked determinants
+way, in blocks; these sizes, and those of metric_injectivity's unit
+matrices, come from the one block budget, exterior._per_block.  The plane
+checks take their minors in stacked determinants
 (forms.plane_values), and the exhaustive Clifford checks multiply stacks
 of basis elements in one clifford._mul_stack call each.
 
@@ -63,7 +64,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .exterior import AlgebraContext, subset_masks
+from .exterior import AlgebraContext, _per_block, subset_masks
 from . import clifford as cl
 from .forms import (
     CurvatureTensor,
@@ -124,6 +125,15 @@ class SuiteConfig:
         return list(range(self.n_min, self._top() + 1))
 
     def validate(self) -> None:
+        for name in ("n_min", "n_max", "seeds", "trials", "base_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if isinstance(self.tolerance, bool) or not isinstance(self.tolerance, (int, float)):
+            raise ValueError(f"tolerance must be a real number, got {self.tolerance!r}")
+        if self.identities is not None and (not isinstance(self.identities, (tuple, list))
+                                            or not all(isinstance(name, str) for name in self.identities)):
+            raise ValueError(f"identities must be a tuple or list of names, got {self.identities!r}")
         if not 4 <= self.n_min <= 10 or not 4 <= self.n_max <= 10:
             raise ValueError(f"dimension range must lie within [4, 10], got [{self.n_min}, {self.n_max}]")
         if not self.dimensions():
@@ -306,18 +316,13 @@ def _draws(cfg: SuiteConfig, identity: str, ctx: AlgebraContext, keys) -> np.nda
     return _curvature_stack(_factors([_seedseq(cfg, identity, *key) for key in keys], ctx.n), ctx)
 
 
-#: Terms the commutator-sum oracle gathers for one stack at most, so that
-#: the stacked kernels' temporaries stay small at every (n, p).
-_STACK_TERMS = 2 ** 16
-
-
 def _stack_size(n: int, p: int, contracted: bool = False) -> int:
-    """Members of one stack at (n, p), at least one: as many as keep within
-    _STACK_TERMS the terms each member gathers in the oracle, C(n,p)
-    (p(n-p))^2, and for a contracted identity in each contraction from
-    degree p down, C(n,k)^2 (n-k) from degree k+1 to k."""
+    """Members of one stack at (n, p): _per_block of the most terms a member
+    gathers in the oracle, C(n,p) (p(n-p))^2, and for a contracted identity
+    in each contraction from degree p down, C(n,k)^2 (n-k) from degree k+1
+    to k, so that the stacked kernels' temporaries stay small."""
     chain = [comb(n, k) ** 2 * (n - k) for k in range(p)] if contracted else []
-    return max(1, _STACK_TERMS // max([comb(n, p) * (p * (n - p)) ** 2, *chain]))
+    return _per_block(max([comb(n, p) * (p * (n - p)) ** 2, *chain]))
 
 
 def _sweep(cfg: SuiteConfig, identity: str, seeds: int,
@@ -341,11 +346,6 @@ def _ratio(matrix: np.ndarray, note: str) -> tuple[float, str, Check]:
     return ratio, note + "; singular value ratio (pass when >= tolerance)", RATIO
 
 
-#: Terms the stacked kernels gather for one block of sampled trials at
-#: most, so that their temporaries stay small whatever the trial count.
-_TRIAL_TERMS = 2 ** 15
-
-
 def _trials(cfg: SuiteConfig, identity: str, degrees, terms,
             residuals) -> Iterator[tuple[int, int, float]]:
     """(n, p, largest of cfg.trials residuals, NaN if any is NaN) for
@@ -353,10 +353,10 @@ def _trials(cfg: SuiteConfig, identity: str, degrees, terms,
 
     A trial draws one square coefficient matrix per degree of degrees(p),
     in turn, and terms(n, p) is the most terms one trial gathers in one
-    kernel call.  A block of trials, as many as keep those terms within
-    _TRIAL_TERMS and at least one, draws its numbers in one call and splits
-    them by columns, which gives each trial the numbers of its own draws;
-    residuals(n, p, *stacks) returns the block's residuals in trial order.
+    kernel call.  A block of trials, _per_block(terms(n, p)) of them, draws
+    its numbers in one call and splits them by columns, which gives each
+    trial the numbers of its own draws; residuals(n, p, *stacks) returns
+    the block's residuals in trial order.
     """
     for n in cfg.dimensions():
         for p in range(0, n):
@@ -364,7 +364,7 @@ def _trials(cfg: SuiteConfig, identity: str, degrees, terms,
             dims = [comb(n, d) for d in degrees(p)]
             ends = np.cumsum([d * d for d in dims])
             width = int(ends[-1])
-            block = max(1, _TRIAL_TERMS // terms(n, p))
+            block = _per_block(terms(n, p))
             maxima = []
             for start in range(0, cfg.trials, block):
                 raw = rng.standard_normal((min(block, cfg.trials - start), width))
@@ -424,11 +424,6 @@ def _run_star_contraction(cfg: SuiteConfig) -> Iterator[Measurement]:
         yield n, p, 0, worst, f"max over {cfg.trials} forms", ADJOINT
 
 
-#: Unit matrices one block of metric_injectivity multiplies by g^k at most,
-#: times the entries of each one's image.
-_UNIT_BLOCK_ENTRIES = 2 ** 15
-
-
 def _run_metric_injectivity(cfg: SuiteConfig) -> Iterator[Measurement]:
     for n in [n for n in cfg.dimensions() if n <= 6]:
         ctx = AlgebraContext(n)
@@ -437,7 +432,7 @@ def _run_metric_injectivity(cfg: SuiteConfig) -> Iterator[Measurement]:
             for k in range(0, n - 2 * p + 1):
                 # the unit matrices in blocks, each block's images one stacked product
                 cols = np.empty((dim * dim, ctx.dim(p + k) ** 2))
-                step = max(1, _UNIT_BLOCK_ENTRIES // cols.shape[1])
+                step = _per_block(cols.shape[1])
                 for start in range(0, len(cols), step):
                     units = np.zeros((min(step, len(cols) - start), dim * dim))
                     units[:, start:start + len(units)] = np.eye(len(units))

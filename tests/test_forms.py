@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+import re
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from doubleforms.forms import (
     star,
     zero_form,
 )
-from doubleforms import forms
+from doubleforms import exterior, forms
 from oracles import dense_kn_product, literal_bianchi_map, literal_kn_product, loop_contract
 
 from math import comb, factorial, prod
@@ -260,7 +261,7 @@ def test_plane_values_equal_the_per_frame_minors(monkeypatch, block):
     # one stacked determinant per block of frames gives each frame the
     # minors decomposable_coefficients takes, bit for bit
     if block:
-        monkeypatch.setattr(forms, "_MINOR_BLOCK", block)
+        monkeypatch.setattr(exterior, "_BLOCK_ENTRIES", block)
     for n in range(2, 13):
         ctx = AlgebraContext(n)
         rng = np.random.default_rng(n)
@@ -679,6 +680,19 @@ def test_orthonormalize_output():
     assert np.allclose(F.T @ F, np.eye(3), atol=1e-12)
 
 
+@pytest.mark.parametrize("vectors, shapes", [
+    ([1.0, 2.0], "[(), ()]"),
+    ([[[1, 0]]], "[(1, 2)]"),
+    ([], "[]"),
+    ([[1.0, 0.0], [0.0]], "[(2,), (1,)]"),
+    (np.zeros((1, 2, 2)), "[(2, 2)]"),
+])
+def test_orthonormalize_rejects_ill_shaped_input(vectors, shapes):
+    with pytest.raises(ValueError, match=re.escape(
+            f"expected a non-empty sequence of 1-D vectors of one length, got shapes {shapes}")):
+        orthonormalize(vectors)
+
+
 def loop_orthonormalize(vectors):
     """Modified Gram-Schmidt one vector and one np.dot at a time."""
     F = np.array(vectors, dtype=float).T
@@ -718,6 +732,24 @@ def test_double_form_validation():
         DoubleForm(1, 1, np.zeros((2, 3)), ctx)
     with pytest.raises(ValueError):
         DoubleForm(-1, 0, np.zeros((1, 1)), ctx)
+
+
+def test_double_form_degrees_are_integers(tmp_path):
+    # a boolean or a float is no degree; a numpy integer is stored as int
+    from doubleforms.tensorio import save_form
+    from doubleforms.weitzenboeck import np_definition
+    ctx = AlgebraContext(3)
+    for p, q in ((True, 1), (1, False), (1.0, 1), (1, "1")):
+        with pytest.raises(ValueError, match="degrees must be integers"):
+            DoubleForm(p, q, np.zeros((3, 3)), ctx)
+    with pytest.raises(ValueError, match=r"degrees must be integers, got \(True, True\)"):
+        metric_power(True, ctx)
+    with pytest.raises(ValueError, match=r"degrees must be integers, got \(True, True\)"):
+        np_definition(metric_power(2, AlgebraContext(4)) / 2, True)
+    w = DoubleForm(np.int64(1), np.int32(2), np.zeros((3, 3)), ctx)
+    assert type(w.p) is int and type(w.q) is int and w.degree == (1, 2)
+    save_form(w, tmp_path / "w.json")
+    assert '"p": 1,\n  "q": 2,' in (tmp_path / "w.json").read_text()
 
 
 def test_double_form_transpose_and_symmetry():

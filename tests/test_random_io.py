@@ -6,7 +6,7 @@ import types
 import numpy as np
 import pytest
 
-from doubleforms import tensorio
+from doubleforms import exterior, tensorio
 from doubleforms.exterior import AlgebraContext, subsets
 from doubleforms.forms import (
     CurvatureTensor,
@@ -217,7 +217,7 @@ def test_save_form_in_blocks_of_rows_is_the_stdlib_encoding(tmp_path, monkeypatc
     rng = np.random.default_rng(block)
     coeffs = EDGE_VALUES[rng.integers(0, len(EDGE_VALUES), (15, 20))]
     coeffs[3] = coeffs[:, 7] = 0.0
-    monkeypatch.setattr(tensorio, "_BLOCK", block)
+    monkeypatch.setattr(exterior, "_BLOCK_ENTRIES", block)
     if block == 100:
         monkeypatch.setattr(tensorio, "_HASH", np.uint64(0))
     form = DoubleForm(2, 3, coeffs, ctx)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from doubleforms import clifford as cl
-from doubleforms import forms, random_tensors, tensorio, verify
+from doubleforms import exterior, forms, random_tensors, tensorio, verify
 from doubleforms import weitzenboeck as wz
 from doubleforms.cli import main
 from doubleforms.exterior import AlgebraContext
@@ -279,9 +279,9 @@ def test_forms_subscripts_no_transposed_array():
 def test_stack_size_bounds_the_gathered_terms(n, p, contracted):
     size = verify._stack_size(n, p, contracted)
     oracle = comb(n, p) * (p * (n - p)) ** 2
-    assert size >= 1 and (size == 1 or size * oracle <= verify._STACK_TERMS)
+    assert size >= 1 and (size == 1 or size * oracle <= exterior._BLOCK_ENTRIES)
     if contracted:
-        assert size == 1 or all(size * comb(n, k) ** 2 * (n - k) <= verify._STACK_TERMS for k in range(p))
+        assert size == 1 or all(size * comb(n, k) ** 2 * (n - k) <= exterior._BLOCK_ENTRIES for k in range(p))
 
 
 def test_suite_records_do_not_depend_on_the_stack_size(monkeypatch):
@@ -290,10 +290,9 @@ def test_suite_records_do_not_depend_on_the_stack_size(monkeypatch):
              "star_contraction", "tachibana")
     cfg = verify.SuiteConfig(n_min=4, n_max=6, seeds=3, identities=names)
     want = verify.run_suite(cfg).to_json()
-    monkeypatch.setattr(verify, "_STACK_TERMS", 1)  # stacks of one
-    monkeypatch.setattr(verify, "_UNIT_BLOCK_ENTRIES", 1)  # one unit matrix per block
-    monkeypatch.setattr(verify, "_TRIAL_TERMS", 1)  # one sampled trial per block
-    monkeypatch.setattr(forms, "_MINOR_BLOCK", 1)  # one frame's minors per determinant call
+    # stacks of one, one unit matrix, sampled trial, frame's minors and
+    # Bianchi row per block
+    monkeypatch.setattr(exterior, "_BLOCK_ENTRIES", 1)
     assert verify.run_suite(cfg).to_json() == want
 
 

@@ -13,7 +13,7 @@ from math import comb, factorial
 import numpy as np
 import pytest
 
-from doubleforms import cli, tensorio, verify
+from doubleforms import cli, exterior, tensorio, verify
 from doubleforms.cli import main
 from doubleforms.forms import DoubleForm, contract, kn_product, metric, metric_power
 from doubleforms.random_tensors import random_bianchi_22
@@ -173,6 +173,31 @@ def test_config_validation():
         run_suite(SuiteConfig(identities=("no_such_identity",)))
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("trials", True, "trials must be an integer, got True"),
+    ("base_seed", True, "base_seed must be an integer, got True"),
+    ("seeds", 2.5, "seeds must be an integer, got 2.5"),
+    ("n_max", 6.0, "n_max must be an integer, got 6.0"),
+    ("n_min", "4", "n_min must be an integer, got '4'"),
+    ("tolerance", True, "tolerance must be a real number, got True"),
+    ("tolerance", "1e-9", "tolerance must be a real number, got '1e-9'"),
+    ("identities", "closed_form", "identities must be a tuple or list of names, got 'closed_form'"),
+    ("identities", ("closed_form", 1), "identities must be a tuple or list of names, got ('closed_form', 1)"),
+])
+def test_config_rejects_parameters_of_the_wrong_type(field, value, message):
+    # a boolean or a float never reaches the report or a table, and a
+    # string of identities is not read letter by letter
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_suite(SuiteConfig(**{field: value}))
+
+
+def test_config_takes_a_list_of_identities_and_an_integer_tolerance():
+    cfg = SuiteConfig(n_max=4, seeds=1, identities=["closed_form"])
+    assert run_suite(cfg).to_json() == run_suite(SuiteConfig(n_max=4, seeds=1, identities=("closed_form",))).to_json()
+    assert json.loads(run_suite(SuiteConfig(n_max=4, seeds=1, tolerance=1,
+                                            identities=("closed_form",))).to_json())["config"]["tolerance"] == 1
+
+
 def test_extended_keeps_a_larger_n_max():
     assert SuiteConfig(extended=True).dimensions() == [4, 5, 6, 7, 8]
     assert SuiteConfig(extended=True, n_max=10).dimensions() == list(range(4, 11))
@@ -222,8 +247,8 @@ def test_trial_blocks_split_by_columns_are_the_per_trial_draws(monkeypatch):
     def terms(n, p):
         return n * comb(n - 1, p) ** 2
 
-    for budget in (1, 3 * terms(5, 2), verify._TRIAL_TERMS):
-        monkeypatch.setattr(verify, "_TRIAL_TERMS", budget)
+    for budget in (1, 3 * terms(5, 2), exterior._BLOCK_ENTRIES):
+        monkeypatch.setattr(exterior, "_BLOCK_ENTRIES", budget)
         seen = {}
 
         def residuals(n, p, W1, W2):
@@ -248,7 +273,7 @@ def test_trial_block_size_never_shows_in_a_record(monkeypatch, identity, terms):
     default = run_suite(cfg).to_json()
     for p in range(5):
         # blocks of 3 at this cell: 3 + 3 + 1 trials
-        monkeypatch.setattr(verify, "_TRIAL_TERMS", 3 * terms(5, p))
+        monkeypatch.setattr(exterior, "_BLOCK_ENTRIES", 3 * terms(5, p))
         assert run_suite(cfg).to_json() == default, p
 
 
@@ -261,7 +286,7 @@ KERNEL_TERMS = {
 
 @pytest.mark.parametrize("identity", ["contraction_adjoint", "star_contraction"])
 def test_trial_block_bounds_the_gathered_terms(monkeypatch, identity):
-    # every kernel call of a block gathers at most _TRIAL_TERMS terms, or
+    # every kernel call of a block gathers at most _BLOCK_ENTRIES terms, or
     # holds one trial; and blocks do hold several trials
     calls = []
     for name, terms in KERNEL_TERMS.items():
@@ -271,7 +296,7 @@ def test_trial_block_bounds_the_gathered_terms(monkeypatch, identity):
             return kernel(*args)
         monkeypatch.setattr(verify, name, counted)
     verify._run_identity(identity, SuiteConfig(n_min=4, n_max=8))
-    assert calls and all(members == 1 or members * terms <= verify._TRIAL_TERMS for members, terms in calls)
+    assert calls and all(members == 1 or members * terms <= exterior._BLOCK_ENTRIES for members, terms in calls)
     assert max(members for members, terms in calls if terms > 1000) > 1
 
 
@@ -611,7 +636,7 @@ def test_operator_json_is_the_stdlib_encoding(monkeypatch, n, p):
     doc = {"matrix": form.coeffs, "norm": form.norm(), "trace": np.diag(form.coeffs)}
     want = _stdlib_dumps(doc)
     assert "".join(cli._pieces(doc)) == want
-    monkeypatch.setattr(cli, "_BLOCK", 1000)
+    monkeypatch.setattr(exterior, "_BLOCK_ENTRIES", 1000)
     assert "".join(cli._pieces(doc)) == want
 
 
