@@ -20,30 +20,30 @@ left factor.  Products by a metric power g^k, which carry every closed
 form of the Weitzenboeck operators, pass the whole diagonal of
 g^k = k! I (metric_product), selected without copying table rows.
 
-The basis tables (_split_tensor, _lift_table, _contract_scatter,
-_member_table), cached read-only through exterior.cached_table, are
-row-major (C-contiguous) arrays, so the index, cell and sign arrays the
-kernels build from them are too.  Each is built as whole arrays, with no
-Python loop over subsets or slots, from the bit masks of
-exterior.subset_masks: unions and removals are mask operations, ranks are
-read off exterior.mask_ranks, and the signs come from the broadcasting
-merge_sign (the shuffle table) and insertion_sign (the lift table behind
-contraction and the Bianchi map), so the product's table shares no code
-with the contraction's.  The lift table is slot-major, one row per slot
-m, and _contract_scatter and _bianchi_stack both read it by rows.
+The basis tables (_split_tensor, _lift_table, _member_table), cached
+read-only through exterior.cached_table, are row-major (C-contiguous)
+arrays, so the index, cell and sign arrays the kernels build from them are
+too.  Each is built as whole arrays, with no Python loop over subsets or
+slots, from the bit masks of exterior.subset_masks: unions and removals
+are mask operations, ranks are read off exterior.mask_ranks, and the signs
+come from the broadcasting merge_sign (the shuffle table) and
+insertion_sign (the lift table behind contraction and the Bianchi map), so
+the product's table shares no code with the contraction's.  The lift table
+is slot-major, one row per slot m, and _lift_stack reads it by rows.
 
 metric_product, contract and star each run one private array kernel
 (_metric_stack, _contract_stack, _star_stack) that takes a stack of
-coefficient matrices, shape (..., C(n,p), C(n,q)), and one bincount
-scatters the whole stack.  Every kernel reads its stack through one
-member-major take, _take: one take along the last axis of the flattened
-members, a single form's stack of one included, so each member's terms lie
-together and the terms, and every array made from them, are C-contiguous.
-The products, the star and the first Bianchi map (_bianchi_stack) index by
-row and column through _gather, the contraction by the flat cached table
-_contract_scatter.  The DoubleForm functions pass a stack of one; a
-stacked call gives every member the same terms, summed in the same order,
-so its bits equal a single call's.  The checks of CurvatureTensor
+coefficient matrices, shape (..., C(n,p), C(n,q)).  Every kernel reads its
+stack through one member-major take, _take: one take along the last axis
+of the flattened members, a single form's stack of one included, so each
+member's terms lie together and the terms, and every array made from
+them, are C-contiguous, and every kernel indexes by row and column
+through _gather.  The products scatter their terms with one bincount; the
+contraction and the first Bianchi map (_bianchi_stack) share one kernel,
+_lift_stack, which adds each output entry's terms in turn, in blocks of
+output rows, and caches nothing.  The DoubleForm functions pass a stack of
+one; a stacked call gives every member the same terms, summed in the same
+order, so its bits equal a single call's.  The checks of CurvatureTensor
 (_check_curvature) take stacks the same way, so the suite checks a whole
 stack of random curvature tensors in one call.  The norm and the Frobenius
 pairing have one stacked kernel each, _norms and _pair_sums, which take
@@ -393,8 +393,9 @@ def metric_product(k: int, w: DoubleForm) -> DoubleForm:
 @cached_table
 def _lift_table(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Rank and sign of e_m ^ e_I, slot-major: one row per slot m, one
-    column per k-subset I; rank -1 and sign 0 where m lies in I.  Both the
-    contraction and the Bianchi map read it one slot m, a row, at a time."""
+    column per k-subset I; rank -1 and sign 0 where m lies in I.
+    _lift_stack, behind the contraction and the Bianchi map, reads its
+    rows m as the columns of its terms."""
     I = subset_masks(n, k)
     m = np.arange(1, n + 1)[:, None]
     sgn = insertion_sign(m, I).astype(float)
@@ -402,30 +403,52 @@ def _lift_table(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return idx, sgn
 
 
-@cached_table
-def _contract_scatter(n: int, p: int, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat source index, flat target index and sign of every term of the
-    contraction of a (p,q) form, ordered by the slot index m so that
-    summing in array order adds the m terms of each entry in turn."""
-    idxI, sgnI = _lift_table(n, p - 1)
-    idxJ, sgnJ = _lift_table(n, q - 1)
-    # for each slot m (rows), the (p-1)- and (q-1)-subsets without m, ascending
-    rows = np.flatnonzero(idxI >= 0).reshape(n, -1) % idxI.shape[1]
-    cols = np.flatnonzero(idxJ >= 0).reshape(n, -1) % idxJ.shape[1]
-    m = np.arange(n)[:, None]
-    src = (idxI[m, rows] * comb(n, q))[:, :, None] + idxJ[m, cols][:, None, :]
-    dst = (rows * comb(n, q - 1))[:, :, None] + cols[:, None, :]
-    sign = sgnI[m, rows][:, :, None] * sgnJ[m, cols][:, None, :]
-    return src.ravel(), dst.ravel(), sign.ravel()
+def _lift_stack(coeffs: np.ndarray, n: int, q: int, rows: np.ndarray, members: np.ndarray,
+                negated: np.ndarray) -> np.ndarray:
+    """out[..., X, Y] = sum_j s sgn(m, Y) w[rows[j, X], rank(m ^ Y)] for each
+    (p,q) coefficient matrix w of a stack (..., C(n,p), C(n,q)) and each
+    (q-1)-subset Y, with m = members[j, X] (zero-based) and s = -1 where
+    negated[j, X], else 1: the one kernel of contraction and Bianchi map.
+
+    Each output entry adds its terms in the order of j from +0.0, in blocks
+    of output rows sized by exterior._per_block: one member-major gather
+    (_gather) per block, its columns the rows m of the lift table.  Where m
+    lies in Y the lift rank is -1 and the sign 0, so the term reads the
+    entry before the row (at row 0, the member's last); a finite entry gives
+    a zero term, which leaves the sum as it is, and when the stack may hold
+    a non-finite entry (its sum is not finite) those terms are set to zero.
+    """
+    out = np.zeros(coeffs.shape[:-2] + (rows.shape[1], comb(n, q - 1)))
+    if not coeffs.size:  # no entry to read: every term is zero
+        return out
+    lift, lift_sign = _lift_table(n, q - 1)
+    lift_sign = np.concatenate((lift_sign, -lift_sign))  # row n + m: row m negated
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = bool(np.isfinite(coeffs.sum()))
+    step = _per_block(prod(coeffs.shape[:-2]) * len(members) * out.shape[-1])
+    for start in range(0, rows.shape[1], step):
+        block = slice(start, start + step)
+        m = members[:, block]
+        terms = _gather(coeffs, rows[:, block, None], lift[m])
+        sign = lift_sign[m + n * negated[:, block]]
+        if not finite:
+            terms[..., sign == 0] = 0.0
+        terms *= sign
+        sums = out[..., block, :]
+        for j in range(len(members)):
+            sums += terms[..., j, :, :]
+    return out
 
 
 def _contract_stack(coeffs: np.ndarray, n: int, p: int, q: int) -> np.ndarray:
     """Contraction of each (p,q) coefficient matrix of a stack
-    (..., C(n,p), C(n,q)): one member-major take (_take) and one scatter."""
-    src, dst, sign = _contract_scatter(n, p, q)
-    terms = _take(coeffs, src)
-    terms *= sign
-    return _scatter(dst, terms, (comb(n, p - 1), comb(n, q - 1)))
+    (..., C(n,p), C(n,q)): _lift_stack over the members m outside each
+    (p-1)-subset x, ascending, with the ranks and signs of m ^ x, so each
+    entry adds its m terms in ascending m."""
+    outside = _member_table(n, n - p + 1)[_complement_table(n, p - 1)[0]].T.copy()
+    x = np.arange(outside.shape[1])
+    lift, lift_sign = _lift_table(n, p - 1)
+    return _lift_stack(coeffs, n, q, lift[outside, x], outside, lift_sign[outside, x] < 0)
 
 
 def contract(w: DoubleForm) -> DoubleForm:
@@ -503,40 +526,13 @@ def _member_table(n: int, k: int) -> np.ndarray:
 
 def _bianchi_stack(coeffs: np.ndarray, n: int, p: int, q: int) -> np.ndarray:
     """First Bianchi map of each (p,q) coefficient matrix of a stack
-    (members, C(n,p), C(n,q)), see bianchi_map.
-
-    Every output entry adds its terms in the order of j, one block of
-    output rows of every member at a time, each block's terms within the
-    budget of exterior._per_block: term j of output row X and
-    column Y is w[X without x_j, x_j ^ Y], one member-major gather
-    (_gather) per block and j.  x_j comes from the member table, the rank
-    of X without x_j from one mask XOR read through mask_ranks, and the
-    lift ranks and signs of x_j ^ Y are the contiguous rows x_j of the
-    slot-major lift table.
-    """
-    out = np.zeros((len(coeffs), comb(n, p + 1), comb(n, q - 1)))
-    removed = _member_table(n, p + 1)
-    rows = mask_ranks(n)[subset_masks(n, p + 1)[:, None] ^ (1 << removed)]
-    lift, lift_sign = _lift_table(n, q - 1)
-    # where x_j lies in Y the lift rank is -1 and the sign 0, so the term
-    # reads the entry before the row (the member's last entry at row 0).
-    # A finite entry read there gives a zero term, which leaves the sum as
-    # it is; when the stack may hold a non-finite entry (its sum is not
-    # finite), those terms are set to zero, so that it cannot reach the sum
-    with np.errstate(over="ignore", invalid="ignore"):
-        finite = bool(np.isfinite(coeffs.sum()))
-    step = _per_block(len(coeffs) * out.shape[2])
-    for start in range(0, out.shape[1], step):
-        block = slice(start, start + step)
-        for j in range(p + 1):
-            m = removed[block, j]
-            terms = _gather(coeffs, rows[block, j, None], lift[m])
-            sign = lift_sign[m]
-            if not finite:
-                terms[:, sign == 0] = 0.0
-            terms *= -sign if j % 2 == 0 else sign
-            out[:, block] += terms
-    return out
+    (members, C(n,p), C(n,q)), see bianchi_map: _lift_stack over the
+    members x_j of each output row X, with the ranks of X without x_j (one
+    mask XOR read through mask_ranks) and the signs -(-1)^j."""
+    removed = _member_table(n, p + 1).T.copy()
+    rows = mask_ranks(n)[subset_masks(n, p + 1) ^ (1 << removed)]
+    negated = np.broadcast_to(np.arange(p + 1)[:, None] % 2 == 0, rows.shape)
+    return _lift_stack(coeffs, n, q, rows, removed, negated)
 
 
 def bianchi_map(w: DoubleForm) -> DoubleForm:

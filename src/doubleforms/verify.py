@@ -131,6 +131,8 @@ class SuiteConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if isinstance(self.tolerance, bool) or not isinstance(self.tolerance, (int, float)):
             raise ValueError(f"tolerance must be a real number, got {self.tolerance!r}")
+        if not isinstance(self.extended, bool):
+            raise ValueError(f"extended must be True or False, got {self.extended!r}")
         if self.identities is not None and (not isinstance(self.identities, (tuple, list))
                                             or not all(isinstance(name, str) for name in self.identities)):
             raise ValueError(f"identities must be a tuple or list of names, got {self.identities!r}")

@@ -345,22 +345,6 @@ def loop_lift_table(n: int, k: int):
     return idx, sgn
 
 
-def loop_contract_scatter(n: int, p: int, q: int):
-    """forms._contract_scatter built one slot m at a time: the flat source
-    index, flat target index and sign of the contraction's terms, slot-major."""
-    idxI, sgnI = _lift_table(n, p - 1)
-    idxJ, sgnJ = _lift_table(n, q - 1)
-    cols_in, cols_out = comb(n, q), comb(n, q - 1)
-    src, dst, sign = [], [], []
-    for m in range(n):
-        rows = np.nonzero(idxI[m] >= 0)[0]
-        cols = np.nonzero(idxJ[m] >= 0)[0]
-        src.append((idxI[m, rows][:, None] * cols_in + idxJ[m, cols]).ravel())
-        dst.append((rows[:, None] * cols_out + cols).ravel())
-        sign.append(np.outer(sgnI[m, rows], sgnJ[m, cols]).ravel())
-    return tuple(np.concatenate(parts) for parts in (src, dst, sign))
-
-
 def loop_member_table(n: int, k: int) -> np.ndarray:
     subs = _lex(n, k)
     return np.array(subs, dtype=np.int64).reshape(len(subs), k) - 1

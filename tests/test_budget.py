@@ -97,3 +97,24 @@ def test_blocked_loops_hold_a_few_budgets_at_n_12(loop):
         held = held_bytes(lambda: forms.plane_values(W, frames, AlgebraContext(n)))
         whole = 8 * len(frames) * comb(n, p) * p * p
     assert held <= HELD_BUDGETS * 8 * exterior._BLOCK_ENTRIES < whole, (held, whole)
+
+
+def test_contraction_keeps_no_table_of_its_terms_at_n_12():
+    # a full contraction of a (6,6) form, its tables built in the call: it
+    # keeps its small lift and member tables, less than one output block of
+    # the first contraction, and peaks at a few such blocks
+    n, p = 12, 6
+    w = forms.DoubleForm(p, p, np.random.default_rng(12).standard_normal((comb(n, p), comb(n, p))),
+                         AlgebraContext(n))
+    for module in (exterior, forms):
+        for table in vars(module).values():
+            if hasattr(table, "cache_clear"):
+                table.cache_clear()
+    tracemalloc.start()
+    try:
+        out = forms.contract_iter(w, p)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    block = 8 * comb(n, p - 1) ** 2
+    assert held - out.coeffs.nbytes <= block and peak <= 3 * block, (held, peak, block)

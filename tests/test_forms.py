@@ -218,7 +218,7 @@ def _referenced_names(func):
 def test_metric_product_shares_no_code_with_contraction():
     # contraction_adjoint and star_contraction compare g.w with contract;
     # the product's shuffle table must be built without the contraction's tables
-    forbidden = {"_lift_table", "_contract_scatter", "insertion_sign"}
+    forbidden = {"_lift_table", "_lift_stack", "insertion_sign"}
     for func in (forms.metric_product, forms._metric_stack, forms._product_stack, forms._split_tensor):
         assert not _referenced_names(func) & forbidden, func.__name__
     assert "merge_sign" in _referenced_names(forms._split_tensor)
@@ -326,11 +326,23 @@ def test_inner_adjointness_smallest_case():
 
 
 def test_contract_matches_slot_loop_bitwise():
-    for n in range(1, 7):
+    # single forms, and stacks of three whose first member has -0.0 entries
+    # and whose last holds inf, nan and 1.7e308 entries, which put the stack
+    # on the path that zeroes the terms read before a row
+    for n in range(1, 10):
+        ctx = AlgebraContext(n)
         for p in range(1, n + 1):
             for q in range(1, n + 1):
                 w = rand_form(1000 * n + 10 * p + q, p, q, n)
                 assert np.array_equal(contract(w).coeffs, loop_contract(w))
+                W = np.random.default_rng(1000 * n + 10 * p + q).standard_normal((3, ctx.dim(p), ctx.dim(q)))
+                W[0, 0] = -0.0
+                W[2, 0, 0], W[2, -1, 0], W[2, -1, -1] = np.inf, np.nan, 1.7e308
+                with np.errstate(over="ignore", invalid="ignore"):
+                    got = forms._contract_stack(W, n, p, q)
+                    for m in range(3):
+                        want = loop_contract(DoubleForm(p, q, W[m], ctx))
+                        assert np.array_equal(got[m].view(np.int64), want.view(np.int64)), (n, p, q, m)
 
 
 def test_adjointness_random_sweep():

@@ -236,8 +236,8 @@ def test_clifford_stack_rejects_supports_of_different_sizes():
 
 
 #: The forms kernels the closed forms are built from.
-FORMS_KERNELS = {"_product_stack", "_metric_stack", "_contract_stack", "_star_stack", "_scatter", "_gather",
-                 "_take"}
+FORMS_KERNELS = {"_product_stack", "_metric_stack", "_contract_stack", "_lift_stack", "_star_stack", "_scatter",
+                 "_gather", "_take"}
 
 
 def test_oracle_shares_no_code_with_the_closed_forms():

@@ -1,10 +1,9 @@
 """The basis tables built as whole arrays equal their loop references.
 
-tests/oracles.py keeps the builders that made one Python pass per subset
-(per slot, for the contraction's table); every table must equal its
-reference in dtype, shape and values
-(sign bits included) at every degree for n <= 9, and at the degrees the
-CLI builds at n = 12.
+tests/oracles.py keeps the builders that made one Python pass per subset;
+every table must equal its reference in dtype, shape and values (sign
+bits included) at every degree for n <= 9, and at the degrees the CLI
+builds at n = 12.
 """
 
 import importlib
@@ -19,7 +18,6 @@ from doubleforms import forms, tensorio, weitzenboeck
 from doubleforms.exterior import MAX_DIMENSION, insertion_sign, mask_ranks, merge_sign, subset_masks
 from oracles import (
     loop_bianchi_projector,
-    loop_contract_scatter,
     loop_four_form_table,
     loop_lift_table,
     loop_mask_ranks,
@@ -50,9 +48,6 @@ def every_degree(n):
         yield "lift", (n, k)
         yield "member", (n, k)
         yield "ad", (n, k)
-        if k >= 1:
-            for k2 in range(1, n + 1):
-                yield "contract", (n, k, k2)
         for k2 in range(n + 1):
             yield "split", (n, k, k2)
     yield "mask_ranks", (n,)
@@ -68,14 +63,13 @@ CLI_N12 = [
     ("member", (12, k)) for k in (3, 4, 5, 6, 7)
 ] + [
     ("ad", (12, p)) for p in (4, 5, 6)
-] + [("contract", (12, 6, 6)), ("four_form", (12,)), ("mask_ranks", (12,))] + [("subset_masks", (12, k)) for k in range(9)]
+] + [("four_form", (12,)), ("mask_ranks", (12,))] + [("subset_masks", (12, k)) for k in range(9)]
 
 TABLES = {
     "subset_masks": (subset_masks, loop_subset_masks),
     "mask_ranks": (mask_ranks, loop_mask_ranks),
     "split": (forms._split_tensor, loop_split_tensor),
     "lift": (forms._lift_table, loop_lift_table),
-    "contract": (forms._contract_scatter, loop_contract_scatter),
     "member": (forms._member_table, loop_member_table),
     "four_form": (tensorio._four_form_table, loop_four_form_table),
     "ad": (weitzenboeck._ad_table, sorted_ad_table),
@@ -149,7 +143,6 @@ CACHED_TABLES = {
     "exterior.subset_masks": (5, 2),
     "forms._split_tensor": (5, 2, 2),
     "forms._lift_table": (5, 2),
-    "forms._contract_scatter": (5, 2, 2),
     "forms._complement_table": (5, 2),
     "forms._member_table": (5, 2),
     "clifford._lower_parity": (5, 3),

@@ -183,10 +183,13 @@ def test_config_validation():
     ("tolerance", "1e-9", "tolerance must be a real number, got '1e-9'"),
     ("identities", "closed_form", "identities must be a tuple or list of names, got 'closed_form'"),
     ("identities", ("closed_form", 1), "identities must be a tuple or list of names, got ('closed_form', 1)"),
+    ("extended", 1, "extended must be True or False, got 1"),
+    ("extended", "no", "extended must be True or False, got 'no'"),
 ])
 def test_config_rejects_parameters_of_the_wrong_type(field, value, message):
-    # a boolean or a float never reaches the report or a table, and a
-    # string of identities is not read letter by letter
+    # a boolean or a float never reaches the report or a table, an integer
+    # or a string is not taken for extended, and a string of identities is
+    # not read letter by letter
     with pytest.raises(ValueError, match=re.escape(message)):
         run_suite(SuiteConfig(**{field: value}))
 

@@ -1,0 +1,138 @@
+"""Byte gate: run the same commands on a parent commit and on the working
+tree, and print every difference in stdout, stderr or exit code.
+
+    python3 tools/bytes_gate.py PARENT_REF [--seed N]
+
+Run it from anywhere inside the checkout.  The parent's committed files
+are extracted with ``git archive`` into a temporary directory, which
+leaves nothing behind in the repository; the working tree is run as it
+stands, uncommitted changes included.  Every command is a cold process
+with ``OPENBLAS_NUM_THREADS=1`` (and the OpenMP and MKL equivalents), run
+one at a time:
+
+- the five ``verify`` configurations whose md5s the ROADMAP tracks;
+- the 7 cli-n10 and 3 cli-n12 commands of ``bench/run.py``, on the
+  tensors its set-up writes with ``bench/inputs.py`` for the seed;
+- ``weitzenboeck --method definition``, ``spectrum``, ``sectional`` and
+  ``pcurvature`` at n = 12, p = 6, on the same n = 12 tensor.
+
+Both trees read the same input files.  Each command prints ``same`` with
+the md5 of its stdout, or ``DIFF`` followed by each stream that differs:
+its sizes, md5s and first differing lines.  The exit code is 0 when every
+command gave the same bytes and exit code in both trees, 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from io import BytesIO
+
+import numpy as np
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "bench"))
+
+import run  # noqa: E402  (bench/run.py: the CLI workloads' set-up and commands)
+
+CLI = "from doubleforms.cli import entry; entry()"
+ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+VERIFY = [
+    ["verify", "--json"],
+    ["verify", "--extended", "--json"],
+    ["verify", "--extended", "--seed", "7", "--json"],
+    ["verify", "--n-min", "9", "--n-max", "10", "--json"],
+    ["verify", "--n-min", "10", "--n-max", "10", "--json"],
+]
+#: Lines of a differing stream printed at most.
+SHOWN = 3
+
+
+def commands(seed: int, work: str) -> list[tuple[str, list[str]]]:
+    """(label, CLI arguments) of every gated command, with the benchmark's
+    tensors for seed written to work."""
+    out = [(" ".join(args), args) for args in VERIFY]
+    n10 = run._tensor_setup(10, perturbed=True)(np.random.default_rng(seed), work)
+    out += [(f"cli-n10 {label}", args) for label, args in run._n10_ops(n10)]
+    n12 = run._tensor_setup(12, perturbed=False)(np.random.default_rng(seed), work)
+    out += [(f"cli-n12 {label}", args) for label, args in run._n12_ops(n12)]
+    t, s = n12["tensor"], n12["sample_seed"]
+    out += [
+        ("n12 weitzenboeck-definition-p6", ["weitzenboeck", "--input", t, "--p", "6", "--method", "definition",
+                                            "--json"]),
+        ("n12 spectrum-p6", ["spectrum", "--input", t, "--p", "6", "--seed", s, "--json"]),
+        ("n12 sectional-p6", ["sectional", "--input", t, "--p", "6", "--seed", s, "--json"]),
+        ("n12 pcurvature-p6", ["pcurvature", "--input", t, "--p", "6", "--json"]),
+    ]
+    return out
+
+
+def run_in(tree: str, args: list[str]) -> tuple[bytes, bytes, int]:
+    """stdout, stderr and exit code of one cold CLI process on tree's src."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), **ENV)
+    proc = subprocess.run([sys.executable, "-c", CLI, *args], capture_output=True, env=env, cwd=tree)
+    return proc.stdout, proc.stderr, proc.returncode
+
+
+def md5(data: bytes) -> str:
+    return hashlib.md5(data).hexdigest()
+
+
+def differences(name: str, old: bytes, new: bytes) -> list[str]:
+    """Lines describing how stream name differs between the trees."""
+    if old == new:
+        return []
+    lines = [f"  {name}: {len(old)} -> {len(new)} bytes, md5 {md5(old)} -> {md5(new)}"]
+    a, b = old.splitlines(), new.splitlines()
+    shown = 0
+    for i in range(max(len(a), len(b))):
+        if i >= len(a) or i >= len(b) or a[i] != b[i]:
+            lines.append(f"    line {i + 1}: {a[i][:200] if i < len(a) else b'<none>'!r}")
+            lines.append(f"         -> {b[i][:200] if i < len(b) else b'<none>'!r}")
+            shown += 1
+            if shown == SHOWN:
+                break
+    return lines
+
+
+def extract(ref: str, into: str) -> None:
+    """The files of commit ref, as git archive gives them, under into."""
+    tar = subprocess.run(["git", "-C", ROOT, "archive", ref], capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=BytesIO(tar)) as archive:
+        archive.extractall(into, filter="data")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", help="the commit to compare the working tree with, e.g. HEAD")
+    parser.add_argument("--seed", type=int, default=0, help="seed of the benchmark's input tensors")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="bytes_gate_") as tmp:
+        parent, work = os.path.join(tmp, "parent"), os.path.join(tmp, "inputs")
+        os.mkdir(work)
+        try:
+            extract(args.parent, parent)
+        except subprocess.CalledProcessError as exc:
+            parser.error(f"cannot archive {args.parent!r}: {exc.stderr.decode().strip()}")
+        gated, diffs = commands(args.seed, work), 0
+        for label, cli_args in gated:
+            old, new = run_in(parent, cli_args), run_in(ROOT, cli_args)
+            lines = differences("stdout", old[0], new[0]) + differences("stderr", old[1], new[1])
+            if old[2] != new[2]:
+                lines.append(f"  exit code: {old[2]} -> {new[2]}")
+            print(f"{'DIFF' if lines else 'same'}  {label}  (exit {new[2]}, stdout md5 {md5(new[0])})")
+            for line in lines:
+                print(line)
+            sys.stdout.flush()
+            diffs += bool(lines)
+        print(f"{diffs} of {len(gated)} commands differ")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
