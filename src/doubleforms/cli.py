@@ -31,7 +31,7 @@ import numpy as np
 
 from .exterior import _per_block
 from .forms import bianchi_residual, contract_iter, plane_values
-from .tensorio import _float_texts, _write_form, load_tensor
+from .tensorio import _float_texts, _text_row, _write_form, load_tensor
 from . import weitzenboeck as wz
 
 _USAGE_ERROR = 2
@@ -153,14 +153,6 @@ def _array_rows(values: np.ndarray, texts):
             yield sep + "\n    " + _text_row(row, "\n    ")
             sep = ","
     yield "[]" if sep == "[" else "\n  ]"
-
-
-def _text_row(texts: np.ndarray, indent: str) -> str:
-    """The JSON list of the 1-D object array of texts texts."""
-    if not len(texts):
-        return "[]"
-    inner = indent + "  "
-    return "[" + inner + ("," + inner).join(texts.tolist()) + indent + "]"
 
 
 def _emit(doc: dict, as_json: bool, lines, texts: dict | None = None) -> None:

@@ -14,6 +14,9 @@ of the k-subsets in lexicographic order, and mask_ranks(n) maps each of
 the 2**n masks to its rank among the subsets of its size.  merge_sign and
 insertion_sign take masks and broadcast over arrays, so the kernels'
 tables are built as whole arrays; a tuple argument is read as its mask.
+Complementation reverses the lexicographic order: rank(K^c) = C(n,k) - 1 -
+rank(K) for every k-subset K, since the first member where two subsets
+differ lies in just one of them, and so in the other one's complement.
 
 cached_table is the package's one cache of basis tables: it makes each
 array a table returns read-only, since every caller shares it; _per_block

@@ -33,12 +33,12 @@ is slot-major, one row per slot m, and _lift_stack reads it by rows.
 
 metric_product, contract and star each run one private array kernel
 (_metric_stack, _contract_stack, _star_stack) that takes a stack of
-coefficient matrices, shape (..., C(n,p), C(n,q)).  Every kernel reads its
-stack through one member-major take, _take: one take along the last axis
-of the flattened members, a single form's stack of one included, so each
-member's terms lie together and the terms, and every array made from
-them, are C-contiguous, and every kernel indexes by row and column
-through _gather.  The products scatter their terms with one bincount; the
+coefficient matrices, shape (..., C(n,p), C(n,q)).  The star reverses the
+rows and columns and signs them; every other kernel reads its stack
+through one member-major take, _take, along the last axis of the
+flattened members, a stack of one included, so the terms, and every array
+made from them, are C-contiguous, and indexes by row and column through
+_gather.  The products scatter their terms with one bincount; the
 contraction and the first Bianchi map (_bianchi_stack) share one kernel,
 _lift_stack, which adds each output entry's terms in turn, in blocks of
 output rows, and caches nothing.  The DoubleForm functions pass a stack of
@@ -264,6 +264,14 @@ def metric_power(k: int, ctx: AlgebraContext) -> DoubleForm:
 
 
 @cached_table
+def _member_table(n: int, k: int) -> np.ndarray:
+    """The members of every k-subset, zero-based, one row per subset; read in
+    reverse, the members outside each (n-k)-subset (see exterior)."""
+    masks = subset_masks(n, k)
+    return (np.flatnonzero((masks[:, None] >> np.arange(n)) & 1) % n).reshape(len(masks), k)
+
+
+@cached_table
 def _split_tensor(n: int, p1: int, p2: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The shuffle signs of the exterior product, in sparse form.
 
@@ -273,7 +281,7 @@ def _split_tensor(n: int, p1: int, p2: int) -> tuple[np.ndarray, np.ndarray, np.
     K = subset_masks(n, p1)[:, None]
     # the members outside each K, ascending, and the p2 of them that each
     # column picks: the columns list the I disjoint from K lexicographically
-    rest = (np.flatnonzero((~K >> np.arange(n)) & 1) % n).reshape(len(K), n - p1)
+    rest = _member_table(n, n - p1)[::-1]
     I = (1 << rest.take(_member_table(n - p1, p2), axis=1)).sum(axis=2)
     ranks = mask_ranks(n)
     src, dst = ranks[I], ranks[K | I]
@@ -443,9 +451,9 @@ def _lift_stack(coeffs: np.ndarray, n: int, q: int, rows: np.ndarray, members: n
 def _contract_stack(coeffs: np.ndarray, n: int, p: int, q: int) -> np.ndarray:
     """Contraction of each (p,q) coefficient matrix of a stack
     (..., C(n,p), C(n,q)): _lift_stack over the members m outside each
-    (p-1)-subset x, ascending, with the ranks and signs of m ^ x, so each
-    entry adds its m terms in ascending m."""
-    outside = _member_table(n, n - p + 1)[_complement_table(n, p - 1)[0]].T.copy()
+    (p-1)-subset x, ascending (the reversed _member_table), with the ranks
+    and signs of m ^ x, so each entry adds its m terms in ascending m."""
+    outside = _member_table(n, n - p + 1)[::-1].T.copy()
     x = np.arange(outside.shape[1])
     lift, lift_sign = _lift_table(n, p - 1)
     return _lift_stack(coeffs, n, q, lift[outside, x], outside, lift_sign[outside, x] < 0)
@@ -491,21 +499,17 @@ def inner(w1: DoubleForm, w2: DoubleForm) -> float:
 
 
 @cached_table
-def _complement_table(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """For each d-subset K: rank of K^c among (n-d)-subsets, and the sign
-    of e_K ^ e_{K^c}; the one column of the shuffle table (n, d, n-d)."""
-    src, _, sign = _split_tensor(n, d, n - d)
-    return src[:, 0], sign[:, 0]
+def _complement_table(n: int, d: int) -> np.ndarray:
+    """The sign of e_K ^ e_{K^c} for each d-subset K; K^c has rank C(n,d) - 1 - rank(K)."""
+    K = subset_masks(n, d)
+    return merge_sign(K, K ^ ((1 << n) - 1)).astype(float)
 
 
 def _star_stack(coeffs: np.ndarray, n: int, p: int, q: int) -> np.ndarray:
     """Hodge star of each (p,q) coefficient matrix of a stack
-    (..., C(n,p), C(n,q)): one signed member-major gather (_gather)."""
-    permI, sgnI = _complement_table(n, n - p)
-    permJ, sgnJ = _complement_table(n, n - q)
-    terms = _gather(coeffs, permI[:, None], permJ[None, :])
-    terms *= np.outer(sgnI, sgnJ)
-    return terms
+    (..., C(n,p), C(n,q)): (*w)[K, L] = sgn(K) sgn(L) w[K^c, L^c], that is w's
+    rows and columns reversed (see exterior) times _complement_table's signs."""
+    return coeffs[..., ::-1, ::-1] * np.outer(_complement_table(n, n - p), _complement_table(n, n - q))
 
 
 def star(w: DoubleForm) -> DoubleForm:
@@ -515,13 +519,6 @@ def star(w: DoubleForm) -> DoubleForm:
 
 
 # -- first Bianchi identity ----------------------------------------------
-
-
-@cached_table
-def _member_table(n: int, k: int) -> np.ndarray:
-    """The members of every k-subset, zero-based, one row per subset."""
-    masks = subset_masks(n, k)
-    return (np.flatnonzero((masks[:, None] >> np.arange(n)) & 1) % n).reshape(len(masks), k)
 
 
 def _bianchi_stack(coeffs: np.ndarray, n: int, p: int, q: int) -> np.ndarray:

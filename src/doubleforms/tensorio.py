@@ -207,6 +207,14 @@ def save_form(form, path) -> None:
     _write_form(form, path, _float_texts(form.coeffs))
 
 
+def _text_row(texts: np.ndarray, indent: str) -> str:
+    """The JSON list of the 1-D array of texts texts, indent=2 after indent."""
+    if not len(texts):
+        return "[]"
+    inner = indent + "  "
+    return "[" + inner + ("," + inner).join(texts.tolist()) + indent + "]"
+
+
 def _write_form(form: DoubleForm, path, value_texts) -> None:
     """save_form's file, with value_texts the _float_texts lookup of the
     form's coefficients, so a caller that encoded them already passes its
@@ -215,8 +223,7 @@ def _write_form(form: DoubleForm, path, value_texts) -> None:
 
     def index_texts(d):
         # json.dumps(list(I), indent=2) at the depth of an entry's field
-        return np.array(["[\n        " + ",\n        ".join(map(str, I)) + "\n      ]" if I else "[]"
-                         for I in (_member_table(n, d) + 1).tolist()], dtype=object)
+        return np.array([_text_row(I, "\n      ") for I in (_member_table(n, d) + 1).astype(str)], dtype=object)
 
     heads = '{\n      "ij": ' + index_texts(form.p) + ',\n      "kl": '
     cols = index_texts(form.q) + ',\n      "value": '

@@ -144,7 +144,7 @@ def _check_formula_range(n: int, p: int) -> None:
     if not 2 <= p <= n - 2:
         raise FormulaRangeError(
             f"closed form only valid for 2 <= p <= n-2 (n={n}, p={p}); "
-            "use np_definition outside that range"
+            "use np_definition (--method definition) outside that range"
         )
 
 

@@ -345,6 +345,25 @@ def loop_lift_table(n: int, k: int):
     return idx, sgn
 
 
+def loop_star(coeffs: np.ndarray, n: int, p: int, q: int) -> np.ndarray:
+    """forms._star_stack, one entry at a time, of a stack (..., C(n,p), C(n,q)):
+    (*w)[K, L] = sgn(K) sgn(L) w[K^c, L^c], with K^c ranked by enumeration
+    and sgn(K) the sign of sorting K + K^c."""
+
+    def complements(d):
+        # rank of K^c among the d-subsets and sgn(K), per (n-d)-subset K
+        ranks = _lex_ranks(n, d)
+        rests = [(K, tuple(i for i in range(1, n + 1) if i not in K)) for K in _lex(n, n - d)]
+        return [(ranks[rest], float(tuple_merge_sign(K, rest))) for K, rest in rests]
+
+    rows, cols = complements(p), complements(q)
+    out = np.empty(coeffs.shape[:-2] + (len(rows), len(cols)))
+    for a, (r, s) in enumerate(rows):
+        for b, (c, t) in enumerate(cols):
+            out[..., a, b] = coeffs[..., r, c] * (s * t)
+    return out
+
+
 def loop_member_table(n: int, k: int) -> np.ndarray:
     subs = _lex(n, k)
     return np.array(subs, dtype=np.int64).reshape(len(subs), k) - 1

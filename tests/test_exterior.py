@@ -125,26 +125,28 @@ def test_complement_examples():
     assert merge_sign((1, 2), (3, 4)) == 1
     assert merge_sign((2,), (1,)) == -1
     assert merge_sign((), (1, 2, 3)) == 1
-    # star's table, by rank of I: rank of I^c and that sign
-    ranks, signs = _complement_table(4, 2)
-    assert (ranks[0], signs[0]) == (5, 1)  # (1, 2) -> (3, 4)
-    ranks, signs = _complement_table(2, 1)
-    assert (ranks[1], signs[1]) == (0, -1)  # (2,) -> (1,)
-    ranks, signs = _complement_table(3, 0)
-    assert (ranks[0], signs[0]) == (0, 1)  # () -> (1, 2, 3)
+    # star's signs, by rank of I; I^c has the reversed rank
+    assert _complement_table(4, 2)[0] == 1  # (1, 2) -> (3, 4)
+    assert rank_index((3, 4), AlgebraContext(4)) == 5
+    assert _complement_table(2, 1)[1] == -1  # (2,) -> (1,)
+    assert rank_index((1,), AlgebraContext(2)) == 0
+    assert _complement_table(3, 0)[0] == 1  # () -> (1, 2, 3)
 
 
 def test_complement_merges_to_volume():
-    # the complement table behind star holds exactly those signs
-    for n in (2, 4, 6):
+    # complementation reverses the lexicographic order, which star and the
+    # lists of members outside a subset rely on, and star's table holds the
+    # signs of e_I ^ e_{I^c}; the enumeration checks both at every n
+    for n in range(1, 13):
         ctx = AlgebraContext(n)
         full = tuple(range(1, n + 1))
         for p in range(n + 1):
-            ranks, signs = _complement_table(n, p)
+            signs = _complement_table(n, p)
+            last = len(subsets(n, p)) - 1
             for r, I in enumerate(subsets(n, p)):
                 rest = _rest(I, n)
                 assert tuple(sorted(I + rest)) == full
-                assert ranks[r] == rank_index(rest, ctx)
+                assert rank_index(rest, ctx) == last - r
                 assert signs[r] == merge_sign(I, rest)
 
 
@@ -152,11 +154,10 @@ def test_double_complement_sign():
     for n in (2, 3, 4, 5, 6):
         for p in range(n + 1):
             expected = -1 if (p * (n - p)) % 2 else 1
-            ranks, signs = _complement_table(n, p)
-            back_ranks, back_signs = _complement_table(n, n - p)
+            signs, back_signs = _complement_table(n, p), _complement_table(n, n - p)
+            last = len(signs) - 1
             for r, I in enumerate(subsets(n, p)):
                 rest = _rest(I, n)
                 assert _rest(rest, n) == I
                 assert merge_sign(I, rest) * merge_sign(rest, I) == expected
-                assert back_ranks[ranks[r]] == r
-                assert signs[r] * back_signs[ranks[r]] == expected
+                assert signs[r] * back_signs[last - r] == expected

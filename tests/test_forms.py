@@ -28,7 +28,7 @@ from doubleforms.forms import (
     zero_form,
 )
 from doubleforms import exterior, forms
-from oracles import dense_kn_product, literal_bianchi_map, literal_kn_product, loop_contract
+from oracles import dense_kn_product, literal_bianchi_map, literal_kn_product, loop_contract, loop_star
 
 from math import comb, factorial, prod
 
@@ -410,6 +410,22 @@ def test_norm_below_the_range_of_squares(monkeypatch):
     monkeypatch.setattr(forms, "_exponent", no_rescale)
     assert DoubleForm(2, 2, np.zeros((6, 6)), ctx).norm() == 0.0
     assert DoubleForm(2, 2, -0.0 * np.eye(6), ctx).norm() == 0.0
+
+
+def test_star_stack_equals_the_loop_reference_bit_for_bit():
+    # the signed reversal moves each entry, -0.0, inf, nan and the largest
+    # floats included, and multiplies it by the same sign as the loop
+    for n in range(1, 9):
+        rng = np.random.default_rng(n)
+        for p in range(n + 1):
+            for q in range(n + 1):
+                W = rng.standard_normal((3, comb(n, p), comb(n, q)))
+                W[0].flat[0] = -0.0
+                W[1].flat[0], W[1].flat[-1] = np.inf, np.nan  # one nan in a member of one entry
+                W[2] *= 1e307
+                W[2].flat[-1] = -1.7e308
+                got, want = forms._star_stack(W, n, p, q), loop_star(W, n, p, q)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), (n, p, q)
 
 
 def test_star_volume_normalization():

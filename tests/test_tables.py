@@ -102,10 +102,14 @@ def test_bianchi_projector_is_symmetric_bit_for_bit(n):
 
 
 def test_complement_table_is_the_last_column_of_the_split():
+    # the split's one column at (n, d, n - d) is the complement: its ranks
+    # are the rows' ranks reversed, which star reads without a table, and
+    # its signs are the complement table
     for n in (1, 5, 12):
         for d in range(n + 1):
             src, _, sign = loop_split_tensor(n, d, n - d)
-            assert_same(forms._complement_table(n, d), (src[:, 0], sign[:, 0]), (n, d))
+            assert np.array_equal(src[:, 0], np.arange(len(src))[::-1]), (n, d)
+            assert_same(forms._complement_table(n, d), sign[:, 0], (n, d))
 
 
 def as_tuple(mask):

@@ -521,9 +521,13 @@ def test_cli_weitzenboeck_both_methods(tensor_file, tmp_path, capsys):
 
 
 def test_cli_weitzenboeck_formula_range(tensor_file, capsys):
-    assert main(["weitzenboeck", "--input", tensor_file, "--p", "4"]) == 2
-    err = capsys.readouterr().err
-    assert "np_definition" in err
+    # the message names the function and the option that reaches it
+    for p in ("1", "4"):
+        assert main(["weitzenboeck", "--input", tensor_file, "--p", p]) == 2
+        err = capsys.readouterr().err
+        assert "np_definition" in err and "--method definition" in err, p
+        assert main(["weitzenboeck", "--input", tensor_file, "--p", p, "--method", "definition"]) == 0
+        capsys.readouterr()
 
 
 def test_cli_spectrum(tensor_file, capsys):

@@ -1,5 +1,6 @@
 """Byte gate: run the same commands on a parent commit and on the working
-tree, and print every difference in stdout, stderr or exit code.
+tree, and print every difference in stdout, stderr, exit code or written
+file.
 
     python3 tools/bytes_gate.py PARENT_REF [--seed N]
 
@@ -14,12 +15,15 @@ one at a time:
 - the 7 cli-n10 and 3 cli-n12 commands of ``bench/run.py``, on the
   tensors its set-up writes with ``bench/inputs.py`` for the seed;
 - ``weitzenboeck --method definition``, ``spectrum``, ``sectional`` and
-  ``pcurvature`` at n = 12, p = 6, on the same n = 12 tensor.
+  ``pcurvature`` at n = 12, p = 6, on the same n = 12 tensor;
+- ``weitzenboeck --output FILE --json`` at n = 12, p = 6, whose written
+  file is compared as one more stream.
 
-Both trees read the same input files.  Each command prints ``same`` with
-the md5 of its stdout, or ``DIFF`` followed by each stream that differs:
-its sizes, md5s and first differing lines.  The exit code is 0 when every
-command gave the same bytes and exit code in both trees, 1 otherwise.
+Both trees read the same input files and write to the same path.  Each
+command prints ``same`` with the md5 of its stdout, or ``DIFF`` followed by
+each stream that differs: its sizes, md5s and first differing lines.  The
+exit code is 0 when every command gave the same bytes, written files and
+exit code in both trees, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -51,6 +55,8 @@ VERIFY = [
 ]
 #: Lines of a differing stream printed at most.
 SHOWN = 3
+#: Stands for the path of the file a command writes.
+OUTPUT = "{output}"
 
 
 def commands(seed: int, work: str) -> list[tuple[str, list[str]]]:
@@ -68,15 +74,25 @@ def commands(seed: int, work: str) -> list[tuple[str, list[str]]]:
         ("n12 spectrum-p6", ["spectrum", "--input", t, "--p", "6", "--seed", s, "--json"]),
         ("n12 sectional-p6", ["sectional", "--input", t, "--p", "6", "--seed", s, "--json"]),
         ("n12 pcurvature-p6", ["pcurvature", "--input", t, "--p", "6", "--json"]),
+        ("n12 weitzenboeck-p6-output", ["weitzenboeck", "--input", t, "--p", "6", "--output", OUTPUT,
+                                        "--json"]),
     ]
     return out
 
 
-def run_in(tree: str, args: list[str]) -> tuple[bytes, bytes, int]:
-    """stdout, stderr and exit code of one cold CLI process on tree's src."""
+def run_in(tree: str, args: list[str], written: str) -> tuple[bytes, bytes, int, bytes]:
+    """stdout, stderr, exit code and written file of one cold CLI process on
+    tree's src; OUTPUT in args is the path written, whose bytes are read and
+    the file removed (b"" when the command writes no file)."""
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), **ENV)
+    args = [written if arg == OUTPUT else arg for arg in args]
     proc = subprocess.run([sys.executable, "-c", CLI, *args], capture_output=True, env=env, cwd=tree)
-    return proc.stdout, proc.stderr, proc.returncode
+    data = b""
+    if os.path.exists(written):
+        with open(written, "rb") as fh:
+            data = fh.read()
+        os.remove(written)
+    return proc.stdout, proc.stderr, proc.returncode, data
 
 
 def md5(data: bytes) -> str:
@@ -119,13 +135,15 @@ def main(argv=None) -> int:
             extract(args.parent, parent)
         except subprocess.CalledProcessError as exc:
             parser.error(f"cannot archive {args.parent!r}: {exc.stderr.decode().strip()}")
-        gated, diffs = commands(args.seed, work), 0
+        gated, diffs, written = commands(args.seed, work), 0, os.path.join(tmp, "written.json")
         for label, cli_args in gated:
-            old, new = run_in(parent, cli_args), run_in(ROOT, cli_args)
+            old, new = run_in(parent, cli_args, written), run_in(ROOT, cli_args, written)
             lines = differences("stdout", old[0], new[0]) + differences("stderr", old[1], new[1])
+            lines += differences("written file", old[3], new[3])
             if old[2] != new[2]:
                 lines.append(f"  exit code: {old[2]} -> {new[2]}")
-            print(f"{'DIFF' if lines else 'same'}  {label}  (exit {new[2]}, stdout md5 {md5(new[0])})")
+            file_md5 = f", written md5 {md5(new[3])}" if new[3] else ""
+            print(f"{'DIFF' if lines else 'same'}  {label}  (exit {new[2]}, stdout md5 {md5(new[0])}{file_md5})")
             for line in lines:
                 print(line)
             sys.stdout.flush()
