@@ -84,9 +84,9 @@ class CliffordElement:
 @cached_table
 def _lower_parity(n: int, i: int) -> np.ndarray:
     """(-1)**(number of generators below i present in each subset)."""
-    lower = (1 << (i - 1)) - 1
-    counts = np.array([bin(s & lower).count("1") for s in range(2 ** n)], dtype=np.int64)
-    return np.where(counts % 2 == 0, 1.0, -1.0)
+    lower = np.arange(2 ** n) & ((1 << (i - 1)) - 1)
+    odd = np.bitwise_xor.reduce(lower >> np.arange(i)[:, None], axis=0)  # the parity of bits 0..i-1
+    return np.where(odd & 1, -1.0, 1.0)
 
 
 @cached_table

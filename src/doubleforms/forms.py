@@ -134,6 +134,7 @@ def _norms(stack: np.ndarray) -> np.ndarray:
             big = np.max(np.abs(flat[rescue]), axis=1, initial=0.0)
             finite = (big > 0) & (big < np.inf)
             rescue, shift = rescue[finite], np.frexp(big[finite])[1]
+        if rescue.size:  # a zero or non-finite member is left as it is
             scaled = np.ldexp(flat[rescue], -shift[:, None])
             norms[rescue] = np.ldexp(np.sqrt(_dots(scaled, scaled)), shift)
     return norms
@@ -202,7 +203,7 @@ class DoubleForm:
     def symmetrized(self) -> "DoubleForm":
         if self.p != self.q:
             raise ValueError("only (p,p) forms can be symmetrized")
-        return DoubleForm(self.p, self.q, (self.coeffs + self.coeffs.T) / 2.0, self.ctx)
+        return DoubleForm(self.p, self.q, 0.5 * self.coeffs + 0.5 * self.coeffs.T, self.ctx)
 
     def scalar(self) -> float:
         """Value of a (0,0) form."""
@@ -663,17 +664,17 @@ BIANCHI_TOL = 1e-12
 _UNSCALED_BIANCHI_CHECK = 2.0 ** 500
 
 
-def _bianchi_scaled(coeffs: np.ndarray) -> tuple[np.ndarray, list[int]]:
+def _bianchi_scaled(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each matrix of a stack (members, rows, cols) times 2**-shift, and the
     shifts: 0 while no entry of the matrix exceeds _UNSCALED_BIANCHI_CHECK,
     else the exponent of its largest entry, so that its norm, Bianchi map and
     Bianchi projection stay finite.  A stack that needs no shift is returned
     as it is."""
     big = np.max(np.abs(coeffs), axis=(1, 2), initial=0.0)
-    shifts = [_exponent(m) if b > _UNSCALED_BIANCHI_CHECK else 0 for m, b in zip(coeffs, big)]
-    if not any(shifts):
+    shifts = np.where(big > _UNSCALED_BIANCHI_CHECK, np.frexp(big)[1], 0)
+    if not shifts.any():
         return coeffs, shifts
-    return np.ldexp(coeffs, -np.array(shifts).reshape(-1, 1, 1)), shifts
+    return np.ldexp(coeffs, -shifts.reshape(-1, 1, 1)), shifts
 
 
 class BianchiViolation(ValueError):
@@ -699,7 +700,7 @@ def _check_curvature(coeffs: np.ndarray, n: int, tol: float) -> None:
         # range is checked times a power of two that keeps both finite
         scaled, shifts = _bianchi_scaled(coeffs)
         residuals = np.max(np.abs(_bianchi_stack(scaled, n, 2, 2)), axis=(1, 2), initial=0.0)
-        for residual, norm, shift in zip(residuals, _norms(scaled).tolist(), shifts):
+        for residual, norm, shift in zip(residuals, _norms(scaled).tolist(), shifts.tolist()):
             limit = tol * norm
             if not residual <= limit:
                 raise BianchiViolation(

@@ -277,21 +277,22 @@ def project_bianchi(form: DoubleForm) -> DoubleForm:
     the image of 4-forms under lambda(alpha)(xy, zw) = alpha_xyzw.  The
     Bianchi map kills the first part and has b(lambda(alpha))(abc; d) =
     -3 alpha_abcd, so the projection of the symmetric part s is
-    s - lambda(alpha) with alpha_abcd = -b(s)(abc; d)/3.  One call of
-    _project_stack on a stack of one.
+    s - lambda(alpha) with alpha_abcd = -b(s)(abc; d)/3.  One _project_stack
+    call on a stack of one, at the power-of-two scale of the CurvatureTensor
+    check (forms._bianchi_scaled), so that entries near the range stay finite.
     """
     if form.degree != (2, 2):
         raise ValueError(f"expected a (2,2) form, got {form.degree}")
-    return DoubleForm(2, 2, _project_stack(form.coeffs[None], form.ctx.n)[0], form.ctx)
+    scaled, (shift,) = _bianchi_scaled(form.coeffs[None])
+    return DoubleForm(2, 2, np.ldexp(_project_stack(scaled, form.ctx.n)[0], shift), form.ctx)
 
 
 def _projected(form: DoubleForm, path) -> CurvatureTensor:
-    """The curvature tensor project_bianchi makes of form, projected at the
-    power-of-two scale of the CurvatureTensor check, so that entries near the
-    float64 range stay finite.  Its rounding residual is judged against the
-    input's norm: the projection of a pure 4-form is zero up to rounding."""
+    """The curvature tensor project_bianchi makes of form.  Its rounding
+    residual is judged at the scale of the projection, against the input's
+    norm: the projection of a pure 4-form is zero up to rounding."""
     scaled, (shift,) = _bianchi_scaled(form.coeffs[None])
-    projected = DoubleForm(2, 2, _project_stack(scaled, form.ctx.n)[0], form.ctx)
+    projected = project_bianchi(DoubleForm(2, 2, scaled[0], form.ctx))
     residual, limit = bianchi_residual(projected), 1e-9 * _norm(scaled[0])
     if not residual <= limit:
         raise BianchiViolation(f"{path}: first Bianchi identity violated after projection: "

@@ -27,9 +27,11 @@ checks take their minors in stacked determinants
 (forms.plane_values), and the exhaustive Clifford checks multiply stacks
 of basis elements in one clifford._mul_stack call each.
 
-Every worst-of reduction keeps a NaN (_largest, _smallest and the worst
-order of contraction_orders), so a NaN residual fails its record; the JSON
-report, which cannot hold it, raises ValueError naming the identity.
+Every relative residual is _ratios' gap / max(scale, 1): on stacks (_rels),
+on stacks of one and on the gaps an identity collects.  Every worst-of
+reduction keeps a NaN (_largest, _smallest and contraction_orders' argmax
+over its orders), so a NaN residual fails its record; the JSON report,
+which cannot hold it, raises ValueError naming the identity.
 
 The identities do not depend on each other, so `run_suite` runs them on
 the usable CPUs: in a pool of processes forked from the caller, one per
@@ -278,8 +280,8 @@ def _rng(cfg: SuiteConfig, identity: str, *key: int) -> np.random.Generator:
 
 
 def _ratios(gaps: np.ndarray, scales: np.ndarray) -> np.ndarray:
-    """gaps / max(scales, 1) member by member; a NaN stays NaN, and inf / inf
-    reads NaN without a warning, as float division gives it."""
+    """The suite's one relative residual, gaps / max(scales, 1) member by
+    member; a NaN stays NaN, and inf / inf reads NaN without a warning."""
     with np.errstate(invalid="ignore"):
         return gaps / np.maximum(scales, 1.0)
 
@@ -299,10 +301,6 @@ def _largest(values) -> float:
 def _smallest(values) -> float:
     """The smallest of values, NaN when any value is NaN (see _largest)."""
     return float(np.min(values))
-
-
-def _rel(actual: DoubleForm, expected: DoubleForm) -> float:
-    return _rels(actual.coeffs[None], expected.coeffs[None])[0]
 
 
 def _cells(cfg: SuiteConfig) -> Iterator[tuple[int, int, AlgebraContext]]:
@@ -474,21 +472,16 @@ def _run_contraction_orders(cfg: SuiteConfig) -> Iterator[Measurement]:
             if k:
                 lhs = _contract_stack(lhs, n, p - k + 1, p - k + 1)
             rhs = wz._contraction_rhs_stack(W, n, p, k)
-            orders.append((_rels(lhs, rhs), lhs, rhs))
-        for m in range(len(W)):
-            worst, worst_note = 0.0, ""
-            for k, (residuals, lhs, rhs) in enumerate(orders):
-                r = residuals[m]
-                # the first NaN is the worst, so that its record fails
-                if r > worst or (np.isnan(r) and not np.isnan(worst)):
-                    worst, worst_note = r, f"worst at k={k}"
-                if not MAIN.judge(r, cfg)[1]:
-                    denom = float(np.sum(rhs[m] * rhs[m]))
-                    if denom > 0:
-                        factors.append(float(np.sum(lhs[m] * rhs[m])) / denom)
+            orders.append(_rels(lhs, rhs))
+            for m, r in enumerate(orders[-1]):
+                if not MAIN.judge(r, cfg)[1] and (denom := float(np.sum(rhs[m] * rhs[m]))) > 0:
+                    factors.append(float(np.sum(lhs[m] * rhs[m])) / denom)
+        rels = np.array(orders)  # (orders, members); argmax takes the first NaN, else the first largest
+        for m, k in enumerate(np.argmax(rels, axis=0).tolist()):
+            worst = float(rels[k, m])
             cells += 1
             failures += not MAIN.judge(worst, cfg)[1]
-            yield n, p, first + m, worst, worst_note, MAIN
+            yield n, p, first + m, worst, f"worst at k={k}" if worst else "", MAIN
     if failures and failures >= max(2, cells // 2) and factors:
         arr = np.asarray(factors)
         if np.max(np.abs(arr - arr.mean())) <= 1e-3 * max(abs(arr.mean()), 1e-12):
@@ -529,12 +522,12 @@ def _run_constant_curvature(cfg: SuiteConfig) -> Iterator[Measurement]:
         ctx = AlgebraContext(n)
         w = constant_curvature(1.0, ctx)
         for p in range(0, n + 1):
-            npdef = wz.np_definition(w, p)
-            r = _rel(npdef, (p * (n - p) / factorial(p)) * metric_power(p, ctx))
+            npdef, expected = wz.np_definition(w, p), (p * (n - p) / factorial(p)) * metric_power(p, ctx)
+            r = _rels(npdef.coeffs[None], expected.coeffs[None])[0]
             note = "unit-curvature closed form"
             if 1 <= p <= n - 1:
                 target = p * factorial(n) / factorial(n - p - 1)
-                r = _largest([r, abs(contract_iter(npdef, p).scalar() - target) / max(abs(target), 1.0)])
+                r = _largest([r, _ratios(abs(contract_iter(npdef, p).scalar() - target), abs(target))])
                 note += " and full contraction"
             yield n, p, 0, r, note, EXACT
 
@@ -582,13 +575,15 @@ def _run_clifford_associativity(cfg: SuiteConfig) -> Iterator[Measurement]:
     for n in dims:
         ctx = AlgebraContext(n)
         rng = _rng(cfg, "clifford_associativity", n)
-        gaps = []
+        gaps, scales = [], []
         for _ in range(per_cell):
             a, b, c = (cl.CliffordElement(rng.standard_normal(2 ** n), ctx) for _ in range(3))
             lhs = cl.clifford_mul(cl.clifford_mul(a, b), c)
             rhs = cl.clifford_mul(a, cl.clifford_mul(b, c))
-            gaps.append((lhs - rhs).norm() / max(a.norm() * b.norm() * c.norm(), 1.0))
-        yield n, None, 0, _largest(gaps), f"{per_cell} random triples", EXACT
+            gaps.append((lhs - rhs).norm())
+            scales.append(a.norm() * b.norm() * c.norm())
+        worst = _largest(_ratios(np.array(gaps), np.array(scales)))
+        yield n, None, 0, worst, f"{per_cell} random triples", EXACT
 
 
 _MID_DEGREE_CELLS = ((6, 2), (7, 3), (8, 2), (8, 4))
@@ -603,8 +598,8 @@ def _run_mid_degree(cfg: SuiteConfig) -> Iterator[Measurement]:
             ("pure Weyl", weyl_part_tensor(_seedseq(cfg, "mid_degree", n, p, 2), ctx)),
         ]
         for t, (label, w) in enumerate(instances):
-            rhs = wz.np_midpoint_formula(w, p)
-            yield n, p, t, _rel(rhs, wz.np_definition(w, (n + p) // 2)), label, MAIN
+            rhs, lhs = wz.np_midpoint_formula(w, p), wz.np_definition(w, (n + p) // 2)
+            yield n, p, t, _rels(rhs.coeffs[None], lhs.coeffs[None])[0], label, MAIN
 
 
 def _run_sectional_sum(cfg: SuiteConfig) -> Iterator[Measurement]:
@@ -618,8 +613,7 @@ def _run_sectional_sum(cfg: SuiteConfig) -> Iterator[Measurement]:
             pairs = [(i, j) for i in range(p) for j in range(p, n)]
             planes = frames[:, :, pairs].transpose(0, 2, 1, 3).reshape(-1, n, 2)
             rhs = plane_values(w, planes, ctx).reshape(5, -1).sum(-1)
-            worst = float(np.max(np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1.0)))
-            yield n, p, t, worst, "5 random planes", MAIN
+            yield n, p, t, _largest(_ratios(np.abs(lhs - rhs), np.abs(rhs))), "5 random planes", MAIN
 
 
 def _run_adjoint_pairing(cfg: SuiteConfig) -> Iterator[Measurement]:
@@ -646,7 +640,7 @@ def _run_tachibana(cfg: SuiteConfig) -> Iterator[Measurement]:
         # conformally flat with n = 2p: sectional values must be constant
         w = conformally_flat(_seedseq(cfg, "tachibana", n, p, 0), ctx)
         values = plane_values(wz.np_definition(w, p).coeffs, wz.sample_frames(rng, n, p, 20), ctx)
-        spread = float(values.max() - values.min()) / max(float(np.abs(values).max()), 1.0)
+        spread = float(_ratios(values.max() - values.min(), np.abs(values).max()))
         yield n, p, 0, spread, "conformally flat, n = 2p", MAIN
         # witness: a unit-norm tensor with Weyl part must show visible spread
         witness = weyl_part_tensor(_seedseq(cfg, "tachibana", n, p, 1), ctx)
@@ -660,26 +654,25 @@ def _run_kn_algebra(cfg: SuiteConfig) -> Iterator[Measurement]:
     for n in cfg.dimensions():
         ctx = AlgebraContext(n)
         rng = _rng(cfg, "kn_algebra", n)
-        gaps = []
+        gaps, scales = [], []
         for degrees in ((1, 1, 1), (1, 1, 2), (1, 2, 1)):
             if sum(degrees) > n:
                 continue
             for _ in range(5):
                 a, b, c = (random_form(rng, d, d, ctx, symmetric=True) for d in degrees)
                 ab = kn_product(a, b)
-                scale = max(a.norm() * b.norm(), 1.0)
-                gaps.append((ab - kn_product(b, a)).norm() / scale)
-                scale3 = max(a.norm() * b.norm() * c.norm(), 1.0)
-                assoc = (kn_product(ab, c) - kn_product(a, kn_product(b, c))).norm()
-                gaps.append(assoc / scale3)
+                assoc = kn_product(ab, c) - kn_product(a, kn_product(b, c))
+                gaps += [(ab - kn_product(b, a)).norm(), assoc.norm()]
+                scales += [a.norm() * b.norm(), a.norm() * b.norm() * c.norm()]
         # the grade-2 part of the Clifford product of vectors is a ^ b: an
         # independent sign rule for the shuffle table of the (1,0) x (1,0) product
         a, b = rng.standard_normal((2, n))
         wedge = kn_product(DoubleForm(1, 0, a[:, None], ctx), DoubleForm(1, 0, b[:, None], ctx))
         clifford = cl.clifford_mul(cl.from_vector(ctx, a), cl.from_vector(ctx, b))
-        gap = _norm(wedge.coeffs[:, 0] - clifford.coeffs[subset_masks(n, 2)])
-        gaps.append(gap / max(_norm(a) * _norm(b), 1.0))
-        yield n, None, 0, _largest(gaps), "commutativity and associativity", EXACT
+        gaps.append(_norm(wedge.coeffs[:, 0] - clifford.coeffs[subset_masks(n, 2)]))
+        scales.append(_norm(a) * _norm(b))
+        worst = _largest(_ratios(np.array(gaps), np.array(scales)))
+        yield n, None, 0, worst, "commutativity and associativity", EXACT
 
 
 def _run_meyer_positivity(cfg: SuiteConfig) -> Iterator[Measurement]:

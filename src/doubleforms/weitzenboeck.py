@@ -36,7 +36,6 @@ from math import comb, factorial, ldexp
 import numpy as np
 
 from .exterior import AlgebraContext, cached_table, mask_ranks, subset_masks
-from . import clifford as cl
 from .forms import (
     DoubleForm,
     _contract_stack,
@@ -89,6 +88,7 @@ def _ad_table(n: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     both signs read off clifford's sign masks D:
     e_A.e_B = (-1)^parity(B & D_A) e_{A xor B}.
     """
+    from . import clifford as cl  # here, so that only the oracle loads the Clifford layer
     source_masks, pair_masks = subset_masks(n, p), subset_masks(n, 2)
     src = np.repeat(np.arange(len(source_masks)), len(pair_masks))
     pair = np.tile(np.arange(len(pair_masks)), len(source_masks))

@@ -400,16 +400,35 @@ def test_norm_below_the_range_of_squares(monkeypatch):
         assert DoubleForm(2, 2, raw, ctx).norm() == pytest.approx(np.sqrt(2.0) * tiny, rel=1e-15, abs=0)
     raw = np.diag([1e-310] * 6)  # the operator's entries in the CLI case
     assert DoubleForm(2, 2, raw, ctx).norm() == pytest.approx(np.sqrt(6.0) * 1e-310, rel=1e-12, abs=0)
-    assert DoubleForm(2, 2, np.zeros((6, 6)), ctx).norm() == 0.0
-    assert DoubleForm(2, 2, -0.0 * np.eye(6), ctx).norm() == 0.0
+    dots, calls = forms._dots, []
 
-    def no_rescale(coeffs):
-        raise AssertionError("an all-zero form was rescaled")
+    def counted(a, b):
+        calls.append(len(a))
+        return dots(a, b)
 
-    # a form without a nonzero entry has norm 0.0 and is never rescaled
-    monkeypatch.setattr(forms, "_exponent", no_rescale)
-    assert DoubleForm(2, 2, np.zeros((6, 6)), ctx).norm() == 0.0
-    assert DoubleForm(2, 2, -0.0 * np.eye(6), ctx).norm() == 0.0
+    # a form without a nonzero entry has norm 0.0 and takes one dot product;
+    # an all-subnormal form takes a second one, on the form rescaled
+    monkeypatch.setattr(forms, "_dots", counted)
+    for raw, norm, taken in ((np.zeros((6, 6)), 0.0, [1]), (-0.0 * np.eye(6), 0.0, [1]),
+                             (np.diag([5e-324] * 6), np.sqrt(6.0) * 5e-324, [1, 1])):
+        calls.clear()
+        assert DoubleForm(2, 2, raw, ctx).norm() == norm
+        assert calls == taken
+
+
+def test_symmetrized_is_finite_near_the_float_range():
+    # (c + c.T) / 2 overflows above half the range; halves first do not
+    ctx = AlgebraContext(4)
+    raw = 1.7e308 * np.random.default_rng(3).uniform(-1.0, 1.0, (6, 6))
+    raw[0, 1], raw[1, 0] = 1.7e308, 1.6e308
+    got = DoubleForm(2, 2, raw, ctx).symmetrized().coeffs
+    # the mean taken a quarter of the way down the range, bit for bit
+    quarter = np.ldexp(raw, -2)
+    assert np.array_equal(got, np.ldexp((quarter + quarter.T) / 2.0, 2))
+    assert np.isfinite(got).all() and np.array_equal(got, got.T)
+    # below the range it is the mean, bit for bit
+    small = raw * 1e-300
+    assert np.array_equal(DoubleForm(2, 2, small, ctx).symmetrized().coeffs, (small + small.T) / 2.0)
 
 
 def test_star_stack_equals_the_loop_reference_bit_for_bit():

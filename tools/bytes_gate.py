@@ -3,13 +3,17 @@ tree, and print every difference in stdout, stderr, exit code or written
 file.
 
     python3 tools/bytes_gate.py PARENT_REF [--seed N]
+    python3 tools/bytes_gate.py --threads T [--seed N]
 
 Run it from anywhere inside the checkout.  The parent's committed files
 are extracted with ``git archive`` into a temporary directory, which
 leaves nothing behind in the repository; the working tree is run as it
 stands, uncommitted changes included.  Every command is a cold process
 with ``OPENBLAS_NUM_THREADS=1`` (and the OpenMP and MKL equivalents), run
-one at a time:
+one at a time.  With ``--threads T`` in place of a parent, the gate
+compares the working tree with itself: each command at 1 thread against
+the same command at T threads, which shows every output byte that depends
+on the BLAS thread count.  The commands:
 
 - the five ``verify`` configurations whose md5s the ROADMAP tracks;
 - the 7 cli-n10 and 3 cli-n12 commands of ``bench/run.py``, on the
@@ -19,11 +23,11 @@ one at a time:
 - ``weitzenboeck --output FILE --json`` at n = 12, p = 6, whose written
   file is compared as one more stream.
 
-Both trees read the same input files and write to the same path.  Each
+Both sides read the same input files and write to the same path.  Each
 command prints ``same`` with the md5 of its stdout, or ``DIFF`` followed by
 each stream that differs: its sizes, md5s and first differing lines.  The
 exit code is 0 when every command gave the same bytes, written files and
-exit code in both trees, 1 otherwise.
+exit code on both sides, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -45,7 +49,9 @@ sys.path.insert(0, os.path.join(ROOT, "bench"))
 import run  # noqa: E402  (bench/run.py: the CLI workloads' set-up and commands)
 
 CLI = "from doubleforms.cli import entry; entry()"
-ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+#: The most threads --threads may ask for.
+MAX_THREADS = 64
 VERIFY = [
     ["verify", "--json"],
     ["verify", "--extended", "--json"],
@@ -80,11 +86,13 @@ def commands(seed: int, work: str) -> list[tuple[str, list[str]]]:
     return out
 
 
-def run_in(tree: str, args: list[str], written: str) -> tuple[bytes, bytes, int, bytes]:
+def run_in(tree: str, args: list[str], written: str, threads: int = 1) -> tuple[bytes, bytes, int, bytes]:
     """stdout, stderr, exit code and written file of one cold CLI process on
-    tree's src; OUTPUT in args is the path written, whose bytes are read and
-    the file removed (b"" when the command writes no file)."""
-    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), **ENV)
+    tree's src with BLAS on threads threads; OUTPUT in args is the path
+    written, whose bytes are read and the file removed (b"" when the command
+    writes no file)."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    env.update(dict.fromkeys(THREAD_VARS, str(threads)))
     args = [written if arg == OUTPUT else arg for arg in args]
     proc = subprocess.run([sys.executable, "-c", CLI, *args], capture_output=True, env=env, cwd=tree)
     data = b""
@@ -125,19 +133,30 @@ def extract(ref: str, into: str) -> None:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("parent", help="the commit to compare the working tree with, e.g. HEAD")
+    parser.add_argument("parent", nargs="?", help="the commit to compare the working tree with, e.g. HEAD")
+    parser.add_argument("--threads", type=int, help="compare the working tree at 1 BLAS thread with "
+                                                    "itself at this many threads, in place of a parent")
     parser.add_argument("--seed", type=int, default=0, help="seed of the benchmark's input tensors")
     args = parser.parse_args(argv)
+    if (args.parent is None) == (args.threads is None):
+        parser.error("give either a parent commit or --threads, not both")
+    if args.threads is not None and not 2 <= args.threads <= MAX_THREADS:
+        parser.error(f"--threads must lie in [2, {MAX_THREADS}], got {args.threads}")
     with tempfile.TemporaryDirectory(prefix="bytes_gate_") as tmp:
-        parent, work = os.path.join(tmp, "parent"), os.path.join(tmp, "inputs")
+        work = os.path.join(tmp, "inputs")
         os.mkdir(work)
-        try:
-            extract(args.parent, parent)
-        except subprocess.CalledProcessError as exc:
-            parser.error(f"cannot archive {args.parent!r}: {exc.stderr.decode().strip()}")
+        if args.threads is None:
+            parent = os.path.join(tmp, "parent")
+            try:
+                extract(args.parent, parent)
+            except subprocess.CalledProcessError as exc:
+                parser.error(f"cannot archive {args.parent!r}: {exc.stderr.decode().strip()}")
+            sides = [(parent, 1), (ROOT, 1)]
+        else:
+            sides = [(ROOT, 1), (ROOT, args.threads)]
         gated, diffs, written = commands(args.seed, work), 0, os.path.join(tmp, "written.json")
         for label, cli_args in gated:
-            old, new = run_in(parent, cli_args, written), run_in(ROOT, cli_args, written)
+            old, new = (run_in(tree, cli_args, written, threads) for tree, threads in sides)
             lines = differences("stdout", old[0], new[0]) + differences("stderr", old[1], new[1])
             lines += differences("written file", old[3], new[3])
             if old[2] != new[2]:
