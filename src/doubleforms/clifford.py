@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exterior import AlgebraContext, _mask, cached_table, validate_index
+from .exterior import AlgebraContext, _mask, _parity, cached_table, validate_index
 
 __all__ = [
     "CliffordElement",
@@ -84,9 +84,7 @@ class CliffordElement:
 @cached_table
 def _lower_parity(n: int, i: int) -> np.ndarray:
     """(-1)**(number of generators below i present in each subset)."""
-    lower = np.arange(2 ** n) & ((1 << (i - 1)) - 1)
-    odd = np.bitwise_xor.reduce(lower >> np.arange(i)[:, None], axis=0)  # the parity of bits 0..i-1
-    return np.where(odd & 1, -1.0, 1.0)
+    return np.where(_parity(np.arange(2 ** n) & ((1 << (i - 1)) - 1)), -1.0, 1.0)
 
 
 @cached_table

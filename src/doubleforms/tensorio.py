@@ -280,6 +280,8 @@ def project_bianchi(form: DoubleForm) -> DoubleForm:
     s - lambda(alpha) with alpha_abcd = -b(s)(abc; d)/3.  One _project_stack
     call on a stack of one, at the power-of-two scale of the CurvatureTensor
     check (forms._bianchi_scaled), so that entries near the range stay finite.
+    At that scale, entries more than about 2**1021 below the largest one are
+    subnormal and lose bits, down to zero.
     """
     if form.degree != (2, 2):
         raise ValueError(f"expected a (2,2) form, got {form.degree}")

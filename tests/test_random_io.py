@@ -458,7 +458,8 @@ def test_project_mode_returns_bianchi_tensor(tmp_path):
 def test_project_mode_is_the_projection_at_every_scale(tmp_path, scale):
     # the largest entry is scale and the others are at most scale / 2, so
     # the projection's entries stay within scale; both paths take it times
-    # the same power of two, which changes no bit below the float range
+    # the same power of two, which changes no bit of entries this close to
+    # the largest (those more than about 2**1021 below it would turn subnormal)
     ctx = AlgebraContext(5)
     raw = np.random.default_rng(11).uniform(-0.5, 0.5, (10, 10))
     unit = (raw + raw.T) / 2.0

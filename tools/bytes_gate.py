@@ -3,16 +3,16 @@ tree, and print every difference in stdout, stderr, exit code or written
 file.
 
     python3 tools/bytes_gate.py PARENT_REF [--seed N]
-    python3 tools/bytes_gate.py --threads T [--seed N]
+    python3 tools/bytes_gate.py --threads [--seed N]
 
 Run it from anywhere inside the checkout.  The parent's committed files
 are extracted with ``git archive`` into a temporary directory, which
 leaves nothing behind in the repository; the working tree is run as it
 stands, uncommitted changes included.  Every command is a cold process
 with ``OPENBLAS_NUM_THREADS=1`` (and the OpenMP and MKL equivalents), run
-one at a time.  With ``--threads T`` in place of a parent, the gate
+one at a time.  With ``--threads`` in place of a parent, the gate
 compares the working tree with itself: each command at 1 thread against
-the same command at T threads, which shows every output byte that depends
+the same command at 2 threads, which shows every output byte that depends
 on the BLAS thread count.  The commands:
 
 - the five ``verify`` configurations whose md5s the ROADMAP tracks;
@@ -50,8 +50,8 @@ import run  # noqa: E402  (bench/run.py: the CLI workloads' set-up and commands)
 
 CLI = "from doubleforms.cli import entry; entry()"
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-#: The most threads --threads may ask for.
-MAX_THREADS = 64
+#: The thread count --threads compares with 1.
+THREADS = 2
 VERIFY = [
     ["verify", "--json"],
     ["verify", "--extended", "--json"],
@@ -134,18 +134,16 @@ def extract(ref: str, into: str) -> None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", nargs="?", help="the commit to compare the working tree with, e.g. HEAD")
-    parser.add_argument("--threads", type=int, help="compare the working tree at 1 BLAS thread with "
-                                                    "itself at this many threads, in place of a parent")
+    parser.add_argument("--threads", action="store_true", help=f"compare the working tree at 1 BLAS thread "
+                                                               f"with itself at {THREADS}, in place of a parent")
     parser.add_argument("--seed", type=int, default=0, help="seed of the benchmark's input tensors")
     args = parser.parse_args(argv)
-    if (args.parent is None) == (args.threads is None):
+    if (args.parent is None) != args.threads:
         parser.error("give either a parent commit or --threads, not both")
-    if args.threads is not None and not 2 <= args.threads <= MAX_THREADS:
-        parser.error(f"--threads must lie in [2, {MAX_THREADS}], got {args.threads}")
     with tempfile.TemporaryDirectory(prefix="bytes_gate_") as tmp:
         work = os.path.join(tmp, "inputs")
         os.mkdir(work)
-        if args.threads is None:
+        if not args.threads:
             parent = os.path.join(tmp, "parent")
             try:
                 extract(args.parent, parent)
@@ -153,7 +151,7 @@ def main(argv=None) -> int:
                 parser.error(f"cannot archive {args.parent!r}: {exc.stderr.decode().strip()}")
             sides = [(parent, 1), (ROOT, 1)]
         else:
-            sides = [(ROOT, 1), (ROOT, args.threads)]
+            sides = [(ROOT, 1), (ROOT, THREADS)]
         gated, diffs, written = commands(args.seed, work), 0, os.path.join(tmp, "written.json")
         for label, cli_args in gated:
             old, new = (run_in(tree, cli_args, written, threads) for tree, threads in sides)
