@@ -34,21 +34,22 @@ is slot-major, one row per slot m, and _lift_stack reads it by rows.
 metric_product, contract and star each run one private array kernel
 (_metric_stack, _contract_stack, _star_stack) that takes a stack of
 coefficient matrices, shape (..., C(n,p), C(n,q)).  The star reverses the
-rows and columns and signs them; every other kernel reads its stack
-through one member-major take, _take, along the last axis of the
-flattened members, a stack of one included, so the terms, and every array
-made from them, are C-contiguous, and indexes by row and column through
-_gather.  The products scatter their terms with one bincount; the
-contraction and the first Bianchi map (_bianchi_stack) share one kernel,
-_lift_stack, which adds each output entry's terms in turn, in blocks of
-output rows, and caches nothing.  The DoubleForm functions pass a stack of
+rows and columns and signs them; every other kernel reads its stack by
+row and column through one member-major take, _gather, along the last
+axis of the flattened members, a stack of one included, so the terms, and
+every array made from them, are C-contiguous.  The products scatter their
+terms with one bincount; the contraction and the first Bianchi map
+(_bianchi_stack) share one kernel, _lift_stack, which adds each output
+entry's terms in turn, in blocks of output rows, and caches nothing.  The DoubleForm functions pass a stack of
 one; a stacked call gives every member the same terms, summed in the same
 order, so its bits equal a single call's.  The checks of CurvatureTensor
 (_check_curvature) take stacks the same way, so the suite checks a whole
-stack of random curvature tensors in one call.  The norm and the Frobenius
-pairing have one stacked kernel each, _norms and _pair_sums, which take
-each row-major member along one contiguous row; DoubleForm.norm (_norm)
-and inner run them on a stack of one.
+stack of random curvature tensors in one call.  Every row sum of products
+is one kernel, _pair_sums: numpy's pairwise sum of each member's products
+laid out in one contiguous row, in an order numpy fixes, so none of these
+sums depends on the BLAS thread count.  The norms (_norms), the Frobenius pairing and
+the Gram-Schmidt steps of the plane checks take their sums from it;
+DoubleForm.norm (_norm) and inner run it on a stack of one.
 
 Forms are evaluated on planes by one function, plane_values: the values
 v.W.v on a stack of orthonormal frames, v the frame's p x p minors.
@@ -107,13 +108,6 @@ def _exponent(coeffs: np.ndarray) -> int:
     return frexp(float(np.max(np.abs(coeffs), initial=0.0)))[1]
 
 
-def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The dot product of each row of a with the same row of b, (count, n)
-    stacks: one stacked matmul, which takes each row pair's BLAS dot
-    product with the rows' own strides, as np.dot of the two rows does."""
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
-
-
 def _norm(coeffs: np.ndarray) -> float:
     """The Frobenius norm of a coefficient matrix or vector, as
     DoubleForm.norm: _norms on a stack of one."""
@@ -121,23 +115,32 @@ def _norm(coeffs: np.ndarray) -> float:
 
 
 def _norms(stack: np.ndarray) -> np.ndarray:
-    """The Frobenius norm of each row-major member of a stack (members, rows,
-    cols): the square root of the BLAS dot product (_dots) of its entries in
-    one contiguous row.  Members whose sum of squares is inf on finite
-    entries, or below _TINY_NORM on nonzero ones, are scaled together by
-    2**-e, e the exponent of each one's largest entry, and scaled back."""
-    flat = np.ascontiguousarray(stack).reshape(len(stack), stack.shape[1] * stack.shape[2])
+    """The Frobenius norm of each member of a stack (members, rows, cols):
+    the square root of its sum of squares (_pair_sums).  Members whose sum
+    of squares is inf on finite entries, or below _TINY_NORM on nonzero
+    ones, are scaled together by 2**-e, e the exponent of each one's largest
+    entry, and scaled back."""
     with np.errstate(over="ignore"):
-        norms = np.sqrt(_dots(flat, flat))
+        norms = np.sqrt(_pair_sums(stack, stack))
         rescue = np.flatnonzero((norms == np.inf) | (norms < _TINY_NORM))
         if rescue.size:
-            big = np.max(np.abs(flat[rescue]), axis=1, initial=0.0)
+            big = np.max(np.abs(stack[rescue]), axis=(1, 2), initial=0.0)
             finite = (big > 0) & (big < np.inf)
             rescue, shift = rescue[finite], np.frexp(big[finite])[1]
         if rescue.size:  # a zero or non-finite member is left as it is
-            scaled = np.ldexp(flat[rescue], -shift[:, None])
-            norms[rescue] = np.ldexp(np.sqrt(_dots(scaled, scaled)), shift)
+            scaled = np.ldexp(stack[rescue], -shift[:, None, None])
+            norms[rescue] = np.ldexp(np.sqrt(_pair_sums(scaled, scaled)), shift)
     return norms
+
+
+def _pair_sums(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The sum of a * b over each pair of members of two stacks of equal
+    shape (members, ...), as np.sum of the pair: the products of each member
+    in one contiguous row, summed by numpy's pairwise sum in a fixed order.
+    The package's one row sum: norms, the Frobenius pairing and the
+    Gram-Schmidt steps all take theirs here."""
+    products = np.ascontiguousarray(A * B)
+    return products.reshape(len(A), -1).sum(axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -304,21 +307,16 @@ def _scatter(cells: np.ndarray, terms: np.ndarray, shape: tuple[int, int]) -> np
     return out.reshape(stack + shape)
 
 
-def _take(coeffs: np.ndarray, flat_index: np.ndarray) -> np.ndarray:
-    """The entries flat_index of each C-order raveled matrix of the stack
-    (..., R, C), shape (...) + flat_index.shape, with the members in the
-    leading axes and each member's entries together in memory: one take
-    along the last axis of the flattened members, a single form being a
-    stack of one.  Every gather from a coefficient stack goes through it."""
-    stack = coeffs.shape[:-2]
-    flat = coeffs.reshape(prod(stack), coeffs.shape[-2] * coeffs.shape[-1])
-    return flat.take(flat_index, axis=1).reshape(stack + flat_index.shape)
-
-
 def _gather(coeffs: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """coeffs[..., rows, cols] for the stack (..., R, C), rows and cols
-    broadcast against each other, through _take."""
-    return _take(coeffs, rows * coeffs.shape[-1] + cols)
+    broadcast against each other, shape (...) + their broadcast shape, with
+    the members in the leading axes and each member's entries together in
+    memory: one take along the last axis of the flattened members, a single
+    form being a stack of one.  Every gather from a coefficient stack goes
+    through it."""
+    stack, index = coeffs.shape[:-2], rows * coeffs.shape[-1] + cols
+    flat = coeffs.reshape(prod(stack), coeffs.shape[-2] * coeffs.shape[-1])
+    return flat.take(index, axis=1).reshape(stack + index.shape)
 
 
 def _product_stack(left, rows, cols, coeffs: np.ndarray, n: int,
@@ -413,11 +411,11 @@ def _lift_table(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _lift_stack(coeffs: np.ndarray, n: int, q: int, rows: np.ndarray, members: np.ndarray,
-                negated: np.ndarray) -> np.ndarray:
+                signs: np.ndarray) -> np.ndarray:
     """out[..., X, Y] = sum_j s sgn(m, Y) w[rows[j, X], rank(m ^ Y)] for each
     (p,q) coefficient matrix w of a stack (..., C(n,p), C(n,q)) and each
-    (q-1)-subset Y, with m = members[j, X] (zero-based) and s = -1 where
-    negated[j, X], else 1: the one kernel of contraction and Bianchi map.
+    (q-1)-subset Y, with m = members[j, X] (zero-based) and s = signs[j, X],
+    +1.0 or -1.0: the one kernel of contraction and Bianchi map.
 
     Each output entry adds its terms in the order of j from +0.0, in blocks
     of output rows sized by exterior._per_block: one member-major gather
@@ -431,7 +429,6 @@ def _lift_stack(coeffs: np.ndarray, n: int, q: int, rows: np.ndarray, members: n
     if not coeffs.size:  # no entry to read: every term is zero
         return out
     lift, lift_sign = _lift_table(n, q - 1)
-    lift_sign = np.concatenate((lift_sign, -lift_sign))  # row n + m: row m negated
     with np.errstate(over="ignore", invalid="ignore"):
         finite = bool(np.isfinite(coeffs.sum()))
     step = _per_block(prod(coeffs.shape[:-2]) * len(members) * out.shape[-1])
@@ -439,7 +436,8 @@ def _lift_stack(coeffs: np.ndarray, n: int, q: int, rows: np.ndarray, members: n
         block = slice(start, start + step)
         m = members[:, block]
         terms = _gather(coeffs, rows[:, block, None], lift[m])
-        sign = lift_sign[m + n * negated[:, block]]
+        sign = lift_sign[m]
+        sign *= signs[:, block, None]
         if not finite:
             terms[..., sign == 0] = 0.0
         terms *= sign
@@ -457,7 +455,7 @@ def _contract_stack(coeffs: np.ndarray, n: int, p: int, q: int) -> np.ndarray:
     outside = _member_table(n, n - p + 1)[::-1].T.copy()
     x = np.arange(outside.shape[1])
     lift, lift_sign = _lift_table(n, p - 1)
-    return _lift_stack(coeffs, n, q, lift[outside, x], outside, lift_sign[outside, x] < 0)
+    return _lift_stack(coeffs, n, q, lift[outside, x], outside, lift_sign[outside, x])
 
 
 def contract(w: DoubleForm) -> DoubleForm:
@@ -480,13 +478,6 @@ def contract_iter(w: DoubleForm, k: int) -> DoubleForm:
 
 
 # -- inner product, Hodge star ------------------------------------------
-
-
-def _pair_sums(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """The Frobenius pairing sum(a * b) of each pair of row-major members of
-    two stacks, summed along one contiguous row per member."""
-    products = np.ascontiguousarray(A * B)
-    return products.reshape(len(A), -1).sum(axis=1)
 
 
 def inner(w1: DoubleForm, w2: DoubleForm) -> float:
@@ -529,8 +520,8 @@ def _bianchi_stack(coeffs: np.ndarray, n: int, p: int, q: int) -> np.ndarray:
     mask XOR read through mask_ranks) and the signs -(-1)^j."""
     removed = _member_table(n, p + 1).T.copy()
     rows = mask_ranks(n)[subset_masks(n, p + 1) ^ (1 << removed)]
-    negated = np.broadcast_to(np.arange(p + 1)[:, None] % 2 == 0, rows.shape)
-    return _lift_stack(coeffs, n, q, rows, removed, negated)
+    signs = np.broadcast_to(-(-1.0) ** np.arange(p + 1)[:, None], rows.shape)
+    return _lift_stack(coeffs, n, q, rows, removed, signs)
 
 
 def bianchi_map(w: DoubleForm) -> DoubleForm:
@@ -566,10 +557,10 @@ def _orthonormal_stack(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (pivot below _PIVOT_TOL times max(1, its norm)), or -1.
 
     Each step is one stacked operation over the members, whose dot products
-    and norms are BLAS dot products with the strides a single frame's have,
-    so every member gets the bits of a stack of one.  A dependent member's
-    steps past its first dependent vector divide by a tiny or zero pivot;
-    their values are meant to be discarded, and raise no warning.
+    and norms are row sums (_pair_sums), so every member gets the bits of a
+    stack of one.  A dependent member's steps past its first dependent
+    vector divide by a tiny or zero pivot; their values are meant to be
+    discarded, and raise no warning.
     """
     count, p, n = vectors.shape
     out = np.zeros((count, n, p))
@@ -577,10 +568,10 @@ def _orthonormal_stack(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for j in range(p):
             v = vectors[:, j, :].copy()
-            scale = np.maximum(np.sqrt(_dots(v, v)), 1.0)
+            scale = np.maximum(np.sqrt(_pair_sums(v, v)), 1.0)
             for i in range(j):
-                v -= _dots(out[:, :, i], v)[:, None] * out[:, :, i]
-            pivot = np.sqrt(_dots(v, v))
+                v -= _pair_sums(out[:, :, i], v)[:, None] * out[:, :, i]
+            pivot = np.sqrt(_pair_sums(v, v))
             dependent[(pivot < _PIVOT_TOL * scale) & (dependent < 0)] = j
             out[:, :, j] = v / pivot[:, None]
     return out, dependent

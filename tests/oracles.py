@@ -409,16 +409,18 @@ def sorted_ad_table(n: int, p: int):
 
 
 def loop_norm(coeffs: np.ndarray) -> float:
-    """The Frobenius norm of one coefficient matrix by np.linalg.norm,
-    rescaled by 2**-e, e the exponent of the largest entry, when the sum of
-    squares is inf on finite entries or below _TINY_NORM on nonzero ones:
-    the rule of DoubleForm.norm, one matrix at a time."""
+    """The Frobenius norm of one coefficient matrix, the square root of
+    np.sum of its squares, rescaled by 2**-e, e the exponent of the largest
+    entry, when the sum of squares is inf on finite entries or below
+    _TINY_NORM on nonzero ones: the rule of DoubleForm.norm, one matrix at
+    a time."""
     with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(coeffs))
+        norm = float(np.sqrt(np.sum(coeffs * coeffs)))
     if (norm == np.inf and np.isfinite(coeffs).all()) or (norm < _TINY_NORM and coeffs.any()):
         shift = _exponent(coeffs)
+        scaled = np.ldexp(coeffs, -shift)
         try:
-            norm = ldexp(float(np.linalg.norm(np.ldexp(coeffs, -shift))), shift)
+            norm = ldexp(float(np.sqrt(np.sum(scaled * scaled))), shift)
         except OverflowError:
             pass
     return norm

@@ -385,9 +385,9 @@ def test_norm_past_the_range_of_squares():
     assert DoubleForm(2, 2, raw, ctx).norm() == np.inf
     raw[1, 1] = np.nan
     assert np.isnan(DoubleForm(2, 2, raw, ctx).norm())
-    # ordinary forms take numpy's norm bit for bit
+    # ordinary forms take the square root of numpy's sum of squares bit for bit
     form = rand_form(0, 2, 3, 6)
-    assert form.norm() == float(np.linalg.norm(form.coeffs))
+    assert form.norm() == float(np.sqrt(np.sum(form.coeffs * form.coeffs)))
 
 
 def test_norm_below_the_range_of_squares(monkeypatch):
@@ -400,15 +400,15 @@ def test_norm_below_the_range_of_squares(monkeypatch):
         assert DoubleForm(2, 2, raw, ctx).norm() == pytest.approx(np.sqrt(2.0) * tiny, rel=1e-15, abs=0)
     raw = np.diag([1e-310] * 6)  # the operator's entries in the CLI case
     assert DoubleForm(2, 2, raw, ctx).norm() == pytest.approx(np.sqrt(6.0) * 1e-310, rel=1e-12, abs=0)
-    dots, calls = forms._dots, []
+    pair_sums, calls = forms._pair_sums, []
 
     def counted(a, b):
         calls.append(len(a))
-        return dots(a, b)
+        return pair_sums(a, b)
 
-    # a form without a nonzero entry has norm 0.0 and takes one dot product;
-    # an all-subnormal form takes a second one, on the form rescaled
-    monkeypatch.setattr(forms, "_dots", counted)
+    # a form without a nonzero entry has norm 0.0 and takes one sum of
+    # squares; an all-subnormal form takes a second one, on the form rescaled
+    monkeypatch.setattr(forms, "_pair_sums", counted)
     for raw, norm, taken in ((np.zeros((6, 6)), 0.0, [1]), (-0.0 * np.eye(6), 0.0, [1]),
                              (np.diag([5e-324] * 6), np.sqrt(6.0) * 5e-324, [1, 1])):
         calls.clear()
@@ -741,15 +741,15 @@ def test_orthonormalize_rejects_ill_shaped_input(vectors, shapes):
 
 
 def loop_orthonormalize(vectors):
-    """Modified Gram-Schmidt one vector and one np.dot at a time."""
+    """Modified Gram-Schmidt one vector and one np.sum of products at a time."""
     F = np.array(vectors, dtype=float).T
     n, p = F.shape
     out = np.zeros((n, p))
     for j in range(p):
         v = F[:, j].copy()
         for i in range(j):
-            v -= np.dot(out[:, i], v) * out[:, i]
-        out[:, j] = v / np.linalg.norm(v)
+            v -= np.sum(out[:, i] * v) * out[:, i]
+        out[:, j] = v / np.sqrt(np.sum(v * v))
     return out
 
 

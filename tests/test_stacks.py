@@ -237,7 +237,7 @@ def test_clifford_stack_rejects_supports_of_different_sizes():
 
 #: The forms kernels the closed forms are built from.
 FORMS_KERNELS = {"_product_stack", "_metric_stack", "_contract_stack", "_lift_stack", "_star_stack", "_scatter",
-                 "_gather", "_take"}
+                 "_gather"}
 
 
 def test_oracle_shares_no_code_with_the_closed_forms():
@@ -250,10 +250,10 @@ def test_oracle_shares_no_code_with_the_closed_forms():
     assert "_definition_stack" in inspect.getsource(wz.np_definition)
 
 
-#: The functions of forms and random_tensors that may call a take: _take,
+#: The functions of forms and random_tensors that may call a take: _gather,
 #: which reads every coefficient stack, and those that take on a table or
 #: on frames.
-TAKE_CALLERS = {"_take", "_split_tensor", "decomposable_coefficients"}
+TAKE_CALLERS = {"_gather", "_split_tensor", "decomposable_coefficients"}
 
 
 @pytest.mark.parametrize("module", [forms, random_tensors], ids=lambda m: m.__name__)
@@ -299,10 +299,13 @@ def test_suite_records_do_not_depend_on_the_stack_size(monkeypatch):
 def norm_stack():
     """Members that take each path of the norm: ordinary, zero, -0.0, all
     subnormal (rescaled up), near the float range (rescaled down), one
-    non-finite, and one mixing tiny and large entries."""
-    rng = np.random.default_rng(5)
-    ordinary = rng.standard_normal((6, 7))
-    members = [ordinary, np.zeros((6, 7)), np.full((6, 7), -0.0), ordinary * 1e-310,
+    non-finite, and one mixing tiny and large entries.  At 70 x 70 entries
+    and this seed, a BLAS dot product and numpy's pairwise sum give the
+    ordinary member, and two of the rescaled ones, different bits, so the
+    test tells the two reductions apart on either pass of the norm."""
+    rng = np.random.default_rng(1)
+    ordinary = rng.standard_normal((70, 70))
+    members = [ordinary, np.zeros((70, 70)), np.full((70, 70), -0.0), ordinary * 1e-310,
                ordinary * 1e300, ordinary * 1e-200, ordinary * 1e200]
     mixed = ordinary.copy()
     mixed[0, :3] = (1e-310, -0.0, 1e300)

@@ -2,7 +2,10 @@
 
 import ast
 import json
+import os
 import pathlib
+import subprocess
+import sys
 from math import comb, factorial
 
 import numpy as np
@@ -236,6 +239,30 @@ def test_weitzenboeck_definition_at_dimension_twelve_within_budget(tmp_path):
                                      "--method", "definition", "--json"], tmp_path / "out.json")
     assert code == 0
     assert rss_mb <= 150
+
+
+def _cli_stdout(args, blas_threads):
+    """The stdout of one CLI process with BLAS (OpenBLAS, OpenMP, MKL) on
+    blas_threads threads."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(wz.__file__).parents[1]))
+    env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), str(blas_threads)))
+    proc = subprocess.run([sys.executable, "-m", "doubleforms.cli", *args], env=env, capture_output=True,
+                          check=False)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.parametrize("method", ["formula", "definition"])
+def test_weitzenboeck_json_independent_of_blas_threads(tmp_path, method):
+    # the n = 9, p = 4 norm sums C(9,4)**2 = 15,876 squares, enough for a
+    # threaded BLAS dot product to split them across threads; for this
+    # tensor, a norm taken by that dot product prints different digits at 2
+    # threads with either method.  On a single CPU, BLAS runs one thread
+    # whatever it is asked for, so there this check cannot fail
+    path = tmp_path / "n9.json"
+    save_form(random_bianchi_22(1, AlgebraContext(9)), path)
+    args = ["weitzenboeck", "--input", str(path), "--p", "4", "--method", method, "--json"]
+    assert _cli_stdout(args, 1) == _cli_stdout(args, 2)
 
 
 # -- closed form ----------------------------------------------------------------

@@ -25,8 +25,11 @@ on the BLAS thread count.  The commands:
 
 Both sides read the same input files and write to the same path.  Each
 command prints ``same`` with the md5 of its stdout, or ``DIFF`` followed by
-each stream that differs: its sizes, md5s and first differing lines.  The
-exit code is 0 when every command gave the same bytes, written files and
+each stream that differs: its sizes, md5s and first differing lines.  When
+the differing stdout is a ``verify --json`` report on both sides, each
+identity whose records differ gets one more line: how many residuals
+moved and the largest |change|, how many verdicts changed, and whether
+its (identity, n, p, seed) keys differ.  The exit code is 0 when every command gave the same bytes, written files and
 exit code on both sides, 1 otherwise.
 """
 
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -124,6 +128,31 @@ def differences(name: str, old: bytes, new: bytes) -> list[str]:
     return lines
 
 
+def verify_changes(old: bytes, new: bytes) -> list[str]:
+    """One line for each identity whose records differ between two verify
+    --json reports; [] when either stream is no such report."""
+    try:
+        sides = [json.loads(data)["records"] for data in (old, new)]
+    except (ValueError, KeyError, TypeError):
+        return []
+    groups: tuple[dict, dict] = ({}, {})
+    for records, by_identity in zip(sides, groups):
+        for record in records:
+            by_identity.setdefault(record["identity"], []).append(record)
+    lines = []
+    for name in sorted(groups[0].keys() | groups[1].keys()):
+        a, b = (by_identity.get(name, []) for by_identity in groups)
+        if [(r["n"], r["p"], r["seed"]) for r in a] != [(r["n"], r["p"], r["seed"]) for r in b]:
+            lines.append(f"    {name}: keys differ, {len(a)} -> {len(b)} records")
+            continue
+        moved = [abs(y["residual"] - x["residual"]) for x, y in zip(a, b) if x["residual"] != y["residual"]]
+        verdicts = sum(x["passed"] != y["passed"] for x, y in zip(a, b))
+        if moved or verdicts:
+            lines.append(f"    {name}: {len(moved)} of {len(a)} residuals moved, largest |delta| "
+                         f"{max(moved, default=0.0):.3g}, {verdicts} verdicts changed, keys same")
+    return lines
+
+
 def extract(ref: str, into: str) -> None:
     """The files of commit ref, as git archive gives them, under into."""
     tar = subprocess.run(["git", "-C", ROOT, "archive", ref], capture_output=True, check=True).stdout
@@ -155,7 +184,10 @@ def main(argv=None) -> int:
         gated, diffs, written = commands(args.seed, work), 0, os.path.join(tmp, "written.json")
         for label, cli_args in gated:
             old, new = (run_in(tree, cli_args, written, threads) for tree, threads in sides)
-            lines = differences("stdout", old[0], new[0]) + differences("stderr", old[1], new[1])
+            lines = differences("stdout", old[0], new[0])
+            if lines:
+                lines += verify_changes(old[0], new[0])
+            lines += differences("stderr", old[1], new[1])
             lines += differences("written file", old[3], new[3])
             if old[2] != new[2]:
                 lines.append(f"  exit code: {old[2]} -> {new[2]}")
