@@ -38,6 +38,19 @@ MultiIndex = tuple[int, ...]
 MAX_DIMENSION = 12
 
 
+def _is_int(value) -> bool:
+    """The package's rule for a degree, a count or a dimension: a Python or
+    numpy integer, and not a boolean (True is an int equal to 1)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _as_int(value, name: str) -> int:
+    """value as an int if it meets _is_int, else ValueError naming it."""
+    if not _is_int(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class AlgebraContext:
     """Dimension n of the underlying Euclidean space, fixed for a session."""
@@ -45,7 +58,8 @@ class AlgebraContext:
     n: int
 
     def __post_init__(self) -> None:
-        if isinstance(self.n, bool) or not isinstance(self.n, int) or not 1 <= self.n <= MAX_DIMENSION:
+        object.__setattr__(self, "n", _as_int(self.n, "dimension"))
+        if not 1 <= self.n <= MAX_DIMENSION:
             raise ValueError(
                 f"dimension must be an integer in [1, {MAX_DIMENSION}], got {self.n!r}"
             )
@@ -148,7 +162,7 @@ def validate_index(I, ctx: AlgebraContext) -> MultiIndex:
     """Normalize I to a tuple of ints and check it addresses a basis element
     of ctx; entries must be Python or numpy integers, not booleans."""
     I = tuple(I)
-    if any(isinstance(i, bool) or not isinstance(i, (int, np.integer)) for i in I):
+    if not all(map(_is_int, I)):
         raise ValueError(f"index entries must be integers: {I}")
     I = tuple(map(int, I))
     if len(I) > ctx.n:

@@ -66,6 +66,8 @@ import numpy as np
 
 from .exterior import (
     AlgebraContext,
+    _as_int,
+    _is_int,
     _per_block,
     cached_table,
     insertion_sign,
@@ -157,7 +159,7 @@ class DoubleForm:
     ctx: AlgebraContext
 
     def __post_init__(self) -> None:
-        if any(isinstance(d, bool) or not isinstance(d, (int, np.integer)) for d in (self.p, self.q)):
+        if not (_is_int(self.p) and _is_int(self.q)):
             raise ValueError(f"degrees must be integers, got ({self.p!r}, {self.q!r})")
         object.__setattr__(self, "p", int(self.p))
         object.__setattr__(self, "q", int(self.q))
@@ -467,6 +469,7 @@ def contract(w: DoubleForm) -> DoubleForm:
 
 def contract_iter(w: DoubleForm, k: int) -> DoubleForm:
     """k-fold contraction; k = 0 returns the form unchanged."""
+    k = _as_int(k, "contraction count")
     if k < 0:
         raise ValueError(f"contraction count must be nonnegative, got {k}")
     if k > min(w.p, w.q):

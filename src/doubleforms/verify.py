@@ -44,6 +44,13 @@ joined before `run_suite` returns or raises.  Each identity's timing is
 its own wall time in the process that ran it, so the timings can add up
 to more than the run's.
 
+The workers start warm.  This module loads numpy.random, so the parent
+holds it before it forks and no worker imports it in its first task.  On
+glibc each worker keeps the memory it frees (_keep_freed_heap), where it
+would otherwise fault the kernels' temporaries in again on every call.
+Where the C library has no mallopt, and in the calling process, which a
+library must not retune, the allocator is left as it is.
+
 Most residuals are relative and "smaller is better"; rank checks record a
 singular-value ratio and positivity checks record a smallest eigenvalue.
 Their checks pass at or above the tolerance, and their records carry a
@@ -65,6 +72,7 @@ from itertools import combinations, permutations
 from typing import Callable, Iterator
 
 import numpy as np
+from numpy.random import SeedSequence, default_rng
 
 from .exterior import AlgebraContext, _per_block, subset_masks
 from . import clifford as cl
@@ -151,6 +159,8 @@ class SuiteConfig:
         if not 0 <= self.base_seed < 2 ** 32:
             raise ValueError(f"base seed must lie in [0, 2**32), got {self.base_seed}")
         if self.identities is not None:
+            if not self.identities:  # None selects every identity; an empty suite would pass vacuously
+                raise ValueError("identities must name at least one identity, got an empty selection")
             unknown = set(self.identities) - set(IDENTITIES)
             if unknown:
                 raise ValueError(f"unknown identities: {sorted(unknown)}")
@@ -269,14 +279,14 @@ class VerificationReport:
         return lines
 
 
-def _seedseq(cfg: SuiteConfig, identity: str, *key: int) -> np.random.SeedSequence:
+def _seedseq(cfg: SuiteConfig, identity: str, *key: int) -> SeedSequence:
     entropy = [cfg.base_seed, zlib.crc32(identity.encode())]
     entropy.extend(int(k) & 0xFFFFFFFF for k in key)
-    return np.random.SeedSequence(entropy)
+    return SeedSequence(entropy)
 
 
 def _rng(cfg: SuiteConfig, identity: str, *key: int) -> np.random.Generator:
-    return np.random.default_rng(_seedseq(cfg, identity, *key))
+    return default_rng(_seedseq(cfg, identity, *key))
 
 
 def _ratios(gaps: np.ndarray, scales: np.ndarray) -> np.ndarray:
@@ -758,6 +768,30 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+# glibc's mallopt parameters M_TRIM_THRESHOLD (-1) and M_MMAP_THRESHOLD (-3),
+# and the values each pool worker sets.  The suite's blocked kernels
+# allocate and free 0.5-2 MB temporaries on every call; by default glibc
+# serves them from fresh mmaps and returns them to the system, so the next
+# call faults the same pages in again.  Below 4 MB they come from the heap,
+# and up to 64 MB of freed heap stays in the worker.  Both are set: either
+# one alone turns off glibc's dynamic threshold and made the suite slower.
+_TRIM_THRESHOLD = (-1, 64 << 20)
+_MMAP_THRESHOLD = (-3, 4 << 20)
+
+
+def _keep_freed_heap() -> None:
+    """Pool initializer: each worker keeps the memory it frees (glibc's
+    mallopt); it does nothing where the C library has no mallopt."""
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):  # no C library to load, or not glibc's
+        return
+    mallopt(*_TRIM_THRESHOLD)
+    mallopt(*_MMAP_THRESHOLD)
+
+
 def _fork_pool(workers: int):
     """A pool of workers forked from this process, or None where it would
     have one worker, where this process runs other threads or where the
@@ -768,7 +802,7 @@ def _fork_pool(workers: int):
 
     if "fork" not in multiprocessing.get_all_start_methods():
         return None
-    return multiprocessing.get_context("fork").Pool(workers)
+    return multiprocessing.get_context("fork").Pool(workers, initializer=_keep_freed_heap)
 
 
 def run_suite(config: SuiteConfig | None = None) -> VerificationReport:

@@ -35,7 +35,7 @@ from math import comb, factorial, ldexp
 
 import numpy as np
 
-from .exterior import AlgebraContext, cached_table, mask_ranks, subset_masks
+from .exterior import AlgebraContext, _as_int, cached_table, mask_ranks, subset_masks
 from .forms import (
     DoubleForm,
     _contract_stack,
@@ -331,7 +331,7 @@ def p_curvature_form(omega, p: int) -> DoubleForm:
     """The (p,p) form *(g^{n-p-2} w / (n-p-2)!) whose sectional values are
     the p-curvatures of w."""
     w = as_form22(omega)
-    n = w.ctx.n
+    n, p = w.ctx.n, _as_int(p, "p-curvature order")
     if not 0 <= p <= n - 2:
         raise ValueError(f"p-curvature needs 0 <= p <= n-2 (n={n}), got p={p}")
     lifted = metric_product(n - p - 2, w) / factorial(n - p - 2)
@@ -399,10 +399,12 @@ def sample_frames(rng: np.random.Generator, n: int, p: int, count: int) -> np.nd
     (forms._orthonormal_stack); the nondegenerate ones are kept in order,
     and only the planes still missing are drawn again, so each plane gets
     the numbers of its own draw.  The 0-plane is the empty (n, 0) frame
-    and draws nothing; p > n and a negative count raise ValueError.
+    and draws nothing; p > n and a count that is negative or no integer
+    (exterior._is_int) raise ValueError.
     """
     if p > n:
         raise ValueError(f"no {p}-plane in dimension {n}")
+    count = _as_int(count, "the number of planes")
     if count < 0:
         raise ValueError(f"the number of planes must be non-negative, got {count}")
     if p == 0:
@@ -435,6 +437,7 @@ def spectrum(w_pp: DoubleForm, sample_planes: int = 100, seed: int = 0) -> Spect
     sectional command.  They are Rayleigh quotients of the operator matrix,
     so the smallest eigenvalue never exceeds their minimum.
     """
+    samples = _as_int(sample_planes, "the number of planes")
     if w_pp.p != w_pp.q:
         raise ValueError(f"expected a (p,p) form, got {w_pp.degree}")
     mat = w_pp.coeffs
@@ -449,8 +452,8 @@ def spectrum(w_pp: DoubleForm, sample_planes: int = 100, seed: int = 0) -> Spect
     if not np.isfinite(mat).all():
         raise ValueError(f"the order-{w_pp.p} operator has non-finite entries")
     eigs = jacobi_eigenvalues(mat)
-    if sample_planes:
-        frames = sample_frames(np.random.default_rng(seed), w_pp.ctx.n, w_pp.p, sample_planes)
+    if samples:
+        frames = sample_frames(np.random.default_rng(seed), w_pp.ctx.n, w_pp.p, samples)
         sampled = plane_values(mat, frames, w_pp.ctx)
     else:  # no generator, so a command that asks for no samples never imports numpy.random
         sampled = np.empty(0)

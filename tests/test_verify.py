@@ -1,5 +1,6 @@
 """The verification suite and the command-line interface."""
 
+import ctypes
 import json
 import multiprocessing
 import os
@@ -185,6 +186,9 @@ def test_config_validation():
     ("identities", ("closed_form", 1), "identities must be a tuple or list of names, got ('closed_form', 1)"),
     ("extended", 1, "extended must be True or False, got 1"),
     ("extended", "no", "extended must be True or False, got 'no'"),
+    # None selects every identity; an empty selection is no suite at all
+    ("identities", (), "identities must name at least one identity, got an empty selection"),
+    ("identities", [], "identities must name at least one identity, got an empty selection"),
 ])
 def test_config_rejects_parameters_of_the_wrong_type(field, value, message):
     # a boolean or a float never reaches the report or a table, an integer
@@ -428,6 +432,78 @@ def test_no_worker_outlives_the_suite(monkeypatch, capsys):
     assert main([*argv, *(f"--identity={name}" for name in cfg.identities)]) == 2
     assert capsys.readouterr().err == "error: closed_form broke\n"
     assert multiprocessing.active_children() == []
+
+
+#: Run a pooled suite on two identities and write, at the start of each
+#: task, the worker's pid and whether it had numpy.random loaded.
+_WARM_WORKERS = """
+import os, sys
+from doubleforms import verify
+
+verify._usable_cpus = lambda: 2  # the pool, as _with_cpus forces it
+run, seen = verify._run_identity, sys.argv[1]
+
+def spy(name, cfg):
+    with open(seen, "a") as out:
+        out.write(f"{os.getpid()} {'numpy.random' in sys.modules}\\n")
+    return run(name, cfg)
+
+verify._run_identity = spy
+cfg = verify.SuiteConfig(n_min=4, n_max=4, seeds=1, trials=5, identities=("closed_form", "decomposition"))
+assert verify.run_suite(cfg).passed
+print(os.getpid())
+"""
+
+
+def test_workers_start_with_numpy_random_loaded(tmp_path):
+    # the parent loads numpy.random before it forks, so no worker imports it
+    # in its first task; a fresh process, since this one has loaded it already
+    seen = tmp_path / "seen.txt"
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(verify.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _WARM_WORKERS, str(seen)], env=env,
+                          capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+    tasks = [line.split() for line in seen.read_text().splitlines()]
+    assert len(tasks) == 2 and proc.stdout.strip() not in [pid for pid, _ in tasks], (proc.stdout, tasks)
+    assert [loaded for _, loaded in tasks] == ["True", "True"]
+
+
+class _Libc:
+    """A C library whose mallopt records its calls."""
+
+    def __init__(self):
+        self.calls = []
+
+    def mallopt(self, param, value):
+        self.calls.append((param, value))
+        return 1
+
+
+def test_workers_keep_their_freed_heap(monkeypatch):
+    # M_TRIM_THRESHOLD (-1) and M_MMAP_THRESHOLD (-3), both set
+    libc = _Libc()
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+    verify._keep_freed_heap()
+    assert libc.calls == [(-1, 64 << 20), (-3, 4 << 20)]
+
+
+def test_heap_initializer_does_nothing_without_mallopt(monkeypatch):
+    def no_library(name):
+        raise OSError("no C library")
+
+    for cdll in (no_library, lambda name: object()):  # no library, and one without mallopt
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        assert verify._keep_freed_heap() is None
+
+
+def test_serial_run_leaves_the_callers_allocator_alone(monkeypatch):
+    def retune():
+        raise AssertionError("the serial path retuned the allocator")
+
+    monkeypatch.setattr(verify, "_keep_freed_heap", retune)
+    made = _with_cpus(monkeypatch, 1)
+    assert run_suite(SuiteConfig(n_min=4, n_max=4, seeds=1, identities=("closed_form", "decomposition"))).passed
+    assert made == [None]
 
 
 # -- command line -----------------------------------------------------------
