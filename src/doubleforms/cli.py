@@ -29,7 +29,7 @@ from itertools import chain
 
 import numpy as np
 
-from .exterior import _per_block
+from .exterior import _is_int, _per_block
 from .forms import bianchi_residual, contract_iter, plane_values
 from .tensorio import _float_texts, _text_row, _write_form, load_tensor
 from . import weitzenboeck as wz
@@ -177,8 +177,6 @@ def _cmd_verify(args) -> int:
     from .verify import SuiteConfig, run_suite
 
     given = {key: value for key, value in vars(args).items() if key not in ("command", "json")}
-    if "identities" in given:
-        given["identities"] = tuple(given["identities"])
     report = run_suite(SuiteConfig(**given))
     if args.json:
         sys.stdout.write(report.to_json())
@@ -327,7 +325,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else _USAGE_ERROR
+        return exc.code if _is_int(exc.code) else _USAGE_ERROR
     try:
         # an overflow or invalid operation leaves Infinity or NaN in the
         # result, which the command refuses with one error line; numpy's

@@ -44,11 +44,17 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _as_int(value, name: str) -> int:
-    """value as an int if it meets _is_int, else ValueError naming it."""
+def _as_int(value, name: str, lo: int | None = None, hi: int | None = None) -> int:
+    """value as an int if it meets _is_int and lies in [lo, hi], else
+    ValueError naming it; a bound left as None is no bound.  The package's
+    one check of a degree, an order, a count or a dimension."""
     if not _is_int(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    value = int(value)
+    if (lo is not None and value < lo) or (hi is not None and value > hi):
+        span = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ValueError(f"{name} must be an integer {span}, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -58,11 +64,7 @@ class AlgebraContext:
     n: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n", _as_int(self.n, "dimension"))
-        if not 1 <= self.n <= MAX_DIMENSION:
-            raise ValueError(
-                f"dimension must be an integer in [1, {MAX_DIMENSION}], got {self.n!r}"
-            )
+        object.__setattr__(self, "n", _as_int(self.n, "dimension", 1, MAX_DIMENSION))
 
     def dim(self, p: int) -> int:
         """Number of basis p-vectors, C(n, p)."""

@@ -261,8 +261,7 @@ def metric(ctx: AlgebraContext) -> DoubleForm:
 
 def metric_power(k: int, ctx: AlgebraContext) -> DoubleForm:
     """k-th exterior power of the metric; its matrix is k! times the identity."""
-    if not 0 <= k <= ctx.n:
-        raise ValueError(f"metric power degree must be in [0, {ctx.n}], got {k}")
+    k = _as_int(k, "metric power degree", 0, ctx.n)
     return DoubleForm(k, k, float(factorial(k)) * np.eye(ctx.dim(k)), ctx)
 
 
@@ -391,8 +390,7 @@ def metric_product(k: int, w: DoubleForm) -> DoubleForm:
     give the (empty) zero form.
     """
     n = w.ctx.n
-    if not 0 <= k <= n:
-        raise ValueError(f"metric power degree must be in [0, {n}], got {k}")
+    k = _as_int(k, "metric power degree", 0, n)
     return DoubleForm(w.p + k, w.q + k, _metric_stack(k, w.coeffs, n, w.p, w.q), w.ctx)
 
 
@@ -469,13 +467,8 @@ def contract(w: DoubleForm) -> DoubleForm:
 
 def contract_iter(w: DoubleForm, k: int) -> DoubleForm:
     """k-fold contraction; k = 0 returns the form unchanged."""
-    k = _as_int(k, "contraction count")
-    if k < 0:
-        raise ValueError(f"contraction count must be nonnegative, got {k}")
-    if k > min(w.p, w.q):
-        raise ValueError(f"cannot contract a {w.degree} form {k} times")
     out = w
-    for _ in range(k):
+    for _ in range(_as_int(k, "contraction count", 0, min(w.p, w.q))):
         out = contract(out)
     return out
 

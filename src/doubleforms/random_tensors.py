@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exterior import AlgebraContext
+from .exterior import AlgebraContext, _as_int
 from .forms import (BIANCHI_TOL, CurvatureTensor, DoubleForm, _check_curvature, _gather, _member_table,
                     metric_power, metric_product)
 from .forms import kn_product  # noqa: F401  not called here; bench/tracing.py counts it in this module
@@ -34,6 +34,7 @@ __all__ = [
 def random_form(seed, p: int, q: int, ctx: AlgebraContext, *, symmetric: bool = False) -> DoubleForm:
     """Gaussian (p,q) form; with symmetric=True (p must equal q) the matrix
     is symmetrized."""
+    p, q = _as_int(p, "degree p", 0), _as_int(q, "degree q", 0)
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((ctx.dim(p), ctx.dim(q)))
     if symmetric:

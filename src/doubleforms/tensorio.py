@@ -32,7 +32,7 @@ import sys
 
 import numpy as np
 
-from .exterior import AlgebraContext, _per_block, cached_table, mask_ranks
+from .exterior import AlgebraContext, _as_int, _per_block, cached_table, mask_ranks
 from .forms import (BianchiViolation, CurvatureTensor, DoubleForm, _bianchi_scaled, _bianchi_stack,
                     _member_table, _norm, bianchi_residual)
 
@@ -115,14 +115,11 @@ def load_tensor(path, *, on_bianchi: str = "warn") -> CurvatureTensor:
         raise ValueError(f"{path}: top level must be an object")
     if "n" not in doc:
         raise ValueError(f"{path}: missing dimension field 'n'")
-    for d in ("n", "p", "q"):
-        if d in doc and type(doc[d]) is not int:
-            raise ValueError(f"{path}: '{d}' must be an integer, got {doc[d]!r}")
-    for d in ("p", "q"):
-        if doc.get(d, 2) != 2:
-            raise ValueError(f"{path}: curvature tensors must have {d} = 2, got {doc[d]}")
-    n = doc["n"]
-    try:
+    try:  # "p" and "q" are optional: a file without them holds a (2,2) form
+        n, p, q = (_as_int(doc.get(d, 2), f"'{d}'") for d in ("n", "p", "q"))
+        for d, degree in (("p", p), ("q", q)):
+            if degree != 2:
+                raise ValueError(f"curvature tensors must have {d} = 2, got {degree}")
         ctx = AlgebraContext(n)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
@@ -290,11 +287,12 @@ def project_bianchi(form: DoubleForm) -> DoubleForm:
 
 
 def _projected(form: DoubleForm, path) -> CurvatureTensor:
-    """The curvature tensor project_bianchi makes of form.  Its rounding
-    residual is judged at the scale of the projection, against the input's
-    norm: the projection of a pure 4-form is zero up to rounding."""
+    """The curvature tensor project_bianchi makes of form: one _project_stack
+    call at the scale of the Bianchi check.  Its rounding residual is judged
+    at that scale, against the input's norm: the projection of a pure 4-form
+    is zero up to rounding."""
     scaled, (shift,) = _bianchi_scaled(form.coeffs[None])
-    projected = project_bianchi(DoubleForm(2, 2, scaled[0], form.ctx))
+    projected = DoubleForm(2, 2, _project_stack(scaled, form.ctx.n)[0], form.ctx)
     residual, limit = bianchi_residual(projected), 1e-9 * _norm(scaled[0])
     if not residual <= limit:
         raise BianchiViolation(f"{path}: first Bianchi identity violated after projection: "

@@ -74,7 +74,7 @@ from typing import Callable, Iterator
 import numpy as np
 from numpy.random import SeedSequence, default_rng
 
-from .exterior import AlgebraContext, _per_block, subset_masks
+from .exterior import AlgebraContext, _as_int, _is_int, _per_block, subset_masks
 from . import clifford as cl
 from .forms import (
     CurvatureTensor,
@@ -118,6 +118,11 @@ _TOL_SPREAD_WITNESS = 1e-3
 
 @dataclass(frozen=True)
 class SuiteConfig:
+    """The suite's parameters, checked when built, so that no bad value
+    reaches a run or the report.  The counts, dimensions and base seed take
+    the package's integer rule (exterior._as_int) and a numpy integer is
+    stored as int, as is an integer tolerance."""
+
     n_min: int = 4
     n_max: int = 6
     seeds: int = 10
@@ -134,12 +139,12 @@ class SuiteConfig:
     def dimensions(self) -> list[int]:
         return list(range(self.n_min, self._top() + 1))
 
-    def validate(self) -> None:
-        for name in ("n_min", "n_max", "seeds", "trials", "base_seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if isinstance(self.tolerance, bool) or not isinstance(self.tolerance, (int, float)):
+    def __post_init__(self) -> None:
+        for name, lo in (("n_min", None), ("n_max", None), ("seeds", 1), ("trials", 1), ("base_seed", None)):
+            object.__setattr__(self, name, _as_int(getattr(self, name), name, lo))
+        if _is_int(self.tolerance):
+            object.__setattr__(self, "tolerance", int(self.tolerance))
+        elif not isinstance(self.tolerance, float):
             raise ValueError(f"tolerance must be a real number, got {self.tolerance!r}")
         if not isinstance(self.extended, bool):
             raise ValueError(f"extended must be True or False, got {self.extended!r}")
@@ -150,10 +155,6 @@ class SuiteConfig:
             raise ValueError(f"dimension range must lie within [4, 10], got [{self.n_min}, {self.n_max}]")
         if not self.dimensions():
             raise ValueError(f"empty dimension range [{self.n_min}, {self._top()}]")
-        if self.seeds < 1:
-            raise ValueError(f"seed count must be >= 1, got {self.seeds}")
-        if self.trials < 1:
-            raise ValueError(f"trial count must be >= 1, got {self.trials}")
         if not 0 < self.tolerance < float("inf"):
             raise ValueError(f"tolerance must be finite and positive, got {self.tolerance}")
         if not 0 <= self.base_seed < 2 ** 32:
@@ -808,7 +809,6 @@ def _fork_pool(workers: int):
 def run_suite(config: SuiteConfig | None = None) -> VerificationReport:
     """Run the configured identities and collect a deterministic report."""
     cfg = config or SuiteConfig()
-    cfg.validate()
     chosen = cfg.identities or tuple(IDENTITIES)
     selected = [name for name in IDENTITIES if name in chosen]
     run = partial(_run_identity, cfg=cfg)

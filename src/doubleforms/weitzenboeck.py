@@ -132,20 +132,23 @@ def np_definition(omega, p: int) -> DoubleForm:
     """
     w = as_form22(omega)
     ctx = w.ctx
-    if not 0 <= p <= ctx.n:
-        raise ValueError(f"order must be in [0, {ctx.n}], got {p}")
+    p = _as_int(p, "order", 0, ctx.n)
     return DoubleForm(p, p, _definition_stack(w.coeffs[None], ctx.n, p)[0], ctx)
 
 
 # -- closed forms ---------------------------------------------------------
 
 
-def _check_formula_range(n: int, p: int) -> None:
+def _check_formula_range(n: int, p) -> int:
+    """The order p as an int (exterior._as_int), or FormulaRangeError
+    outside 2 <= p <= n-2, where the closed forms hold."""
+    p = _as_int(p, "order")
     if not 2 <= p <= n - 2:
         raise FormulaRangeError(
             f"closed form only valid for 2 <= p <= n-2 (n={n}, p={p}); "
             "use np_definition (--method definition) outside that range"
         )
+    return p
 
 
 def _formula_stack(W: np.ndarray, n: int, p: int) -> np.ndarray:
@@ -158,7 +161,7 @@ def np_formula(omega, p: int) -> DoubleForm:
     """Closed form { g.c(w)/(p-1) - 2 w } g^{p-2}/(p-2)! for Bianchi input."""
     w = as_form22(omega)
     ctx = w.ctx
-    _check_formula_range(ctx.n, p)
+    p = _check_formula_range(ctx.n, p)
     return DoubleForm(p, p, _formula_stack(w.coeffs[None], ctx.n, p)[0], ctx)
 
 
@@ -173,10 +176,10 @@ def _adjoint_stack(B: np.ndarray, n: int, p: int) -> np.ndarray:
 
 def np_adjoint(w_pp: DoubleForm, p: int) -> DoubleForm:
     """Adjoint of the order-p transformation: (g c^{p-1}/(p-1)! - 2 c^{p-2}/(p-2)!) w."""
+    ctx = w_pp.ctx
+    p = _check_formula_range(ctx.n, p)
     if w_pp.degree != (p, p):
         raise ValueError(f"expected a ({p},{p}) form, got {w_pp.degree}")
-    ctx = w_pp.ctx
-    _check_formula_range(ctx.n, p)
     return DoubleForm(2, 2, _adjoint_stack(w_pp.coeffs[None], ctx.n, p)[0], ctx)
 
 
@@ -252,7 +255,7 @@ def np_split(components: KulkarniComponents, p: int) -> DoubleForm:
     """
     ctx = components.ctx
     n = ctx.n
-    _check_formula_range(n, p)
+    p = _check_formula_range(n, p)
     out = _split_stack(components.omega2.coeffs[None], components.omega1.coeffs[None],
                        np.array([components.omega0]), n, p)
     return DoubleForm(p, p, out[0], ctx)
@@ -286,9 +289,8 @@ def np_contraction_rhs(omega, p: int, k: int) -> DoubleForm:
     w = as_form22(omega)
     ctx = w.ctx
     n = ctx.n
-    _check_formula_range(n, p)
-    if not 0 <= k <= p:
-        raise ValueError(f"contraction order must be in [0, {p}], got {k}")
+    p = _check_formula_range(n, p)
+    k = _as_int(k, "contraction order", 0, p)
     return DoubleForm(p - k, p - k, _contraction_rhs_stack(w.coeffs[None], n, p, k)[0], ctx)
 
 
@@ -320,7 +322,7 @@ def np_contraction_einstein_rhs(omega, p: int) -> DoubleForm:
     w = as_form22(omega)
     ctx = w.ctx
     n = ctx.n
-    _check_formula_range(n, p)
+    p = _check_formula_range(n, p)
     return DoubleForm(1, 1, _einstein_rhs_stack(w.coeffs[None], n, p)[0], ctx)
 
 
@@ -331,9 +333,8 @@ def p_curvature_form(omega, p: int) -> DoubleForm:
     """The (p,p) form *(g^{n-p-2} w / (n-p-2)!) whose sectional values are
     the p-curvatures of w."""
     w = as_form22(omega)
-    n, p = w.ctx.n, _as_int(p, "p-curvature order")
-    if not 0 <= p <= n - 2:
-        raise ValueError(f"p-curvature needs 0 <= p <= n-2 (n={n}), got p={p}")
+    n = w.ctx.n
+    p = _as_int(p, "p-curvature order", 0, n - 2)
     lifted = metric_product(n - p - 2, w) / factorial(n - p - 2)
     return star(lifted)
 
@@ -348,13 +349,10 @@ def np_midpoint_formula(omega, p: int) -> DoubleForm:
     w = as_form22(omega)
     ctx = w.ctx
     n = ctx.n
+    # the expression needs 2 <= p and (n+p)/2 <= n-2, that is p <= n-4
+    p = _as_int(p, "mid-degree p", 2, n - 4)
     if (n + p) % 2 != 0:
         raise ValueError(f"n + p must be even, got n={n}, p={p}")
-    order = (n + p) // 2
-    if p < 2 or order > n - 2:
-        raise ValueError(
-            f"mid-degree expression needs 2 <= p and (n+p)/2 <= n-2, got n={n}, p={p}"
-        )
     weyl = decompose_22(w).omega2
     star_term = (p * (p - 1) / factorial(n - p - 2)) * star(metric_product(n - p - 2, w))
     weyl_term = ((n - 1) * (n - 2) / factorial(p - 2)) * metric_product(p - 2, weyl)
@@ -399,14 +397,13 @@ def sample_frames(rng: np.random.Generator, n: int, p: int, count: int) -> np.nd
     (forms._orthonormal_stack); the nondegenerate ones are kept in order,
     and only the planes still missing are drawn again, so each plane gets
     the numbers of its own draw.  The 0-plane is the empty (n, 0) frame
-    and draws nothing; p > n and a count that is negative or no integer
-    (exterior._is_int) raise ValueError.
+    and draws nothing; p > n, and an n, a p or a count that is negative or
+    no integer (exterior._as_int), raise ValueError.
     """
+    n, p = _as_int(n, "dimension", 0), _as_int(p, "plane dimension", 0)
     if p > n:
         raise ValueError(f"no {p}-plane in dimension {n}")
-    count = _as_int(count, "the number of planes")
-    if count < 0:
-        raise ValueError(f"the number of planes must be non-negative, got {count}")
+    count = _as_int(count, "the number of planes", 0)
     if p == 0:
         return np.zeros((count, n, 0))
     frames, done, misses = np.empty((count, n, p)), 0, 0
@@ -437,7 +434,7 @@ def spectrum(w_pp: DoubleForm, sample_planes: int = 100, seed: int = 0) -> Spect
     sectional command.  They are Rayleigh quotients of the operator matrix,
     so the smallest eigenvalue never exceeds their minimum.
     """
-    samples = _as_int(sample_planes, "the number of planes")
+    samples = _as_int(sample_planes, "the number of planes", 0)
     if w_pp.p != w_pp.q:
         raise ValueError(f"expected a (p,p) form, got {w_pp.degree}")
     mat = w_pp.coeffs

@@ -3,9 +3,13 @@
 For disjoint I and J, e_I ^ e_J = merge_sign(I, J) e_{sorted(I + J)}.
 """
 
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 
+import doubleforms
 from doubleforms.exterior import (
     AlgebraContext,
     insertion_sign,
@@ -92,6 +96,44 @@ def test_context_rejects_booleans():
     # True is an int equal to 1, but no dimension, as validate_index holds too
     with pytest.raises(ValueError, match="dimension must be an integer"):
         AlgebraContext(True)
+
+
+def integer_predicates(tree):
+    """The nodes of tree that test for an integer: isinstance or issubclass
+    with int among its classes, and every mention of numpy's integer or of
+    numbers.Integral."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in ("isinstance", "issubclass") and len(node.args) == 2):
+            classes = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+            if any(isinstance(c, ast.Name) and c.id == "int" for c in classes):
+                yield node
+        elif (isinstance(node, ast.Attribute) and node.attr in ("integer", "Integral")
+              or isinstance(node, ast.Name) and node.id == "Integral"):
+            yield node
+
+
+def test_the_integer_rule_has_one_home():
+    # every degree, order, count and dimension goes through exterior._as_int,
+    # or through the predicate behind it; only _is_int asks what an integer is
+    found = set()
+    for path in sorted(pathlib.Path(doubleforms.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        within = {}  # node -> the innermost function around it (walks go outer first)
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                within.update((node, func.name) for node in ast.walk(func))
+        found.update((path.stem, within.get(node)) for node in integer_predicates(tree))
+    assert found == {("exterior", "_is_int")}
+
+
+def test_the_integer_lint_sees_each_form():
+    for source in ("isinstance(v, int)", "isinstance(v, (int, float))", "issubclass(t, int)",
+                   "isinstance(v, np.integer)", "np.issubdtype(a.dtype, np.integer)",
+                   "isinstance(v, numbers.Integral)", "isinstance(v, Integral)"):
+        assert list(integer_predicates(ast.parse(source))), source
+    for source in ("isinstance(v, float)", "isinstance(v, bool)", "type(v) is int", "int(v)"):
+        assert not list(integer_predicates(ast.parse(source))), source
 
 
 def test_wedge_examples():

@@ -789,9 +789,10 @@ def test_double_form_degrees_are_integers(tmp_path):
     for p, q in ((True, 1), (1, False), (1.0, 1), (1, "1")):
         with pytest.raises(ValueError, match="degrees must be integers"):
             DoubleForm(p, q, np.zeros((3, 3)), ctx)
-    with pytest.raises(ValueError, match=r"degrees must be integers, got \(True, True\)"):
+    # the degree and order arguments are refused by name before a form is built
+    with pytest.raises(ValueError, match="metric power degree must be an integer, got True"):
         metric_power(True, ctx)
-    with pytest.raises(ValueError, match=r"degrees must be integers, got \(True, True\)"):
+    with pytest.raises(ValueError, match="order must be an integer, got True"):
         np_definition(metric_power(2, AlgebraContext(4)) / 2, True)
     w = DoubleForm(np.int64(1), np.int32(2), np.zeros((3, 3)), ctx)
     assert type(w.p) is int and type(w.q) is int and w.degree == (1, 2)

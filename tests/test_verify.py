@@ -205,6 +205,25 @@ def test_config_takes_a_list_of_identities_and_an_integer_tolerance():
                                             identities=("closed_form",))).to_json())["config"]["tolerance"] == 1
 
 
+def test_config_stores_numpy_integers_as_int():
+    # the integer rule of DoubleForm and AlgebraContext, checked when the config is built
+    given = dict(n_min=np.int64(4), n_max=np.int32(4), seeds=np.int64(2), trials=np.uint8(3),
+                 base_seed=np.int64(7), tolerance=np.int16(1))
+    cfg = SuiteConfig(**given, identities=["closed_form", "contraction_adjoint"])
+    assert all(type(getattr(cfg, name)) is int for name in given)
+    want = SuiteConfig(n_min=4, n_max=4, seeds=2, trials=3, base_seed=7, tolerance=1,
+                       identities=("closed_form", "contraction_adjoint"))
+    assert run_suite(cfg).to_json() == run_suite(want).to_json()
+
+
+def test_config_checks_itself_when_built():
+    # a bad value never waits for run_suite
+    with pytest.raises(ValueError, match="seeds must be an integer >= 1, got 0"):
+        SuiteConfig(seeds=0)
+    with pytest.raises(ValueError, match=r"dimension range must lie within \[4, 10\], got \[4, 11\]"):
+        SuiteConfig(n_max=np.int64(11))
+
+
 def test_extended_keeps_a_larger_n_max():
     assert SuiteConfig(extended=True).dimensions() == [4, 5, 6, 7, 8]
     assert SuiteConfig(extended=True, n_max=10).dimensions() == list(range(4, 11))

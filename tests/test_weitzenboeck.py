@@ -25,6 +25,7 @@ from doubleforms.forms import (
     kn_product,
     metric,
     metric_power,
+    metric_product,
     orthonormalize,
     plane_values,
     sectional,
@@ -34,10 +35,11 @@ from doubleforms.random_tensors import (
     conformally_flat,
     constant_curvature,
     random_bianchi_22,
+    random_form,
     weyl_part_tensor,
 )
 from doubleforms import weitzenboeck as wz
-from doubleforms.tensorio import save_form
+from doubleforms.tensorio import load_tensor, save_form
 from doubleforms.weitzenboeck import (
     FormulaRangeError,
     decompose_22,
@@ -624,40 +626,64 @@ def test_sampled_planes_need_p_at_most_n():
 def test_sampled_planes_need_a_non_negative_count():
     # refused before any draw; no planes is an empty stack
     rng = ScriptedGenerator(np.zeros(0))
-    with pytest.raises(ValueError, match="number of planes must be non-negative, got -1"):
+    with pytest.raises(ValueError, match="number of planes must be an integer >= 0, got -1"):
         wz.sample_frames(rng, 4, 2, -1)
     assert rng.state == 0
     assert wz.sample_frames(rng, 4, 2, 0).shape == (0, 4, 2) and rng.state == 0
 
 
-#: Each public count or order outside DoubleForm, by the name its error gives.
-_INTEGER_ARGUMENTS = {
-    "contraction count": lambda w, v: contract_iter(w.form, v).coeffs,
-    "p-curvature order": lambda w, v: p_curvature_form(w, v).coeffs,
-    "the number of planes": lambda w, v: spectrum(np_formula(w, 2), sample_planes=v).sampled_values,
-}
+#: Each public degree, order, count or dimension outside DoubleForm, with
+#: the name its error gives, and a call that takes the value 2 at n = 6.
+_INTEGER_ARGUMENTS = [
+    ("dimension", lambda w, v: np.eye(AlgebraContext(v).n)),
+    ("metric power degree", lambda w, v: metric_power(v, w.ctx).coeffs),
+    ("metric power degree", lambda w, v: metric_product(v, w.form).coeffs),
+    ("contraction count", lambda w, v: contract_iter(w.form, v).coeffs),
+    ("order", lambda w, v: np_definition(w, v).coeffs),
+    ("order", lambda w, v: np_formula(w, v).coeffs),
+    ("order", lambda w, v: np_adjoint(np_formula(w, 2), v).coeffs),
+    ("order", lambda w, v: np_split(decompose_22(w), v).coeffs),
+    ("order", lambda w, v: np_contraction_rhs(w, v, 1).coeffs),
+    ("contraction order", lambda w, v: np_contraction_rhs(w, 3, v).coeffs),
+    ("order", lambda w, v: np_contraction_einstein_rhs(w, v).coeffs),
+    ("p-curvature order", lambda w, v: p_curvature_form(w, v).coeffs),
+    ("mid-degree p", lambda w, v: np_midpoint_formula(w, v).coeffs),
+    ("dimension", lambda w, v: wz.sample_frames(np.random.default_rng(0), v, 2, 3)),
+    ("plane dimension", lambda w, v: wz.sample_frames(np.random.default_rng(0), 6, v, 3)),
+    ("the number of planes", lambda w, v: wz.sample_frames(np.random.default_rng(0), 6, 2, v)),
+    ("the number of planes", lambda w, v: spectrum(np_formula(w, 2), sample_planes=v).sampled_values),
+    ("degree p", lambda w, v: random_form(0, v, 1, w.ctx).coeffs),
+    ("degree q", lambda w, v: random_form(0, 1, v, w.ctx).coeffs),
+]
 
 
 @pytest.mark.parametrize("value", [True, False, 2.5, 2.0, "2"], ids=repr)
-def test_counts_orders_and_dimensions_follow_the_degree_rule(value):
+def test_counts_orders_and_dimensions_follow_the_degree_rule(value, tmp_path):
     # DoubleForm's rule: True is an int equal to 1, but no count, and a float is none either
-    w = random_bianchi_22(0, AlgebraContext(5))
-    calls = [*_INTEGER_ARGUMENTS.items(), ("dimension", lambda w, v: AlgebraContext(v)),
-             ("the number of planes", lambda w, v: wz.sample_frames(np.random.default_rng(0), 5, 2, v))]
-    for name, call in calls:
+    w = random_bianchi_22(0, AlgebraContext(6))
+
+    def header(field):
+        # a tensor file whose header field field holds the value
+        def load(w, v):
+            path = tmp_path / "t.json"
+            path.write_text(json.dumps({"n": 4, "entries": [], field: v}))
+            return load_tensor(path).form.coeffs
+        return f"'{field}'", load
+
+    for name, call in [*_INTEGER_ARGUMENTS, *map(header, ("n", "p", "q"))]:
         with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {value!r}")):
             call(w, value)
 
 
 def test_numpy_integers_are_counts_orders_and_dimensions():
     # as DoubleForm stores a numpy integer degree as int
-    w = random_bianchi_22(0, AlgebraContext(5))
-    for name, call in _INTEGER_ARGUMENTS.items():
-        assert np.array_equal(call(w, np.int64(2)), call(w, 2)), name
-    ctx = AlgebraContext(np.int64(5))
+    w = random_bianchi_22(0, AlgebraContext(6))
+    for name, call in _INTEGER_ARGUMENTS:
+        for value in (np.int64(2), np.int32(2), np.uint8(2)):
+            got, want = call(w, value), call(w, 2)
+            assert got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64)), name
+    ctx = AlgebraContext(np.int64(6))
     assert type(ctx.n) is int and ctx == w.ctx and hash(ctx) == hash(w.ctx)
-    frames = wz.sample_frames(np.random.default_rng(0), 5, 2, np.int32(3))
-    assert np.array_equal(frames, wz.sample_frames(np.random.default_rng(0), 5, 2, 3))
 
 
 class ScriptedGenerator:
