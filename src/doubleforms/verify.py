@@ -40,7 +40,10 @@ usable CPU up to one per selected identity, and puts the records back in
 another in the calling process where that pool would have one worker,
 where the platform cannot fork, and where the caller runs other threads,
 since a forked child could inherit a lock one of them holds.  The pool is
-joined before `run_suite` returns or raises.  Each identity's timing is
+joined before `run_suite` returns or raises, and no worker is killed: when
+a task raises, the workers finish the tasks still queued before the error
+goes up, since a worker killed while it writes its result would leave the
+pool's shutdown waiting forever.  Each identity's timing is
 its own wall time in the process that ran it, so the timings can add up
 to more than the run's.
 
@@ -816,8 +819,15 @@ def run_suite(config: SuiteConfig | None = None) -> VerificationReport:
     if pool is None:
         results = list(map(run, selected))
     else:
-        with pool:  # its exit terminates the workers and joins them
-            results = list(pool.imap(run, selected))
+        # every worker ends by itself before the with block's terminate: a
+        # worker killed while it writes its result keeps the result queue's
+        # lock, and the pool's shutdown then waits for that lock forever
+        with pool:
+            try:
+                results = list(pool.imap(run, selected))
+            finally:
+                pool.close()
+                pool.join()
     return VerificationReport(config={**asdict(cfg), "identities": sorted(set(chosen))},
                               records=[r for records, _ in results for r in records],
                               timings={name: seconds for name, (_, seconds) in zip(selected, results)})

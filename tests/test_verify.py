@@ -453,6 +453,32 @@ def test_no_worker_outlives_the_suite(monkeypatch, capsys):
     assert multiprocessing.active_children() == []
 
 
+def test_every_worker_ends_by_itself(monkeypatch):
+    # a worker killed while it writes its result keeps the lock of the result
+    # queue, and the pool's shutdown then waits for it forever; so no worker
+    # is killed, whether the run passes or a task raises
+    _with_cpus(monkeypatch, 2)
+    workers, fork_pool = [], verify._fork_pool
+
+    def started(count):
+        pool = fork_pool(count)
+        workers.append(multiprocessing.active_children())
+        return pool
+
+    monkeypatch.setattr(verify, "_fork_pool", started)
+    cfg = SuiteConfig(n_min=4, n_max=5, seeds=1, trials=5,
+                      identities=("closed_form", "contraction_adjoint", "decomposition"))
+    assert run_suite(cfg).passed
+
+    def broken(cfg):
+        raise ValueError("closed_form broke")
+
+    monkeypatch.setitem(verify.IDENTITIES, "closed_form", broken)
+    with pytest.raises(ValueError, match="closed_form broke"):
+        run_suite(cfg)
+    assert [[worker.exitcode for worker in pool] for pool in workers] == [[0, 0], [0, 0]]
+
+
 #: Run a pooled suite on two identities and write, at the start of each
 #: task, the worker's pid and whether it had numpy.random loaded.
 _WARM_WORKERS = """
