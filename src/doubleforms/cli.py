@@ -179,7 +179,7 @@ def _cmd_verify(args) -> int:
     given = {key: value for key, value in vars(args).items() if key not in ("command", "json")}
     report = run_suite(SuiteConfig(**given))
     if args.json:
-        sys.stdout.write(report.to_json())
+        sys.stdout.writelines(report.json_pieces())
     else:
         for line in report.human_lines():
             print(line)

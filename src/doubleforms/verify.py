@@ -34,18 +34,20 @@ over its orders), so a NaN residual fails its record; the JSON report,
 which cannot hold it, raises ValueError naming the identity.
 
 The identities do not depend on each other, so `run_suite` runs them on
-the usable CPUs: in a pool of processes forked from the caller, one per
-usable CPU up to one per selected identity, and puts the records back in
-`IDENTITIES` order, which keeps every report byte.  It runs them one after
-another in the calling process where that pool would have one worker,
-where the platform cannot fork, and where the caller runs other threads,
-since a forked child could inherit a lock one of them holds.  The pool is
-joined before `run_suite` returns or raises, and no worker is killed: when
-a task raises, the workers finish the tasks still queued before the error
-goes up, since a worker killed while it writes its result would leave the
-pool's shutdown waiting forever.  Each identity's timing is
-its own wall time in the process that ran it, so the timings can add up
-to more than the run's.
+the usable CPUs: in workers forked from the caller with os.fork, one per
+usable CPU up to one per selected identity (_in_workers).  The workers take
+the identities one at a time from a pipe and send back each one's pickled
+records, or the exception it raised, on a pipe of their own; the caller
+puts the records back in `IDENTITIES` order, which keeps every report byte.
+It runs them one after another in the calling process where there would be
+one worker, where the platform cannot fork, and where the caller runs other
+threads, since a forked child could inherit a lock one of them holds.
+Every worker is reaped before `run_suite` returns or raises.  When an
+identity raises, the workers run the others to their end, and the error of
+the first failing identity in `IDENTITIES` order goes up; a worker that
+dies without its records is such an error too.  Only an interrupted caller
+kills its workers.  Each identity's timing is its own wall time in the
+process that ran it, so the timings can add up to more than the run's.
 
 The workers start warm.  This module loads numpy.random, so the parent
 holds it before it forks and no worker imports it in its first task.  On
@@ -53,6 +55,10 @@ glibc each worker keeps the memory it frees (_keep_freed_heap), where it
 would otherwise fault the kernels' temporaries in again on every call.
 Where the C library has no mallopt, and in the calling process, which a
 library must not retune, the allocator is left as it is.
+
+The JSON report is written in pieces, one per record
+(VerificationReport.json_pieces), so that the caller never holds its whole
+text; the pieces join to the bytes of json.dumps with indent=2.
 
 Most residuals are relative and "smaller is better"; rank checks record a
 singular-value ratio and positivity checks record a smallest eigenvalue.
@@ -65,6 +71,10 @@ from __future__ import annotations
 import json
 import operator
 import os
+import pickle
+import select
+import signal
+import sys
 import threading
 import time
 import zlib
@@ -248,19 +258,33 @@ class VerificationReport:
             "identities": by_id,
         }
 
-    def to_json(self) -> str:
-        """The canonical JSON report; ValueError names the first record
-        whose residual is not finite, which JSON cannot hold."""
+    def json_pieces(self) -> Iterator[str]:
+        """The canonical JSON report, json.dumps(doc, indent=2,
+        sort_keys=True, allow_nan=False) and a newline, in pieces: the
+        config, then one piece per record, then the summary.  ValueError
+        names the first record whose residual is not finite, which JSON
+        cannot hold, before the first piece."""
         bad = next((r for r in self.records if not isfinite(r.residual)), None)
         if bad is not None:
             raise ValueError(f"identity {bad.identity} has a non-finite residual {bad.residual} "
                              f"at n={bad.n}, p={bad.p}, seed={bad.seed}")
+
+        def text(value, indent: str) -> str:  # value as it reads at that depth of the document
+            return json.dumps(value, indent=2, sort_keys=True, allow_nan=False).replace("\n", indent)
+
+        yield '{\n  "config": ' + text(self.config, "\n  ") + ',\n  "records": ['
+        sep = "\n    "
         # timings are excluded so equal seeds give byte-identical reports;
         # the fields are read directly, as asdict would deep-copy each record
-        records = [{"identity": r.identity, "n": r.n, "p": r.p, "seed": r.seed, "residual": r.residual,
-                    "tolerance": r.tolerance, "passed": r.passed, "note": r.note} for r in self.records]
-        doc = {"config": self.config, "records": records, "summary": self.summary()}
-        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        for r in self.records:
+            yield sep + text({"identity": r.identity, "n": r.n, "p": r.p, "seed": r.seed, "residual": r.residual,
+                              "tolerance": r.tolerance, "passed": r.passed, "note": r.note}, "\n    ")
+            sep = ",\n    "
+        yield ("]" if sep == "\n    " else "\n  ]") + ',\n  "summary": ' + text(self.summary(), "\n  ") + "\n}\n"
+
+    def to_json(self) -> str:
+        """The canonical JSON report, json_pieces joined."""
+        return "".join(self.json_pieces())
 
     def human_lines(self) -> list[str]:
         lines = []
@@ -773,7 +797,7 @@ def _usable_cpus() -> int:
 
 
 # glibc's mallopt parameters M_TRIM_THRESHOLD (-1) and M_MMAP_THRESHOLD (-3),
-# and the values each pool worker sets.  The suite's blocked kernels
+# and the values each forked worker sets.  The suite's blocked kernels
 # allocate and free 0.5-2 MB temporaries on every call; by default glibc
 # serves them from fresh mmaps and returns them to the system, so the next
 # call faults the same pages in again.  Below 4 MB they come from the heap,
@@ -784,7 +808,7 @@ _MMAP_THRESHOLD = (-3, 4 << 20)
 
 
 def _keep_freed_heap() -> None:
-    """Pool initializer: each worker keeps the memory it frees (glibc's
+    """Called first in each forked worker: it keeps the memory it frees (glibc's
     mallopt); it does nothing where the C library has no mallopt."""
     import ctypes
 
@@ -796,17 +820,103 @@ def _keep_freed_heap() -> None:
     mallopt(*_MMAP_THRESHOLD)
 
 
-def _fork_pool(workers: int):
-    """A pool of workers forked from this process, or None where it would
-    have one worker, where this process runs other threads or where the
-    platform cannot fork."""
-    if workers < 2 or threading.active_count() != 1:
-        return None
-    import multiprocessing  # here, so that a serial run never pays its import
+def _in_workers(run: Callable, tasks: list, workers: int) -> list:
+    """run(task) of each task, in the order of tasks, from workers forked
+    from this process; see the module docstring.
 
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return None
-    return multiprocessing.get_context("fork").Pool(workers, initializer=_keep_freed_heap)
+    The parent writes the task indices, one byte each, to one pipe before
+    it forks, so each worker takes the next index until the pipe is empty.
+    A worker sends back each task's result, or the exception it raised, as
+    one length-prefixed pickle on a pipe of its own, and leaves through
+    os._exit.  The parent drains every worker's pipe, reaps every worker on
+    every path, and kills the workers only when it is itself interrupted.
+    It then raises the error of the first task in order that raised or
+    whose worker ended without its result, else returns the results.
+    """
+    for stream in (sys.stdout, sys.stderr):  # a child must not write the parent's buffered text again
+        stream.flush()
+    queue, ready = os.pipe()
+    os.write(ready, bytes(range(len(tasks))))  # at most len(IDENTITIES) bytes, within one pipe buffer
+    os.close(ready)
+    pids, received = {}, {}  # by the parent's end of each worker's pipe
+    running, statuses, poller = set(), [], select.poll()
+    try:
+        for _ in range(workers):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                _worker(run, tasks, queue, write, [read, *pids])
+            os.close(write)
+            pids[read], received[read] = pid, bytearray()
+            running.add(read)
+            poller.register(read, select.POLLIN)
+        while running:
+            for fd, _ in poller.poll():
+                chunk = os.read(fd, 1 << 16)
+                received[fd] += chunk
+                if not chunk:  # the worker has exited, or is about to
+                    poller.unregister(fd)
+                    running.discard(fd)
+    finally:
+        os.close(queue)
+        for fd, pid in pids.items():
+            os.close(fd)
+            if fd in running:  # interrupted: the worker may still run a task
+                os.kill(pid, signal.SIGKILL)
+            statuses.append(os.waitpid(pid, 0)[1])
+    results = dict(item for fd in pids for item in _frames(received[fd]))
+    for index, task in enumerate(tasks):
+        if index not in results:
+            ends = ", ".join(_ending(status) for status in statuses if status)
+            raise RuntimeError(f"a suite worker ended ({ends}) before it returned the records of {task}")
+        ok, value = results[index]
+        if not ok:
+            raise value
+    return [results[index][1] for index in range(len(tasks))]
+
+
+def _worker(run: Callable, tasks: list, queue: int, out: int, parents: list[int]) -> None:
+    """A forked worker's life: it closes the pipe ends that belong to the
+    parent (parents), then runs the task of each index it takes from queue
+    and writes its result, or its exception, to out.  It never returns to
+    the caller's code."""
+    code = 1
+    try:
+        for fd in parents:
+            os.close(fd)
+        _keep_freed_heap()
+        while taken := os.read(queue, 1):
+            index = taken[0]
+            try:
+                frame = pickle.dumps((index, (True, run(tasks[index]))), pickle.HIGHEST_PROTOCOL)
+            except Exception as exc:  # the parent raises it; the other tasks run on
+                frame = pickle.dumps((index, (False, exc)), pickle.HIGHEST_PROTOCOL)
+            frame = memoryview(len(frame).to_bytes(8, "little") + frame)
+            while frame:
+                frame = frame[os.write(out, frame):]
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _frames(data: bytearray) -> Iterator:
+    """The complete length-prefixed pickles of data, in order; a worker that
+    died while it wrote leaves a truncated last frame, which is skipped."""
+    at = 0
+    while at + 8 <= len(data) and (end := at + 8 + int.from_bytes(data[at:at + 8], "little")) <= len(data):
+        yield pickle.loads(data[at + 8:end])
+        at = end
+
+
+def _ending(status: int) -> str:
+    """How a reaped process ended, from its wait status."""
+    code = os.waitstatus_to_exitcode(status)
+    return f"killed by signal {-code}" if code < 0 else f"exit code {code}"
 
 
 def run_suite(config: SuiteConfig | None = None) -> VerificationReport:
@@ -815,19 +925,12 @@ def run_suite(config: SuiteConfig | None = None) -> VerificationReport:
     chosen = cfg.identities or tuple(IDENTITIES)
     selected = [name for name in IDENTITIES if name in chosen]
     run = partial(_run_identity, cfg=cfg)
-    pool = _fork_pool(min(_usable_cpus(), len(selected)))
-    if pool is None:
+    workers = min(_usable_cpus(), len(selected))
+    # a forked child could inherit a lock that another thread holds
+    if workers < 2 or not hasattr(os, "fork") or threading.active_count() != 1:
         results = list(map(run, selected))
     else:
-        # every worker ends by itself before the with block's terminate: a
-        # worker killed while it writes its result keeps the result queue's
-        # lock, and the pool's shutdown then waits for that lock forever
-        with pool:
-            try:
-                results = list(pool.imap(run, selected))
-            finally:
-                pool.close()
-                pool.join()
+        results = _in_workers(run, selected, workers)
     return VerificationReport(config={**asdict(cfg), "identities": sorted(set(chosen))},
                               records=[r for records, _ in results for r in records],
                               timings={name: seconds for name, (_, seconds) in zip(selected, results)})

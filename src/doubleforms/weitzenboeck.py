@@ -432,9 +432,11 @@ def spectrum(w_pp: DoubleForm, sample_planes: int = 100, seed: int = 0) -> Spect
     overflow either.  The samples are
     forms.plane_values on sample_frames(default_rng(seed)), the path of the
     sectional command.  They are Rayleigh quotients of the operator matrix,
-    so the smallest eigenvalue never exceeds their minimum.
+    so the smallest eigenvalue never exceeds their minimum.  The number of
+    planes and the seed are integers >= 0 (exterior._as_int).
     """
     samples = _as_int(sample_planes, "the number of planes", 0)
+    seed = _as_int(seed, "seed", 0)
     if w_pp.p != w_pp.q:
         raise ValueError(f"expected a (p,p) form, got {w_pp.degree}")
     mat = w_pp.coeffs

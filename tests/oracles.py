@@ -424,3 +424,38 @@ def loop_norm(coeffs: np.ndarray) -> float:
         except OverflowError:
             pass
     return norm
+
+
+def classical_weitzenboeck(coeffs: np.ndarray, n: int, p: int) -> np.ndarray:
+    """The curvature term of the classical Weitzenboeck formula on p-forms,
+    in index notation (Petersen, Riemannian Geometry, the Bochner chapter):
+
+        (N w)_{i_1..i_p} = sum_k sum_a Ric_{i_k a} w_{..a..}
+                           - sum_{k != l} sum_{a,b} R_{i_k a i_l b} w_{..a..b..},
+
+    a in slot k and b in slot l, with R[i,j,k,l] = w(e_i ^ e_j, e_k ^ e_l)
+    and Ric_{ik} = sum_j R[i,j,k,j].  coeffs is the (2,2) coefficient
+    matrix, rows and columns in itertools.combinations order; the result is
+    the (p,p) matrix in the same order.  It reads no table of the package:
+    R is a dense n^4 array, each basis p-form e_J a dense antisymmetric n^p
+    array, and each term one np.tensordot over the slots it sums, so keep
+    C(n,p) n^p small (n <= 8, p <= n/2 at n = 8).
+    """
+    pairs = np.array(list(itertools.combinations(range(n), 2)), dtype=np.int64).reshape(comb(n, 2), 2)
+    R = np.zeros((n, n, n, n))
+    i, j = pairs[:, 0, None], pairs[:, 1, None]
+    k, l = pairs[None, :, 0], pairs[None, :, 1]
+    R[i, j, k, l], R[j, i, k, l], R[i, j, l, k], R[j, i, l, k] = coeffs, -coeffs, -coeffs, coeffs
+    ric = np.einsum("ijkj->ik", R)
+    basis = np.array(list(itertools.combinations(range(n), p)), dtype=np.int64).reshape(comb(n, p), p)
+    forms = np.zeros((len(basis),) + (n,) * p)  # forms[J] is e_J as an antisymmetric array
+    for perm in itertools.permutations(range(p)):
+        forms[(np.arange(len(basis)), *basis[:, perm].T)] = perm_sign(perm)
+    out = np.zeros_like(forms)
+    for slot in range(p):  # the Ricci term, in slot k
+        out += np.moveaxis(np.tensordot(ric, forms, axes=([1], [slot + 1])), 0, slot + 1)
+    for k, l in itertools.permutations(range(p), 2):  # the curvature term, in slots k != l
+        term = np.tensordot(R, forms, axes=([1, 3], [k + 1, l + 1]))
+        out -= np.moveaxis(term, [0, 1], [k + 1, l + 1])
+    # (N e_J)_I at sorted I is the entry [I, J]
+    return out[(slice(None), *basis.T)].T

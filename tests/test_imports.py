@@ -18,7 +18,7 @@ import doubleforms
 from doubleforms.exterior import AlgebraContext
 from doubleforms.random_tensors import random_bianchi_22
 from doubleforms.tensorio import save_form
-from measured import run_cli_modules, run_measured
+from measured import _run_reported, run_cli_modules, run_measured
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "doubleforms"
 
@@ -128,8 +128,7 @@ def test_bare_import_loads_no_submodule(tmp_path):
 
 
 #: What a command that runs neither the suite nor a random draw never loads.
-UNUSED = {"doubleforms.verify", "doubleforms.random_tensors", "numpy.ma", "numpy.random",
-          "multiprocessing"}
+UNUSED = {"doubleforms.verify", "doubleforms.random_tensors", "numpy.ma", "numpy.random"}
 #: Only the suite and the commutator-sum oracle's table load the Clifford layer.
 NO_ORACLE = UNUSED | {"doubleforms.clifford"}
 
@@ -139,8 +138,8 @@ NO_ORACLE = UNUSED | {"doubleforms.clifford"}
     (["weitzenboeck", "--p", "3", "--json"], NO_ORACLE),
     (["weitzenboeck", "--p", "3", "--method", "definition", "--json"], UNUSED),
     (["pcurvature", "--p", "3", "--json"], NO_ORACLE),
-    (["spectrum", "--p", "3", "--samples", "4", "--json"], {"doubleforms.verify", "multiprocessing"}),
-    (["sectional", "--p", "3", "--samples", "4"], {"doubleforms.verify", "multiprocessing"}),
+    (["spectrum", "--p", "3", "--samples", "4", "--json"], {"doubleforms.verify"}),
+    (["sectional", "--p", "3", "--samples", "4"], {"doubleforms.verify"}),
 ], ids=["decompose", "weitzenboeck", "definition", "pcurvature", "spectrum", "sectional"])
 def test_command_loads_only_what_it_runs(tmp_path, args, unused):
     tensor = tmp_path / "t.json"
@@ -151,10 +150,30 @@ def test_command_loads_only_what_it_runs(tmp_path, args, unused):
     assert not unused & modules, sorted(unused & modules)
 
 
-def test_one_identity_runs_without_multiprocessing(tmp_path):
-    # one selected identity runs in the calling process: no pool to import
-    code, modules = run_cli_modules(["verify", "--identity", "closed_form", "--json"],
-                                    tmp_path / "out.txt")
+def test_no_module_imports_multiprocessing():
+    # the suite forks its workers itself (verify._in_workers)
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+        modules |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module}
+        assert not {m for m in modules if m.partition(".")[0] == "multiprocessing"}, path.name
+
+
+#: The command line with the number of usable CPUs the suite sees pinned.
+_CLI_ON_CPUS = """
+import runpy
+from doubleforms import verify
+verify._usable_cpus = lambda: {cpus}
+runpy.run_module("doubleforms.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["serial", "pooled"])
+def test_no_verify_run_loads_multiprocessing(tmp_path, cpus):
+    args = ["verify", "--n-min", "4", "--n-max", "4", "--seeds", "1", "--trials", "5", "--json",
+            "--identity", "closed_form", "--identity", "decomposition"]
+    code, report = _run_reported(_CLI_ON_CPUS.format(cpus=cpus), args, tmp_path / "out.txt")
     assert code == 0
-    assert "doubleforms.verify" in modules
-    assert not {m for m in modules if m.partition(".")[0] == "multiprocessing"}
+    assert (report["workers_kb"] > 0) == (cpus == 2)  # the pooled run waited for its forked workers
+    assert "doubleforms.verify" in report["modules"]
+    assert not {m for m in report["modules"] if m.partition(".")[0] == "multiprocessing"}

@@ -1,13 +1,15 @@
 """The verification suite and the command-line interface."""
 
+import contextlib
 import ctypes
 import json
-import multiprocessing
 import os
 import pathlib
 import re
+import signal
 import subprocess
 import sys
+import threading
 import time
 from math import comb, factorial
 
@@ -402,17 +404,78 @@ def test_suite_runs_at_n10_within_its_budget(tmp_path):
 
 
 def _with_cpus(monkeypatch, cpus):
-    """Make run_suite see cpus usable CPUs; returns the list that collects
-    what each of its _fork_pool calls gives, a pool or None."""
+    """Make run_suite see cpus usable CPUs; returns the list that gets one
+    dict per _in_workers call, from the pid of each worker it forks to its
+    exit code once reaped (None before).  No call is the serial path."""
     monkeypatch.setattr(verify, "_usable_cpus", lambda: cpus)
-    made, fork_pool = [], verify._fork_pool
+    runs, in_workers, fork, waitpid = [], verify._in_workers, os.fork, os.waitpid
 
-    def spy(workers):
-        made.append(fork_pool(workers))
-        return made[-1]
+    def spy(run, tasks, workers):
+        runs.append({})
+        return in_workers(run, tasks, workers)
 
-    monkeypatch.setattr(verify, "_fork_pool", spy)
-    return made
+    def forked():
+        pid = fork()
+        if pid:
+            runs[-1][pid] = None
+        return pid
+
+    def waited(pid, options):
+        got = waitpid(pid, options)
+        if got[0] and runs and pid in runs[-1]:
+            runs[-1][pid] = os.waitstatus_to_exitcode(got[1])
+        return got
+
+    monkeypatch.setattr(verify, "_in_workers", spy)
+    monkeypatch.setattr(os, "fork", forked)
+    monkeypatch.setattr(os, "waitpid", waited)
+    return runs
+
+
+def _reaped(pids):
+    """Whether no pid is a child of this process any more, running or zombie."""
+    for pid in pids:
+        try:
+            os.waitpid(pid, os.WNOHANG)
+        except ChildProcessError:
+            continue
+        return False
+    return True
+
+
+@contextlib.contextmanager
+def _alarm(seconds, error):
+    """Raise error in this process after seconds, unless the block ends first."""
+    def ring(signum, frame):
+        raise error
+
+    old = signal.signal(signal.SIGALRM, ring)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def _in_a_worker(act):
+    """An identity that calls act() in a forked worker; in the test process
+    it raises instead, so that act never runs there."""
+    parent = os.getpid()
+
+    def identity(cfg):
+        if os.getpid() == parent:
+            raise AssertionError("the identity ran in the test process")
+        act()
+        yield from ()
+
+    return identity
+
+
+#: Three identities on two workers: the first task fails, or its worker
+#: dies, while the other worker still runs its own.
+_POOLED = SuiteConfig(n_min=4, n_max=5, seeds=1, trials=5,
+                      identities=("closed_form", "contraction_adjoint", "decomposition"))
 
 
 @pytest.mark.parametrize("cfg", [
@@ -422,78 +485,136 @@ def _with_cpus(monkeypatch, cpus):
 def test_report_bytes_do_not_depend_on_the_cpu_count(monkeypatch, cfg):
     reports = {}
     for cpus in (1, 2):
-        made = _with_cpus(monkeypatch, cpus)
+        runs = _with_cpus(monkeypatch, cpus)
         reports[cpus] = run_suite(cfg)
-        assert [pool is not None for pool in made] == [cpus == 2]
+        assert [len(workers) for workers in runs] == ([2] if cpus == 2 else [])
     assert reports[1].to_json() == reports[2].to_json()
     assert list(reports[1].timings) == list(reports[2].timings) == [
         name for name in IDENTITIES if name in (cfg.identities or IDENTITIES)]
 
 
+@pytest.mark.parametrize("fallback", ["one CPU", "no fork", "other threads"])
+def test_serial_fallbacks_run_in_the_calling_process(monkeypatch, fallback):
+    want = run_suite(SuiteConfig(n_min=4, n_max=4, seeds=1, identities=("closed_form", "decomposition")))
+    runs = _with_cpus(monkeypatch, 1 if fallback == "one CPU" else 2)
+    if fallback == "no fork":
+        monkeypatch.delattr(os, "fork")
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    if fallback == "other threads":
+        other.start()
+    try:
+        got = run_suite(SuiteConfig(n_min=4, n_max=4, seeds=1, identities=("closed_form", "decomposition")))
+    finally:
+        stop.set()
+        if other.is_alive():
+            other.join(timeout=10)
+    assert runs == [] and not other.is_alive()
+    assert got.to_json() == want.to_json()
+
+
 def test_no_worker_outlives_the_suite(monkeypatch, capsys):
-    made = _with_cpus(monkeypatch, 2)
-    cfg = SuiteConfig(n_min=4, n_max=5, seeds=1, trials=5,
-                      identities=("closed_form", "contraction_adjoint", "decomposition"))
-    assert run_suite(cfg).passed
-    assert made[-1] is not None
-    assert multiprocessing.active_children() == []
+    runs = _with_cpus(monkeypatch, 2)
+    assert run_suite(_POOLED).passed
+    assert len(runs[-1]) == 2 and _reaped(runs[-1])
 
     def broken(cfg):
         raise ValueError("closed_form broke")
 
-    # the first task fails while the other worker still runs its own
     monkeypatch.setitem(verify.IDENTITIES, "closed_form", broken)
     with pytest.raises(ValueError, match="closed_form broke"):
-        run_suite(cfg)
-    assert made[-1] is not None
-    assert multiprocessing.active_children() == []
+        run_suite(_POOLED)
+    assert len(runs[-1]) == 2 and _reaped(runs[-1])
     argv = ["verify", "--n-min", "4", "--n-max", "5", "--seeds", "1", "--trials", "5"]
-    assert main([*argv, *(f"--identity={name}" for name in cfg.identities)]) == 2
+    assert main([*argv, *(f"--identity={name}" for name in _POOLED.identities)]) == 2
     assert capsys.readouterr().err == "error: closed_form broke\n"
-    assert multiprocessing.active_children() == []
+    assert len(runs) == 3 and all(_reaped(workers) for workers in runs)
 
 
 def test_every_worker_ends_by_itself(monkeypatch):
-    # a worker killed while it writes its result keeps the lock of the result
-    # queue, and the pool's shutdown then waits for it forever; so no worker
-    # is killed, whether the run passes or a task raises
-    _with_cpus(monkeypatch, 2)
-    workers, fork_pool = [], verify._fork_pool
-
-    def started(count):
-        pool = fork_pool(count)
-        workers.append(multiprocessing.active_children())
-        return pool
-
-    monkeypatch.setattr(verify, "_fork_pool", started)
-    cfg = SuiteConfig(n_min=4, n_max=5, seeds=1, trials=5,
-                      identities=("closed_form", "contraction_adjoint", "decomposition"))
-    assert run_suite(cfg).passed
+    # only an interrupted caller kills its workers: whether the run passes
+    # or an identity raises, each worker runs the tasks left and exits 0
+    runs = _with_cpus(monkeypatch, 2)
+    assert run_suite(_POOLED).passed
 
     def broken(cfg):
         raise ValueError("closed_form broke")
 
     monkeypatch.setitem(verify.IDENTITIES, "closed_form", broken)
     with pytest.raises(ValueError, match="closed_form broke"):
-        run_suite(cfg)
-    assert [[worker.exitcode for worker in pool] for pool in workers] == [[0, 0], [0, 0]]
+        run_suite(_POOLED)
+    assert [sorted(workers.values()) for workers in runs] == [[0, 0], [0, 0]]
+
+
+def test_the_first_failing_identity_in_report_order_raises(monkeypatch):
+    # contraction_adjoint fails first in time, closed_form first in order
+    runs = _with_cpus(monkeypatch, 2)
+
+    def broken(name, delay):
+        def identity(cfg):
+            time.sleep(delay)
+            raise ValueError(f"{name} broke")
+            yield  # a generator, as the identities are
+        return identity
+
+    monkeypatch.setitem(verify.IDENTITIES, "closed_form", broken("closed_form", 0.3))
+    monkeypatch.setitem(verify.IDENTITIES, "contraction_adjoint", broken("contraction_adjoint", 0.0))
+    with pytest.raises(ValueError, match="^closed_form broke$"):
+        run_suite(_POOLED)
+    assert sorted(runs[-1].values()) == [0, 0]
+
+
+@pytest.mark.parametrize("act, code", [
+    (lambda: os._exit(3), 3),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), -signal.SIGKILL),
+], ids=["exit", "sigkill"])
+def test_a_worker_that_dies_is_an_error(monkeypatch, act, code):
+    # the worker dies in its first task; the other worker runs the rest
+    runs = _with_cpus(monkeypatch, 2)
+    monkeypatch.setitem(verify.IDENTITIES, "closed_form", _in_a_worker(act))
+    with _alarm(60, TimeoutError("run_suite hung after a worker died")):
+        with pytest.raises(RuntimeError) as raised:
+            run_suite(_POOLED)
+    ending = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
+    assert str(raised.value) == f"a suite worker ended ({ending}) before it returned the records of closed_form"
+    assert len(runs[-1]) == 2 and _reaped(runs[-1])
+    assert sorted(runs[-1].values()) == sorted([0, code])
+
+
+def test_an_interrupted_suite_kills_and_reaps_its_workers(monkeypatch):
+    # the caller's KeyboardInterrupt lands while a worker still runs
+    runs = _with_cpus(monkeypatch, 2)
+    monkeypatch.setitem(verify.IDENTITIES, "closed_form", _in_a_worker(lambda: time.sleep(60)))
+    start = time.perf_counter()
+    with _alarm(0.5, KeyboardInterrupt()):
+        with pytest.raises(KeyboardInterrupt):
+            run_suite(_POOLED)
+    assert time.perf_counter() - start < 30
+    assert len(runs[-1]) == 2 and _reaped(runs[-1])
+    assert -signal.SIGKILL in runs[-1].values()
 
 
 #: Run a pooled suite on two identities and write, at the start of each
-#: task, the worker's pid and whether it had numpy.random loaded.
+#: task, the worker's pid and whether it had numpy.random loaded, and the
+#: pid of each process that kept its freed heap.
 _WARM_WORKERS = """
 import os, sys
 from doubleforms import verify
 
-verify._usable_cpus = lambda: 2  # the pool, as _with_cpus forces it
-run, seen = verify._run_identity, sys.argv[1]
+verify._usable_cpus = lambda: 2  # forked workers, as _with_cpus forces them
+run, keep, seen = verify._run_identity, verify._keep_freed_heap, sys.argv[1]
 
 def spy(name, cfg):
     with open(seen, "a") as out:
         out.write(f"{os.getpid()} {'numpy.random' in sys.modules}\\n")
     return run(name, cfg)
 
-verify._run_identity = spy
+def kept():
+    with open(seen + ".heap", "a") as out:
+        out.write(f"{os.getpid()}\\n")
+    keep()
+
+verify._run_identity, verify._keep_freed_heap = spy, kept
 cfg = verify.SuiteConfig(n_min=4, n_max=4, seeds=1, trials=5, identities=("closed_form", "decomposition"))
 assert verify.run_suite(cfg).passed
 print(os.getpid())
@@ -511,6 +632,10 @@ def test_workers_start_with_numpy_random_loaded(tmp_path):
     tasks = [line.split() for line in seen.read_text().splitlines()]
     assert len(tasks) == 2 and proc.stdout.strip() not in [pid for pid, _ in tasks], (proc.stdout, tasks)
     assert [loaded for _, loaded in tasks] == ["True", "True"]
+    # each worker, and only a worker, kept its freed heap before its tasks
+    heaps = (tmp_path / "seen.txt.heap").read_text().split()
+    assert len(heaps) == len(set(heaps)) == 2 and {pid for pid, _ in tasks} <= set(heaps), (heaps, tasks)
+    assert proc.stdout.strip() not in heaps
 
 
 class _Libc:
@@ -546,9 +671,9 @@ def test_serial_run_leaves_the_callers_allocator_alone(monkeypatch):
         raise AssertionError("the serial path retuned the allocator")
 
     monkeypatch.setattr(verify, "_keep_freed_heap", retune)
-    made = _with_cpus(monkeypatch, 1)
+    runs = _with_cpus(monkeypatch, 1)
     assert run_suite(SuiteConfig(n_min=4, n_max=4, seeds=1, identities=("closed_form", "decomposition"))).passed
-    assert made == [None]
+    assert runs == []
 
 
 # -- command line -----------------------------------------------------------
@@ -570,6 +695,40 @@ def test_cli_verify_json(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["summary"]["passed"] is True
     assert doc["config"]["n_min"] == 5
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_cli_streams_the_report_bytes(monkeypatch, capsys, cpus):
+    # verify --json writes json_pieces one at a time, never the whole text
+    cfg = SuiteConfig(n_min=5, n_max=5, seeds=1, trials=5, identities=("closed_form", "decomposition"))
+    want = run_suite(cfg).to_json()
+    runs = _with_cpus(monkeypatch, cpus)
+
+    def whole(report):
+        raise AssertionError("the command built the whole report")
+
+    monkeypatch.setattr(verify.VerificationReport, "to_json", whole)
+    argv = [*_quick_cli(["--json"]), "--identity", "closed_form", "--identity", "decomposition"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == want
+    # a non-finite residual: one error line, and not a byte of the report
+    def nan_residual(cfg):
+        yield 5, 2, 0, float("nan"), "", verify.MAIN
+
+    monkeypatch.setitem(verify.IDENTITIES, "closed_form", nan_residual)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: identity closed_form has a non-finite residual nan at n=5, p=2, seed=0\n"
+    assert [len(workers) for workers in runs] == ([2, 2] if cpus == 2 else [])
+
+
+def test_a_report_without_records_is_the_stdlib_encoding():
+    # tachibana runs at even n only, so n = 5 gives an empty record list
+    report = run_suite(SuiteConfig(n_min=5, n_max=5, identities=("tachibana",)))
+    doc = {"config": report.config, "records": [], "summary": report.summary()}
+    assert report.records == []
+    assert report.to_json() == json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _verify_json_bytes(blas_threads):
